@@ -531,11 +531,8 @@ ExplorationService::runJobBody(const std::shared_ptr<JobHandle::Shared> &job,
     } else {
         // Map mode: one engine run per model, driven serially from this
         // controller (chain-level parallelism inside the engine is the
-        // spec's sa_threads knob). The partitioner's segment table is
-        // filled on the service pool, capped at the spec's thread budget;
-        // its results are bit-identical for any thread count. Progress is
-        // one entered/finished pair per model — serial, hence
-        // deterministic.
+        // spec's sa_threads knob). Progress is one entered/finished pair
+        // per model — serial, hence deterministic.
         if (s.deadlineSeconds > 0.0) {
             // The deadline arms a local copy of the token; engines see it
             // through MappingOptions::stop and drain at chain boundaries.
@@ -561,8 +558,6 @@ ExplorationService::runJobBody(const std::shared_ptr<JobHandle::Shared> &job,
             }
             mapping::MappingOptions mo = s.mapping;
             mo.stop = stop;
-            mo.partitionPool = &pool_;
-            mo.partitionThreads = s.threads;
             mapping::MappingEngine engine(model, *resolved.archConfig, mo);
             result.mappings.push_back(engine.run());
             if (progress) {

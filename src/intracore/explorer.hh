@@ -83,7 +83,6 @@ class Explorer
 
     int macsPerCore() const { return macsPerCore_; }
     std::int64_t glbBytes() const { return glbBytes_; }
-    double freqGhz() const { return freqGhz_; }
     const arch::TechParams &tech() const { return tech_; }
 
     /** Memoization statistics (for the micro benchmarks). */

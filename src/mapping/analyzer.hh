@@ -104,7 +104,6 @@ class Analyzer
                                       const cost::CostStack &costs) const;
 
     const noc::InterconnectModel &noc() const { return noc_; }
-    intracore::Explorer &explorer() const { return tiling_.explorer(); }
 
     /**
      * Bound each memoization cache to `entries` results (0 disables all

@@ -37,8 +37,6 @@ MappingEngine::run()
     popt.batchUnits = options_.batchUnits;
     popt.beta = options_.beta;
     popt.gamma = options_.gamma;
-    popt.pool = options_.partitionPool;
-    popt.threads = options_.partitionThreads;
 
     MappingResult result;
     result.mapping = partitionGraph(graph_, arch_, analyzer_, costs_, popt);

@@ -71,18 +71,6 @@ struct MappingOptions
     std::vector<std::int64_t> batchUnits; // empty = auto
 
     /**
-     * Pool that helps fill the partitioner's segment table (non-owning;
-     * null = the engine's thread fills it alone). Not a spec key: map mode
-     * sets it to its service pool, while the DSE never does, because its
-     * candidates already fill the pool. Results are bit-identical either
-     * way.
-     */
-    ThreadPool *partitionPool = nullptr;
-
-    /** Threads on the segment table, caller included (0 = pool size). */
-    int partitionThreads = 0;
-
-    /**
      * Derive a closed-form analytical initial solution per layer group
      * (mapping::analyticSeed) and start SA from whichever of stripe /
      * analytic scores better per group. Off by default so existing runs

@@ -1,22 +1,11 @@
 #include "src/mapping/graph_partition.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <condition_variable>
-#include <exception>
 #include <limits>
-#include <memory>
-#include <mutex>
-
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
+#include <unordered_map>
 
 #include "src/common/logging.hh"
 #include "src/common/math_util.hh"
-#include "src/common/thread_pool.hh"
-#include "src/mapping/sa.hh"
 #include "src/mapping/stripe.hh"
 
 namespace gemini::mapping {
@@ -63,14 +52,6 @@ segmentEval(const dnn::Graph &graph, const arch::ArchConfig &arch,
     return bd;
 }
 
-/** The part of one segment evaluation the DP reads. */
-struct SegmentCost
-{
-    double energy = 0.0;
-    double delay = 0.0;
-    double glbOverflow = 0.0;
-};
-
 SegmentCost
 costOf(const eval::EvalBreakdown &bd)
 {
@@ -95,206 +76,96 @@ segmentScore(const SegmentCost &c, double e_ref, double d_ref, double beta,
 }
 
 /**
- * Everything the DP reads: the single-layer reference cost of every layer
- * and the cost of every (end, len, batch unit) segment. Each value is a
- * pure function of its segment, so neither who evaluates it nor when
- * changes a bit of it.
- */
-struct SegmentTable
-{
-    const dnn::Graph &graph;
-    const arch::ArchConfig &arch;
-    const cost::CostStack &costs;
-    std::int64_t batch;
-    const std::vector<std::int64_t> &units;
-    std::size_t n;
-    std::size_t maxLen;
-
-    std::vector<SegmentCost> refs = std::vector<SegmentCost>(n);
-    std::vector<SegmentCost> segs =
-        std::vector<SegmentCost>(n * maxLen * units.size());
-
-    SegmentCost &
-    at(std::size_t end, std::size_t len, std::size_t unit)
-    {
-        return segs[((end - 1) * maxLen + (len - 1)) * units.size() + unit];
-    }
-
-    /** Layer `layer` alone with the first batch unit. */
-    void
-    evalRef(Analyzer &analyzer, std::size_t layer)
-    {
-        refs[layer] = costOf(segmentEval(graph, arch, analyzer, costs, layer,
-                                         1, batch, units.front(), nullptr));
-    }
-
-    void
-    evalSegment(Analyzer &analyzer, std::size_t end, std::size_t len,
-                std::size_t unit)
-    {
-        if (batch % units[unit] == 0)
-            at(end, len, unit) =
-                costOf(segmentEval(graph, arch, analyzer, costs, end - len,
-                                   len, batch, units[unit], nullptr));
-    }
-
-    /**
-     * The references and segments of ends [first, last] in DP order:
-     * references first, then segments by end, length and batch unit.
-     * fillBlock(1, n) is the whole table in the order the serial DP has
-     * always evaluated it, which keeps the serial path's cache history.
-     * Whoever fills an `end` owns its slots and layer end-1's reference,
-     * so fillers of disjoint blocks never write the same slot.
-     */
-    void
-    fillBlock(Analyzer &analyzer, std::size_t first, std::size_t last)
-    {
-        for (std::size_t end = first; end <= last; ++end)
-            evalRef(analyzer, end - 1);
-        for (std::size_t end = first; end <= last; ++end)
-            for (std::size_t len = 1; len <= std::min(maxLen, end); ++len)
-                for (std::size_t u = 0; u < units.size(); ++u)
-                    evalSegment(analyzer, end, len, u);
-    }
-};
-
-/**
- * Ends per claimed block. Segments of nearby ends share layers, so
- * contiguous blocks keep each filler's fragment caches warm.
- */
-constexpr std::size_t kBlockEnds = 8;
-
-/**
- * Fragment-cache entries of each helper's analyzer. A large_grid tile
- * entry holds one region per core, and glibc trims a thread arena's top
- * only on free(), so each helper's cache high-water mark stays in the
- * job's peak memory. 256 entries keep most of the hits of a larger cache.
- */
-constexpr std::size_t kHelperCacheEntries = 256;
-
-/**
- * Coordination of one parallel fill, shared with the pool tasks. A task
- * may start after the fill is over (its pool was busy elsewhere); it then
- * sees `closed` and touches nothing but this object, which its
- * shared_ptr keeps alive.
- */
-struct FillState
-{
-    std::atomic<std::size_t> nextBlock{0};
-
-    std::mutex mu;
-    std::condition_variable idle;
-    bool closed = false;      ///< no task may join the fill any more
-    std::size_t active = 0;   ///< tasks currently inside the fill
-    std::exception_ptr error; ///< first helper failure
-};
-
-/** Claim blocks of ends until none are left. */
-void
-drain(SegmentTable &table, FillState &state, Analyzer &analyzer)
-{
-    const std::size_t n = table.n;
-    for (;;) {
-        const std::size_t first =
-            state.nextBlock.fetch_add(1, std::memory_order_relaxed) *
-                kBlockEnds +
-            1;
-        if (first > n)
-            return;
-        table.fillBlock(analyzer, first,
-                        std::min(n, first + kBlockEnds - 1));
-    }
-}
-
-/**
- * Fill `table` on the calling thread plus up to `helpers` tasks on
- * `pool`. The caller works with its own analyzer; every helper that
- * starts builds one small-cache analyzer over its own explorer, seeded
- * from the caller's memo and merged back at the end. The NoC model and
- * the cost stack are shared read-only. Returns once every started helper
- * has finished and all helper state is freed.
+ * Write into `sig` everything segmentEval reads of segment
+ * [first, first + len) beyond the batch and its batch unit. Per layer, in
+ * order: the geometry stripeMapping and the analyzer stages read, isOutput
+ * and whether a consumer lies outside the segment (together FD.OF, see
+ * needsOfmapDram), then per input its position inside the segment or, for
+ * an outside producer, the shape the traffic compiler clamps DRAM reads
+ * to. No input at all marks the external network input. Absolute layer
+ * ids are left out, so repeated blocks share one signature.
  */
 void
-fillParallel(SegmentTable &table, Analyzer &analyzer, ThreadPool &pool,
-             std::size_t helpers)
+segmentSignature(const dnn::Graph &graph, std::size_t first, std::size_t len,
+                 FragmentKey &sig)
 {
-    intracore::Explorer &own = analyzer.explorer();
-    auto state = std::make_shared<FillState>();
-    {
-        // Seeded here, before any evaluation starts, so no helper reads
-        // the caller's memo while the caller writes it.
-        std::vector<std::unique_ptr<intracore::Explorer>> explorers;
-        for (std::size_t h = 0; h < helpers; ++h) {
-            explorers.push_back(std::make_unique<intracore::Explorer>(
-                own.macsPerCore(), own.glbBytes(), own.freqGhz(),
-                own.tech()));
-            explorers.back()->absorb(own);
-        }
-        std::vector<char> ran(helpers, 0); // guarded by state->mu
-
-        {
-            // Whatever way the caller's share ends, close the fill and
-            // wait out the helpers inside it: they hold references into
-            // this frame.
-            struct Closer
-            {
-                FillState &s;
-                ~Closer()
-                {
-                    std::unique_lock lock(s.mu);
-                    s.closed = true;
-                    s.idle.wait(lock, [this] { return s.active == 0; });
-                }
-            } closer{*state};
-
-            for (std::size_t h = 0; h < helpers; ++h) {
-                pool.submit([state, &table, &analyzer, &explorers, &ran,
-                             h] {
-                    {
-                        std::lock_guard lock(state->mu);
-                        if (state->closed)
-                            return;
-                        ++state->active;
-                        ran[h] = 1;
-                    }
-                    try {
-                        Analyzer helper(table.graph, table.arch,
-                                        analyzer.noc(), *explorers[h]);
-                        helper.setCacheCapacity(kHelperCacheEntries);
-                        helper.setDeltaEval(analyzer.deltaEval());
-                        drain(table, *state, helper);
-                    } catch (...) {
-                        std::lock_guard lock(state->mu);
-                        if (!state->error)
-                            state->error = std::current_exception();
-                    }
-                    std::lock_guard lock(state->mu);
-                    --state->active;
-                    state->idle.notify_all();
-                });
+    const auto begin = static_cast<LayerId>(first);
+    const auto end = static_cast<LayerId>(first + len);
+    sig.words.clear();
+    sig.words.push_back(static_cast<std::int64_t>(len));
+    for (LayerId id = begin; id < end; ++id) {
+        const dnn::Layer &l = graph.layer(id);
+        sig.words.insert(sig.words.end(),
+                         {static_cast<std::int64_t>(l.kind), l.k, l.h, l.w,
+                          l.c, l.ih, l.iw, l.r, l.s, l.strideH, l.strideW,
+                          l.padH, l.padW, l.groups, l.heads, l.transposeB,
+                          l.isOutput});
+        const std::vector<LayerId> &consumers = graph.consumers(id);
+        sig.words.push_back(std::any_of(consumers.begin(), consumers.end(),
+                                        [end](LayerId c) { return c >= end; }));
+        sig.words.push_back(
+            static_cast<std::int64_t>(l.inputChannels.size()));
+        sig.words.insert(sig.words.end(), l.inputChannels.begin(),
+                         l.inputChannels.end());
+        sig.words.push_back(static_cast<std::int64_t>(l.inputs.size()));
+        for (LayerId in : l.inputs) {
+            if (in >= begin) {
+                sig.words.push_back(in - begin);
+            } else {
+                std::int64_t c, h, w;
+                graph.producerShape(in, c, h, w);
+                sig.words.insert(sig.words.end(), {-1, c, h, w});
             }
-            drain(table, *state, analyzer);
-        }
-
-        if (state->error)
-            std::rethrow_exception(state->error);
-        for (std::size_t h = 0; h < helpers; ++h) {
-            if (ran[h])
-                own.absorb(*explorers[h]);
         }
     }
-#if defined(__GLIBC__)
-    // Helpers allocated in their pool threads' own malloc arenas; hand
-    // those freed pages back now, before SA sets the job's memory peak.
-    // Safe beside other jobs on the same pool: malloc_trim locks one arena
-    // at a time and moves no live block. A thread allocating from the
-    // arena being trimmed waits for that arena's lock, and a released
-    // page costs its next user one zero-fill fault.
-    malloc_trim(0);
-#endif
 }
 
 } // namespace
+
+SegmentTable
+buildSegmentTable(const dnn::Graph &graph, const arch::ArchConfig &arch,
+                  Analyzer &analyzer, const cost::CostStack &costs,
+                  std::int64_t batch, const std::vector<std::int64_t> &units,
+                  std::size_t max_len)
+{
+    const std::size_t n = graph.size();
+    SegmentTable table;
+    table.maxLen = max_len;
+    table.unitCount = units.size();
+    table.refs.resize(n);
+    table.segs.resize(n * max_len * units.size());
+    table.firstOf.resize(n * max_len);
+
+    std::unordered_map<FragmentKey, std::size_t, FragmentKeyHash> classes;
+    FragmentKey sig;
+    for (std::size_t end = 1; end <= n; ++end) {
+        for (std::size_t len = 1; len <= std::min(max_len, end); ++len) {
+            const std::size_t seg = table.index(end, len);
+            SegmentCost *slots = &table.segs[seg * units.size()];
+            segmentSignature(graph, end - len, len, sig);
+            const auto [it, fresh] = classes.try_emplace(sig, seg);
+            const std::size_t src = table.firstOf[seg] = it->second;
+            if (!fresh) {
+                std::copy_n(&table.segs[src * units.size()], units.size(),
+                            slots);
+                if (len == 1)
+                    table.refs[end - 1] = table.refs[src / max_len];
+                continue;
+            }
+            if (len == 1)
+                table.refs[end - 1] = costOf(
+                    segmentEval(graph, arch, analyzer, costs, end - 1, 1,
+                                batch, units.front(), nullptr));
+            for (std::size_t u = 0; u < units.size(); ++u) {
+                if (batch % units[u] == 0)
+                    slots[u] = costOf(segmentEval(graph, arch, analyzer,
+                                                  costs, end - len, len,
+                                                  batch, units[u], nullptr));
+            }
+        }
+    }
+    return table;
+}
 
 LpMapping
 partitionGraph(const dnn::Graph &graph, const arch::ArchConfig &arch,
@@ -311,20 +182,8 @@ partitionGraph(const dnn::Graph &graph, const arch::ArchConfig &arch,
         options.batchUnits.empty() ? defaultBatchUnits(options.batch)
                                    : options.batchUnits;
 
-    SegmentTable table{graph, arch, costs, options.batch, units, n, max_len};
-    std::size_t helpers = 0;
-    if (options.pool != nullptr) {
-        const std::size_t pool_threads = options.pool->threadCount();
-        const std::size_t fillers =
-            options.threads > 0 ? static_cast<std::size_t>(options.threads)
-                                : pool_threads;
-        helpers = std::min(pool_threads,
-                           std::max<std::size_t>(fillers, 1) - 1);
-    }
-    if (helpers == 0)
-        table.fillBlock(analyzer, 1, n);
-    else
-        fillParallel(table, analyzer, *options.pool, helpers);
+    const SegmentTable table = buildSegmentTable(
+        graph, arch, analyzer, costs, options.batch, units, max_len);
 
     // Layer-sequential reference totals that normalize the additive DP
     // surrogate (see segmentScore), summed in layer order.

@@ -7,24 +7,21 @@
  * Segments are scored with the stripe heuristic + evaluator.
  *
  * The work splits in two: a segment table (every segment's energy, delay
- * and GLB overflow) and the serial DP that reads it. Segment scores are
- * pure functions of the segment, so the table can be filled on several
- * threads while the DP stays bit-identical for any thread count.
+ * and GLB overflow) and the serial DP that reads it. Real DNNs repeat
+ * their blocks, so the table is filled once per distinct segment shape
+ * and copied to every segment with the same structural signature.
  */
 
 #ifndef GEMINI_MAPPING_GRAPH_PARTITION_HH
 #define GEMINI_MAPPING_GRAPH_PARTITION_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "src/cost/cost_stack.hh"
 #include "src/mapping/analyzer.hh"
 #include "src/mapping/encoding.hh"
-
-namespace gemini {
-class ThreadPool;
-} // namespace gemini
 
 namespace gemini::mapping {
 
@@ -45,22 +42,6 @@ struct PartitionOptions
     /** Objective exponents used to score segments. */
     double beta = 1.0;
     double gamma = 1.0;
-
-    /**
-     * Helper pool for the segment table (non-owning; null = fill it on
-     * the calling thread). The caller always works too, so a pool whose
-     * workers are busy elsewhere only costs speed, never progress. After
-     * a parallel fill, glibc builds return the helpers' freed heap to the
-     * OS (malloc_trim) so SA does not stack its peak on top of it.
-     */
-    ThreadPool *pool = nullptr;
-
-    /**
-     * Threads filling the table, the caller included (0 = the pool's
-     * size); at most pool->threadCount() + 1 are used, and 1 fills
-     * serially.
-     */
-    int threads = 0;
 };
 
 /**
@@ -72,6 +53,66 @@ LpMapping partitionGraph(const dnn::Graph &graph,
                          const arch::ArchConfig &arch, Analyzer &analyzer,
                          const cost::CostStack &costs,
                          const PartitionOptions &options);
+
+/** The part of one segment evaluation the DP reads. */
+struct SegmentCost
+{
+    double energy = 0.0;
+    double delay = 0.0;
+    double glbOverflow = 0.0;
+};
+
+/**
+ * Everything the DP reads: the single-layer reference cost of every layer
+ * (with the first batch unit) and the cost of every (end, len, batch unit)
+ * segment [end - len, end). Slots of batch units that do not divide the
+ * batch, and of len > end, stay zero.
+ */
+struct SegmentTable
+{
+    std::size_t maxLen = 0;
+    std::size_t unitCount = 0;
+    std::vector<SegmentCost> refs;
+    std::vector<SegmentCost> segs;
+
+    /**
+     * Signature class of every (end, len) segment: the index() of the
+     * first segment in DP order with the same structural signature, whose
+     * evaluation this segment's slots (and, for len 1, its reference)
+     * were copied from. A segment that starts its class maps to itself.
+     */
+    std::vector<std::size_t> firstOf;
+
+    std::size_t
+    index(std::size_t end, std::size_t len) const
+    {
+        return (end - 1) * maxLen + (len - 1);
+    }
+
+    const SegmentCost &
+    at(std::size_t end, std::size_t len, std::size_t unit) const
+    {
+        return segs[index(end, len) * unitCount + unit];
+    }
+};
+
+/**
+ * Fill the segment table partitionGraph's DP reads (exposed for tests).
+ * Each segment is scored by stripeMapping + Analyzer::evaluateGroup with
+ * every cross-group source read interleaved, which depends only on the
+ * segment's structural signature: per layer, its geometry, isOutput,
+ * whether a consumer lies outside the segment, and per input its position
+ * in the segment, the outside producer's shape or the external input. So
+ * only the first segment of every signature is evaluated; the rest copy
+ * its bits.
+ */
+SegmentTable buildSegmentTable(const dnn::Graph &graph,
+                               const arch::ArchConfig &arch,
+                               Analyzer &analyzer,
+                               const cost::CostStack &costs,
+                               std::int64_t batch,
+                               const std::vector<std::int64_t> &units,
+                               std::size_t max_len);
 
 /** Default batch-unit candidate list: divisors of `batch`, capped. */
 std::vector<std::int64_t> defaultBatchUnits(std::int64_t batch);

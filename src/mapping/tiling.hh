@@ -46,8 +46,6 @@ class TilingStage
     static void appendKey(FragmentKey &key, LayerId layer,
                           const MappingScheme &ms, std::int64_t batch_unit);
 
-    intracore::Explorer &explorer() const { return explorer_; }
-
   private:
     intracore::Explorer &explorer_;
 };

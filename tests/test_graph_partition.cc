@@ -3,22 +3,24 @@
  * Unit tests for the DP graph partitioner: full coverage of the graph,
  * contiguity, batch-unit selection, segment caps, that latency-driven
  * runs (batch 1) prefer shallower pipelines than throughput runs, and
- * that filling the segment table on a thread pool changes no bit.
+ * that the segment table, filled once per segment signature, holds the
+ * bits a direct evaluation of every slot gives.
  */
 
 #include <gtest/gtest.h>
 
-#include <future>
+#include <bit>
+#include <set>
 
 #include "src/api/service.hh"
 #include "src/arch/presets.hh"
-#include "src/common/thread_pool.hh"
 #include "src/dnn/zoo.hh"
 #include "src/cost/cost_stack.hh"
 #include "src/intracore/explorer.hh"
 #include "src/mapping/analyzer.hh"
 #include "src/mapping/engine.hh"
 #include "src/mapping/graph_partition.hh"
+#include "src/mapping/stripe.hh"
 #include "src/noc/interconnect.hh"
 
 namespace gemini::mapping {
@@ -156,8 +158,8 @@ TEST_F(PartitionTest, StarvedDramForcesLayerPipelining)
 }
 
 // ---------------------------------------------------------------------
-// The segment table on a pool: every segment score is a pure function of
-// its segment, so any number of fillers must give the serial call's bits.
+// The segment table: a segment's score is a pure function of its
+// signature, so every copied slot must equal a direct evaluation.
 // ---------------------------------------------------------------------
 
 arch::ArchConfig
@@ -176,95 +178,182 @@ grid4x4(arch::Topology topo)
     return a;
 }
 
-/** Batch 4 gives three batch units; 20 layers span several table blocks. */
-PartitionOptions
-tableOptions()
+constexpr arch::Topology kTopologies[] = {
+    arch::Topology::Mesh, arch::Topology::FoldedTorus,
+    arch::Topology::ConcentratedRing, arch::Topology::HierarchicalNop};
+
+bool
+sameBits(const SegmentCost &a, const SegmentCost &b)
 {
-    PartitionOptions o;
-    o.batch = 4;
-    o.maxGroupLayers = 4;
-    return o;
+    auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    return bits(a.energy) == bits(b.energy) &&
+           bits(a.delay) == bits(b.delay) &&
+           bits(a.glbOverflow) == bits(b.glbOverflow);
 }
 
-/** Partition with a fresh analyzer and explorer, as an engine would. */
-LpMapping
-partitionFresh(const dnn::Graph &g, const arch::ArchConfig &a,
-               const PartitionOptions &o)
+/** One segment scored from scratch, the way the table would score it. */
+SegmentCost
+directCost(const dnn::Graph &g, const arch::ArchConfig &a,
+           const Analyzer &an, const cost::CostStack &costs,
+           std::size_t first, std::size_t len, std::int64_t batch,
+           std::int64_t unit)
+{
+    std::vector<LayerId> layers(len);
+    for (std::size_t i = 0; i < len; ++i)
+        layers[i] = static_cast<LayerId>(first + i);
+    const eval::EvalBreakdown bd = an.evaluateGroup(
+        stripeMapping(g, a, layers, unit), batch,
+        [](LayerId) { return kDramInterleaved; }, costs);
+    return {bd.totalEnergy(), bd.delay, bd.glbOverflow};
+}
+
+/**
+ * Build the table with a caching analyzer, then score every slot and
+ * reference again with an uncached analyzer over its own explorer and
+ * require the same bits.
+ */
+SegmentTable
+expectTableExact(const dnn::Graph &g, const arch::ArchConfig &a,
+                 std::int64_t batch, std::size_t max_len)
 {
     const noc::InterconnectModel noc(a);
-    intracore::Explorer ex(a.macsPerCore, a.glbBytes(), a.freqGHz);
     const cost::CostStack costs(a);
+    intracore::Explorer ex(a.macsPerCore, a.glbBytes(), a.freqGHz);
     Analyzer an(g, a, noc, ex);
     an.setCacheCapacity(4096);
-    return partitionGraph(g, a, an, costs, o);
+    const std::vector<std::int64_t> units = defaultBatchUnits(batch);
+    const SegmentTable table =
+        buildSegmentTable(g, a, an, costs, batch, units, max_len);
+
+    intracore::Explorer direct_ex(a.macsPerCore, a.glbBytes(), a.freqGHz);
+    const Analyzer direct(g, a, noc, direct_ex);
+    std::size_t mismatches = 0;
+    for (std::size_t end = 1; end <= g.size(); ++end) {
+        if (!sameBits(table.refs[end - 1],
+                      directCost(g, a, direct, costs, end - 1, 1, batch,
+                                 units.front())) &&
+            mismatches++ == 0)
+            ADD_FAILURE() << "reference of layer " << end - 1;
+        for (std::size_t len = 1; len <= std::min(max_len, end); ++len) {
+            for (std::size_t u = 0; u < units.size(); ++u) {
+                const SegmentCost want =
+                    directCost(g, a, direct, costs, end - len, len, batch,
+                               units[u]);
+                if (!sameBits(table.at(end, len, u), want) &&
+                    mismatches++ == 0)
+                    ADD_FAILURE() << "segment end " << end << " len " << len
+                                  << " unit " << units[u];
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    return table;
 }
 
-void
-expectSameMapping(const LpMapping &want, const LpMapping &got)
+TEST(PartitionTable, EverySlotMatchesDirectEvaluation)
 {
-    EXPECT_EQ(want.batch, got.batch);
-    ASSERT_EQ(want.groups.size(), got.groups.size());
-    for (std::size_t i = 0; i < want.groups.size(); ++i) {
-        const LayerGroupMapping &w = want.groups[i];
-        const LayerGroupMapping &g = got.groups[i];
-        EXPECT_EQ(w.layers, g.layers) << "group " << i;
-        EXPECT_EQ(w.batchUnit, g.batchUnit) << "group " << i;
-        ASSERT_EQ(w.schemes.size(), g.schemes.size()) << "group " << i;
-        for (std::size_t l = 0; l < w.schemes.size(); ++l) {
-            EXPECT_TRUE(w.schemes[l].part == g.schemes[l].part);
-            EXPECT_EQ(w.schemes[l].coreGroup, g.schemes[l].coreGroup);
-            EXPECT_TRUE(w.schemes[l].fd == g.schemes[l].fd);
+    for (const char *model :
+         {"tiny_conv", "tiny_residual", "tiny_inception", "tiny_transformer",
+          "mobilenet_v2", "resnet50", "transformer"}) {
+        const dnn::Graph g = dnn::zoo::byName(model);
+        for (arch::Topology topo : kTopologies) {
+            for (std::int64_t batch : {8, 12}) {
+                SCOPED_TRACE(testing::Message()
+                             << model << ", topology "
+                             << static_cast<int>(topo) << ", batch "
+                             << batch);
+                expectTableExact(g, grid4x4(topo), batch, 6);
+            }
         }
     }
 }
 
-TEST(PartitionTable, PoolOfAnySizeMatchesSerialOnEveryTopology)
+TEST(PartitionTable, RepeatedBlocksAreEvaluatedOnce)
 {
-    const dnn::Graph g = dnn::zoo::tinyConvChain(20);
-    for (arch::Topology topo :
-         {arch::Topology::Mesh, arch::Topology::FoldedTorus,
-          arch::Topology::ConcentratedRing,
-          arch::Topology::HierarchicalNop}) {
-        const arch::ArchConfig a = grid4x4(topo);
-        PartitionOptions o = tableOptions();
-        ASSERT_GE(defaultBatchUnits(o.batch).size(), 3u);
-        ASSERT_GT(g.size(), static_cast<std::size_t>(o.maxGroupLayers));
-        const LpMapping serial = partitionFresh(g, a, o);
-        ASSERT_EQ(checkMappingValid(g, a, serial), "");
-        for (std::size_t threads = 1; threads <= 4; ++threads) {
-            SCOPED_TRACE(testing::Message()
-                         << "topology " << static_cast<int>(topo)
-                         << ", pool of " << threads);
-            ThreadPool pool(threads);
-            o.pool = &pool;
-            o.threads = static_cast<int>(threads) + 1;
-            expectSameMapping(serial, partitionFresh(g, a, o));
-        }
-    }
-}
-
-TEST(PartitionTable, EngineRunIsBitIdenticalWithPool)
-{
-    const dnn::Graph g = dnn::zoo::tinyConvChain(20);
+    // Six identical encoder blocks: far fewer classes than segments.
+    const dnn::Graph g = dnn::zoo::tinyTransformer(64, 64, 4, 6);
     const arch::ArchConfig a = grid4x4(arch::Topology::Mesh);
-    MappingOptions mo;
-    mo.batch = 4;
-    mo.maxGroupLayers = 4;
-    mo.sa.iterations = 300;
-    mo.sa.seed = 11;
-    MappingEngine serial_engine(g, a, mo);
-    const MappingResult serial = serial_engine.run();
+    const std::size_t max_len = 4;
+    const SegmentTable t = expectTableExact(g, a, 8, max_len);
+    std::size_t segments = 0;
+    std::set<std::size_t> classes;
+    for (std::size_t end = 1; end <= g.size(); ++end) {
+        for (std::size_t len = 1; len <= std::min(max_len, end); ++len) {
+            ++segments;
+            classes.insert(t.firstOf[t.index(end, len)]);
+        }
+    }
+    EXPECT_LT(2 * classes.size(), segments);
+}
 
-    ThreadPool pool(3);
-    mo.partitionPool = &pool;
-    mo.partitionThreads = 4;
-    MappingEngine pooled_engine(g, a, mo);
-    const MappingResult pooled = pooled_engine.run();
+/**
+ * Pairs of segments that differ in one thing the signature must see, plus
+ * identical blocks as controls. Layer ids are given in the comments.
+ */
+dnn::Graph
+signatureProbeGraph()
+{
+    dnn::GraphBuilder b("signature_probe", 16, 16, 16);
+    auto conv = [&](const char *name, LayerId in) {
+        return b.conv(name, in, 32, 3, 1, 1);
+    };
+    const LayerId stem = conv("stem", dnn::GraphBuilder::kInput); // 0
+    const LayerId small = b.pool("small", stem, 3, 2, 1); // 1, 8x8
+    // Blocks [2, 4), [4, 6) and [6, 8) of two convs each.
+    LayerId x = stem;
+    for (const char *name : {"a1", "b1", "a2", "b2", "a3", "b3"})
+        x = conv(name, x);
+    // a3 (6) gains a consumer outside its block: e4 (8).
+    x = conv("c4", b.eltwise("e4", {x, 6})); // [8, 10)
+    // e5 (10) reads an outside producer of another shape than e4 does.
+    x = conv("c5", b.eltwise("e5", {x, small})); // [10, 12)
+    // Blocks [12, 14) and [14, 16); a6 (12) is flagged below.
+    for (const char *name : {"a6", "b6", "a7", "b7"})
+        x = conv(name, x);
+    // Blocks [16, 19) and [19, 22) whose eltwise reads the same two
+    // in-segment producers in swapped order.
+    LayerId p = conv("p8", x);
+    x = b.eltwise("r8", {conv("q8", p), p});
+    p = conv("p9", x);
+    x = b.eltwise("r9", {p, conv("q9", p)});
+    conv("tail", x); // 22
+    const dnn::Graph built = b.finish();
 
-    expectSameMapping(serial.mapping, pooled.mapping);
-    EXPECT_EQ(serial.total.delay, pooled.total.delay);
-    EXPECT_EQ(serial.total.totalEnergy(), pooled.total.totalEnergy());
-    EXPECT_EQ(serial.saStats.finalCost, pooled.saStats.finalCost);
+    // Rebuild with a6 flagged as a network output although its only
+    // consumer b6 stays inside its block.
+    dnn::Graph g(built.name(), built.inputC(), built.inputH(),
+                 built.inputW());
+    for (dnn::Layer l : built.layers()) {
+        l.isOutput = l.isOutput || l.name == "a6";
+        g.add(std::move(l));
+    }
+    g.finalize();
+    return g;
+}
+
+TEST(PartitionTable, SignatureSeparatesLookalikeSegments)
+{
+    const dnn::Graph g = signatureProbeGraph();
+    ASSERT_EQ(g.size(), 23u);
+    ASSERT_TRUE(g.layer(12).isOutput);
+    ASSERT_FALSE(g.layer(14).isOutput);
+    const SegmentTable t =
+        expectTableExact(g, grid4x4(arch::Topology::Mesh), 8, 4);
+    auto cls = [&t](std::size_t first, std::size_t len = 2) {
+        return t.firstOf[t.index(first + len, len)];
+    };
+    // Controls: identical blocks share one class.
+    EXPECT_EQ(cls(2), t.index(4, 2));
+    EXPECT_EQ(cls(4), cls(2));
+    EXPECT_EQ(cls(14), cls(2));
+    // An outside consumer of a3.
+    EXPECT_NE(cls(6), cls(4));
+    // An outside producer's shape (8x8 instead of 16x16).
+    EXPECT_NE(cls(10), cls(8));
+    // isOutput alone.
+    EXPECT_NE(cls(12), cls(14));
+    // Which in-segment producer each input is.
+    EXPECT_NE(cls(19, 3), cls(16, 3));
 }
 
 TEST(PartitionTable, ServiceMapModeIsIndependentOfThreads)
@@ -294,30 +383,6 @@ TEST(PartitionTable, ServiceMapModeIsIndependentOfThreads)
         ASSERT_NE(b, nullptr) << key;
         EXPECT_EQ(a->dump(), b->dump()) << key;
     }
-}
-
-TEST(PartitionTable, BlockedPoolDoesNotStallTheCaller)
-{
-    const dnn::Graph g = dnn::zoo::tinyConvChain(20);
-    const arch::ArchConfig a = grid4x4(arch::Topology::Mesh);
-    PartitionOptions o = tableOptions();
-    const LpMapping serial = partitionFresh(g, a, o);
-
-    // Every worker waits on a gate that opens only after the partition
-    // returned, so the caller must fill the whole table alone; the
-    // helper tasks start late, find the fill closed and leave.
-    ThreadPool pool(2);
-    std::promise<void> open;
-    std::shared_future<void> gate = open.get_future().share();
-    for (std::size_t w = 0; w < pool.threadCount(); ++w)
-        pool.submit([gate] { gate.wait(); });
-    o.pool = &pool;
-    o.threads = 4;
-    const LpMapping alone = partitionFresh(g, a, o);
-    open.set_value();
-    pool.waitIdle();
-    EXPECT_EQ(pool.takeTaskError(), nullptr);
-    expectSameMapping(serial, alone);
 }
 
 } // namespace
