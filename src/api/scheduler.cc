@@ -172,10 +172,10 @@ JobScheduler::pumpLocked()
         // else: slots filled mid-visit — resume here on the next pump.
     }
 
-    // The service submit (store I/O, controller bookkeeping) and the
-    // waiter spawn happen outside mu_: a service controller thread may
-    // be blocked on our progress callback, and submit() joining it while
-    // we hold mu_ would deadlock.
+    // The service submit (store I/O, controller bookkeeping) happens
+    // outside mu_: a service controller thread may be blocked on our
+    // progress callback, and submit() joining it while we hold mu_ would
+    // deadlock.
     if (ready.empty())
         return;
     mu_.unlock();
@@ -190,6 +190,17 @@ JobScheduler::pumpLocked()
         JobHandle handle =
             service_.submit(job->request.spec, std::move(options));
 
+        // Spawn and register the waiter under mu_ (spawning blocks on
+        // nothing): the waiter needs mu_ to finish the job, so it is in
+        // waiters_ before the job can turn terminal. Otherwise a job that
+        // completes at once (a service cache hit, e.g. the same spec
+        // under another tenant) could let stop() drain waiters_ before
+        // this thread registers the waiter, and the scheduler would be
+        // destroyed with a joinable thread.
+        std::lock_guard lock(mu_);
+        job->handle = handle;
+        if (job->cancelRequested)
+            handle.cancel();
         Waiter waiter;
         waiter.done = std::make_shared<std::atomic<bool>>(false);
         waiter.thread = std::thread(
@@ -204,13 +215,7 @@ JobScheduler::pumpLocked()
                 }
                 done->store(true, std::memory_order_release);
             });
-        {
-            std::lock_guard lock(mu_);
-            job->handle = handle;
-            if (job->cancelRequested)
-                handle.cancel();
-            waiters_.push_back(std::move(waiter));
-        }
+        waiters_.push_back(std::move(waiter));
     }
     mu_.lock();
 }

@@ -133,4 +133,18 @@ chunkOf(std::int64_t total, std::int64_t parts, std::int64_t idx)
     return {extra * (base + 1) + (idx - extra) * base, base};
 }
 
+std::int64_t
+chunkIndexOf(std::int64_t total, std::int64_t parts, std::int64_t pos)
+{
+    GEMINI_ASSERT(parts > 0 && total >= parts && pos >= 0 && pos < total,
+                  "chunkIndexOf bad total/parts/pos: ", total, "/", parts,
+                  "/", pos);
+    const std::int64_t base = total / parts;
+    const std::int64_t extra = total % parts;
+    const std::int64_t long_span = extra * (base + 1);
+    if (pos < long_span)
+        return pos / (base + 1);
+    return extra + (pos - long_span) / base;
+}
+
 } // namespace gemini

@@ -87,6 +87,13 @@ struct ChunkRange
 };
 ChunkRange chunkOf(std::int64_t total, std::int64_t parts, std::int64_t idx);
 
+/**
+ * Inverse of chunkOf: the index of the chunk of a `parts`-way split of
+ * `total` that holds position `pos` (0 <= pos < total).
+ */
+std::int64_t chunkIndexOf(std::int64_t total, std::int64_t parts,
+                          std::int64_t pos);
+
 } // namespace gemini
 
 #endif // GEMINI_COMMON_MATH_UTIL_HH

@@ -134,9 +134,18 @@ class DenseLinkAccumulator
     void
     add(noc::LinkKey link, double bytes)
     {
-        const std::uint64_t idx =
-            static_cast<std::uint64_t>(noc::linkFrom(link)) * nodes_ +
-            static_cast<std::uint64_t>(noc::linkTo(link));
+        addSlot(static_cast<std::uint64_t>(noc::linkFrom(link)) * nodes_ +
+                    static_cast<std::uint64_t>(noc::linkTo(link)),
+                bytes);
+    }
+
+    /**
+     * add() by flat slot (from * node_count + to) — the slot space of
+     * InterconnectModel::linkSlot when sized with its nodeCount().
+     */
+    void
+    addSlot(std::uint64_t idx, double bytes)
+    {
         if (bytes_[idx] == 0.0)
             touched_.push_back(idx);
         bytes_[idx] += bytes;

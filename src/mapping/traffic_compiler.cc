@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "src/common/logging.hh"
+#include "src/common/math_util.hh"
 
 namespace gemini::mapping {
 
@@ -34,6 +35,72 @@ struct FlowRequest
 };
 
 /**
+ * Index box [lo, hi) per partition dimension: the producer pieces whose
+ * region and batch slice can overlap one consumer's request.
+ */
+struct PieceBox
+{
+    std::int64_t h0, h1, w0, w1, b0, b1, k0, k1;
+
+    bool
+    empty() const
+    {
+        return h1 <= h0 || w1 <= w0 || b1 <= b0 || k1 <= k0;
+    }
+};
+
+/**
+ * Chunk indices [first, last) of a `parts`-way chunkOf split of `total`
+ * that intersect [lo, hi). Chunks tile [0, total), so positions outside
+ * it (padding halos) meet no chunk.
+ */
+std::pair<std::int64_t, std::int64_t>
+chunkSpan(std::int64_t total, std::int64_t parts, std::int64_t lo,
+          std::int64_t hi)
+{
+    lo = std::max<std::int64_t>(lo, 0);
+    hi = std::min(hi, total);
+    if (hi <= lo)
+        return {0, 0};
+    return {chunkIndexOf(total, parts, lo),
+            chunkIndexOf(total, parts, hi - 1) + 1};
+}
+
+/**
+ * The producer pieces of a workRegionOf grid (`producer` split by `part`,
+ * `batch_unit` samples) that can overlap a consumer requesting region
+ * `rq` over samples [b0, b1). Region overlap is per-dimension interval
+ * overlap, so the box holds exactly the overlapping pieces.
+ */
+PieceBox
+overlapBox(const dnn::Layer &producer, const Partition &part,
+           std::int64_t batch_unit, const dnn::Region &rq, std::int64_t b0,
+           std::int64_t b1)
+{
+    PieceBox box;
+    std::tie(box.h0, box.h1) = chunkSpan(producer.h, part.h, rq.h0, rq.h1);
+    std::tie(box.w0, box.w1) = chunkSpan(producer.w, part.w, rq.w0, rq.w1);
+    std::tie(box.b0, box.b1) = chunkSpan(batch_unit, part.b, b0, b1);
+    std::tie(box.k0, box.k1) = chunkSpan(producer.k, part.k, rq.c0, rq.c1);
+    return box;
+}
+
+/** Visit the piece ids (correspondence-rule nids) of `box`. */
+template <typename Fn>
+void
+forEachPiece(const PieceBox &box, const Partition &part, const Fn &fn)
+{
+    if (box.empty())
+        return;
+    for (std::int64_t h = box.h0; h < box.h1; ++h)
+        for (std::int64_t w = box.w0; w < box.w1; ++w)
+            for (std::int64_t b = box.b0; b < box.b1; ++b)
+                for (std::int64_t k = box.k0; k < box.k1; ++k)
+                    fn(static_cast<std::size_t>(
+                        ((h * part.w + w) * part.b + b) * part.k + k));
+}
+
+/**
  * Sort requests by key and emit once per distinct key, in ascending key
  * order (the order the std::map-based original used). Ties break on the
  * destination node, which is unique per request within one grouping, so
@@ -53,10 +120,14 @@ emitGrouped(std::vector<FlowRequest> &requests,
         emit_one(requests[0].bytes, requests[0].node);
         return;
     }
-    std::sort(requests.begin(), requests.end(),
-              [](const FlowRequest &a, const FlowRequest &b) {
-                  return a.key != b.key ? a.key < b.key : a.node < b.node;
-              });
+    const auto by_key = [](const FlowRequest &a, const FlowRequest &b) {
+        return std::tie(a.key, a.node) < std::tie(b.key, b.node);
+    };
+    // Most request lists already arrive in key order (pieces enumerate
+    // the partition grid in ascending region order); the order is total,
+    // so skipping the sort then changes nothing.
+    if (!std::is_sorted(requests.begin(), requests.end(), by_key))
+        std::sort(requests.begin(), requests.end(), by_key);
     std::size_t i = 0;
     while (i < requests.size()) {
         std::size_t j = i + 1;
@@ -127,16 +198,12 @@ TrafficCompiler::TrafficCompiler(const dnn::Graph &graph,
     : graph_(graph), arch_(arch), noc_(noc)
 {
     merge_.reset(static_cast<std::size_t>(noc_.nodeCount()));
-    // Hoisted reservation: a compiled layer rarely emits more than a few
-    // thousand raw (link, bytes) pairs; growth past this is counted.
-    sink_.reserve(8192);
-    sinkWatermark_ = sink_.capacity();
 }
 
 std::uint64_t
 TrafficCompiler::allocEvents() const
 {
-    return arena_.allocEvents() + growthEvents_;
+    return arena_.allocEvents();
 }
 
 LayerFlows
@@ -148,13 +215,24 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
     LayerFlows flows;
     flows.dramBytes.assign(arch_.dramCount, 0.0);
 
-    // Flows accumulate as raw (link, bytes) pairs — no hashing — and the
-    // dense scratch merges duplicates afterwards. The sink is owned (its
-    // capacity is reserved once and survives across calls) so fragment
-    // computation allocates nothing in steady state.
-    noc::InterconnectModel::LinkSink &sink = sink_;
-    sink.clear();
+    // Every route hop adds straight into the dense per-link scratch, in
+    // emission order: per-link sums and first-touch link order are those
+    // of the emitted hop sequence. reset() only clears slots a compile
+    // that threw midway left behind.
+    merge_.reset(static_cast<std::size_t>(noc_.nodeCount()));
     arena_.reset();
+    auto unicast = [&](noc::NodeId src, noc::NodeId dst, double bytes) {
+        noc_.unicastLinks(src, dst, bytes, [&](std::uint32_t slot) {
+            merge_.addSlot(slot, bytes);
+        });
+    };
+    auto multicast = [&](noc::NodeId src,
+                         const std::vector<noc::NodeId> &dsts,
+                         double bytes) {
+        noc_.multicastLinks(src, dsts, bytes, [&](std::uint32_t slot) {
+            merge_.addSlot(slot, bytes);
+        });
+    };
 
     const LayerId layer_id = group.layers[li];
     const dnn::Layer &layer = graph_.layer(layer_id);
@@ -170,13 +248,13 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
         if (sel == kDramInterleaved) {
             const double share = bytes / arch_.dramCount;
             for (int d = 0; d < arch_.dramCount; ++d) {
-                noc_.multicastLinks(sink, noc_.dramNode(d), dsts, share);
+                multicast(noc_.dramNode(d), dsts, share);
                 flows.dramBytes[d] += share;
             }
         } else {
             GEMINI_ASSERT(sel >= 1 && sel <= arch_.dramCount,
                           "bad DRAM selector ", sel);
-            noc_.multicastLinks(sink, noc_.dramNode(sel - 1), dsts, bytes);
+            multicast(noc_.dramNode(sel - 1), dsts, bytes);
             flows.dramBytes[sel - 1] += bytes;
         }
     };
@@ -187,13 +265,13 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
         if (sel == kDramInterleaved) {
             const double share = bytes / arch_.dramCount;
             for (int d = 0; d < arch_.dramCount; ++d) {
-                noc_.unicastLinks(sink, noc_.dramNode(d), dst, share);
+                unicast(noc_.dramNode(d), dst, share);
                 flows.dramBytes[d] += share;
             }
         } else {
             GEMINI_ASSERT(sel >= 1 && sel <= arch_.dramCount,
                           "bad DRAM selector ", sel);
-            noc_.unicastLinks(sink, noc_.dramNode(sel - 1), dst, bytes);
+            unicast(noc_.dramNode(sel - 1), dst, bytes);
             flows.dramBytes[sel - 1] += bytes;
         }
     };
@@ -203,15 +281,13 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
         if (sel == kDramInterleaved) {
             const double share = bytes / arch_.dramCount;
             for (int d = 0; d < arch_.dramCount; ++d) {
-                noc_.unicastLinks(sink, noc_.coreNode(src),
-                                  noc_.dramNode(d), share);
+                unicast(noc_.coreNode(src), noc_.dramNode(d), share);
                 flows.dramBytes[d] += share;
             }
         } else {
             GEMINI_ASSERT(sel >= 1 && sel <= arch_.dramCount,
                           "bad DRAM selector ", sel);
-            noc_.unicastLinks(sink, noc_.coreNode(src),
-                              noc_.dramNode(sel - 1), bytes);
+            unicast(noc_.coreNode(src), noc_.dramNode(sel - 1), bytes);
             flows.dramBytes[sel - 1] += bytes;
         }
     };
@@ -234,22 +310,53 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
         if (pi >= 0) {
             // In-group dependency: the destination cores fetch the
             // overlap of their required region with each producer piece;
-            // identical requests from one source multicast. Each
-            // consumer's required region is hoisted out of the
-            // producer-piece loop (it only depends on the consumer).
+            // identical requests from one source multicast. Producer
+            // pieces form a workRegionOf grid, so inverting chunkOf gives
+            // each consumer the index box of the pieces it overlaps; the
+            // consumers are bucketed per producer piece (CSR, ascending
+            // consumer order) instead of testing every pair.
             const LayerTiles &theirs =
                 *tiles[static_cast<std::size_t>(pi)];
             const MappingScheme &pms =
                 group.schemes[static_cast<std::size_t>(pi)];
+            const dnn::Layer &player = graph_.layer(producer);
+            const std::size_t n_theirs = theirs.regions.size();
+            GEMINI_ASSERT(static_cast<std::int64_t>(n_theirs) ==
+                              pms.part.count(),
+                          "producer tiles do not match its partition");
             required_scratch.clear();
             for (std::size_t i = 0; i < n_pieces; ++i)
                 required_scratch.push_back(
                     layer.requiredInput(j, mine.regions[i].region));
-            for (std::size_t a = 0; a < theirs.regions.size(); ++a) {
+            auto box_of = [&](std::size_t i) {
+                return overlapBox(player, pms.part, group.batchUnit,
+                                  required_scratch[i], mine.regions[i].b0,
+                                  mine.regions[i].b1);
+            };
+            const std::span<std::uint32_t> bucket_end =
+                arena_.allocSpan<std::uint32_t>(n_theirs + 1);
+            std::fill(bucket_end.begin(), bucket_end.end(), 0u);
+            for (std::size_t i = 0; i < n_pieces; ++i)
+                forEachPiece(box_of(i), pms.part,
+                             [&](std::size_t a) { ++bucket_end[a + 1]; });
+            for (std::size_t a = 0; a < n_theirs; ++a)
+                bucket_end[a + 1] += bucket_end[a];
+            const std::span<std::uint32_t> bucket =
+                arena_.allocSpan<std::uint32_t>(bucket_end[n_theirs]);
+            // Fill pass: bucket_end[a] walks from piece a's start to its
+            // end, which is where piece a + 1 starts.
+            for (std::size_t i = 0; i < n_pieces; ++i)
+                forEachPiece(box_of(i), pms.part, [&](std::size_t a) {
+                    bucket[bucket_end[a]++] = static_cast<std::uint32_t>(i);
+                });
+            std::uint32_t first = 0;
+            for (std::size_t a = 0; a < n_theirs; ++a) {
                 const WorkRegion &pp = theirs.regions[a];
                 const CoreId pcore = pms.coreGroup[a];
+                const std::uint32_t last = bucket_end[a];
                 requests.clear();
-                for (std::size_t i = 0; i < n_pieces; ++i) {
+                for (std::uint32_t e = first; e < last; ++e) {
+                    const std::size_t i = bucket[e];
                     const WorkRegion &cp = mine.regions[i];
                     const std::int64_t b0 = std::max(cp.b0, pp.b0);
                     const std::int64_t b1 = std::min(cp.b1, pp.b1);
@@ -266,15 +373,14 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
                     requests.push_back({keyOf(ov, b0, b1), bytes,
                                         noc_.coreNode(ms.coreGroup[i])});
                 }
+                first = last;
                 emitGrouped(
                     requests, dsts_scratch,
                     [&](double bytes, noc::NodeId dst) {
-                        noc_.unicastLinks(sink, noc_.coreNode(pcore), dst,
-                                          bytes);
+                        unicast(noc_.coreNode(pcore), dst, bytes);
                     },
                     [&](double bytes, const std::vector<noc::NodeId> &dsts) {
-                        noc_.multicastLinks(sink, noc_.coreNode(pcore),
-                                            dsts, bytes);
+                        multicast(noc_.coreNode(pcore), dsts, bytes);
                     });
             }
             // Consumers still buffer the full required region.
@@ -390,20 +496,11 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
         flows.glbOverflow = std::max(flows.glbOverflow, ratio);
     }
 
-    // Merge duplicate links through the dense scratch — no sort, no
-    // hashing; emission in first-touch order is deterministic. Per-entry
-    // add() beats the batched kernel here: a layer's sink is only a few
-    // dozen entries, below the batch's scratch-setup break-even.
-    for (const auto &[link, bytes] : sink)
-        merge_.add(link, bytes);
+    // Emit the merged links in first-touch order (deterministic).
     flows.links.reserve(merge_.touchedCount());
     merge_.drain([&](noc::NodeId from, noc::NodeId to, double bytes) {
         flows.links.emplace_back(noc::makeLink(from, to), bytes);
     });
-    if (sink.capacity() > sinkWatermark_) {
-        ++growthEvents_;
-        sinkWatermark_ = sink.capacity();
-    }
     return flows;
 }
 

@@ -5,8 +5,9 @@
  * complete traffic fragment — inbound activation flows (in-group NoC
  * multicast, cross-group/external DRAM reads), weight loads (multicast per
  * k-slice, amortized when resident), managed ofmap stores, per-DRAM byte
- * counts and GLB pressure — routed through the interconnect seam and
- * merged into a deterministic flat link list.
+ * counts and GLB pressure — routed through the interconnect seam straight
+ * into a dense per-link accumulator and drained as a deterministic flat
+ * link list.
  */
 
 #ifndef GEMINI_MAPPING_TRAFFIC_COMPILER_HH
@@ -25,7 +26,7 @@ namespace gemini::mapping {
 
 /**
  * Compiles per-layer traffic fragments over one (graph, arch,
- * interconnect) triple. Holds only reusable dense merge scratch — results
+ * interconnect) triple. Holds only reusable dense scratch — results
  * do not depend on call history. Not thread-safe (the scratch); every
  * analyzer owns its own compiler.
  */
@@ -59,8 +60,7 @@ class TrafficCompiler
 
     /**
      * Heap-allocation events in the retained compile scratch (arena
-     * chunk acquisitions + link-sink capacity growth past the hoisted
-     * reservation). Constant once the compiler has warmed up.
+     * chunk acquisitions). Constant once the compiler has warmed up.
      */
     std::uint64_t allocEvents() const;
 
@@ -68,19 +68,16 @@ class TrafficCompiler
     const dnn::Graph &graph_;
     const arch::ArchConfig &arch_;
     const noc::InterconnectModel &noc_;
+
+    /** Dense per-link scratch every route hop adds into, in place. */
     mutable DenseLinkAccumulator merge_;
 
     /**
-     * Per-call scratch: n_pieces-sized arrays bump-allocate from the
-     * retained arena (reset per compile), and raw (link, bytes) pairs
-     * collect in the owned sink, whose capacity is reserved up front —
-     * the per-proposal small-vector churn of the thread-local era is
-     * gone, and allocEvents() proves steady state stays allocation-free.
+     * Per-call scratch: n_pieces-sized arrays and the producer-piece
+     * buckets bump-allocate from the retained arena (reset per compile),
+     * so steady-state compiles allocate nothing (allocEvents() proves it).
      */
     mutable common::BumpArena arena_{64 * 1024};
-    mutable noc::InterconnectModel::LinkSink sink_;
-    mutable std::uint64_t growthEvents_ = 0;
-    mutable std::size_t sinkWatermark_ = 0;
 };
 
 } // namespace gemini::mapping

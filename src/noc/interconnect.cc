@@ -1,6 +1,7 @@
 #include "src/noc/interconnect.hh"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <variant>
 
@@ -26,6 +27,9 @@ InterconnectModel::buildRoutes(const Backend &backend)
                              static_cast<NodeId>(b),
                              [this](NodeId from, NodeId to) {
                                  routeLinks_.push_back(makeLink(from, to));
+                                 routeSlots_.push_back(
+                                     static_cast<std::uint32_t>(
+                                         linkSlot(from, to)));
                              });
             ref.length = static_cast<std::uint32_t>(routeLinks_.size()) -
                          ref.offset;
@@ -39,6 +43,8 @@ InterconnectModel::InterconnectModel(const arch::ArchConfig &cfg) : cfg_(cfg)
     GEMINI_ASSERT(err.empty(), "invalid arch for InterconnectModel: ", err);
 
     const std::size_t n = static_cast<std::size_t>(nodeCount());
+    GEMINI_ASSERT(n * n <= std::numeric_limits<std::uint32_t>::max(),
+                  "InterconnectModel: ", n, " nodes overflow 32-bit slots");
     kindTable_.resize(n * n);
     for (std::size_t a = 0; a < n; ++a)
         for (std::size_t b = 0; b < n; ++b)
@@ -68,70 +74,20 @@ InterconnectModel::dramOf(NodeId n) const
     return n - cfg_.coreCount();
 }
 
-namespace {
-
-/**
- * Union of several routes' links, deduplicated through a generation-
- * stamped dense table (one stamp per flat link slot) instead of a
- * per-call sort or hash set: this is the hottest loop of the whole
- * mapping engine and route unions of a wide multicast reach hundreds of
- * links. Emission is in first-touch (dst-major, hop order) order; every
- * consumer either re-merges per link (order-insensitive sums) or folds
- * through the canonical sorted drain, so the union's emission order is
- * not numerically observable. The stamp table is thread-local so
- * concurrent SA chains never contend, and a generation bump makes reset
- * free.
- */
-struct UnionScratch
+InterconnectModel::RouteUnionStamps &
+InterconnectModel::routeUnionStamps()
 {
-    std::vector<std::uint32_t> stamp;
-    std::uint32_t gen = 0;
-};
-
-template <typename RouteOf, typename Emit>
-void
-routeUnion(std::size_t node_count, const std::vector<NodeId> &dsts,
-           const RouteOf &route_of, const Emit &emit)
-{
-    if (dsts.size() == 1) { // single destination: the route IS the union
-        for (LinkKey key : route_of(dsts[0]))
-            emit(key);
-        return;
-    }
-    static thread_local UnionScratch scratch;
-    const std::size_t slots = node_count * node_count;
-    if (scratch.stamp.size() < slots) {
-        scratch.stamp.assign(slots, 0);
-        scratch.gen = 0;
-    }
-    if (++scratch.gen == 0) { // stamp wrap: start a fresh epoch
-        std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0u);
-        scratch.gen = 1;
-    }
-    const std::uint32_t gen = scratch.gen;
-    for (NodeId dst : dsts) {
-        for (LinkKey key : route_of(dst)) {
-            const std::size_t slot =
-                static_cast<std::size_t>(linkFrom(key)) * node_count +
-                static_cast<std::size_t>(linkTo(key));
-            if (scratch.stamp[slot] != gen) {
-                scratch.stamp[slot] = gen;
-                emit(key);
-            }
-        }
-    }
+    static thread_local RouteUnionStamps stamps;
+    return stamps;
 }
-
-} // namespace
 
 void
 InterconnectModel::unicast(TrafficMap &map, NodeId src, NodeId dst,
                            double bytes) const
 {
-    if (bytes <= 0.0)
-        return;
-    for (LinkKey key : route(src, dst))
-        map.addLink(key, bytes);
+    unicastLinks(src, dst, bytes, [&](std::uint32_t slot) {
+        map.addLink(linkAt(slot), bytes);
+    });
 }
 
 void
@@ -139,28 +95,12 @@ InterconnectModel::multicast(TrafficMap &map, NodeId src,
                              const std::vector<NodeId> &dsts,
                              double bytes) const
 {
-    if (bytes <= 0.0 || dsts.empty())
-        return;
     // Union of the backend's unicast paths: shared prefixes (the trunk,
     // the DRAM injection link, the NoP gateway funnel) are charged exactly
     // once, which models a multicast-capable router tree.
-    routeUnion(
-        static_cast<std::size_t>(nodeCount()), dsts,
-        [&](NodeId dst) { return route(src, dst); },
-        [&](LinkKey key) { map.addLink(key, bytes); });
-}
-
-void
-InterconnectModel::multicastLinks(LinkSink &sink, NodeId src,
-                                  const std::vector<NodeId> &dsts,
-                                  double bytes) const
-{
-    if (bytes <= 0.0 || dsts.empty())
-        return;
-    routeUnion(
-        static_cast<std::size_t>(nodeCount()), dsts,
-        [&](NodeId dst) { return route(src, dst); },
-        [&](LinkKey key) { sink.emplace_back(key, bytes); });
+    multicastLinks(src, dsts, bytes, [&](std::uint32_t slot) {
+        map.addLink(linkAt(slot), bytes);
+    });
 }
 
 LinkKind

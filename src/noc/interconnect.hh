@@ -12,6 +12,8 @@
 #ifndef GEMINI_NOC_INTERCONNECT_HH
 #define GEMINI_NOC_INTERCONNECT_HH
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <utility>
@@ -93,35 +95,75 @@ class InterconnectModel
     void multicast(TrafficMap &map, NodeId src,
                    const std::vector<NodeId> &dsts, double bytes) const;
 
-    /** Flat (link, bytes) sink used by the traffic compiler. */
-    using LinkSink = std::vector<std::pair<LinkKey, double>>;
-
-    /** unicast into a flat sink (no hashing; duplicates merge later). */
+    /**
+     * Hand the flat slot (linkSlot) of every link of the route src -> dst
+     * to `emit(std::uint32_t)`, in hop order. Nothing is emitted for a
+     * non-positive volume.
+     */
+    template <typename Emit>
     void
-    unicastLinks(LinkSink &sink, NodeId src, NodeId dst, double bytes) const
+    unicastLinks(NodeId src, NodeId dst, double bytes, Emit &&emit) const
     {
         if (bytes <= 0.0)
             return;
-        for (LinkKey key : route(src, dst))
-            sink.emplace_back(key, bytes);
+        for (std::uint32_t slot : routeSlots(src, dst))
+            emit(slot);
     }
 
-    /** multicast into a flat sink: the route union, each link once. */
-    void multicastLinks(LinkSink &sink, NodeId src,
-                        const std::vector<NodeId> &dsts, double bytes) const;
+    /**
+     * Hand the flat slot of every link of the route union src -> each dst
+     * to `emit(std::uint32_t)` exactly once, in first-touch (dst-major,
+     * hop) order. Links are deduplicated through a generation-stamped
+     * dense table (one stamp per flat link slot) instead of a per-call
+     * sort or hash set: route unions of a wide multicast reach hundreds
+     * of links. Every instantiation shares the calling thread's stamp
+     * table, so concurrent SA chains never contend and a generation bump
+     * makes reset free.
+     */
+    template <typename Emit>
+    void
+    multicastLinks(NodeId src, const std::vector<NodeId> &dsts, double bytes,
+                   Emit &&emit) const
+    {
+        if (bytes <= 0.0 || dsts.empty())
+            return;
+        if (dsts.size() == 1) { // single destination: the route IS the union
+            for (std::uint32_t slot : routeSlots(src, dsts[0]))
+                emit(slot);
+            return;
+        }
+        RouteUnionStamps &stamps = routeUnionStamps();
+        const std::uint32_t gen =
+            stamps.begin(static_cast<std::size_t>(nodeCount()) *
+                         static_cast<std::size_t>(nodeCount()));
+        for (NodeId dst : dsts) {
+            for (std::uint32_t slot : routeSlots(src, dst)) {
+                if (stamps.stamp[slot] != gen) {
+                    stamps.stamp[slot] = gen;
+                    emit(slot);
+                }
+            }
+        }
+    }
 
     /** Precomputed backend route src -> dst as packed link keys. */
     std::span<const LinkKey>
     route(NodeId src, NodeId dst) const
     {
-        if (isDramNode(src) && isDramNode(dst) && src != dst) {
-            GEMINI_PANIC("DRAM-to-DRAM routes are not meaningful");
-        }
-        const RouteRef &ref =
-            routes_[static_cast<std::size_t>(src) *
-                        static_cast<std::size_t>(nodeCount()) +
-                    static_cast<std::size_t>(dst)];
+        const RouteRef &ref = routeRef(src, dst);
         return {routeLinks_.data() + ref.offset, ref.length};
+    }
+
+    /**
+     * The same route as flat link slots (linkSlot(from, to)): the form
+     * the emission helpers replay, so the hot path indexes dense per-link
+     * tables without decoding and re-multiplying every hop.
+     */
+    std::span<const std::uint32_t>
+    routeSlots(NodeId src, NodeId dst) const
+    {
+        const RouteRef &ref = routeRef(src, dst);
+        return {routeSlots_.data() + ref.offset, ref.length};
     }
 
     /** Kind of the directed link (a, b); a/b must be route neighbours. */
@@ -154,6 +196,15 @@ class InterconnectModel
                static_cast<std::size_t>(b);
     }
 
+    /** Packed link key of a flat slot (inverse of linkSlot). */
+    LinkKey
+    linkAt(std::size_t slot) const
+    {
+        const auto n = static_cast<std::size_t>(nodeCount());
+        return makeLink(static_cast<NodeId>(slot / n),
+                        static_cast<NodeId>(slot % n));
+    }
+
     /** linkKind by flat slot (same dense table, no div/mod round trip). */
     LinkKind
     linkKindAt(std::size_t slot) const
@@ -183,10 +234,54 @@ class InterconnectModel
     std::string nodeLabel(NodeId n) const;
 
   private:
+    /** One route's span in the route arenas. */
+    struct RouteRef
+    {
+        std::uint32_t offset = 0;
+        std::uint32_t length = 0;
+    };
+
+    /** Per-thread dense stamp table behind multicastLinks' route union. */
+    struct RouteUnionStamps
+    {
+        std::vector<std::uint32_t> stamp;
+        std::uint32_t gen = 0;
+
+        /** Open a new union over `slots` link slots; returns its stamp. */
+        std::uint32_t
+        begin(std::size_t slots)
+        {
+            if (stamp.size() < slots) {
+                stamp.assign(slots, 0);
+                gen = 0;
+            }
+            if (++gen == 0) { // stamp wrap: start a fresh epoch
+                std::fill(stamp.begin(), stamp.end(), 0u);
+                gen = 1;
+            }
+            return gen;
+        }
+    };
+
+    /** The calling thread's stamp table (one per thread, not per model). */
+    static RouteUnionStamps &routeUnionStamps();
+
+    /** Span of the route src -> dst in both route arenas. */
+    const RouteRef &
+    routeRef(NodeId src, NodeId dst) const
+    {
+        if (isDramNode(src) && isDramNode(dst) && src != dst) {
+            GEMINI_PANIC("DRAM-to-DRAM routes are not meaningful");
+        }
+        return routes_[static_cast<std::size_t>(src) *
+                           static_cast<std::size_t>(nodeCount()) +
+                       static_cast<std::size_t>(dst)];
+    }
+
     /** Uncached link classification (used to build the dense table). */
     LinkKind computeLinkKind(NodeId a, NodeId b) const;
 
-    /** Fill routes_/routeLinks_ by walking every pair through `backend`. */
+    /** Fill routes_ and both arenas by walking every pair via `backend`. */
     template <typename Backend>
     void buildRoutes(const Backend &backend);
 
@@ -203,18 +298,15 @@ class InterconnectModel
 
     /**
      * Dense route table: every (src, dst) pair's hop sequence, flattened
-     * into one arena. Traffic accumulation replays these spans instead of
-     * re-deriving routes hop by hop (the single hottest loop of the SA
+     * into two parallel arenas (packed keys and flat slots) that share
+     * one RouteRef. Traffic accumulation replays the slot spans instead
+     * of re-deriving routes hop by hop (the single hottest loop of the SA
      * mapper). DRAM-to-DRAM pairs, which have no meaningful route, hold
      * an empty span.
      */
-    struct RouteRef
-    {
-        std::uint32_t offset = 0;
-        std::uint32_t length = 0;
-    };
     std::vector<RouteRef> routes_;
     std::vector<LinkKey> routeLinks_;
+    std::vector<std::uint32_t> routeSlots_; ///< routeLinks_ as linkSlot
 };
 
 } // namespace gemini::noc
