@@ -20,7 +20,10 @@ formats are understood:
 * the DSE throughput JSON (``BENCH_dse_throughput.json``): the scheduler's
   ``cpu_speedup`` (itself a within-run ratio) must not regress, and
   ``objective_ratio`` must stay <= 1 + eps (the scheduled driver must not
-  find worse designs than the exhaustive one).
+  find worse designs than the exhaustive one). Both drivers' winners are
+  held to the baseline exactly: ``best_objective`` at the ``%.10g`` the
+  bench writes, and ``best_arch`` as written. Both drivers are seeded, so
+  a different winner is a correctness bug, not noise.
 
 Usage:
     bench_compare.py BASELINE CURRENT [--tolerance 0.10]
@@ -138,6 +141,8 @@ def compare_dse(base_doc, cur_doc, tolerance):
         print("FAIL: scheduled driver found a worse design than the "
               "exhaustive one")
         ok = False
+    if not compare_dse_winners(base_doc, cur_doc):
+        ok = False
     # SA-iteration efficiency gate (skipped against baselines that predate
     # the analytical screening & seeding work and lack the column).
     if "sa_iters_speedup" in base_doc and "sa_iters_speedup" in cur_doc:
@@ -155,6 +160,26 @@ def compare_dse(base_doc, cur_doc, tolerance):
               f"(baseline lacks the column; gate skipped)")
     if ok:
         print("OK: DSE throughput within tolerance")
+    return ok
+
+
+def compare_dse_winners(base_doc, cur_doc):
+    """Each driver's winner must match the baseline's exactly."""
+    ok = True
+    for driver in ("exhaustive", "scheduled"):
+        base = base_doc[driver]
+        cur = cur_doc[driver]
+        base_obj = f"{float(base['best_objective']):.10g}"
+        cur_obj = f"{float(cur['best_objective']):.10g}"
+        print(f"dse {driver} best_objective: baseline {base_obj}, "
+              f"current {cur_obj}")
+        if cur_obj != base_obj:
+            print(f"FAIL: {driver} best_objective differs from the baseline")
+            ok = False
+        if cur["best_arch"] != base["best_arch"]:
+            print(f"FAIL: {driver} best_arch differs from the baseline: "
+                  f"{base['best_arch']!r} != {cur['best_arch']!r}")
+            ok = False
     return ok
 
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <vector>
 
 #include "src/common/logging.hh"
 #include "src/common/math_util.hh"
@@ -107,21 +106,36 @@ Explorer::evalVectorTile(const Tile &tile) const
 
 namespace {
 
+/** Longest ladder: 32 powers of four below any int64 dim, `natural`, dim. */
+constexpr std::size_t kMaxLadder = 34;
+
+/** One tiling dimension's candidate ladder, ascending and duplicate-free. */
+struct Ladder
+{
+    std::array<std::int64_t, kMaxLadder> v{};
+    std::size_t n = 0;
+
+    const std::int64_t *begin() const { return v.data(); }
+    const std::int64_t *end() const { return v.data() + n; }
+};
+
 /**
- * Geometric candidate ladder for one tiling dimension: powers of two up to
+ * Geometric candidate ladder for one tiling dimension: powers of four below
  * the dimension, the hardware-natural lane count, and the dimension itself.
  */
-std::vector<std::int64_t>
+Ladder
 tileCandidates(std::int64_t dim, std::int64_t natural)
 {
-    std::vector<std::int64_t> out;
-    for (std::int64_t v = 1; v < dim; v *= 4)
-        out.push_back(v);
+    Ladder out;
+    // The step stops at dim instead of overflowing past it.
+    for (std::int64_t v = 1; v < dim; v = v > dim / 4 ? dim : v * 4)
+        out.v[out.n++] = v;
     if (natural > 1 && natural < dim)
-        out.push_back(natural);
-    out.push_back(dim);
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
+        out.v[out.n++] = natural;
+    out.v[out.n++] = dim;
+    std::sort(out.v.begin(), out.v.begin() + out.n);
+    out.n = static_cast<std::size_t>(
+        std::unique(out.v.begin(), out.v.begin() + out.n) - out.v.begin());
     return out;
 }
 
@@ -216,35 +230,107 @@ Explorer::evalScheme(const Tile &t, std::int64_t tk, std::int64_t tc,
 CoreCost
 Explorer::search(const Tile &tile) const
 {
-    const auto ks = tileCandidates(tile.k, lanesK_);
-    const auto cs = tileCandidates(tile.cPerGroup, lanesC_);
-    const auto hs = tileCandidates(tile.h, 1);
-    const auto ws = tileCandidates(tile.w, 1);
-    static constexpr LoopOrder kOrders[] = {LoopOrder::OutputStationary,
-                                            LoopOrder::WeightStationary,
-                                            LoopOrder::InputStationary};
+    const Ladder ks = tileCandidates(tile.k, lanesK_);
+    const Ladder cs = tileCandidates(tile.cPerGroup, lanesC_);
+    const Ladder hs = tileCandidates(tile.h, 1);
+    const Ladder ws = tileCandidates(tile.w, 1);
 
-    CoreCost best;
+    // Every term below is evalScheme's expression over the same operands,
+    // computed once at the loop level whose variables it depends on, so
+    // each scheme's score is bit-identical to evalScheme's energyJ*cycles.
+    const OpCount macs = tile.macs();
+    const double vec_ops = tile.vecOps();
+    const double out_volume = static_cast<double>(tile.outVolume());
+    const double fold_c =
+        static_cast<double>(tile.cPerGroup) * tile.r * tile.s;
+    const double util_k =
+        static_cast<double>(tile.k) / (lanesK_ * std::ceil(
+            static_cast<double>(tile.k) / lanesK_));
+    const double util_c = fold_c / (lanesC_ * std::ceil(fold_c / lanesC_));
+    const double mac_cycles =
+        static_cast<double>(macs) /
+        (static_cast<double>(macsPerCore_) * util_k * util_c);
+    const double vec_cycles = vec_ops / vecLanes_;
+    const double buf_macs = static_cast<double>(macs) / lanesK_;
+    const double energy_ops = macs * tech_.macJ + vec_ops * tech_.vecOpJ;
+
+    // Energy-delay product of one scheme from its GLB traffic terms.
+    auto edp = [&](double w_traffic, double i_traffic, double p_traffic) {
+        const double glb = w_traffic + i_traffic + p_traffic + out_volume;
+        const double buf = buf_macs + w_traffic;
+        const double cycles =
+            std::max({mac_cycles, glb / glbBytesPerCycle_, vec_cycles});
+        return (energy_ops + glb * tech_.glbJPerByte +
+                buf * tech_.bufJPerByte) * cycles;
+    };
+
+    // Exhaustive search minimizes the energy-delay product of the tile
+    // (Sec. V-B1) over every scheme whose operand footprints fit the
+    // buffers. The ladders ascend and each footprint grows with every
+    // dimension it uses, so the first overflow along a ladder ends it:
+    // weights (tk, tc) end the tc ladder, ifmaps (tc, th, tw) and psums
+    // (tk, th, tw) end the tw ladder, and the th ladder once even the
+    // smallest tw overflows. Feasible schemes are visited in ladder order
+    // (tk, tc, th, tw, loop order), and the strict < keeps the first of
+    // equal scores.
     bool found = false;
     double best_score = 0.0;
-    for (auto tk : ks) {
-        for (auto tc : cs) {
-            for (auto th : hs) {
-                for (auto tw : ws) {
-                    for (LoopOrder order : kOrders) {
-                        CoreCost cand;
-                        if (!evalScheme(tile, tk, tc, th, tw, order, cand))
-                            continue;
-                        // Exhaustive search minimizes the energy-delay
-                        // product of the tile (Sec. V-B1).
-                        const double score = cand.energyJ * cand.cycles;
-                        if (!found || score < best_score) {
-                            best = cand;
-                            best_score = score;
-                            found = true;
-                        }
-                    }
+    std::int64_t best_k = 0, best_c = 0, best_h = 0, best_w = 0;
+    LoopOrder best_order = LoopOrder::OutputStationary;
+    auto consider = [&](double score, std::int64_t tk, std::int64_t tc,
+                        std::int64_t th, std::int64_t tw, LoopOrder order) {
+        if (!found || score < best_score) {
+            best_score = score;
+            best_k = tk;
+            best_c = tc;
+            best_h = th;
+            best_w = tw;
+            best_order = order;
+            found = true;
+        }
+    };
+    for (std::int64_t tk : ks) {
+        const double n_k = std::ceil(static_cast<double>(tile.k) / tk);
+        for (std::int64_t tc : cs) {
+            const double weight_tile =
+                static_cast<double>(tk) * tc * tile.r * tile.s;
+            if (2.0 * weight_tile > wbufBytes_)
+                break;
+            const double n_c =
+                std::ceil(static_cast<double>(tile.cPerGroup) / tc);
+            const double n_kc = n_k * n_c;
+            const double p_spill = out_volume * 4.0 * (2.0 * (n_c - 1.0));
+            for (std::int64_t th : hs) {
+                const double ifmap_h = static_cast<double>(tc) *
+                                       ((th - 1) * tile.strideH + tile.r);
+                const double psum_h = static_cast<double>(tk) * th;
+                const double n_h = std::ceil(static_cast<double>(tile.h) / th);
+                bool any_w = false;
+                for (std::int64_t tw : ws) {
+                    const double ifmap_tile =
+                        ifmap_h * ((tw - 1) * tile.strideW + tile.s);
+                    const double psum_tile = psum_h * tw * 4.0;
+                    if (2.0 * ifmap_tile > ibufBytes_ ||
+                        psum_tile > abufBytes_)
+                        break;
+                    any_w = true;
+                    const double n_hw =
+                        n_h * std::ceil(static_cast<double>(tile.w) / tw) *
+                        static_cast<double>(tile.b);
+
+                    const double n_os = n_hw * n_k * n_c;
+                    consider(edp(n_os * weight_tile, n_os * ifmap_tile, 0.0),
+                             tk, tc, th, tw, LoopOrder::OutputStationary);
+                    consider(edp(n_kc * weight_tile,
+                                 n_kc * n_hw * ifmap_tile, p_spill),
+                             tk, tc, th, tw, LoopOrder::WeightStationary);
+                    const double n_is = n_hw * n_c;
+                    consider(edp(n_is * n_k * weight_tile,
+                                 n_is * ifmap_tile, p_spill),
+                             tk, tc, th, tw, LoopOrder::InputStationary);
                 }
+                if (!any_w)
+                    break;
             }
         }
     }
@@ -256,6 +342,8 @@ Explorer::search(const Tile &tile) const
                      " c=", tile.cPerGroup, " r=", tile.r, " s=", tile.s,
                      " on ", macsPerCore_, "-MAC core");
     }
+    CoreCost best;
+    evalScheme(tile, best_k, best_c, best_h, best_w, best_order, best);
     return best;
 }
 

@@ -1,11 +1,13 @@
 /**
  * @file
  * Intra-core exploration engine (Sec. V-B1): for each partitioned workload
- * tile it exhaustively searches the buffer tiling (Tk, Tc, Th, Tw) and the
- * loop order (output- / weight- / input-stationary) on an NVDLA-style MAC
- * array, and returns the cheapest scheme's cycle count and memory-traffic
- * counters. Results are memoized — the SA loop re-evaluates the same tile
- * shapes constantly.
+ * tile it searches the buffer tiling (Tk, Tc, Th, Tw) and the loop order
+ * (output- / weight- / input-stationary) on an NVDLA-style MAC array, and
+ * returns the cheapest scheme's cycle count and memory-traffic counters.
+ * The search is exhaustive over the feasible schemes: it stops each tiling
+ * ladder at its first buffer overflow, since every larger step overflows
+ * too, and scores every scheme that fits. Results are memoized — the SA
+ * loop re-evaluates the same tile shapes constantly.
  */
 
 #ifndef GEMINI_INTRACORE_EXPLORER_HH

@@ -8,7 +8,6 @@
 #ifndef GEMINI_INTRACORE_TILE_HH
 #define GEMINI_INTRACORE_TILE_HH
 
-#include <cstddef>
 #include <cstdint>
 
 #include "src/common/types.hh"
@@ -50,12 +49,6 @@ struct Tile
     double vecOps() const { return vecOpFactor * outVolume(); }
 
     bool operator==(const Tile &o) const = default;
-};
-
-/** Hash for memoization of explorer results. */
-struct TileHash
-{
-    std::size_t operator()(const Tile &t) const;
 };
 
 } // namespace gemini::intracore

@@ -2,10 +2,21 @@
  * @file
  * Unit tests for the intra-core exploration engine: tile math, search
  * feasibility, physical sanity of the chosen schemes (roofline bounds,
- * traffic lower bounds) and memoization behaviour.
+ * traffic lower bounds), memoization behaviour, and a differential test of
+ * the search against a reference that evaluates every scheme.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <optional>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/intracore/explorer.hh"
 #include "src/intracore/tile.hh"
@@ -42,19 +53,6 @@ TEST(Tile, VectorTileHasNoMacs)
     t.vecOpFactor = 4.0;
     EXPECT_EQ(t.macs(), 0);
     EXPECT_DOUBLE_EQ(t.vecOps(), 4.0 * t.outVolume());
-}
-
-TEST(Tile, HashDistinguishesFields)
-{
-    TileHash h;
-    Tile a = convTile(1, 16, 8, 32, 3);
-    Tile b = a;
-    EXPECT_EQ(h(a), h(b));
-    b.k = 32;
-    EXPECT_NE(h(a), h(b));
-    Tile c = a;
-    c.macWork = false;
-    EXPECT_NE(h(a), h(c));
 }
 
 class ExplorerTest : public ::testing::Test
@@ -197,6 +195,347 @@ TEST(ExplorerScaling, SmallerBuffersNeverBeatLargerOnEdp)
     EXPECT_LE(r.energyJ * r.cycles, c.energyJ * c.cycles * 1.0001);
     EXPECT_LE(2.0 * c.tileK * c.tileC * t.r * t.s,
               cramped_tech.wbufBytesPerMac * 1024);
+}
+
+// ---------------------------------------------------------------------
+// Differential test: Explorer::search against a reference search that
+// visits every (tk, tc, th, tw, order) scheme and builds a full CoreCost
+// for each. The reference shares no code with the explorer: its ladder,
+// loop and per-scheme formulas are written out here in full.
+// ---------------------------------------------------------------------
+
+/** The reference's copy of the explorer's derived core parameters. */
+struct RefCore
+{
+    int macsPerCore;
+    arch::TechParams tech;
+    int lanesC;
+    int lanesK;
+    double wbufBytes;
+    double ibufBytes;
+    double abufBytes;
+    double glbBytesPerCycle;
+    double vecLanes;
+
+    RefCore(int macs_per_core, const arch::TechParams &t)
+        : macsPerCore(macs_per_core), tech(t)
+    {
+        lanesC = std::min(tech.lanesC, macs_per_core);
+        lanesK = std::max(1, macs_per_core / lanesC);
+        wbufBytes = tech.wbufBytesPerMac * macs_per_core;
+        ibufBytes = tech.ibufBytesPerMac * macs_per_core;
+        abufBytes = tech.abufBytesPerMac * macs_per_core;
+        glbBytesPerCycle = tech.glbBytesPerCyclePerMac * macs_per_core;
+        vecLanes = std::max(1.0, static_cast<double>(macs_per_core) /
+                                     tech.vecLaneDivisor);
+    }
+};
+
+std::vector<std::int64_t>
+refCandidates(std::int64_t dim, std::int64_t natural)
+{
+    std::vector<std::int64_t> out;
+    for (std::int64_t v = 1; v < dim; v *= 4)
+        out.push_back(v);
+    if (natural > 1 && natural < dim)
+        out.push_back(natural);
+    out.push_back(dim);
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+}
+
+bool
+refScheme(const RefCore &core, const Tile &t, std::int64_t tk,
+          std::int64_t tc, std::int64_t th, std::int64_t tw, LoopOrder order,
+          CoreCost &out)
+{
+    const double weight_tile =
+        static_cast<double>(tk) * tc * t.r * t.s;
+    const double ifmap_tile =
+        static_cast<double>(tc) * ((th - 1) * t.strideH + t.r) *
+        ((tw - 1) * t.strideW + t.s);
+    const double psum_tile = static_cast<double>(tk) * th * tw * 4.0;
+    if (2.0 * weight_tile > core.wbufBytes ||
+        2.0 * ifmap_tile > core.ibufBytes || psum_tile > core.abufBytes) {
+        return false;
+    }
+
+    const double n_k = std::ceil(static_cast<double>(t.k) / tk);
+    const double n_c = std::ceil(static_cast<double>(t.cPerGroup) / tc);
+    const double n_hw = std::ceil(static_cast<double>(t.h) / th) *
+                        std::ceil(static_cast<double>(t.w) / tw) *
+                        static_cast<double>(t.b);
+    const double out_volume = static_cast<double>(t.outVolume());
+
+    double w_traffic = 0.0, i_traffic = 0.0, p_traffic = 0.0;
+    switch (order) {
+      case LoopOrder::OutputStationary:
+        w_traffic = n_hw * n_k * n_c * weight_tile;
+        i_traffic = n_hw * n_k * n_c * ifmap_tile;
+        p_traffic = 0.0;
+        break;
+      case LoopOrder::WeightStationary:
+        w_traffic = n_k * n_c * weight_tile;
+        i_traffic = n_k * n_c * n_hw * ifmap_tile;
+        p_traffic = out_volume * 4.0 * (2.0 * (n_c - 1.0));
+        break;
+      case LoopOrder::InputStationary:
+        i_traffic = n_hw * n_c * ifmap_tile;
+        w_traffic = n_hw * n_c * n_k * weight_tile;
+        p_traffic = out_volume * 4.0 * (2.0 * (n_c - 1.0));
+        break;
+    }
+    const double o_traffic = out_volume;
+
+    out.macs = t.macs();
+    out.vecOps = t.vecOps();
+    out.glbBytes = w_traffic + i_traffic + p_traffic + o_traffic;
+    out.bufBytes = static_cast<double>(out.macs) / core.lanesK + w_traffic;
+
+    const double fold_c = static_cast<double>(t.cPerGroup) * t.r * t.s;
+    const double util_k =
+        static_cast<double>(t.k) / (core.lanesK * std::ceil(
+            static_cast<double>(t.k) / core.lanesK));
+    const double util_c =
+        fold_c / (core.lanesC * std::ceil(fold_c / core.lanesC));
+    const double mac_cycles =
+        static_cast<double>(out.macs) /
+        (static_cast<double>(core.macsPerCore) * util_k * util_c);
+
+    const double mem_cycles = out.glbBytes / core.glbBytesPerCycle;
+    const double vec_cycles = out.vecOps / core.vecLanes;
+    out.cycles = std::max({mac_cycles, mem_cycles, vec_cycles});
+    out.energyJ = out.macs * core.tech.macJ + out.vecOps * core.tech.vecOpJ +
+                  out.glbBytes * core.tech.glbJPerByte +
+                  out.bufBytes * core.tech.bufJPerByte;
+    out.tileK = tk;
+    out.tileC = tc;
+    out.tileH = th;
+    out.tileW = tw;
+    out.order = order;
+    return true;
+}
+
+/** Every feasible scheme, in loop order; nullopt when none fits. */
+std::optional<CoreCost>
+refSearch(const RefCore &core, const Tile &tile,
+          std::size_t *feasible = nullptr, std::size_t *visited = nullptr)
+{
+    const auto ks = refCandidates(tile.k, core.lanesK);
+    const auto cs = refCandidates(tile.cPerGroup, core.lanesC);
+    const auto hs = refCandidates(tile.h, 1);
+    const auto ws = refCandidates(tile.w, 1);
+    static constexpr LoopOrder kOrders[] = {LoopOrder::OutputStationary,
+                                            LoopOrder::WeightStationary,
+                                            LoopOrder::InputStationary};
+    CoreCost best;
+    bool found = false;
+    double best_score = 0.0;
+    for (auto tk : ks) {
+        for (auto tc : cs) {
+            for (auto th : hs) {
+                for (auto tw : ws) {
+                    for (LoopOrder order : kOrders) {
+                        if (visited)
+                            ++*visited;
+                        CoreCost cand;
+                        if (!refScheme(core, tile, tk, tc, th, tw, order,
+                                       cand))
+                            continue;
+                        if (feasible)
+                            ++*feasible;
+                        const double score = cand.energyJ * cand.cycles;
+                        if (!found || score < best_score) {
+                            best = cand;
+                            best_score = score;
+                            found = true;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    if (!found)
+        return std::nullopt;
+    return best;
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/** Every CoreCost field, doubles compared by bit pattern. */
+::testing::AssertionResult
+sameCost(const CoreCost &a, const CoreCost &b)
+{
+    if (bits(a.cycles) == bits(b.cycles) && a.macs == b.macs &&
+        bits(a.vecOps) == bits(b.vecOps) &&
+        bits(a.glbBytes) == bits(b.glbBytes) &&
+        bits(a.bufBytes) == bits(b.bufBytes) &&
+        bits(a.energyJ) == bits(b.energyJ) && a.tileK == b.tileK &&
+        a.tileC == b.tileC && a.tileH == b.tileH && a.tileW == b.tileW &&
+        a.order == b.order) {
+        return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << "cycles " << a.cycles << " vs " << b.cycles << ", energyJ "
+           << a.energyJ << " vs " << b.energyJ << ", glbBytes "
+           << a.glbBytes << " vs " << b.glbBytes << ", bufBytes "
+           << a.bufBytes << " vs " << b.bufBytes << ", tile (" << a.tileK
+           << "," << a.tileC << "," << a.tileH << "," << a.tileW << ","
+           << loopOrderName(a.order) << ") vs (" << b.tileK << ","
+           << b.tileC << "," << b.tileH << "," << b.tileW << ","
+           << loopOrderName(b.order) << ")";
+}
+
+std::string
+describe(const Tile &t, int macs, std::int64_t glb)
+{
+    std::ostringstream os;
+    os << macs << " MACs, GLB " << glb << ": b=" << t.b << " k=" << t.k
+       << " h=" << t.h << " w=" << t.w << " c=" << t.cPerGroup << " r=" << t.r
+       << " s=" << t.s << " stride=" << t.strideH << "x" << t.strideW
+       << " vec=" << t.vecOpFactor;
+    return os.str();
+}
+
+class SearchDifferential : public ::testing::Test
+{
+  protected:
+    std::mt19937_64 rng_{0x1D7AC0DE};
+
+    std::int64_t
+    pick(std::int64_t lo, std::int64_t hi)
+    {
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng_);
+    }
+
+    /** Log-uniform in [1, hi], so small and large dims both show up. */
+    std::int64_t
+    dim(std::int64_t hi)
+    {
+        const double e = std::uniform_real_distribution<double>(
+            0.0, std::log2(static_cast<double>(hi)))(rng_);
+        return std::clamp<std::int64_t>(
+            static_cast<std::int64_t>(std::exp2(e)), 1, hi);
+    }
+
+    Tile
+    randomTile()
+    {
+        Tile t;
+        t.b = dim(16);
+        t.k = dim(4096);
+        t.h = dim(112);
+        t.w = pick(0, 3) == 0 ? t.h : dim(112);
+        t.cPerGroup = pick(0, 3) == 0 ? 1 : dim(2048); // 1: depthwise
+        t.r = pick(1, 7);
+        t.s = pick(0, 1) == 0 ? t.r : pick(1, 7);
+        t.strideH = pick(1, 2);
+        t.strideW = pick(1, 2);
+        t.vecOpFactor = static_cast<double>(pick(0, 8)) / 2.0;
+        return t;
+    }
+
+    /**
+     * Evaluate each tile on `explorer` and on the reference. Tiles that no
+     * scheme fits are skipped (the explorer panics on them). Returns the
+     * number of tiles compared.
+     */
+    int
+    compare(Explorer &explorer, const RefCore &ref,
+            const std::vector<Tile> &tiles)
+    {
+        int compared = 0;
+        for (const Tile &t : tiles) {
+            const auto want = refSearch(ref, t);
+            if (!want)
+                continue;
+            ++compared;
+            EXPECT_TRUE(sameCost(explorer.evaluate(t), *want))
+                << describe(t, explorer.macsPerCore(), explorer.glbBytes());
+        }
+        return compared;
+    }
+};
+
+TEST_F(SearchDifferential, RandomTilesAcrossCoreConfigs)
+{
+    const int macs[] = {64, 256, 512, 1024, 2048, 4096, 8192};
+    const std::int64_t glb_kib[] = {256, 1024, 8192};
+    for (int m : macs) {
+        for (std::int64_t kib : glb_kib) {
+            Explorer ex(m, kib * 1024, 1.0);
+            std::vector<Tile> tiles;
+            for (int i = 0; i < 400; ++i)
+                tiles.push_back(randomTile());
+            EXPECT_EQ(compare(ex, RefCore(m, {}), tiles), 400);
+        }
+    }
+}
+
+TEST_F(SearchDifferential, DepthwiseAndUnitDims)
+{
+    std::vector<Tile> tiles;
+    for (int i = 0; i < 300; ++i) {
+        Tile t = randomTile();
+        t.cPerGroup = 1;
+        // Force a random subset of the dims to 1.
+        const std::int64_t mask = pick(0, 15);
+        if (mask & 1)
+            t.b = 1;
+        if (mask & 2)
+            t.k = 1;
+        if (mask & 4)
+            t.h = 1;
+        if (mask & 8)
+            t.w = 1;
+        tiles.push_back(t);
+    }
+    Tile all_ones;
+    tiles.push_back(all_ones);
+    for (int m : {64, 1024, 8192}) {
+        Explorer ex(m, 2 << 20, 1.0);
+        EXPECT_EQ(compare(ex, RefCore(m, {}), tiles),
+                  static_cast<int>(tiles.size()));
+    }
+}
+
+TEST_F(SearchDifferential, TinyBuffersWhereMostSchemesOverflow)
+{
+    std::size_t feasible = 0, visited = 0;
+    int compared = 0;
+    for (int m : {64, 256, 1024, 4096}) {
+        for (int i = 0; i < 8; ++i) {
+            // Whole-buffer sizes from just above the (1,1,1,1) scheme's
+            // footprint (r, s <= 3: 18 B of weights or ifmap, 4 B psum).
+            auto bytes = [&](double lo, double hi) {
+                return std::uniform_real_distribution<double>(lo, hi)(rng_) /
+                       m;
+            };
+            arch::TechParams tech;
+            tech.wbufBytesPerMac = bytes(18.0, 512.0);
+            tech.ibufBytesPerMac = bytes(18.0, 512.0);
+            tech.abufBytesPerMac = bytes(4.0, 256.0);
+            Explorer ex(m, 256 * 1024, 1.0, tech);
+            const RefCore ref(m, tech);
+            std::vector<Tile> tiles;
+            for (int j = 0; j < 100; ++j) {
+                Tile t = randomTile();
+                t.r = pick(1, 3);
+                t.s = pick(1, 3);
+                tiles.push_back(t);
+                refSearch(ref, t, &feasible, &visited);
+            }
+            compared += compare(ex, ref, tiles);
+        }
+    }
+    EXPECT_EQ(compared, 4 * 8 * 100);
+    // The point of this config: most schemes do not fit.
+    EXPECT_LT(feasible * 2, visited);
 }
 
 TEST(LoopOrderNames, AllDistinct)
