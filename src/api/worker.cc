@@ -155,6 +155,27 @@ WorkerRequest::fromText(const std::string &text, WorkerRequest &out,
                 ++i;
             }
         }
+        if (r.ok()) {
+            // Reject what no rung of a ladder would send (see
+            // dse::RemoteEvalRequest) rather than guess at it.
+            const char *bad = nullptr;
+            if (rq.rung < -1)
+                bad = "request.rung: must be -1 (exhaustive), 0 (screen) "
+                      "or a warm-started rung >= 1";
+            else if (rq.iters < 0)
+                bad = "request.iters: must be >= 0";
+            else if (rq.rung == 0 && rq.iters != 0)
+                bad = "request.iters: the screen rung runs no SA, must be 0";
+            else if (rq.chains < 1)
+                bad = "request.chains: must be >= 1";
+            else if (rq.rung < 1 && !rq.warmStarts.empty())
+                bad = "request.warm_starts: only rungs >= 1 start warm";
+            if (bad) {
+                if (error && error->empty())
+                    *error = bad;
+                return false;
+            }
+        }
     }
     if (!r.finish())
         return false;
@@ -257,9 +278,10 @@ WorkerResponse::fromText(const std::string &text, WorkerResponse &out,
 namespace {
 
 /**
- * Evaluate one candidate exactly as the in-process scheduler would (see
- * MultiFidelityScheduler::runScreen/runSaRung and the flat driver):
- * throwaway engines per model, serial chains, the request's SA budget.
+ * Evaluate one candidate exactly as the in-process DSE ladder would (see
+ * runRung in dse.cc): throwaway engines per model, serial chains, the
+ * request's SA budget (no SA at 0 iterations), started cold or — for
+ * rungs >= 1 — from the request's warm starts.
  */
 WorkerResponse
 evalCandidate(const ExperimentSpec &spec, const ResolvedExperiment &resolved,
@@ -277,15 +299,10 @@ evalCandidate(const ExperimentSpec &spec, const ResolvedExperiment &resolved,
     // Chains run serially inside a worker (bit-identical to parallel
     // chains); candidate-level parallelism is the supervisor's pool.
     mo.saThreads = 1;
-    if (rq.rung == 0) {
-        mo.runSa = false; // screen: stripe-only pipeline
-    } else if (rq.rung >= 1) {
-        mo.runSa = true;
-        mo.sa.iterations = rq.iters;
-        mo.sa.chains = rq.chains;
-        mo.sa.seed = rq.seed;
-    }
-    // rung -1 (flat): the spec's full budget, options as-is.
+    mo.runSa = rq.iters > 0;
+    mo.sa.iterations = rq.iters;
+    mo.sa.chains = rq.chains;
+    mo.sa.seed = rq.seed;
 
     WorkerResponse resp;
     resp.kind = WorkerResponse::Kind::Result;

@@ -107,15 +107,19 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 /**
- * Fill a record's objective lower bound plus its explanatory components.
- * schedule.analyticBound selects the per-layer segmentation-DP bound
- * (maxGroupLayers caps the DP, mirroring the partitioner) or the legacy
- * whole-model roofline (maxGroupLayers <= 0 fallback inside the stack).
+ * Fill a record's monetary cost, its objective lower bound and the
+ * bound's explanatory components. schedule.analyticBound selects the
+ * per-layer segmentation-DP bound (maxGroupLayers caps the DP, mirroring
+ * the partitioner) or the legacy whole-model roofline (maxGroupLayers <= 0
+ * fallback inside the stack). Pure arithmetic: always computed locally,
+ * even in worker mode.
  */
 void
-fillLowerBound(DseRecord &rec, const cost::CostStack &stack,
-               const DseOptions &options)
+priceRecord(DseRecord &rec, const DseOptions &options)
 {
+    const cost::CostStack stack(rec.arch, options.mapping.tech,
+                                options.costParams);
+    rec.mc = stack.mcBreakdown();
     cost::BoundComponents comps;
     const int max_group_layers = options.schedule.analyticBound
                                      ? options.mapping.maxGroupLayers
@@ -128,64 +132,6 @@ fillLowerBound(DseRecord &rec, const cost::CostStack &stack,
     rec.boundDramSeconds = comps.dramSeconds;
     rec.boundNocSeconds = comps.nocSeconds;
     rec.boundRefetchBytes = comps.refetchBytes;
-}
-
-/**
- * Run fn(i) for i in [0, count). With no external pool this is a plain
- * owned-pool parallelFor; with one (the API service's shared pool) the
- * work is chunked by an atomic cursor over `external->threadCount()`
- * tasks and completion is tracked by a local latch, because waitIdle()
- * on a shared pool would also wait for other jobs' tasks.
- */
-void
-runOnPool(ThreadPool *external, std::size_t own_threads, std::size_t count,
-          const std::function<void(std::size_t)> &fn)
-{
-    if (!external) {
-        ThreadPool pool(own_threads);
-        pool.parallelFor(count, fn); // rethrows the first fn() exception
-        return;
-    }
-    std::mutex mu;
-    std::condition_variable done_cv;
-    // The loop bound must be a snapshot: workers decrement `pending`
-    // concurrently, and reading it as the bound would race (and could
-    // submit fewer tasks than the latch expects).
-    const std::size_t tasks =
-        std::max<std::size_t>(1, external->threadCount());
-    std::size_t pending = tasks;
-    std::exception_ptr error;
-    std::atomic<std::size_t> cursor{0};
-    std::atomic<bool> aborted{false};
-    for (std::size_t w = 0; w < tasks; ++w) {
-        external->submit([&] {
-            while (!aborted.load(std::memory_order_relaxed)) {
-                const std::size_t i = cursor.fetch_add(1);
-                if (i >= count)
-                    break;
-                try {
-                    fn(i);
-                } catch (...) {
-                    // First failure wins; remaining indices are skipped
-                    // (every chunk task sees `aborted`) and the latch
-                    // still drains, so the waiter below never deadlocks.
-                    aborted.store(true, std::memory_order_relaxed);
-                    std::lock_guard elock(mu);
-                    if (!error)
-                        error = std::current_exception();
-                }
-            }
-            // Notify under the lock so the waiter cannot observe
-            // pending == 0 and destroy the latch before notify runs.
-            std::lock_guard lock(mu);
-            if (--pending == 0)
-                done_cv.notify_all();
-        });
-    }
-    std::unique_lock lock(mu);
-    done_cv.wait(lock, [&] { return pending == 0; });
-    if (error)
-        std::rethrow_exception(error);
 }
 
 /**
@@ -249,13 +195,100 @@ class ExplorerPool
 };
 
 /**
- * The multi-fidelity DSE scheduler (screen -> race -> polish). All rungs
- * stream over one shared thread pool: a candidate's next-rung task is
- * submitted the moment its cohort's keep-decision resolves, so the pool
- * never drains between rungs. Keep-decisions are computed by whichever
- * worker finishes a cohort last, from per-candidate objectives that do
- * not depend on scheduling — the whole run is deterministic for any
- * thread count.
+ * Evaluate every model of `options` cold — partitioner start, then `mo`'s
+ * SA — on throwaway engines, appending to rec.perModel. With `explorers`
+ * each engine's tile memo is seeded from and merged back into the pool;
+ * with `mappings` each model's mapping is kept as a next-rung warm start.
+ */
+void
+evaluateCold(DseRecord &rec, const DseOptions &options,
+             const mapping::MappingOptions &mo, ExplorerPool *explorers,
+             std::vector<mapping::LpMapping> *mappings)
+{
+    rec.perModel.reserve(options.models.size());
+    for (const dnn::Graph *model : options.models) {
+        mapping::MappingEngine engine(*model, rec.arch, mo);
+        const std::size_t seeded = explorers ? explorers->seed(engine) : 0;
+        mapping::MappingResult res = engine.run();
+        if (explorers)
+            explorers->collect(engine, seeded);
+        rec.perModel.push_back(res.total);
+        rec.seededAnalytic = rec.seededAnalytic || res.seededAnalytic;
+        rec.saIters += res.saStats.itersRun; // 0 without SA
+        if (mappings)
+            mappings->push_back(std::move(res.mapping));
+    }
+}
+
+/**
+ * One rung of a DSE ladder. Rung 0 starts every candidate cold (the
+ * partitioner's T-Map, priced and bounded); later rungs warm-start their
+ * cohort from the previous rung's mappings.
+ */
+struct Rung
+{
+    std::string name;
+    int id = 0;    ///< DseRecord::rungReached and RemoteEvalRequest::rung
+    int iters = 0; ///< per-model SA iterations (0 = no SA)
+    int chains = 1;
+    std::uint64_t seed = 0;
+};
+
+/** Apply one rung's SA budget to engine options. */
+void
+applyBudget(mapping::MappingOptions &mo, const Rung &rung)
+{
+    mo.runSa = rung.iters > 0;
+    mo.sa.iterations = rung.iters;
+    mo.sa.chains = rung.chains;
+    mo.sa.seed = rung.seed;
+}
+
+/**
+ * The rung ladder of one run. A schedule is screen -> race rounds ->
+ * polish. Without one — or without SA, which the race and polish rungs
+ * are — the ladder is the single exhaustive rung: every candidate once,
+ * with the spec's own SA budget, seed and chains, no screen and no prune.
+ */
+std::vector<Rung>
+ladderOf(const DseOptions &options)
+{
+    const mapping::SaOptions &sa = options.mapping.sa;
+    if (!options.schedule.enabled || !options.mapping.runSa)
+        return {{"exhaustive", -1, options.mapping.runSa ? sa.iterations : 0,
+                 std::max(1, sa.chains), sa.seed}};
+
+    // Fresh deterministic SA seed per rung (chains derive from it).
+    const auto seed_of = [&](int rung) {
+        return mapping::SaEngine::chainSeed(sa.seed, 0x5A + rung);
+    };
+    const int races = std::max(0, options.schedule.rungs);
+    std::vector<Rung> ladder{{"screen", 0, 0, 1, 0}};
+    for (int r = 1; r <= races; ++r) {
+        // The race budget doubles every round, saturating (rather than
+        // overflowing) for absurd rung counts.
+        const auto grown =
+            static_cast<long long>(std::max(1, options.schedule.baseIters))
+            << std::min(r - 1, 30);
+        ladder.push_back({"race" + std::to_string(r), r,
+                          static_cast<int>(std::min<long long>(
+                              grown, std::numeric_limits<int>::max())),
+                          1, seed_of(r)});
+    }
+    ladder.push_back({"polish", races + 1, sa.iterations,
+                      std::max({1, sa.chains, options.schedule.polishChains}),
+                      seed_of(races + 1)});
+    return ladder;
+}
+
+/**
+ * The DSE driver: runs a rung ladder (see ladderOf) over the candidates.
+ * All rungs stream over one shared thread pool: a candidate's next-rung
+ * task is submitted the moment its cohort's keep-decision resolves, so
+ * the pool never drains between rungs. Keep-decisions are computed by
+ * whichever worker finishes a cohort last, from per-candidate objectives
+ * that do not depend on scheduling — the whole run is deterministic for
+ * any thread count.
  */
 class MultiFidelityScheduler
 {
@@ -264,7 +297,7 @@ class MultiFidelityScheduler
                            std::vector<arch::ArchConfig> candidates,
                            std::size_t threads)
         : opts_(options), candidates_(std::move(candidates)),
-          explorers_(options.mapping.tech),
+          ladder_(ladderOf(options)), explorers_(options.mapping.tech),
           remote_(options.execution == ExecutionMode::Workers &&
                   options.remoteEval),
           ownedPool_(options.pool ? nullptr
@@ -276,7 +309,7 @@ class MultiFidelityScheduler
         // oversubscribe the machine.
         opts_.mapping.saThreads = 1;
         // Thread the run-level stop token into the mapping layer so a
-        // cancelled polish run also stops at chain granularity.
+        // cancelled SA run also stops at chain granularity.
         opts_.mapping.stop = opts_.stop;
     }
 
@@ -287,19 +320,19 @@ class MultiFidelityScheduler
         result_.records.resize(n);
         states_.resize(n);
 
-        const int n_rungs = polishRung() + 1;
-        cohorts_.assign(static_cast<std::size_t>(n_rungs), {});
-        done_.assign(static_cast<std::size_t>(n_rungs), 0);
-        result_.stats.scheduled = true;
+        const std::size_t n_rungs = ladder_.size();
+        cohorts_.assign(n_rungs, {});
+        done_.assign(n_rungs, 0);
+        result_.stats.scheduled = n_rungs > 1;
         result_.stats.simdLevel =
             common::simdLevelName(common::activeSimdLevel());
         result_.stats.numaNodes = pool_.numaNodeCount();
         result_.stats.pinnedWorkers = pool_.pinnedWorkers();
-        result_.stats.rungs.resize(static_cast<std::size_t>(n_rungs));
-        for (int r = 0; r < n_rungs; ++r) {
-            DseRungStats &rs = result_.stats.rungs[static_cast<std::size_t>(r)];
-            rs.name = rungName(r);
-            rs.saIters = rungIters(r) * rungChains(r);
+        result_.stats.rungs.resize(n_rungs);
+        for (std::size_t r = 0; r < n_rungs; ++r) {
+            DseRungStats &rs = result_.stats.rungs[r];
+            rs.name = ladder_[r].name;
+            rs.saIters = ladder_[r].iters * ladder_[r].chains;
             rs.bestObjective = kInf;
         }
 
@@ -321,29 +354,26 @@ class MultiFidelityScheduler
         }
 
         if (start == 0) {
-            auto &screen = cohorts_[0];
-            screen.reserve(n);
+            auto &first = cohorts_[0];
+            first.reserve(n);
             for (std::size_t i = 0; i < n; ++i)
-                screen.push_back(i);
+                first.push_back(i);
             result_.stats.rungs[0].entered = static_cast<int>(n);
         }
         // Resumed starts (> 0) found cohorts_[start] and the stats ledger
         // already restored from the journal snapshot by tryResume().
 
+        const std::vector<std::size_t> &cohort =
+            cohorts_[static_cast<std::size_t>(start)];
         DseProgressEvent entered;
         entered.kind = DseProgressEvent::Kind::RungEntered;
-        entered.rung = rungName(start);
-        entered.entered =
-            static_cast<int>(cohorts_[static_cast<std::size_t>(start)].size());
+        entered.rung = ladder_[static_cast<std::size_t>(start)].name;
+        entered.entered = static_cast<int>(cohort.size());
         entered.bestObjective = bestSoFar_;
         emit(entered);
 
-        for (std::size_t i : cohorts_[static_cast<std::size_t>(start)]) {
-            if (start == 0)
-                enqueue([this, i] { runScreen(i); });
-            else
-                enqueue([this, start, i] { runSaRung(start, i); });
-        }
+        for (std::size_t i : cohort)
+            enqueue([this, start, i] { runRung(start, i); });
 
         // Wait on the run's own task latch, not pool_.waitIdle(): a shared
         // pool carries other jobs' tasks, which are not ours to wait for.
@@ -363,12 +393,12 @@ class MultiFidelityScheduler
         result_.stats.cancelled = opts_.stop.cancelRequested();
         result_.stats.truncated = opts_.stop.deadlineExpired();
 
-        // The winner comes from the polish cohort: only finalists carry a
-        // full-budget evaluation, so cross-fidelity objective comparisons
-        // never decide the result.
+        // The winner comes from the last rung's cohort: only it carries
+        // full-budget evaluations, so cross-fidelity objective
+        // comparisons never decide the result.
         result_.bestIndex = -1;
         double best_obj = kInf;
-        for (std::size_t i : cohorts_[static_cast<std::size_t>(polishRung())]) {
+        for (std::size_t i : cohorts_.back()) {
             const DseRecord &rec = result_.records[i];
             if (!rec.feasible || !std::isfinite(rec.objective))
                 continue;
@@ -393,8 +423,7 @@ class MultiFidelityScheduler
         std::vector<mapping::LpMapping> mappings; ///< per-model warm starts
     };
 
-    int raceRungs() const { return std::max(0, opts_.schedule.rungs); }
-    int polishRung() const { return raceRungs() + 1; }
+    int lastRung() const { return static_cast<int>(ladder_.size()) - 1; }
 
     void
     emit(const DseProgressEvent &event)
@@ -434,52 +463,6 @@ class MultiFidelityScheduler
         });
     }
 
-    std::string
-    rungName(int rung) const
-    {
-        if (rung == 0)
-            return "screen";
-        if (rung == polishRung())
-            return "polish";
-        return "race" + std::to_string(rung);
-    }
-
-    /**
-     * Per-model SA budget of one rung: doubles every race round,
-     * saturating (rather than overflowing) for absurd rung counts.
-     */
-    int
-    rungIters(int rung) const
-    {
-        if (rung == 0)
-            return 0;
-        if (rung == polishRung())
-            return opts_.mapping.sa.iterations;
-        const int shift = std::min(rung - 1, 30);
-        const auto grown =
-            static_cast<long long>(std::max(1, opts_.schedule.baseIters))
-            << shift;
-        return static_cast<int>(std::min<long long>(
-            grown, std::numeric_limits<int>::max()));
-    }
-
-    int
-    rungChains(int rung) const
-    {
-        if (rung != polishRung())
-            return 1;
-        return std::max({1, opts_.mapping.sa.chains,
-                         opts_.schedule.polishChains});
-    }
-
-    /** Fresh deterministic SA seed per rung (chains derive from it). */
-    std::uint64_t
-    rungSeed(int rung) const
-    {
-        return mapping::SaEngine::chainSeed(opts_.mapping.sa.seed,
-                                            0x5A + rung);
-    }
-
     /** Append the keep-decision of `rung` to the journal (mu_ held). */
     void
     journalRungLocked(int rung, const std::vector<std::size_t> &survivors)
@@ -487,11 +470,11 @@ class MultiFidelityScheduler
         JournalRecord rec;
         rec.tag = opts_.journalTag;
         rec.rung = rung;
-        rec.rungName = rungName(rung);
+        rec.rungName = ladder_[static_cast<std::size_t>(rung)].name;
         rec.bestSoFar = bestSoFar_;
         rec.snapshot.records = result_.records;
         rec.snapshot.stats = result_.stats;
-        rec.snapshot.bestIndex = -1; // no winner until polish resolves
+        rec.snapshot.bestIndex = -1; // no winner until the last rung
         rec.survivors = survivors;
         rec.warmStarts.reserve(survivors.size());
         for (const std::size_t i : survivors)
@@ -509,8 +492,8 @@ class MultiFidelityScheduler
     {
         JournalRecord rec;
         rec.tag = opts_.journalTag;
-        rec.rung = polishRung();
-        rec.rungName = rungName(polishRung());
+        rec.rung = lastRung();
+        rec.rungName = ladder_.back().name;
         rec.final = true;
         rec.bestSoFar = bestSoFar_;
         rec.snapshot = result_;
@@ -548,9 +531,8 @@ class MultiFidelityScheduler
                         "rung");
 
         JournalRecord &last = loaded.records.back();
-        const int n_rungs = polishRung() + 1;
         if (last.snapshot.records.size() != candidates_.size() ||
-            static_cast<int>(last.snapshot.stats.rungs.size()) != n_rungs) {
+            last.snapshot.stats.rungs.size() != ladder_.size()) {
             GEMINI_WARN("journal ", path, ": shape mismatch (different "
                         "candidate list or schedule); starting fresh");
             return 0;
@@ -563,7 +545,7 @@ class MultiFidelityScheduler
             return 0;
         }
 
-        if (last.rung < 0 || last.rung >= polishRung() ||
+        if (last.rung < 0 || last.rung >= lastRung() ||
             last.survivors.empty()) {
             GEMINI_WARN("journal ", path,
                         ": malformed last record; starting fresh");
@@ -600,68 +582,6 @@ class MultiFidelityScheduler
     }
 
     void
-    runScreen(std::size_t i)
-    {
-        const auto t0 = std::chrono::steady_clock::now();
-        const arch::ArchConfig &cfg = candidates_[i];
-        DseRecord &rec = result_.records[i];
-        rec.arch = cfg;
-        if (opts_.stop.stopRequested() || abortRequested()) {
-            // Cancelled before evaluation: an unevaluated record must
-            // never look like a winner, so mark it infeasible with an
-            // infinite objective. The cohort still resolves normally.
-            rec.feasible = false;
-            rec.objective = kInf;
-            finishTask(0, i, secondsSince(t0));
-            return;
-        }
-        // MC and the objective lower bound are pure arithmetic — always
-        // computed locally, even in worker mode.
-        const cost::CostStack stack(cfg, opts_.mapping.tech,
-                                    opts_.costParams);
-        rec.mc = stack.mcBreakdown();
-        fillLowerBound(rec, stack, opts_);
-
-        CandState &st = states_[i];
-        if (remote_) {
-            RemoteEvalRequest rq;
-            rq.index = i;
-            rq.arch = &cfg;
-            rq.rung = 0;
-            RemoteEvalOutcome out = opts_.remoteEval(rq);
-            if (out.poisoned) {
-                markPoisoned(rec, 0, std::move(out.poisonReason));
-                finishTask(0, i, secondsSince(t0));
-                return;
-            }
-            st.mappings = std::move(out.mappings);
-            rec.perModel = std::move(out.perModel);
-        } else {
-            st.mappings.reserve(opts_.models.size());
-            rec.perModel.reserve(opts_.models.size());
-            for (const dnn::Graph *model : opts_.models) {
-                // Screen engines are throwaway: only the stripe mapping
-                // and the pooled explorer memo survive into the race
-                // rungs, so per-candidate analyzer caches never pile up
-                // across the whole (possibly huge) candidate list.
-                mapping::MappingOptions mo = opts_.mapping;
-                mo.runSa = false;
-                mapping::MappingEngine engine(*model, cfg, mo);
-                const std::size_t seeded = explorers_.seed(engine);
-                mapping::MappingResult res = engine.run();
-                explorers_.collect(engine, seeded);
-                st.mappings.push_back(std::move(res.mapping));
-                rec.perModel.push_back(res.total);
-                rec.seededAnalytic =
-                    rec.seededAnalytic || res.seededAnalytic;
-            }
-        }
-        finishRecord(rec, opts_);
-        rec.rungReached = 0;
-        finishTask(0, i, secondsSince(t0));
-    }
-
-    void
     ensureEngines(std::size_t i)
     {
         CandState &st = states_[i];
@@ -675,51 +595,69 @@ class MultiFidelityScheduler
         }
     }
 
+    /** Evaluate candidate `i` at rung `r` (one pool task). */
     void
-    runSaRung(int rung, std::size_t i)
+    runRung(int r, std::size_t i)
     {
         const auto t0 = std::chrono::steady_clock::now();
+        const Rung &rung = ladder_[static_cast<std::size_t>(r)];
+        const bool cold = r == 0;
+        // Only a rung with a successor keeps warm starts and pools its
+        // tile memos. The exhaustive rung keeps neither: its engines stay
+        // throwaway and unpooled, so its memory stays flat in the
+        // candidate count (pooling its memos cost +15% peak RSS).
+        const bool feeds = r < lastRung();
         DseRecord &rec = result_.records[i];
         CandState &st = states_[i];
+        if (cold)
+            rec.arch = candidates_[i];
         if (opts_.stop.stopRequested() || abortRequested()) {
-            // Cancelled: keep the record's deepest completed evaluation
-            // (screen or an earlier race rung — still a valid, comparable
-            // result) and let the cohort resolve.
-            finishTask(rung, i, secondsSince(t0));
+            // Cancelled: a warm record keeps its deepest completed
+            // evaluation (still valid and comparable); a cold one was
+            // never evaluated and must never look like a winner. Either
+            // way the cohort still resolves normally.
+            if (cold) {
+                rec.feasible = false;
+                rec.objective = kInf;
+            }
+            finishTask(r, i, secondsSince(t0));
             return;
         }
-        const int iters = rungIters(rung);
-        const int chains = rungChains(rung);
+        if (cold)
+            priceRecord(rec, opts_);
+
         if (remote_) {
             RemoteEvalRequest rq;
             rq.index = i;
             rq.arch = &candidates_[i];
-            rq.rung = rung;
-            rq.iters = iters;
-            rq.chains = chains;
-            rq.seed = rungSeed(rung);
-            rq.warmStarts = &st.mappings;
+            rq.rung = rung.id;
+            rq.iters = rung.iters;
+            rq.chains = rung.chains;
+            rq.seed = rung.seed;
+            rq.warmStarts = cold ? nullptr : &st.mappings;
             RemoteEvalOutcome out = opts_.remoteEval(rq);
             if (out.poisoned) {
-                markPoisoned(rec, rung, std::move(out.poisonReason));
-                finishTask(rung, i, secondsSince(t0));
+                markPoisoned(rec, r, std::move(out.poisonReason));
+                finishTask(r, i, secondsSince(t0));
                 return;
             }
-            st.mappings = std::move(out.mappings);
+            if (feeds)
+                st.mappings = std::move(out.mappings);
             rec.perModel = std::move(out.perModel);
             // The worker protocol does not ship SaStats back, so remote
             // records charge the budgeted (upper-bound) iterations.
-            rec.saIters += iters * chains *
+            rec.saIters += rung.iters * rung.chains *
                            static_cast<int>(opts_.models.size());
+        } else if (cold) {
+            mapping::MappingOptions mo = opts_.mapping;
+            applyBudget(mo, rung);
+            evaluateCold(rec, opts_, mo, feeds ? &explorers_ : nullptr,
+                         feeds ? &st.mappings : nullptr);
         } else {
             ensureEngines(i);
             for (std::size_t m = 0; m < opts_.models.size(); ++m) {
                 mapping::MappingEngine &engine = *st.engines[m];
-                mapping::MappingOptions &mo = engine.mutableOptions();
-                mo.runSa = true;
-                mo.sa.iterations = iters;
-                mo.sa.chains = chains;
-                mo.sa.seed = rungSeed(rung);
+                applyBudget(engine.mutableOptions(), rung);
                 mapping::MappingResult res = engine.runFrom(st.mappings[m]);
                 st.mappings[m] = std::move(res.mapping);
                 rec.perModel[m] = res.total;
@@ -730,8 +668,8 @@ class MultiFidelityScheduler
             }
         }
         finishRecord(rec, opts_);
-        rec.rungReached = rung;
-        finishTask(rung, i, secondsSince(t0));
+        rec.rungReached = rung.id;
+        finishTask(r, i, secondsSince(t0));
     }
 
     bool
@@ -755,7 +693,8 @@ class MultiFidelityScheduler
         rec.poisoned = true;
         rec.poisonReason = std::move(reason);
         GEMINI_WARN("candidate ", rec.arch.toString(), " quarantined at ",
-                    rungName(rung), ": ", rec.poisonReason);
+                    ladder_[static_cast<std::size_t>(rung)].name, ": ",
+                    rec.poisonReason);
         std::lock_guard lock(mu_);
         ++result_.stats.rungs[static_cast<std::size_t>(rung)].poisoned;
     }
@@ -776,7 +715,7 @@ class MultiFidelityScheduler
      * Cohort keep-decision, run by the cohort's last finisher (mu_ held):
      * the screen prunes by the objective lower bound, race rounds keep the
      * top keepFraction, and survivors' next-rung tasks are submitted
-     * immediately onto the shared pool.
+     * immediately onto the shared pool. The last rung only closes.
      */
     void
     resolveLocked(int rung)
@@ -798,11 +737,10 @@ class MultiFidelityScheduler
         finished.entered = rs.entered;
         finished.bestObjective = bestSoFar_;
 
-        if (rung == polishRung()) {
+        if (rung == lastRung()) {
             emit(finished);
             return;
         }
-
         std::vector<std::size_t> survivors;
         if (rung == 0) {
             // Sound prune: the screened best is achievable, so a candidate
@@ -888,17 +826,18 @@ class MultiFidelityScheduler
 
         DseProgressEvent entered;
         entered.kind = DseProgressEvent::Kind::RungEntered;
-        entered.rung = rungName(next);
+        entered.rung = ladder_[static_cast<std::size_t>(next)].name;
         entered.entered = static_cast<int>(survivors.size());
         entered.bestObjective = bestSoFar_;
         emit(entered);
 
         for (std::size_t i : survivors)
-            enqueue([this, next, i] { runSaRung(next, i); });
+            enqueue([this, next, i] { runRung(next, i); });
     }
 
     DseOptions opts_;
     std::vector<arch::ArchConfig> candidates_;
+    const std::vector<Rung> ladder_;
     DseResult result_;
     std::vector<CandState> states_;
     ExplorerPool explorers_;
@@ -942,69 +881,14 @@ DseResult::bestUnder(double alpha, double beta, double gamma) const
     return best;
 }
 
-namespace {
-
-/**
- * Flat-driver variant of evaluateCandidate that routes the per-model
- * evaluation through options.remoteEval (rung -1 = one full-budget run).
- * MC and the lower bound stay local; a poisoned outcome becomes an
- * infeasible-with-inf quarantined record, exactly like the scheduler's.
- */
-DseRecord
-evaluateCandidateRemote(const arch::ArchConfig &cfg,
-                        const DseOptions &options, std::size_t index)
-{
-    DseRecord rec;
-    rec.arch = cfg;
-    const cost::CostStack stack(cfg, options.mapping.tech,
-                                options.costParams);
-    rec.mc = stack.mcBreakdown();
-    fillLowerBound(rec, stack, options);
-
-    RemoteEvalRequest rq;
-    rq.index = index;
-    rq.arch = &cfg;
-    rq.rung = -1;
-    RemoteEvalOutcome out = options.remoteEval(rq);
-    if (out.poisoned) {
-        rec.feasible = false;
-        rec.objective = kInf;
-        rec.poisoned = true;
-        rec.poisonReason = std::move(out.poisonReason);
-        GEMINI_WARN("candidate ", rec.arch.toString(), " quarantined: ",
-                    rec.poisonReason);
-        return rec;
-    }
-    rec.perModel = std::move(out.perModel);
-    if (options.mapping.runSa)
-        rec.saIters = options.mapping.sa.iterations *
-                      std::max(1, options.mapping.sa.chains) *
-                      static_cast<int>(options.models.size());
-    finishRecord(rec, options);
-    return rec;
-}
-
-} // namespace
-
 DseRecord
 evaluateCandidate(const arch::ArchConfig &cfg, const DseOptions &options)
 {
     GEMINI_ASSERT(!options.models.empty(), "DSE needs at least one model");
     DseRecord rec;
     rec.arch = cfg;
-    const cost::CostStack stack(cfg, options.mapping.tech,
-                                options.costParams);
-    rec.mc = stack.mcBreakdown();
-    fillLowerBound(rec, stack, options);
-
-    for (const dnn::Graph *model : options.models) {
-        mapping::MappingEngine engine(*model, cfg, options.mapping);
-        const mapping::MappingResult result = engine.run();
-        rec.perModel.push_back(result.total);
-        rec.seededAnalytic = rec.seededAnalytic || result.seededAnalytic;
-        if (options.mapping.runSa)
-            rec.saIters += result.saStats.itersRun;
-    }
+    priceRecord(rec, options);
+    evaluateCold(rec, options, options.mapping, nullptr, nullptr);
     finishRecord(rec, options);
     return rec;
 }
@@ -1044,106 +928,12 @@ runDse(const DseOptions &user_options)
         candidates.swap(picked);
     }
 
-    // Shared thread budget: candidate-level parallelism times per-candidate
-    // SA-chain parallelism never exceeds the requested worker count, so
-    // multi-chain annealing inside the mapping engine cannot stack a pool
-    // on top of a fully-subscribed candidate pool.
-    const std::size_t budget =
+    const std::size_t threads =
         options.threads > 0
             ? static_cast<std::size_t>(options.threads)
             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-
-    // The race and polish rungs *are* SA runs, so a schedule without SA is
-    // meaningless — honor runSa=false with the flat (stripe-only) driver.
-    if (options.schedule.enabled && options.mapping.runSa)
-        return MultiFidelityScheduler(options, std::move(candidates),
-                                      budget)
-            .run();
-
-    DseOptions opts = options;
-    // Thread the run-level stop token into the mapping layer (checked at
-    // chain granularity there, never on the SA inner loop).
-    opts.mapping.stop = options.stop;
-    std::size_t outer = budget;
-    const int chains = opts.mapping.sa.chains;
-    if (opts.mapping.runSa && chains > 1) {
-        // saThreads == 0 means "auto": give each candidate its chains in
-        // parallel. An explicit caller value is respected either way.
-        if (opts.mapping.saThreads == 0)
-            opts.mapping.saThreads = static_cast<int>(std::min<std::size_t>(
-                static_cast<std::size_t>(chains), budget));
-        outer = std::max<std::size_t>(
-            1, budget / static_cast<std::size_t>(std::max(
-                   1, opts.mapping.saThreads)));
-    } else if (opts.mapping.saThreads == 0) {
-        opts.mapping.saThreads = 1;
-    }
-
-    DseResult result;
-    result.records.resize(candidates.size());
-
-    if (options.progress) {
-        DseProgressEvent entered;
-        entered.kind = DseProgressEvent::Kind::RungEntered;
-        entered.rung = "exhaustive";
-        entered.entered = static_cast<int>(candidates.size());
-        entered.bestObjective = kInf;
-        options.progress(entered);
-    }
-
-    const bool remote =
-        opts.execution == ExecutionMode::Workers && opts.remoteEval;
-    runOnPool(options.pool, outer, candidates.size(), [&](std::size_t i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        if (opts.stop.stopRequested()) {
-            // Cancelled before evaluation: never a winner (see the
-            // scheduler's runScreen for the same convention).
-            result.records[i].arch = candidates[i];
-            result.records[i].feasible = false;
-            result.records[i].objective = kInf;
-        } else if (remote) {
-            result.records[i] =
-                evaluateCandidateRemote(candidates[i], opts, i);
-        } else {
-            result.records[i] = evaluateCandidate(candidates[i], opts);
-        }
-        result.records[i].evalSeconds = secondsSince(t0);
-    });
-
-    result.bestIndex =
-        result.bestUnder(options.alpha, options.beta, options.gamma);
-
-    DseRungStats flat;
-    flat.name = "exhaustive";
-    flat.entered = static_cast<int>(result.records.size());
-    flat.saIters = opts.mapping.runSa
-                       ? opts.mapping.sa.iterations *
-                             std::max(1, opts.mapping.sa.chains)
-                       : 0;
-    flat.bestObjective = kInf;
-    for (const DseRecord &rec : result.records) {
-        flat.cpuSeconds += rec.evalSeconds;
-        if (rec.poisoned)
-            ++flat.poisoned;
-        if (rec.feasible && std::isfinite(rec.objective))
-            flat.bestObjective = std::min(flat.bestObjective, rec.objective);
-    }
-    result.stats.scheduled = false;
-    result.stats.simdLevel = common::simdLevelName(common::activeSimdLevel());
-    result.stats.cancelled = options.stop.cancelRequested();
-    result.stats.truncated = options.stop.deadlineExpired();
-
-    if (options.progress) {
-        DseProgressEvent finished;
-        finished.kind = DseProgressEvent::Kind::RungFinished;
-        finished.rung = "exhaustive";
-        finished.entered = flat.entered;
-        finished.bestObjective = flat.bestObjective;
-        options.progress(finished);
-    }
-
-    result.stats.rungs.push_back(std::move(flat));
-    return result;
+    return MultiFidelityScheduler(options, std::move(candidates), threads)
+        .run();
 }
 
 } // namespace gemini::dse

@@ -1,11 +1,12 @@
 /**
  * @file
- * The DSE driver (Sec. V-A): exhaustively explores architecture candidates
- * with the objective MC^alpha * E^beta * D^gamma, where E and D are the
- * geometric means of the mapping-engine results across the input DNNs and
- * MC comes from the Monetary Cost Evaluator. Candidates are independent,
- * so the runner fans out over a thread pool (the paper uses 80-100
- * threads).
+ * The DSE driver (Sec. V-A): explores architecture candidates with the
+ * objective MC^alpha * E^beta * D^gamma, where E and D are the geometric
+ * means of the mapping-engine results across the input DNNs and MC comes
+ * from the Monetary Cost Evaluator. One driver runs every exploration as
+ * a ladder of rungs over a thread pool (the paper uses 80-100 threads):
+ * the paper's exhaustive loop is the one-rung ladder, and DseSchedule
+ * turns it into the multi-fidelity screen -> race -> polish ladder.
  */
 
 #ifndef GEMINI_DSE_DSE_HH
@@ -74,14 +75,15 @@ using DseProgressFn = std::function<void(const DseProgressEvent &)>;
  * SA budget each round and keeps the top `keepFraction`, warm-starting
  * each survivor's SA from its previous rung's best mapping; a final
  * *polish* rung gives the finalists the full SaOptions budget and
- * multi-chain annealing. Disabled by default (flat exhaustive DSE).
+ * multi-chain annealing. Disabled by default: the exhaustive ladder.
  */
 struct DseSchedule
 {
     /**
-     * false = the flat full-budget fan-out over every candidate. The
-     * race/polish rungs are SA runs, so the schedule is also bypassed
-     * (flat stripe-only evaluation) when MappingOptions::runSa is false.
+     * false = the one-rung "exhaustive" ladder: every candidate evaluated
+     * once with the spec's own SA budget, seed and chains, with no screen
+     * and no prune. The race/polish rungs are SA runs, so the exhaustive
+     * ladder (stripe-only) also runs when MappingOptions::runSa is false.
      */
     bool enabled = false;
 
@@ -118,7 +120,7 @@ struct DseSchedule
     int polishChains = 2;
 };
 
-/** Per-rung statistics of one scheduled (or flat) DSE run. */
+/** Per-rung statistics of one DSE run. */
 struct DseRungStats
 {
     std::string name;    ///< "screen", "race1".., "polish" ("exhaustive")
@@ -135,7 +137,7 @@ struct DseRungStats
 /** Whole-run statistics attached to DseResult. */
 struct DseStats
 {
-    bool scheduled = false;        ///< ran the multi-fidelity scheduler
+    bool scheduled = false; ///< ran a multi-rung (not the exhaustive) ladder
     std::vector<DseRungStats> rungs;
 
     /**
@@ -207,14 +209,15 @@ struct RemoteEvalRequest
     const arch::ArchConfig *arch = nullptr;
 
     /**
-     * Scheduler rung: 0 = screen (stripe-only, runSa forced off),
-     * 1..N = race/polish (warm-started SA with the budget below),
-     * -1 = flat driver (one full-budget evaluation per spec options).
+     * The rung (as recorded in DseRecord::rungReached): -1 = the
+     * exhaustive rung and 0 = the screen, both started cold from the
+     * partitioner; 1..N = race/polish, warm-started from `warmStarts`.
+     * Every rung runs the SA budget below; the screen's is 0.
      */
     int rung = -1;
-    int iters = 0;          ///< per-model SA iterations (rungs >= 1)
-    int chains = 1;         ///< SA chains (rungs >= 1)
-    std::uint64_t seed = 0; ///< SA seed (rungs >= 1)
+    int iters = 0;          ///< per-model SA iterations (0 = no SA)
+    int chains = 1;         ///< SA chains
+    std::uint64_t seed = 0; ///< SA seed
 
     /** Per-model warm-start mappings (rungs >= 1; null otherwise). */
     const std::vector<mapping::LpMapping> *warmStarts = nullptr;
@@ -296,10 +299,11 @@ struct DseOptions
     double deadlineSeconds = 0.0;
 
     /**
-     * Write-ahead rung journal file (empty = no journaling; ignored by
-     * the flat driver, which has no rung structure to replay). Every
+     * Write-ahead rung journal file (empty = no journaling). Every
      * cohort keep-decision appends a checksummed record of the survivor
-     * set and warm-start mappings (see dse/journal.hh).
+     * set and warm-start mappings (see dse/journal.hh), and a finished
+     * run appends one final record of its whole result. The exhaustive
+     * ladder has no keep-decision, so it journals only the final record.
      */
     std::string journalPath;
 
@@ -385,8 +389,9 @@ struct DseRecord
 
     /**
      * Deepest rung this candidate was evaluated at: 0 = screen,
-     * 1..rungs = race rounds, rungs+1 = polish. -1 = flat driver (one
-     * full-budget evaluation).
+     * 1..rungs = race rounds, rungs+1 = polish. -1 = the exhaustive rung
+     * (one full-budget evaluation), and the value of a record that no
+     * rung evaluated (a cancelled run).
      */
     int rungReached = -1;
 

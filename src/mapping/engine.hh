@@ -43,11 +43,10 @@ struct MappingOptions
     SaOptions sa;
 
     /**
-     * Worker threads for SA chains (sa.chains). 0 = auto: serial here,
-     * but the DSE driver may divide its global thread budget between
-     * candidate-level and chain-level parallelism (so the two levels
-     * never oversubscribe the machine). 1 forces serial chains even
-     * under the DSE; >= 2 runs chains over a pool of that size.
+     * Worker threads for SA chains (sa.chains). 0 or 1 = serial chains;
+     * >= 2 runs chains over a pool of that size. The DSE driver pins it
+     * to 1: its thread budget goes to candidate tasks, so the two levels
+     * never oversubscribe the machine.
      */
     int saThreads = 0;
 

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/api/results.hh"
 #include "src/api/service.hh"
 #include "src/api/spec.hh"
 #include "src/api/store.hh"
@@ -1025,6 +1026,46 @@ TEST_F(WorkerProtocolTest, ResponsesRoundTripAndRejectUnknownKinds)
                                               &error));
 }
 
+TEST_F(WorkerProtocolTest, EvalRequestRejectsOutOfRangeBudgetsAndRungs)
+{
+    api::WorkerRequest good;
+    good.kind = api::WorkerRequest::Kind::Eval;
+    good.rung = 2;
+    good.iters = 64;
+    good.chains = 1;
+    good.arch = arch::ArchConfig{};
+
+    const auto rejects = [&](api::WorkerRequest rq,
+                             const std::string &field) {
+        api::WorkerRequest back;
+        std::string error;
+        EXPECT_FALSE(api::WorkerRequest::fromText(rq.toText(), back, &error))
+            << field;
+        EXPECT_EQ(error.rfind("request." + field + ": ", 0), 0u) << error;
+    };
+    api::WorkerRequest rq = good;
+    rq.iters = -1;
+    rejects(rq, "iters");
+    rq = good;
+    rq.chains = 0;
+    rejects(rq, "chains");
+    rq = good;
+    rq.rung = -2;
+    rejects(rq, "rung");
+    rq = good;
+    rq.rung = 0; // the screen is stripe-only: no SA budget
+    rejects(rq, "iters");
+    rq = good;
+    rq.rung = -1; // the exhaustive rung starts cold
+    rq.warmStarts.emplace_back();
+    rejects(rq, "warm_starts");
+
+    api::WorkerRequest back;
+    std::string error;
+    EXPECT_TRUE(api::WorkerRequest::fromText(good.toText(), back, &error))
+        << error;
+}
+
 // ------------------------------------------------ supervisor lifecycle ----
 
 /**
@@ -1268,6 +1309,104 @@ TEST_F(RemoteEvalTest, TaskExceptionAbortsRunAndPropagates)
     };
     EXPECT_THROW(dse::runDse(o), std::runtime_error)
         << "non-poison evaluator errors are real errors, not quarantines";
+}
+
+// ------------------------------------------- flat (one-rung) DSE runs ----
+
+/**
+ * The flat exhaustive DSE (schedule disabled): every candidate evaluated
+ * once with the spec's own SA budget, seed and chains, as one
+ * "exhaustive" rung.
+ */
+class FlatRunTest : public CrashResumeTest
+{
+  protected:
+    FlatRunTest() { options_.schedule.enabled = false; }
+
+    /** The result document with its timing fields zeroed. */
+    static std::string
+    untimed(dse::DseResult r)
+    {
+        for (dse::DseRecord &rec : r.records)
+            rec.evalSeconds = 0.0;
+        for (dse::DseRungStats &rs : r.stats.rungs)
+            rs.cpuSeconds = 0.0;
+        return api::dseResultToJson(r).dump();
+    }
+};
+
+TEST_F(FlatRunTest, PreStoppedRunResolvesItsOneRung)
+{
+    common::StopSource source;
+    source.requestStop();
+    options_.stop = source.token();
+    const dse::DseResult r = dse::runDse(options_);
+
+    EXPECT_TRUE(r.stats.cancelled);
+    EXPECT_FALSE(r.stats.truncated);
+    EXPECT_FALSE(r.stats.scheduled);
+    ASSERT_EQ(r.stats.rungs.size(), 1u);
+    EXPECT_EQ(r.stats.rungs[0].name, "exhaustive");
+    EXPECT_EQ(r.stats.rungs[0].entered, static_cast<int>(r.records.size()));
+    EXPECT_EQ(r.bestIndex, -1);
+    ASSERT_FALSE(r.records.empty());
+    for (const dse::DseRecord &rec : r.records) {
+        EXPECT_FALSE(rec.feasible);
+        EXPECT_EQ(rec.rungReached, -1);
+    }
+}
+
+TEST_F(FlatRunTest, BitIdenticalAcrossThreadCountsAndAnExternalPool)
+{
+    // Two chains, so the candidate/chain thread split is exercised too.
+    options_.mapping.sa.chains = 2;
+    options_.threads = 1;
+    const dse::DseResult ref = dse::runDse(options_);
+    ASSERT_GE(ref.bestIndex, 0);
+
+    options_.threads = 4;
+    EXPECT_EQ(untimed(dse::runDse(options_)), untimed(ref));
+
+    ThreadPool pool(3);
+    options_.pool = &pool;
+    EXPECT_EQ(untimed(dse::runDse(options_)), untimed(ref));
+}
+
+TEST_F(FlatRunTest, FinishedRunJournalsOneFinalRecordAndResumes)
+{
+    dse::DseOptions plain = options_;
+    const dse::DseResult ref = dse::runDse(plain);
+
+    options_.journalPath = path("journal");
+    const dse::DseResult journaled = dse::runDse(options_);
+    EXPECT_EQ(untimed(journaled), untimed(ref)) << "journaling is inert";
+
+    const dse::JournalLoadResult loaded =
+        dse::journalLoad(options_.journalPath, options_.journalTag);
+    ASSERT_EQ(loaded.records.size(), 1u);
+    EXPECT_TRUE(loaded.records[0].final);
+    EXPECT_EQ(loaded.droppedTail, 0u);
+
+    options_.resume = true;
+    dse::DseResult resumed = dse::runDse(options_);
+    EXPECT_EQ(resumed.stats.resumedRung, 0) << "replayed, not re-run";
+    resumed.stats.resumedRung = -1;
+    EXPECT_EQ(untimed(resumed), untimed(journaled));
+}
+
+TEST_F(FlatRunTest, TruncatedRunJournalsNoFinalRecord)
+{
+    options_.journalPath = path("journal");
+    options_.deadlineSeconds = 3600.0; // generous — the fault expires it
+    fault::configure("deadline");
+    const dse::DseResult r = dse::runDse(options_);
+    fault::reset();
+
+    EXPECT_TRUE(r.stats.truncated);
+    const dse::JournalLoadResult loaded =
+        dse::journalLoad(options_.journalPath, options_.journalTag);
+    for (const dse::JournalRecord &rec : loaded.records)
+        EXPECT_FALSE(rec.final) << "a truncated run is resumable";
 }
 
 // ---------------------------------------------- real-worker end-to-end ----
