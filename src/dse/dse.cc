@@ -137,12 +137,15 @@ priceRecord(DseRecord &rec, const DseOptions &options)
 /**
  * Shared read-only intra-core memos: candidates that agree on
  * (macsPerCore, glbKiB) — tech and frequency are fixed within one DSE run
- * — search identical tile spaces, so the screen rung pools their Explorer
- * caches. Entries are exact, which keeps results independent of sharing
- * (and therefore of thread scheduling). One pool-wide mutex guards both
- * directions; on many-core hosts with huge memos the seed-side full-map
- * copy can contend — per-key locks or an immutable snapshot handoff are
- * the known next steps if the screen rung ever stops scaling.
+ * — search identical tile spaces, so the scheduled rungs pool their
+ * Explorer caches: the screen seeds from and merges back into the pool,
+ * later rungs only seed. A seed copies the shared memo into a throwaway
+ * engine, so each copy lives for one model evaluation. Entries are exact,
+ * which keeps results independent of sharing (and therefore of thread
+ * scheduling). One pool-wide mutex guards both directions; on many-core
+ * hosts with huge memos the seed-side full-map copy can contend — per-key
+ * locks or an immutable snapshot handoff are the known next steps if the
+ * screen rung ever stops scaling.
  */
 class ExplorerPool
 {
@@ -195,29 +198,39 @@ class ExplorerPool
 };
 
 /**
- * Evaluate every model of `options` cold — partitioner start, then `mo`'s
- * SA — on throwaway engines, appending to rec.perModel. With `explorers`
- * each engine's tile memo is seeded from and merged back into the pool;
- * with `mappings` each model's mapping is kept as a next-rung warm start.
+ * Evaluate every model of `options` with `mo`'s SA budget, filling
+ * rec.perModel and returning each model's mapping. One throwaway engine
+ * per model, destroyed before the next model's is built, keeps memory
+ * flat in the candidate count. Without `warm` each model starts cold from
+ * the partitioner; with it, model m resumes from (*warm)[m]. With
+ * `explorers` each engine's tile memo is seeded from the pool, and a cold
+ * evaluation also merges its memo back.
  */
-void
-evaluateCold(DseRecord &rec, const DseOptions &options,
-             const mapping::MappingOptions &mo, ExplorerPool *explorers,
-             std::vector<mapping::LpMapping> *mappings)
+std::vector<mapping::LpMapping>
+evaluateModels(DseRecord &rec, const DseOptions &options,
+               const mapping::MappingOptions &mo, ExplorerPool *explorers,
+               const std::vector<mapping::LpMapping> *warm)
 {
+    std::vector<mapping::LpMapping> mappings;
+    mappings.reserve(options.models.size());
+    rec.perModel.clear();
     rec.perModel.reserve(options.models.size());
-    for (const dnn::Graph *model : options.models) {
-        mapping::MappingEngine engine(*model, rec.arch, mo);
+    for (std::size_t m = 0; m < options.models.size(); ++m) {
+        mapping::MappingEngine engine(*options.models[m], rec.arch, mo);
         const std::size_t seeded = explorers ? explorers->seed(engine) : 0;
-        mapping::MappingResult res = engine.run();
-        if (explorers)
+        mapping::MappingResult res =
+            warm ? engine.runFrom((*warm)[m]) : engine.run();
+        if (explorers && !warm)
             explorers->collect(engine, seeded);
         rec.perModel.push_back(res.total);
         rec.seededAnalytic = rec.seededAnalytic || res.seededAnalytic;
-        rec.saIters += res.saStats.itersRun; // 0 without SA
-        if (mappings)
-            mappings->push_back(std::move(res.mapping));
+        // Actual executed iterations (all chains; 0 without SA): with
+        // plateau termination this undercuts the budget, and it is still
+        // deterministic for any thread count.
+        rec.saIters += res.saStats.itersRun;
+        mappings.push_back(std::move(res.mapping));
     }
+    return mappings;
 }
 
 /**
@@ -233,16 +246,6 @@ struct Rung
     int chains = 1;
     std::uint64_t seed = 0;
 };
-
-/** Apply one rung's SA budget to engine options. */
-void
-applyBudget(mapping::MappingOptions &mo, const Rung &rung)
-{
-    mo.runSa = rung.iters > 0;
-    mo.sa.iterations = rung.iters;
-    mo.sa.chains = rung.chains;
-    mo.sa.seed = rung.seed;
-}
 
 /**
  * The rung ladder of one run. A schedule is screen -> race rounds ->
@@ -318,7 +321,7 @@ class MultiFidelityScheduler
     {
         const std::size_t n = candidates_.size();
         result_.records.resize(n);
-        states_.resize(n);
+        warmStarts_.resize(n);
 
         const std::size_t n_rungs = ladder_.size();
         cohorts_.assign(n_rungs, {});
@@ -417,12 +420,6 @@ class MultiFidelityScheduler
     }
 
   private:
-    struct CandState
-    {
-        std::vector<std::unique_ptr<mapping::MappingEngine>> engines;
-        std::vector<mapping::LpMapping> mappings; ///< per-model warm starts
-    };
-
     int lastRung() const { return static_cast<int>(ladder_.size()) - 1; }
 
     void
@@ -478,7 +475,7 @@ class MultiFidelityScheduler
         rec.survivors = survivors;
         rec.warmStarts.reserve(survivors.size());
         for (const std::size_t i : survivors)
-            rec.warmStarts.push_back(states_[i].mappings);
+            rec.warmStarts.push_back(warmStarts_[i]);
         std::string jerr;
         if (!journalAppend(opts_.journalPath, rec, &jerr)) {
             GEMINI_WARN("rung journal disabled: ", jerr);
@@ -560,6 +557,17 @@ class MultiFidelityScheduler
                             "match this experiment; starting fresh");
                 return 0;
             }
+            // Spec hashes name model paths, so an edited model file can
+            // leave warm starts that no longer fit its graph.
+            for (std::size_t m = 0; m < opts_.models.size(); ++m) {
+                const std::string err = mapping::checkMappingValid(
+                    *opts_.models[m], candidates_[i], last.warmStarts[k][m]);
+                if (!err.empty()) {
+                    GEMINI_WARN("journal ", path, ": stale warm start (",
+                                err, "); starting fresh");
+                    return 0;
+                }
+            }
         }
 
         // Torn tail gone from memory; make the file agree before our own
@@ -576,23 +584,8 @@ class MultiFidelityScheduler
         const int next = last.rung + 1;
         cohorts_[static_cast<std::size_t>(next)] = last.survivors;
         for (std::size_t k = 0; k < last.survivors.size(); ++k)
-            states_[last.survivors[k]].mappings =
-                std::move(last.warmStarts[k]);
+            warmStarts_[last.survivors[k]] = std::move(last.warmStarts[k]);
         return next;
-    }
-
-    void
-    ensureEngines(std::size_t i)
-    {
-        CandState &st = states_[i];
-        if (!st.engines.empty())
-            return;
-        for (const dnn::Graph *model : opts_.models) {
-            auto engine = std::make_unique<mapping::MappingEngine>(
-                *model, candidates_[i], opts_.mapping);
-            explorers_.seed(*engine); // reuse the screen-warmed tile memo
-            st.engines.push_back(std::move(engine));
-        }
     }
 
     /** Evaluate candidate `i` at rung `r` (one pool task). */
@@ -602,13 +595,13 @@ class MultiFidelityScheduler
         const auto t0 = std::chrono::steady_clock::now();
         const Rung &rung = ladder_[static_cast<std::size_t>(r)];
         const bool cold = r == 0;
-        // Only a rung with a successor keeps warm starts and pools its
-        // tile memos. The exhaustive rung keeps neither: its engines stay
-        // throwaway and unpooled, so its memory stays flat in the
-        // candidate count (pooling its memos cost +15% peak RSS).
+        // Only a rung with a successor keeps warm starts, and only a
+        // scheduled ladder pools tile memos. The exhaustive rung does
+        // neither: its engines stay unpooled, so its memory stays flat in
+        // the candidate count (pooling its memos cost +15% peak RSS).
         const bool feeds = r < lastRung();
+        const bool pooled = ladder_.size() > 1;
         DseRecord &rec = result_.records[i];
-        CandState &st = states_[i];
         if (cold)
             rec.arch = candidates_[i];
         if (opts_.stop.stopRequested() || abortRequested()) {
@@ -626,6 +619,7 @@ class MultiFidelityScheduler
         if (cold)
             priceRecord(rec, opts_);
 
+        std::vector<mapping::LpMapping> mappings;
         if (remote_) {
             RemoteEvalRequest rq;
             rq.index = i;
@@ -634,39 +628,31 @@ class MultiFidelityScheduler
             rq.iters = rung.iters;
             rq.chains = rung.chains;
             rq.seed = rung.seed;
-            rq.warmStarts = cold ? nullptr : &st.mappings;
+            rq.warmStarts = cold ? nullptr : &warmStarts_[i];
             RemoteEvalOutcome out = opts_.remoteEval(rq);
             if (out.poisoned) {
                 markPoisoned(rec, r, std::move(out.poisonReason));
                 finishTask(r, i, secondsSince(t0));
                 return;
             }
-            if (feeds)
-                st.mappings = std::move(out.mappings);
+            mappings = std::move(out.mappings);
             rec.perModel = std::move(out.perModel);
             // The worker protocol does not ship SaStats back, so remote
             // records charge the budgeted (upper-bound) iterations.
             rec.saIters += rung.iters * rung.chains *
                            static_cast<int>(opts_.models.size());
-        } else if (cold) {
-            mapping::MappingOptions mo = opts_.mapping;
-            applyBudget(mo, rung);
-            evaluateCold(rec, opts_, mo, feeds ? &explorers_ : nullptr,
-                         feeds ? &st.mappings : nullptr);
         } else {
-            ensureEngines(i);
-            for (std::size_t m = 0; m < opts_.models.size(); ++m) {
-                mapping::MappingEngine &engine = *st.engines[m];
-                applyBudget(engine.mutableOptions(), rung);
-                mapping::MappingResult res = engine.runFrom(st.mappings[m]);
-                st.mappings[m] = std::move(res.mapping);
-                rec.perModel[m] = res.total;
-                // Actual executed iterations (all chains): with plateau
-                // termination this undercuts the rung budget, and it is
-                // still deterministic for any thread count.
-                rec.saIters += res.saStats.itersRun;
-            }
+            mapping::MappingOptions mo = opts_.mapping;
+            mo.runSa = rung.iters > 0;
+            mo.sa.iterations = rung.iters;
+            mo.sa.chains = rung.chains;
+            mo.sa.seed = rung.seed;
+            mappings = evaluateModels(rec, opts_, mo,
+                                      pooled ? &explorers_ : nullptr,
+                                      cold ? nullptr : &warmStarts_[i]);
         }
+        warmStarts_[i] = feeds ? std::move(mappings)
+                               : std::vector<mapping::LpMapping>{};
         finishRecord(rec, opts_);
         rec.rungReached = rung.id;
         finishTask(r, i, secondsSince(t0));
@@ -751,13 +737,13 @@ class MultiFidelityScheduler
                 if (rec.poisoned) {
                     // Quarantined: never a survivor (and not counted as a
                     // prune — the rung ledger tracks it separately).
-                    states_[i] = CandState{};
+                    warmStarts_[i] = {};
                 } else if (opts_.schedule.lowerBoundPrune &&
                            std::isfinite(best_achievable) &&
                            rec.objectiveLowerBound > best_achievable) {
                     rec.prunedByBound = true;
                     ++rs.prunedBound;
-                    states_[i] = CandState{};
+                    warmStarts_[i] = {};
                 } else {
                     survivors.push_back(i);
                 }
@@ -772,7 +758,7 @@ class MultiFidelityScheduler
             ranked.reserve(members.size());
             for (std::size_t i : members) {
                 if (result_.records[i].poisoned)
-                    states_[i] = CandState{};
+                    warmStarts_[i] = {};
                 else
                     ranked.push_back(i);
             }
@@ -801,7 +787,7 @@ class MultiFidelityScheduler
             std::sort(survivors.begin(), survivors.end());
             for (std::size_t k = keep; k < ranked.size(); ++k) {
                 ++rs.prunedRank;
-                states_[ranked[k]] = CandState{};
+                warmStarts_[ranked[k]] = {};
             }
         }
 
@@ -839,7 +825,8 @@ class MultiFidelityScheduler
     std::vector<arch::ArchConfig> candidates_;
     const std::vector<Rung> ladder_;
     DseResult result_;
-    std::vector<CandState> states_;
+    /// Per candidate, per model: the mappings the next rung starts from.
+    std::vector<std::vector<mapping::LpMapping>> warmStarts_;
     ExplorerPool explorers_;
     const bool remote_; ///< evaluate candidates via opts_.remoteEval
     std::unique_ptr<ThreadPool> ownedPool_; ///< null when opts_.pool set
@@ -888,7 +875,7 @@ evaluateCandidate(const arch::ArchConfig &cfg, const DseOptions &options)
     DseRecord rec;
     rec.arch = cfg;
     priceRecord(rec, options);
-    evaluateCold(rec, options, options.mapping, nullptr, nullptr);
+    evaluateModels(rec, options, options.mapping, nullptr, nullptr);
     finishRecord(rec, options);
     return rec;
 }

@@ -144,6 +144,9 @@ checkGroupValid(const dnn::Graph &graph, const arch::ArchConfig &arch,
         if (group.layers[i] <= group.layers[i - 1])
             return "group layers must be ascending";
     }
+    if (group.layers.front() < 0 ||
+        static_cast<std::size_t>(group.layers.back()) >= graph.size())
+        return "layer id out of range";
 
     std::unordered_set<CoreId> used;
     for (std::size_t i = 0; i < group.layers.size(); ++i) {

@@ -112,9 +112,10 @@ struct MappingResult
 
 /**
  * One engine per (graph, arch) pair. Reusable across runs; the intra-core
- * memoization cache persists, so mapping the same network repeatedly (as
- * the DSE does with different options) gets cheaper. Not thread-safe —
- * DSE workers each construct their own engine.
+ * memoization cache persists, so mapping the same network repeatedly gets
+ * cheaper. The DSE instead builds one throwaway engine per (candidate,
+ * model) evaluation, which keeps its memory flat in the candidate count.
+ * Not thread-safe — DSE tasks each construct their own engine.
  */
 class MappingEngine
 {
@@ -154,10 +155,10 @@ class MappingEngine
 
     /**
      * Mutable access to the run knobs that are safe to retune between
-     * runs (SA budget/seed/chains, runSa). The DSE scheduler raises the
-     * SA budget rung by rung on one persistent engine so the analyzer
-     * and explorer memos stay warm. Objective exponents are re-synced
-     * into the SA options at the start of every run.
+     * runs (SA budget/seed/chains, runSa), so one engine can run a T-Map
+     * and then SA, or a growing budget, with its memos warm. Objective
+     * exponents are re-synced into the SA options at the start of every
+     * run.
      */
     MappingOptions &mutableOptions() { return options_; }
 

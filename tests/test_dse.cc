@@ -11,7 +11,9 @@
 #include <limits>
 #include <set>
 
+#include "src/api/results.hh"
 #include "src/arch/presets.hh"
+#include "src/common/thread_pool.hh"
 #include "src/cost/cost_stack.hh"
 #include "src/dnn/zoo.hh"
 #include "src/dse/candidates.hh"
@@ -243,6 +245,35 @@ TEST_F(SchedulerTest, DeterministicAcrossRunsAndThreadCounts)
         EXPECT_EQ(serial.stats.rungs[r].prunedRank,
                   parallel1.stats.rungs[r].prunedRank);
     }
+}
+
+TEST_F(SchedulerTest, BitIdenticalAcrossThreadCountsAndAnExternalPool)
+{
+    // Two models, so every rung runs its per-model engine loop, and two
+    // polish chains, so the polish rung splits its budget.
+    const dnn::Graph second = dnn::zoo::tinyResidual();
+    options_.models = {&model_, &second};
+    options_.schedule.polishChains = 2;
+    const auto untimed = [](DseResult r) {
+        for (DseRecord &rec : r.records)
+            rec.evalSeconds = 0.0;
+        for (DseRungStats &rs : r.stats.rungs)
+            rs.cpuSeconds = 0.0;
+        return api::dseResultToJson(r).dump();
+    };
+
+    options_.threads = 1;
+    const DseResult ref = runDse(options_);
+    ASSERT_GE(ref.bestIndex, 0);
+    ASSERT_EQ(ref.stats.rungs.size(), 4u);
+    EXPECT_GE(ref.stats.rungs.back().entered, 2) << "polish must run";
+
+    options_.threads = 4;
+    EXPECT_EQ(untimed(runDse(options_)), untimed(ref));
+
+    ThreadPool pool(3);
+    options_.pool = &pool;
+    EXPECT_EQ(untimed(runDse(options_)), untimed(ref));
 }
 
 TEST_F(SchedulerTest, MatchesExhaustiveWinnerWithAndWithoutPruning)

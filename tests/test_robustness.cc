@@ -620,6 +620,41 @@ TEST_F(CrashResumeTest, ForeignJournalIsIgnoredNotTrusted)
     EXPECT_EQ(got.stats.resumedRung, -1);
 }
 
+TEST_F(CrashResumeTest, StaleWarmStartsStartFresh)
+{
+    // Journal a run, then resume its screen record after the model has
+    // changed shape under the same tag (an edited model file): the
+    // journaled warm starts no longer fit, so the run starts fresh.
+    options_.journalPath = path("journal");
+    ASSERT_GE(dse::runDse(options_).bestIndex, 0);
+    std::string screen;
+    {
+        std::ifstream in(options_.journalPath, std::ios::binary);
+        ASSERT_TRUE(std::getline(in, screen));
+    }
+
+    // A grown graph leaves layers unmapped; a shrunk one names layers
+    // that no longer exist.
+    for (const int layers : {5, 2}) {
+        const dnn::Graph edited = dnn::zoo::tinyConvChain(layers);
+        dse::DseOptions fresh = options_;
+        fresh.models = {&edited};
+        fresh.journalPath.clear();
+        const dse::DseResult ref = dse::runDse(fresh);
+
+        dse::DseOptions o = fresh;
+        o.journalPath = path("stale" + std::to_string(layers));
+        {
+            std::ofstream out(o.journalPath, std::ios::binary);
+            out << screen << "\n";
+        }
+        o.resume = true;
+        const dse::DseResult got = dse::runDse(o);
+        EXPECT_EQ(got.stats.resumedRung, -1) << layers << " layers";
+        expectBitIdentical(got, ref);
+    }
+}
+
 TEST_F(CrashResumeTest, JournalAppendFailureDegradesToUnjournaledRun)
 {
     dse::DseOptions plain = options_;

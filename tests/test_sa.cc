@@ -362,8 +362,8 @@ TEST(RunFrom, RetunedBudgetKeepsImproving)
     MappingEngine engine(g, a, opts);
     MappingResult state = engine.run();
 
-    // Doubling rung budgets on one persistent engine, exactly as the DSE
-    // scheduler drives it: each rung must end no worse than it started.
+    // Doubling rung budgets on one persistent engine: each rung must end
+    // no worse than it started.
     double prev_cost = SaEngine::cost(state.groups, opts.beta, opts.gamma);
     for (int iters : {50, 100, 200}) {
         MappingOptions &mo = engine.mutableOptions();
