@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Peak-RSS growth gate for the scheduled DSE.
 
-Runs `gemini run` on a dse_screen-shaped spec (transformer + resnet50,
-scheduled ladder, analytic seed) at a small and at a large candidate
-count, and reads each run's peak RSS (``ru_maxrss`` through
+Runs `gemini run` on the benchmark's dse_screen spec (transformer +
+resnet50, scheduled ladder, analytic seed) at SMALL and at LARGE
+candidates, and reads each run's peak RSS (``ru_maxrss`` through
 ``os.wait4``). The scheduled driver's memory must stay close to flat in
 the candidate count, so the gate fails (exit 1) when
-peak(large) > ratio x peak(small). Both runs use the same thread count,
-so the ratio does not depend on the host.
+peak(LARGE) > RATIO x peak(SMALL). Both runs use THREADS threads, so the
+ratio does not depend on the host.
 
 Usage:
-    dse_rss_check.py [--gemini build/gemini] [--small 48] [--large 192]
-                     [--ratio 1.5] [--threads 4]
+    dse_rss_check.py [--gemini build/gemini]
 """
 
 import argparse
@@ -22,58 +21,56 @@ import sys
 import tempfile
 from pathlib import Path
 
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmark"))
+import run  # noqa: E402
 
-def spec(candidates, threads):
-    return {
-        "schema_version": 1, "name": f"dse_rss_{candidates}", "mode": "dse",
-        "models": [{"zoo": "transformer"}, {"zoo": "resnet50"}],
-        "schedule": {"enabled": True},
-        "max_candidates": candidates, "threads": threads,
-        "mapping": {"max_group_layers": 6, "analytic_seed": True,
-                    "sa": {"iterations": 2048, "plateau_window": 1536,
-                           "seed": 1}},
-    }
+SMALL = 48
+LARGE = 192
+RATIO = 1.5
+THREADS = 4
+TIMEOUT_S = 600  # per run; a hung run is killed and fails the gate
 
 
-def peak_rss_mib(gemini, candidates, threads, work):
+def peak_rss_mib(procs, gemini, candidates, work):
     """Run one DSE to completion; return its peak RSS in MiB."""
     run_dir = Path(work) / str(candidates)
     run_dir.mkdir()
+    spec = run.dse_screen_spec(1, THREADS)
+    spec["max_candidates"] = candidates
     spec_path = run_dir / "spec.json"
-    spec_path.write_text(json.dumps(spec(candidates, threads)))
-    p = subprocess.Popen([gemini, "run", str(spec_path),
-                          "--out", str(run_dir / "out"),
-                          "--store", str(run_dir / "store")],
-                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    err = p.stderr.read()
-    p.stderr.close()
-    _, status, usage = os.wait4(p.pid, 0)
-    p.returncode = code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        sys.exit(f"gemini run ({candidates} candidates) exited {code}:\n"
-                 f"{err.decode(errors='replace')[-2000:]}")
-    return usage.ru_maxrss / 1024.0  # Linux reports KiB
+    spec_path.write_text(json.dumps(spec))
+    with open(run_dir / "stderr.log", "w+b") as err:
+        p = procs.spawn([gemini, "run", spec_path,
+                         "--out", run_dir / "out",
+                         "--store", run_dir / "store"],
+                        stdout=subprocess.DEVNULL, stderr=err)
+        code, usage = procs.reap(p, timeout=TIMEOUT_S)
+        if code != 0:
+            err.seek(0)
+            sys.exit(f"gemini run ({candidates} candidates) exited {code}:\n"
+                     f"{err.read().decode(errors='replace')[-2000:]}")
+    return run.rss_mib(usage)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--gemini", default="build/gemini")
-    ap.add_argument("--small", type=int, default=48)
-    ap.add_argument("--large", type=int, default=192)
-    ap.add_argument("--ratio", type=float, default=1.5)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     if not os.access(args.gemini, os.X_OK):
         sys.exit(f"no gemini binary at {args.gemini}")
-    with tempfile.TemporaryDirectory(prefix="gemini_rss_") as work:
-        small = peak_rss_mib(args.gemini, args.small, args.threads, work)
-        large = peak_rss_mib(args.gemini, args.large, args.threads, work)
+    procs = run.Procs()
+    try:
+        with tempfile.TemporaryDirectory(prefix="gemini_rss_") as work:
+            small = peak_rss_mib(procs, args.gemini, SMALL, work)
+            large = peak_rss_mib(procs, args.gemini, LARGE, work)
+    finally:
+        procs.kill_all()
     ratio = large / small
-    print(f"peak RSS: {small:.1f} MiB at {args.small} candidates, "
-          f"{large:.1f} MiB at {args.large}; ratio {ratio:.2f} "
-          f"(limit {args.ratio:.2f})")
-    if ratio > args.ratio:
+    print(f"peak RSS: {small:.1f} MiB at {SMALL} candidates, "
+          f"{large:.1f} MiB at {LARGE}; ratio {ratio:.2f} (limit {RATIO:.2f})")
+    if ratio > RATIO:
         print("FAIL: scheduled DSE memory grows with the candidate count")
         return 1
     return 0
