@@ -168,7 +168,6 @@ constexpr std::uint64_t kSaSeed = 0x5EEDBA5Eu;
 /** Best-of-K chains at `iters_per_chain` each; returns the best cost. */
 struct SaCacheStats
 {
-    std::uint64_t evalHits = 0, evalMisses = 0;
     std::uint64_t tileHits = 0, tileMisses = 0;
     std::uint64_t flowHits = 0, flowMisses = 0;
 };
@@ -204,8 +203,6 @@ runSaChains(const SaWorkload &w, int chains, int iters_per_chain,
             best = st.finalCost;
     }
     if (cache_stats) {
-        cache_stats->evalHits = an.evalCacheHits();
-        cache_stats->evalMisses = an.evalCacheMisses();
         cache_stats->tileHits = an.tileCacheHits();
         cache_stats->tileMisses = an.tileCacheMisses();
         cache_stats->flowHits = an.flowCacheHits();
@@ -681,7 +678,6 @@ BM_SaThroughputOptimized(benchmark::State &state)
                            /*cache_entries=*/1 << 15, &cs);
     state.SetItemsProcessed(state.iterations() * kSaBudget);
     state.counters["best_cost"] = best;
-    state.counters["eval_hit_rate"] = rateOf(cs.evalHits, cs.evalMisses);
     state.counters["tile_hit_rate"] = rateOf(cs.tileHits, cs.tileMisses);
     state.counters["flow_hit_rate"] = rateOf(cs.flowHits, cs.flowMisses);
 }

@@ -660,6 +660,17 @@ ExperimentSpec::validate() const
         complain("objective: exponents must be finite numbers");
     if (mapping.batch < 1)
         complain("mapping.batch: must be >= 1");
+    for (std::size_t i = 0; i < mapping.batchUnits.size(); ++i) {
+        const std::int64_t unit = mapping.batchUnits[i];
+        const std::string where =
+            "mapping.batch_units[" + std::to_string(i) + "]: ";
+        if (unit < 1)
+            complain(where + "must be >= 1");
+        else if (mapping.batch >= 1 && mapping.batch % unit != 0)
+            complain(where + std::to_string(unit) +
+                     " does not divide mapping.batch (" +
+                     std::to_string(mapping.batch) + ")");
+    }
     if (mapping.sa.iterations < 0)
         complain("mapping.sa.iterations: must be >= 0");
     if (mapping.sa.chains < 1)

@@ -2,7 +2,7 @@
  * @file
  * Open-addressing flat hash table keyed by flattened int64 word spans — the
  * shared memoization substrate of the evaluation pipeline (the Analyzer's
- * four fragment caches and the intra-core Explorer memo).
+ * fragment caches and the intra-core Explorer memo).
  *
  * Design points, all driven by the SA hot loop (millions of probes per
  * run, exact keys, generational wipes):
@@ -250,6 +250,108 @@ class FlatWordTable
 
     std::vector<std::int64_t> arena_; ///< interned key words
     std::deque<Value> values_;        ///< stable value storage
+};
+
+/**
+ * Bounded memo over two FlatWordTable generations, young and old, each
+ * bounded to half the entries. Inserts go to the young generation; a
+ * find() that misses it but hits the old one moves the entry into the
+ * young one. When the young generation fills, the old one is wiped and
+ * the roles swap, so the entries used since the last swap survive a
+ * wipe instead of all going at once. Entries are exact, so eviction
+ * never changes a result, only how often one is recomputed.
+ *
+ * References returned by find()/insertAt() stay valid until the next
+ * makeRoom() or clear(): only those two evict.
+ */
+template <typename Value>
+class FlatWordCache
+{
+  public:
+    using Words = typename FlatWordTable<Value>::Words;
+
+    FlatWordCache()
+    {
+        // makeRoom() bounds a caller's batch of inserts, not each one:
+        // a batch larger than a generation overshoots it.
+        for (FlatWordTable<Value> &g : gens_)
+            g.setGrowable(true);
+    }
+
+    /**
+     * Bound the cache to `entries` live entries in total and pre-size
+     * both generations. Keeps existing entries that fit.
+     */
+    void
+    reserve(std::size_t entries, std::size_t words_per_key)
+    {
+        entries_ = entries;
+        for (FlatWordTable<Value> &g : gens_) {
+            if (g.size() > entries / 2)
+                g.clear();
+            g.reserve(entries / 2, words_per_key);
+        }
+    }
+
+    std::size_t size() const { return gens_[0].size() + gens_[1].size(); }
+
+    void
+    clear()
+    {
+        gens_[0].clear();
+        gens_[1].clear();
+    }
+
+    /**
+     * Make room for up to `inserts` inserts: swap generations now when
+     * the young one cannot take them. Call before a batch of finds and
+     * inserts whose references must stay valid together.
+     */
+    void
+    makeRoom(std::size_t inserts)
+    {
+        if (gens_[young_].size() + inserts <= entries_ / 2)
+            return;
+        young_ ^= 1;
+        gens_[young_].clear();
+    }
+
+    /**
+     * Probe for `key`; on a hit in the old generation, move the entry
+     * into the young one. Returns the value or nullptr; on a miss `slot`
+     * receives the position insertAt() takes.
+     */
+    Value *
+    find(Words key, std::size_t &slot)
+    {
+        FlatWordTable<Value> &young = gens_[young_];
+        if (Value *hit = young.find(key, slot))
+            return hit;
+        // The moved-from value stays behind in the old generation, but
+        // the young copy shadows it until the old generation is wiped.
+        if (Value *hit = gens_[young_ ^ 1].find(key))
+            return &young.insertAt(slot, key, std::move(*hit));
+        return nullptr;
+    }
+
+    /** Insert at the slot a just-failed find() returned. */
+    Value &
+    insertAt(std::size_t slot, Words key, Value value)
+    {
+        return gens_[young_].insertAt(slot, key, std::move(value));
+    }
+
+    /** Buffer-growth events of both generations. */
+    std::uint64_t
+    allocEvents() const
+    {
+        return gens_[0].allocEvents() + gens_[1].allocEvents();
+    }
+
+  private:
+    FlatWordTable<Value> gens_[2];
+    std::size_t young_ = 0;
+    std::size_t entries_ = 0;
 };
 
 } // namespace gemini::common

@@ -473,11 +473,8 @@ class MultiFidelityScheduler
         rec.snapshot.stats = result_.stats;
         rec.snapshot.bestIndex = -1; // no winner until the last rung
         rec.survivors = survivors;
-        rec.warmStarts.reserve(survivors.size());
-        for (const std::size_t i : survivors)
-            rec.warmStarts.push_back(warmStarts_[i]);
         std::string jerr;
-        if (!journalAppend(opts_.journalPath, rec, &jerr)) {
+        if (!journalAppend(opts_.journalPath, rec, warmStarts_, &jerr)) {
             GEMINI_WARN("rung journal disabled: ", jerr);
             journal_ = false; // run on; only resumability is lost
         }

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 // The record payload reuses the API layer's JSON round trips (everything
 // lives in one static library; the dependency is .cc-level only, so there
@@ -36,34 +37,76 @@ hex16(std::uint64_t h)
     return buf;
 }
 
-Value
-recordToJson(const JournalRecord &rec)
+/**
+ * Append the canonical payload of one record to `out`, with survivor k's
+ * warm starts read from `warm_of(k)`. Everything but the warm starts goes
+ * through one Value; the warm starts are spliced into its canonical text
+ * one mapping at a time, so no tree of every survivor's mappings is ever
+ * built. The splice reproduces the canonical form exactly: canonical() is
+ * compact and sorts keys bytewise, and "warm_starts" sorts after every
+ * other key of the record, so it is the last member, right before the
+ * closing brace.
+ */
+template <class WarmOf>
+void
+appendPayload(std::string &out, const JournalRecord &rec,
+              const WarmOf &warm_of)
 {
     Value survivors = Value::array();
     for (const std::size_t i : rec.survivors)
         survivors.push(static_cast<std::int64_t>(i));
-    Value warm = Value::array();
-    for (const std::vector<mapping::LpMapping> &per_model : rec.warmStarts) {
-        Value inner = Value::array();
-        for (const mapping::LpMapping &m : per_model)
-            inner.push(api::lpMappingToJson(m));
-        warm.push(std::move(inner));
-    }
     Value v = Value::object();
     v.set("version", rec.version);
     v.set("tag", hex16(rec.tag)); // hex: 64-bit tags exceed JSON's 2^53
     v.set("rung", rec.rung);
     v.set("rung_name", rec.rungName);
     v.set("final", rec.final);
-    Value snapshot = api::dseResultToJson(rec.snapshot);
     if (std::isfinite(rec.bestSoFar))
         v.set("best_so_far", rec.bestSoFar);
     else
         v.set("best_so_far", Value(nullptr));
-    v.set("snapshot", std::move(snapshot));
+    v.set("snapshot", api::dseResultToJson(rec.snapshot));
     v.set("survivors", std::move(survivors));
-    v.set("warm_starts", std::move(warm));
-    return v;
+
+    out += v.canonical();
+    out.pop_back(); // the record's closing brace
+    out += ",\"warm_starts\":[";
+    for (std::size_t k = 0; k < rec.survivors.size(); ++k) {
+        out += k ? ",[" : "[";
+        const std::vector<mapping::LpMapping> &per_model = warm_of(k);
+        for (std::size_t m = 0; m < per_model.size(); ++m) {
+            if (m)
+                out += ',';
+            out += api::lpMappingToJson(per_model[m]).canonical();
+        }
+        out += ']';
+    }
+    out += "]}";
+}
+
+/**
+ * Serialize one journal line: {"checksum":"<16 hex>","record":<payload>}
+ * plus a newline. The payload is built in place behind a placeholder
+ * checksum, which is filled in once the payload is complete, so the line
+ * holds the only copy of the payload. canonical() is compact (no
+ * whitespace) and escapes control characters inside strings, so one
+ * record is always one line, and the bytes on the wire are exactly the
+ * bytes that were checksummed.
+ */
+template <class WarmOf>
+std::string
+encodeLine(const JournalRecord &rec, const WarmOf &warm_of)
+{
+    constexpr std::string_view kHead =
+        "{\"checksum\":\"0000000000000000\",\"record\":";
+    constexpr std::size_t kChecksumAt = 13;
+    std::string line(kHead);
+    appendPayload(line, rec, warm_of);
+    line.replace(kChecksumAt, 16,
+                 hex16(common::json::fnv1a64(
+                     std::string_view(line).substr(kHead.size()))));
+    line += "}\n";
+    return line;
 }
 
 bool
@@ -142,23 +185,6 @@ recordFromJson(const Value &v, JournalRecord &out, std::string *error)
     return true;
 }
 
-/** Serialize one journal line (checksummed envelope + newline). */
-std::string
-encodeLine(const JournalRecord &rec)
-{
-    // canonical() is compact (no whitespace) and escapes control
-    // characters inside strings, so one record is always one line. The
-    // canonical payload is spliced verbatim into the envelope: the bytes
-    // on the wire are exactly the bytes that were checksummed.
-    const std::string payload = recordToJson(rec).canonical();
-    std::string out = "{\"checksum\":\"";
-    out += hex16(common::json::fnv1a64(payload));
-    out += "\",\"record\":";
-    out += payload;
-    out += "}\n";
-    return out;
-}
-
 /** Parse + verify one journal line; false on any mismatch. */
 bool
 decodeLine(const std::string &line, std::uint64_t tag, JournalRecord &out,
@@ -197,13 +223,11 @@ setIoError(std::string *error, const std::string &what,
         *error = what + " " + path + ": " + std::strerror(err);
 }
 
-} // namespace
-
+/** Append one encoded line and flush it to stable storage. */
 bool
-journalAppend(const std::string &path, const JournalRecord &record,
-              std::string *error)
+appendLine(const std::string &path, const std::string &line,
+           std::string *error)
 {
-    const std::string line = encodeLine(record);
     if (common::fault::shouldFail("journal.append")) {
         setIoError(error, "cannot append to journal", path, ENOSPC);
         return false;
@@ -253,6 +277,32 @@ journalAppend(const std::string &path, const JournalRecord &record,
     std::fclose(f);
     return ok;
 #endif
+}
+
+} // namespace
+
+bool
+journalAppend(const std::string &path, const JournalRecord &record,
+              std::string *error)
+{
+    const auto warm_of = [&](std::size_t k)
+        -> const std::vector<mapping::LpMapping> & {
+        return record.warmStarts.at(k);
+    };
+    return appendLine(path, encodeLine(record, warm_of), error);
+}
+
+bool
+journalAppend(
+    const std::string &path, const JournalRecord &record,
+    const std::vector<std::vector<mapping::LpMapping>> &warmByCandidate,
+    std::string *error)
+{
+    const auto warm_of = [&](std::size_t k)
+        -> const std::vector<mapping::LpMapping> & {
+        return warmByCandidate.at(record.survivors[k]);
+    };
+    return appendLine(path, encodeLine(record, warm_of), error);
 }
 
 JournalLoadResult

@@ -105,6 +105,19 @@ bool journalAppend(const std::string &path, const JournalRecord &record,
                    std::string *error = nullptr);
 
 /**
+ * journalAppend() with the warm starts read from a per-candidate table
+ * instead of `record.warmStarts` (which is ignored): survivor k's
+ * mappings are `warmByCandidate[record.survivors[k]]`. Each mapping is
+ * serialized straight into the line, so a scheduler can journal its
+ * survivors without copying their mappings. The line is byte-identical
+ * to the one journalAppend() writes for the same warm starts.
+ */
+bool journalAppend(
+    const std::string &path, const JournalRecord &record,
+    const std::vector<std::vector<mapping::LpMapping>> &warmByCandidate,
+    std::string *error = nullptr);
+
+/**
  * Read the valid prefix of a journal: records must parse, carry a good
  * checksum, match `tag`, and advance the rung index contiguously from the
  * file's first record. Everything from the first bad line on is reported

@@ -1,7 +1,6 @@
 #include "src/mapping/analyzer.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "src/common/logging.hh"
 #include "src/mapping/kernels.hh"
@@ -10,10 +9,9 @@ namespace gemini::mapping {
 
 namespace {
 
-/** Arena pre-size hints (words per key) for the four cache tables. */
+/** Arena pre-size hints (words per key) for the two cache tables. */
 constexpr std::size_t kTileKeyWords = 8;
 constexpr std::size_t kFlowKeyWords = 24;
-constexpr std::size_t kGroupKeyWords = 32;
 
 } // namespace
 
@@ -25,58 +23,30 @@ Analyzer::Analyzer(const dnn::Graph &graph, const arch::ArchConfig &arch,
 {
     GEMINI_ASSERT(graph.finalized(), "graph must be finalized");
     merge_.reset(static_cast<std::size_t>(noc_.nodeCount()));
-    // One gather may insert a whole group's fragments, which can overshoot
-    // a small configured capacity within the call (the wipe bound is
-    // enforced between calls, as before the flat tables).
-    tileCache_.setGrowable(true);
-    flowCache_.setGrowable(true);
 }
 
 void
 Analyzer::setCacheCapacity(std::size_t entries)
 {
     cacheCapacity_ = entries;
-    // Whole-group results are an order of magnitude bigger than fragments
-    // and revisits of an exact group state are comparatively rare, so the
-    // group cache gets a small slice of the entry budget (cheap wipes) —
-    // never more than the configured capacity itself.
-    const std::size_t group_bound =
-        entries == 0 ? 0
-                     : std::max(entries / 16,
-                                std::min<std::size_t>(entries, 64));
-    if (cache_.size() > group_bound)
-        cache_.clear();
-    if (tileCache_.size() > entries)
-        tileCache_.clear();
-    if (flowCache_.size() > entries)
-        flowCache_.clear();
-    if (evalCache_.size() > entries)
-        evalCache_.clear();
-    cache_.reserve(group_bound, kGroupKeyWords);
     tileCache_.reserve(entries, kTileKeyWords);
     flowCache_.reserve(entries, kFlowKeyWords);
-    evalCache_.reserve(entries, kGroupKeyWords);
 
-    // Hoisted probe buffers: sized once so key construction never
+    // Hoisted probe buffer: sized once so key construction never
     // reallocates mid-walk (growth past this is counted, see
     // cacheAllocEvents).
     const std::size_t probe_words = std::max<std::size_t>(
         1024, 16 * static_cast<std::size_t>(arch_.coreCount()));
-    if (groupProbe_.words.capacity() < probe_words)
-        groupProbe_.words.reserve(probe_words);
     if (fragProbe_.words.capacity() < probe_words)
         fragProbe_.words.reserve(probe_words);
-    groupProbeCap_ = groupProbe_.words.capacity();
     fragProbeCap_ = fragProbe_.words.capacity();
 }
 
 void
 Analyzer::clearCache()
 {
-    cache_.clear();
     tileCache_.clear();
     flowCache_.clear();
-    evalCache_.clear();
     states_.clear();
 }
 
@@ -103,8 +73,7 @@ Analyzer::setResidentStateCapacity(std::size_t states)
 std::uint64_t
 Analyzer::cacheAllocEvents() const
 {
-    return cache_.allocEvents() + tileCache_.allocEvents() +
-           flowCache_.allocEvents() + evalCache_.allocEvents() +
+    return tileCache_.allocEvents() + flowCache_.allocEvents() +
            probeAllocs_;
 }
 
@@ -124,86 +93,56 @@ Analyzer::compilerAllocEvents() const
 }
 
 void
-Analyzer::noteProbeGrowth(const GroupKey &key, std::size_t &watermark) const
+Analyzer::noteProbeGrowth() const
 {
-    if (key.words.capacity() > watermark) {
-        if (watermark != 0)
+    if (fragProbe_.words.capacity() > fragProbeCap_) {
+        if (fragProbeCap_ != 0)
             ++probeAllocs_;
-        watermark = key.words.capacity();
+        fragProbeCap_ = fragProbe_.words.capacity();
     }
-}
-
-const Analyzer::GroupKey &
-Analyzer::makeKey(const LayerGroupMapping &group, std::int64_t batch,
-                  const OfmapDramLookup &ofmap_dram_of) const
-{
-    GroupKey &key = groupProbe_;
-    key.words.clear();
-    key.words.push_back(batch);
-    key.words.push_back(group.batchUnit);
-    key.words.push_back(static_cast<std::int64_t>(group.layers.size()));
-    for (std::size_t li = 0; li < group.layers.size(); ++li) {
-        const LayerId id = group.layers[li];
-        const MappingScheme &ms = group.schemes[li];
-        key.words.push_back(id);
-        key.words.push_back(ms.part.h);
-        key.words.push_back(ms.part.w);
-        key.words.push_back(ms.part.b);
-        key.words.push_back(ms.part.k);
-        key.words.push_back(ms.fd.ifmap);
-        key.words.push_back(ms.fd.weight);
-        key.words.push_back(ms.fd.ofmap);
-        key.words.push_back(static_cast<std::int64_t>(ms.coreGroup.size()));
-        for (CoreId core : ms.coreGroup)
-            key.words.push_back(core);
-        // Cross-group inputs read the DRAM the producer wrote: the
-        // resolved selector is analysis input, so it must be key input.
-        for (LayerId producer : graph_.layer(id).inputs) {
-            if (group.indexOf(producer) < 0) {
-                key.words.push_back(~static_cast<std::int64_t>(producer));
-                key.words.push_back(ofmap_dram_of(producer));
-            }
-        }
-    }
-    noteProbeGrowth(key, groupProbeCap_);
-    return key;
 }
 
 GroupAnalysis
 Analyzer::analyzeGroup(const LayerGroupMapping &group, std::int64_t batch,
                        const OfmapDramLookup &ofmap_dram_of) const
 {
-    if (cacheCapacity_ == 0)
-        return analyzeGroupImpl(group, batch, ofmap_dram_of);
+    GroupAnalysis out;
+    out.dramBytesPerUnit.assign(arch_.dramCount, 0.0);
 
-    const GroupKey &key = makeKey(group, batch, ofmap_dram_of);
-    std::size_t slot = 0;
-    if (const GroupAnalysis *hit = cache_.find(key.words, slot)) {
-        ++cacheHits_;
-        return *hit;
+    gatherFragments(group, batch, ofmap_dram_of, fragScratch_);
+    out.numUnits = fragScratch_.numUnits;
+
+    for (const LayerTiles *tiles : fragScratch_.tiles) {
+        out.coreEnergyPerUnit += tiles->energyPerUnit;
+        out.maxStageSeconds =
+            std::max(out.maxStageSeconds, tiles->stageSeconds);
     }
-    ++cacheMisses_;
-    GroupAnalysis analysis = analyzeGroupImpl(group, batch, ofmap_dram_of);
-    // groupProbe_ survives analyzeGroupImpl (fragments use their own
-    // probe); the miss pays one key copy into the cache.
-    if (cache_.full()) {
-        cache_.clear();
-        ++cacheEvictions_;
-        cache_.insert(groupProbe_.words, analysis);
-    } else {
-        cache_.insertAt(slot, groupProbe_.words, analysis);
+
+    std::size_t total_links = 0;
+    for (const LayerFlows *flows : fragScratch_.flows)
+        total_links += flows->links.size();
+    out.traffic.reserve(total_links);
+    for (const LayerFlows *flows : fragScratch_.flows) {
+        for (const auto &[link, bytes] : flows->links)
+            out.traffic.addLink(link, bytes);
+        for (int d = 0; d < arch_.dramCount; ++d)
+            out.dramBytesPerUnit[d] += flows->dramBytes[d];
+        out.glbOverflow = std::max(out.glbOverflow, flows->glbOverflow);
     }
-    return analysis;
+    out.glbOverflow = std::max(out.glbOverflow, 0.0);
+
+    out.pipelineDepth = pipelineDepthOf(group);
+    return out;
 }
 
 const LayerTiles &
 Analyzer::cachedTiles(const LayerGroupMapping &group, std::size_t li) const
 {
-    GroupKey &key = fragProbe_;
+    FragmentKey &key = fragProbe_;
     key.words.clear();
     TilingStage::appendKey(key, group.layers[li], group.schemes[li],
                            group.batchUnit);
-    noteProbeGrowth(key, fragProbeCap_);
+    noteProbeGrowth();
     std::size_t slot = 0;
     if (LayerTiles *hit = tileCache_.find(key.words, slot)) {
         ++tileHits_;
@@ -223,11 +162,11 @@ Analyzer::cachedFlows(const LayerGroupMapping &group, std::size_t li,
                       std::int64_t batch, std::int64_t num_units,
                       const OfmapDramLookup &ofmap_dram_of) const
 {
-    GroupKey &key = fragProbe_;
+    FragmentKey &key = fragProbe_;
     key.words.clear();
     TrafficCompiler::appendKey(key, graph_, group, li, batch,
                                ofmap_dram_of);
-    noteProbeGrowth(key, fragProbeCap_);
+    noteProbeGrowth();
     std::size_t slot = 0;
     if (LayerFlows *hit = flowCache_.find(key.words, slot)) {
         ++flowHits_;
@@ -259,14 +198,11 @@ Analyzer::gatherFragments(const LayerGroupMapping &group,
     out.localFlows.clear();
 
     // References into the fragment caches stay valid while this call
-    // inserts (deque value storage never moves), but a capacity wipe
-    // mid-call would orphan them — wipe up front if this call could
-    // overflow.
+    // inserts (deque value storage never moves), but an eviction mid-call
+    // would orphan them — make room up front for every insert.
     if (cached) {
-        if (tileCache_.size() + n_layers > cacheCapacity_)
-            tileCache_.clear();
-        if (flowCache_.size() + n_layers > cacheCapacity_)
-            flowCache_.clear();
+        tileCache_.makeRoom(n_layers);
+        flowCache_.makeRoom(n_layers);
     } else {
         out.localTiles.reserve(n_layers);
         out.localFlows.reserve(n_layers);
@@ -312,40 +248,6 @@ Analyzer::pipelineDepthOf(const LayerGroupMapping &group) const
         }
         out = std::max(out, depth[li]);
     }
-    return out;
-}
-
-GroupAnalysis
-Analyzer::analyzeGroupImpl(const LayerGroupMapping &group,
-                           std::int64_t batch,
-                           const OfmapDramLookup &ofmap_dram_of) const
-{
-    GroupAnalysis out;
-    out.dramBytesPerUnit.assign(arch_.dramCount, 0.0);
-
-    gatherFragments(group, batch, ofmap_dram_of, fragScratch_);
-    out.numUnits = fragScratch_.numUnits;
-
-    for (const LayerTiles *tiles : fragScratch_.tiles) {
-        out.coreEnergyPerUnit += tiles->energyPerUnit;
-        out.maxStageSeconds =
-            std::max(out.maxStageSeconds, tiles->stageSeconds);
-    }
-
-    std::size_t total_links = 0;
-    for (const LayerFlows *flows : fragScratch_.flows)
-        total_links += flows->links.size();
-    out.traffic.reserve(total_links);
-    for (const LayerFlows *flows : fragScratch_.flows) {
-        for (const auto &[link, bytes] : flows->links)
-            out.traffic.addLink(link, bytes);
-        for (int d = 0; d < arch_.dramCount; ++d)
-            out.dramBytesPerUnit[d] += flows->dramBytes[d];
-        out.glbOverflow = std::max(out.glbOverflow, flows->glbOverflow);
-    }
-    out.glbOverflow = std::max(out.glbOverflow, 0.0);
-
-    out.pipelineDepth = pipelineDepthOf(group);
     return out;
 }
 
@@ -577,10 +479,8 @@ Analyzer::evaluateGroupDelta(const LayerGroupMapping &group,
                 }
             }
         }
-        if (tileCache_.size() + tile_count > cacheCapacity_)
-            tileCache_.clear();
-        if (flowCache_.size() + changed_.size() > cacheCapacity_)
-            flowCache_.clear();
+        tileCache_.makeRoom(tile_count);
+        flowCache_.makeRoom(changed_.size());
         for (std::size_t li = 0; li < n_layers; ++li)
             if (needTiles_[li])
                 fragScratch_.tiles[li] = &cachedTiles(group, li);
@@ -602,51 +502,14 @@ Analyzer::evaluateGroup(const LayerGroupMapping &group, std::int64_t batch,
                         const OfmapDramLookup &ofmap_dram_of,
                         const cost::CostStack &costs) const
 {
-    const bool cached = cacheCapacity_ > 0;
-    if (cached && delta_ && group.layers.size() >= deltaMinLayers_) {
-        // Delta path: the resident state IS the memo. Diffing schemes
-        // against it costs O(layers) word compares; building and
-        // interning the exact whole-group eval key costs O(layers +
-        // cores) words per call — more than an unchanged-state fold. The
-        // eval memo therefore only serves the full-merge path.
+    // Delta path: the resident state is the memo — diffing schemes
+    // against it costs O(layers) word compares. Everything else re-merges
+    // the cached fragments.
+    if (cacheCapacity_ > 0 && delta_ &&
+        group.layers.size() >= deltaMinLayers_)
         return evaluateGroupDelta(group, batch, ofmap_dram_of, costs);
-    }
-    std::size_t eval_slot = 0;
-    if (cached) {
-        GroupKey &key = groupProbe_;
-        makeKey(group, batch, ofmap_dram_of);
-        // Bind the cost stack: its accessors are linear in bytes, so the
-        // unit coefficients fully characterize its effect here (including
-        // any per-topology term). A caller switching stacks must not hit
-        // the other stack's entry.
-        key.words.push_back(std::bit_cast<std::int64_t>(costs.onChipJ(1.0)));
-        key.words.push_back(std::bit_cast<std::int64_t>(costs.d2dJ(1.0)));
-        key.words.push_back(std::bit_cast<std::int64_t>(costs.dramJ(1.0)));
-        key.words.push_back(
-            std::bit_cast<std::int64_t>(costs.dramStackBps()));
-        noteProbeGrowth(key, groupProbeCap_);
-        if (const eval::EvalBreakdown *hit =
-                evalCache_.find(key.words, eval_slot)) {
-            ++evalHits_;
-            return *hit;
-        }
-        ++evalMisses_;
-    }
-
-    const eval::EvalBreakdown r =
-        evaluateGroupFullMerge(group, batch, ofmap_dram_of, costs);
-
-    if (cached) {
-        // The group probe still holds this call's key: fragment gathering
-        // and the delta machinery only touch the fragment probe.
-        if (evalCache_.full()) {
-            evalCache_.clear();
-            evalCache_.insert(groupProbe_.words, r);
-        } else {
-            evalCache_.insertAt(eval_slot, groupProbe_.words, r);
-        }
-    }
-    return r;
+    ++fullMerges_;
+    return evaluateGroupFullMerge(group, batch, ofmap_dram_of, costs);
 }
 
 eval::EvalBreakdown

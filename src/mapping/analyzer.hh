@@ -64,9 +64,9 @@ struct GroupAnalysis
 /**
  * Stateless-per-call analyzer bound to one (graph, arch) pair. The
  * intra-core explorer it holds memoizes tile costs across calls, and the
- * analyzer itself optionally memoizes whole-group analyses (see
- * setCacheCapacity), which together make the SA loop cheap. Not
- * thread-safe: every SA chain / DSE worker owns its own analyzer.
+ * analyzer itself memoizes per-layer fragments (see setCacheCapacity),
+ * which together make the SA loop cheap. Not thread-safe: every SA chain
+ * / DSE worker owns its own analyzer.
  */
 class Analyzer
 {
@@ -106,31 +106,26 @@ class Analyzer
     const noc::InterconnectModel &noc() const { return noc_; }
 
     /**
-     * Bound each memoization cache to `entries` results (0 disables all
-     * caching). Three exact-keyed caches accelerate analyzeGroup:
+     * Bound each fragment cache to `entries` results (0 disables all
+     * caching). Two exact-keyed per-layer caches feed every evaluation:
      *
-     *  - the group cache memoizes whole GroupAnalysis results, keyed by
-     *    the complete analysis input (layers, batch unit, every scheme's
-     *    Part/CG/FD, the batch, and the resolved DRAM of every
-     *    out-of-group producer);
-     *  - the per-layer tile cache memoizes partitioned workload regions
-     *    and their intra-core cost, keyed by (layer, Part, batch unit) —
-     *    core placement does not change tile shapes;
-     *  - the per-layer flow cache memoizes one layer's complete traffic
-     *    fragment (inbound activations, weight loads, ofmap stores, DRAM
-     *    bytes, GLB pressure), keyed by the layer's scheme plus the
-     *    schemes of its in-group producers and the resolved DRAMs of its
+     *  - the tile cache memoizes partitioned workload regions and their
+     *    intra-core cost, keyed by (layer, Part, batch unit) — core
+     *    placement does not change tile shapes;
+     *  - the flow cache memoizes one layer's complete traffic fragment
+     *    (inbound activations, weight loads, ofmap stores, DRAM bytes,
+     *    GLB pressure), keyed by the layer's scheme plus the schemes of
+     *    its in-group producers and the resolved DRAMs of its
      *    out-of-group producers.
      *
      * An SA move that perturbs one layer therefore re-derives only that
      * layer's fragment and the fragments of its in-group consumers; the
      * rest of the group assembles from cache. Keys are compared in full,
-     * so a hit is exact by construction. When a bound is reached the
-     * cache in question is wiped wholesale (generational eviction,
-     * mirroring intracore::Explorer's tile cache philosophy of cheap
-     * bookkeeping over LRU precision). All four caches are open-addressing
-     * flat tables (common/flat_table.hh): probing is allocation-free and
-     * every buffer is pre-sized here.
+     * so a hit is exact by construction. Each cache is a young/old pair
+     * of open-addressing flat tables (common::FlatWordCache): when the
+     * young half fills, the old half is wiped, so the working set in use
+     * survives — cheap bookkeeping over LRU precision. Probing is
+     * allocation-free and every buffer is pre-sized here.
      */
     void setCacheCapacity(std::size_t entries);
     std::size_t cacheCapacity() const { return cacheCapacity_; }
@@ -159,21 +154,19 @@ class Analyzer
     /** Bound on resident group states (LRU beyond it). */
     void setResidentStateCapacity(std::size_t states);
 
-    /** Group-cache statistics (benchmarks and tests). */
-    std::size_t cacheSize() const { return cache_.size(); }
-    std::uint64_t cacheHits() const { return cacheHits_; }
-    std::uint64_t cacheMisses() const { return cacheMisses_; }
-    std::uint64_t cacheEvictions() const { return cacheEvictions_; }
-
     /** Per-layer fragment cache statistics. */
     std::uint64_t tileCacheHits() const { return tileHits_; }
     std::uint64_t tileCacheMisses() const { return tileMisses_; }
     std::uint64_t flowCacheHits() const { return flowHits_; }
     std::uint64_t flowCacheMisses() const { return flowMisses_; }
 
-    /** evaluateGroup memo statistics. */
-    std::uint64_t evalCacheHits() const { return evalHits_; }
-    std::uint64_t evalCacheMisses() const { return evalMisses_; }
+    /**
+     * Former whole-group eval memo statistics, still read by the
+     * benchmark probe. There is no eval memo: hits is always 0 and misses
+     * counts evaluateGroup calls that took the full merge.
+     */
+    std::uint64_t evalCacheHits() const { return 0; }
+    std::uint64_t evalCacheMisses() const { return fullMerges_; }
 
     /** Delta-evaluation statistics. */
     std::uint64_t deltaApplies() const { return deltaApplies_; }
@@ -181,8 +174,8 @@ class Analyzer
     std::uint64_t deltaChangedLayers() const { return deltaChanged_; }
 
     /**
-     * Buffer-growth events across the four cache tables and the hoisted
-     * key probes since construction. Zero in steady state: probing,
+     * Buffer-growth events across the two cache tables and the hoisted
+     * key probe since construction. Zero in steady state: probing,
      * key construction and bounded insertion never allocate once
      * setCacheCapacity has pre-sized everything.
      */
@@ -211,13 +204,6 @@ class Analyzer
     }
 
   private:
-    using GroupKey = FragmentKey;
-
-    /** Build the group cache key into groupProbe_ and return it. */
-    const GroupKey &makeKey(const LayerGroupMapping &group,
-                            std::int64_t batch,
-                            const OfmapDramLookup &ofmap_dram_of) const;
-
     /**
      * Resolved per-layer fragments of one group (pointers into the caches
      * or into the local_* stores when caching is off). Valid until the
@@ -250,11 +236,6 @@ class Analyzer
 
     int pipelineDepthOf(const LayerGroupMapping &group) const;
 
-    GroupAnalysis analyzeGroupImpl(const LayerGroupMapping &group,
-                                   std::int64_t batch,
-                                   const OfmapDramLookup &ofmap_dram_of)
-        const;
-
     /** Shared tail of the fused paths: price a folded link/scalar state. */
     eval::EvalBreakdown assembleBreakdown(
         int pipeline_depth, double core_energy, double max_stage,
@@ -285,7 +266,7 @@ class Analyzer
         const;
 
     /** Note a probe-buffer growth (allocation accounting). */
-    void noteProbeGrowth(const GroupKey &key, std::size_t &watermark) const;
+    void noteProbeGrowth() const;
 
     const dnn::Graph &graph_;
     arch::ArchConfig arch_;
@@ -300,10 +281,8 @@ class Analyzer
     std::size_t deltaMinLayers_ = 40;
     std::size_t stateCapacity_ = 12;
 
-    mutable common::FlatWordTable<GroupAnalysis> cache_;
-    mutable common::FlatWordTable<LayerTiles> tileCache_;
-    mutable common::FlatWordTable<LayerFlows> flowCache_;
-    mutable common::FlatWordTable<eval::EvalBreakdown> evalCache_;
+    mutable common::FlatWordCache<LayerTiles> tileCache_;
+    mutable common::FlatWordCache<LayerFlows> flowCache_;
     mutable FragmentSet fragScratch_;
 
     /** Resident per-group delta states (LRU by lastUse). */
@@ -318,14 +297,10 @@ class Analyzer
     mutable std::vector<std::int64_t> membershipProbe_;
 
     /**
-     * Reusable probe keys: lookups build the key in place (no allocation
-     * in steady state); only a miss pays a copy into the cache. Separate
-     * probes because the group probe is alive across analyzeGroupImpl,
-     * which reuses the fragment probe per layer.
+     * Reusable probe key: lookups build the key in place (no allocation
+     * in steady state); only a miss pays a copy into the cache.
      */
-    mutable GroupKey groupProbe_;
-    mutable GroupKey fragProbe_;
-    mutable std::size_t groupProbeCap_ = 0;
+    mutable FragmentKey fragProbe_;
     mutable std::size_t fragProbeCap_ = 0;
     mutable std::uint64_t probeAllocs_ = 0;
 
@@ -334,15 +309,11 @@ class Analyzer
     /** Packed (bytes, kind) of the drained merge, for the SIMD max. */
     mutable std::vector<double> linkBytes_;
     mutable std::vector<std::uint8_t> linkKinds_;
-    mutable std::uint64_t cacheHits_ = 0;
-    mutable std::uint64_t cacheMisses_ = 0;
-    mutable std::uint64_t cacheEvictions_ = 0;
     mutable std::uint64_t tileHits_ = 0;
     mutable std::uint64_t tileMisses_ = 0;
     mutable std::uint64_t flowHits_ = 0;
     mutable std::uint64_t flowMisses_ = 0;
-    mutable std::uint64_t evalHits_ = 0;
-    mutable std::uint64_t evalMisses_ = 0;
+    mutable std::uint64_t fullMerges_ = 0;
     mutable std::uint64_t deltaApplies_ = 0;
     mutable std::uint64_t deltaRebuilds_ = 0;
     mutable std::uint64_t deltaChanged_ = 0;

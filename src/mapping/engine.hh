@@ -51,10 +51,12 @@ struct MappingOptions
     int saThreads = 0;
 
     /**
-     * Entry bound of the analyzer's group-analysis memoization cache
-     * (0 disables it). Every SA chain gets its own cache of this size.
+     * Entry bound of each of the analyzer's two fragment caches, tile and
+     * flow (0 disables both). Every SA chain gets its own caches of this
+     * size. Eviction never changes a result, only how often a fragment
+     * is recomputed.
      */
-    std::size_t analyzerCacheEntries = 4096;
+    std::size_t analyzerCacheEntries = 2048;
 
     /**
      * Delta-evaluate SA proposals against resident per-group states

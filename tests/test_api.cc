@@ -174,6 +174,31 @@ TEST(Spec, ValidateReportsActionableSemanticErrors)
     EXPECT_NE(preset.find("g_arch_72"), std::string::npos) << preset;
 }
 
+TEST(Spec, BatchUnitsMustBePositiveDivisorsOfTheBatch)
+{
+    // Each of these used to validate and then crash `gemini run`: a zero
+    // unit divides by zero, a negative one fails the partition chunking
+    // and a non-divisor fails the analyzer's batch-unit check.
+    ExperimentSpec spec = tinyDseSpec();
+    spec.mapping.batch = 64;
+    const std::vector<std::pair<std::int64_t, std::string>> bad = {
+        {0, "mapping.batch_units[1]: must be >= 1"},
+        {-2, "mapping.batch_units[1]: must be >= 1"},
+        {3, "mapping.batch_units[1]: 3 does not divide mapping.batch (64)"},
+        {128,
+         "mapping.batch_units[1]: 128 does not divide mapping.batch (64)"},
+    };
+    for (const auto &[unit, message] : bad) {
+        spec.mapping.batchUnits = {4, unit};
+        EXPECT_EQ(spec.validate(), message) << unit;
+        std::string error;
+        EXPECT_FALSE(resolveExperiment(spec, &error).has_value()) << unit;
+        EXPECT_EQ(error, message);
+    }
+    spec.mapping.batchUnits = {1, 4, 64};
+    EXPECT_EQ(spec.validate(), "");
+}
+
 TEST(Spec, RejectsOutOfRangeIntegers)
 {
     // Out-of-range double-to-int casts are UB; both scalar and list

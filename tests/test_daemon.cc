@@ -427,6 +427,18 @@ TEST_F(DaemonTest, ErrorPathsSpeakJson)
     EXPECT_EQ(r->status, 400);
     expectJsonError(*r);
 
+    // A spec that validates structurally but would crash the run (a
+    // batch unit that does not divide the batch) is refused up front.
+    ExperimentSpec bad_units = quickSpec("units");
+    bad_units.mapping.batchUnits = {3};
+    r = stack.client->request("POST", "/v1/jobs?tenant=alice",
+                              bad_units.toJson().dump(), &error);
+    ASSERT_TRUE(r.has_value()) << error;
+    EXPECT_EQ(r->status, 400);
+    expectJsonError(*r);
+    EXPECT_NE(r->body.find("mapping.batch_units[0]"), std::string::npos)
+        << r->body;
+
     // A queued (paused) job has no result yet: 409 with guidance.
     int status = 0;
     json::Value admitted = stack.submit(quickSpec("pending"), "alice",

@@ -3,7 +3,8 @@
  * Unit tests of the shared open-addressing flat table behind the analyzer
  * fragment caches and the intra-core memo: exact retrieval under forced
  * collisions, generational wipe isolation, key-interning determinism,
- * reference stability, growth, and allocation-free steady state.
+ * reference stability, growth, and allocation-free steady state; and of
+ * the young/old cache the analyzer builds from two tables.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "src/common/flat_table.hh"
 
+using gemini::common::FlatWordCache;
 using gemini::common::FlatWordTable;
 using gemini::common::hashWords;
 
@@ -179,6 +181,70 @@ TEST(FlatWordTable, HashMatchesFragmentKeyFnv)
         h *= 0x100000001B3ull;
     }
     EXPECT_EQ(hashWords(k), h);
+}
+
+/** find-or-insert through a FlatWordCache; counts misses. */
+int
+lookup(FlatWordCache<int> &c, std::int64_t k, int &misses)
+{
+    std::size_t slot = 0;
+    if (int *hit = c.find(key({k}), slot))
+        return *hit;
+    ++misses;
+    return c.insertAt(slot, key({k}), static_cast<int>(k) * 10);
+}
+
+TEST(FlatWordCache, WorkingSetSurvivesAGenerationSwap)
+{
+    FlatWordCache<int> c;
+    c.reserve(8, 1); // two generations of 4
+    int misses = 0;
+    for (std::int64_t k = 0; k < 4; ++k) {
+        c.makeRoom(1);
+        EXPECT_EQ(lookup(c, k, misses), k * 10);
+    }
+    EXPECT_EQ(misses, 4);
+    EXPECT_EQ(c.size(), 4u);
+
+    // The young generation is full: the next batch swaps. Everything
+    // stays findable, and hits in the old generation move to the young.
+    c.makeRoom(1);
+    EXPECT_EQ(lookup(c, 4, misses), 40);
+    EXPECT_EQ(lookup(c, 0, misses), 0);
+    EXPECT_EQ(lookup(c, 1, misses), 10);
+    EXPECT_EQ(misses, 5);
+    EXPECT_EQ(lookup(c, 0, misses), 0); // now a young hit
+    EXPECT_EQ(misses, 5);
+
+    // The next swap wipes the old generation: 2 and 3 were not used
+    // since the last swap and go; 0, 1 and 4 survive.
+    c.makeRoom(2);
+    EXPECT_EQ(lookup(c, 0, misses), 0);
+    EXPECT_EQ(lookup(c, 4, misses), 40);
+    EXPECT_EQ(misses, 5);
+    c.makeRoom(1);
+    EXPECT_EQ(lookup(c, 2, misses), 20);
+    EXPECT_EQ(misses, 6);
+}
+
+TEST(FlatWordCache, BatchLargerThanAGenerationOvershoots)
+{
+    FlatWordCache<int> c;
+    c.reserve(4, 1);
+    c.makeRoom(5);
+    std::vector<const int *> held;
+    int misses = 0;
+    for (std::int64_t k = 0; k < 5; ++k) {
+        std::size_t slot = 0;
+        ASSERT_EQ(c.find(key({k}), slot), nullptr);
+        held.push_back(&c.insertAt(slot, key({k}), static_cast<int>(k)));
+    }
+    for (std::int64_t k = 0; k < 5; ++k)
+        EXPECT_EQ(*held[static_cast<std::size_t>(k)], k); // still valid
+    EXPECT_EQ(lookup(c, 3, misses), 3);
+    EXPECT_EQ(misses, 0);
+    c.clear();
+    EXPECT_EQ(c.size(), 0u);
 }
 
 } // namespace

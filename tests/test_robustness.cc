@@ -14,9 +14,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -495,6 +497,233 @@ TEST_F(RungJournalTest, InjectedAppendFailureReportsAndLeavesFileClean)
     EXPECT_FALSE(error.empty());
     fault::reset();
     EXPECT_EQ(dse::journalLoad(p, 7).records.size(), 1u);
+}
+
+// ------------------------------------------------ journal wire bytes ----
+
+/** A small hand-built warm start, distinct per (survivor, model). */
+mapping::LpMapping
+pinnedMapping(int survivor, int model)
+{
+    mapping::LpMapping m;
+    m.batch = 4;
+    mapping::LayerGroupMapping g;
+    g.batchUnit = 2;
+    g.layers = {0, 1};
+    mapping::MappingScheme a;
+    a.part = {.h = 1, .w = 1, .b = 1, .k = 2};
+    a.coreGroup = {0, 1};
+    a.fd = {1, 0, -1};
+    mapping::MappingScheme b;
+    b.part = {.h = 2, .w = 1, .b = 1, .k = 1};
+    b.coreGroup = {static_cast<CoreId>(2 + survivor),
+                   static_cast<CoreId>(4 + model)};
+    b.fd = {-1, 1, static_cast<DramSel>(survivor + model)};
+    g.schemes = {a, b};
+    m.groups.push_back(g);
+    mapping::LayerGroupMapping tail;
+    tail.batchUnit = 4;
+    tail.layers = {2};
+    mapping::MappingScheme c;
+    c.coreGroup = {7};
+    c.fd = {-1, 0, 1};
+    tail.schemes = {c};
+    m.groups.push_back(tail);
+    return m;
+}
+
+/**
+ * A fixed rung record: 3 candidates, 2 survivors x 2 models of warm
+ * starts, a non-finite best_so_far and escaped characters in a string.
+ */
+dse::JournalRecord
+pinnedRecord()
+{
+    dse::JournalRecord rec;
+    rec.tag = 0xfedcba9876543210ull;
+    rec.rung = 1;
+    rec.rungName = "race1";
+    rec.bestSoFar = std::numeric_limits<double>::infinity();
+    rec.snapshot.records.resize(3);
+    for (std::size_t i = 0; i < 3; ++i) {
+        dse::DseRecord &r = rec.snapshot.records[i];
+        r.objective = 0.1 * static_cast<double>(i + 1);
+        r.objectiveLowerBound = r.objective / 3.0;
+        r.rungReached = i == 1 ? 0 : 1;
+        r.prunedByBound = i == 1;
+        r.perModel.resize(2);
+        r.perModel[0].delay = 1e-3 * static_cast<double>(i + 1);
+    }
+    rec.snapshot.records[1].poisoned = true;
+    rec.snapshot.records[1].poisonReason = "killed\tby \"watchdog\"";
+    rec.snapshot.stats.scheduled = true;
+    rec.snapshot.stats.rungs.resize(3);
+    rec.snapshot.stats.rungs[0].name = "screen";
+    rec.snapshot.stats.rungs[0].entered = 3;
+    rec.snapshot.stats.rungs[0].advanced = 2;
+    rec.snapshot.stats.rungs[1].name = "race1";
+    rec.snapshot.stats.rungs[2].name = "polish";
+    rec.survivors = {0, 2};
+    for (int s = 0; s < 2; ++s)
+        rec.warmStarts.push_back({pinnedMapping(s, 0), pinnedMapping(s, 1)});
+    return rec;
+}
+
+/**
+ * The line a version-1 writer produced for pinnedRecord() (serialized
+ * through one whole-record JSON tree). The streaming writer must
+ * reproduce it byte for byte, and resume must keep reading it.
+ */
+const std::string kPinnedLine =
+    "{\"checksum\":\"a8eeddd47454fc48\",\"record\":{\"best_so_far\":null,\"fi"
+    "nal\":false,\"rung\":1,\"rung_name\":\"race1\",\"snapshot\":{\"best_inde"
+    "x\":-1,\"records\":[{\"arch\":{\"d2d_gbps\":16,\"dram_count\":2,\"dram_g"
+    "bps\":144,\"freq_ghz\":1,\"glb_kib\":2048,\"macs_per_core\":1024,\"name"
+    "\":\"custom\",\"noc_gbps\":32,\"topology\":\"mesh\",\"x_cores\":6,\"x_cu"
+    "t\":1,\"y_cores\":6,\"y_cut\":1},\"bound_compute_s\":0,\"bound_dram_s\":"
+    "0,\"bound_noc_s\":0,\"bound_refetch_bytes\":0,\"delay_geo_s\":0,\"energy"
+    "_geo_j\":0,\"eval_seconds\":0,\"feasible\":true,\"mc\":{\"compute_die_ar"
+    "ea_mm2\":0,\"compute_die_yield\":1,\"compute_silicon\":0,\"d2d_area_frac"
+    "tion\":0,\"dram\":0,\"io_silicon\":0,\"package\":0,\"total\":0,\"total_s"
+    "ilicon_area_mm2\":0},\"objective\":0.1,\"objective_lower_bound\":0.03333"
+    "333333333333,\"per_model\":[{\"d2d_hop_bytes\":0,\"d2d_j\":0,\"delay_s\""
+    ":0.001,\"dram_bytes\":0,\"dram_j\":0,\"glb_overflow\":0,\"hop_bytes\":0,"
+    "\"intra_tile_j\":0,\"noc_j\":0},{\"d2d_hop_bytes\":0,\"d2d_j\":0,\"delay"
+    "_s\":0,\"dram_bytes\":0,\"dram_j\":0,\"glb_overflow\":0,\"hop_bytes\":0,"
+    "\"intra_tile_j\":0,\"noc_j\":0}],\"poison_reason\":\"\",\"poisoned\":fal"
+    "se,\"pruned_by_bound\":false,\"rung_reached\":1,\"sa_iters\":0,\"seeded_"
+    "analytic\":false},{\"arch\":{\"d2d_gbps\":16,\"dram_count\":2,\"dram_gbp"
+    "s\":144,\"freq_ghz\":1,\"glb_kib\":2048,\"macs_per_core\":1024,\"name\":"
+    "\"custom\",\"noc_gbps\":32,\"topology\":\"mesh\",\"x_cores\":6,\"x_cut\""
+    ":1,\"y_cores\":6,\"y_cut\":1},\"bound_compute_s\":0,\"bound_dram_s\":0,"
+    "\"bound_noc_s\":0,\"bound_refetch_bytes\":0,\"delay_geo_s\":0,\"energy_g"
+    "eo_j\":0,\"eval_seconds\":0,\"feasible\":true,\"mc\":{\"compute_die_area"
+    "_mm2\":0,\"compute_die_yield\":1,\"compute_silicon\":0,\"d2d_area_fracti"
+    "on\":0,\"dram\":0,\"io_silicon\":0,\"package\":0,\"total\":0,\"total_sil"
+    "icon_area_mm2\":0},\"objective\":0.2,\"objective_lower_bound\":0.0666666"
+    "6666666667,\"per_model\":[{\"d2d_hop_bytes\":0,\"d2d_j\":0,\"delay_s\":0"
+    ".002,\"dram_bytes\":0,\"dram_j\":0,\"glb_overflow\":0,\"hop_bytes\":0,\""
+    "intra_tile_j\":0,\"noc_j\":0},{\"d2d_hop_bytes\":0,\"d2d_j\":0,\"delay_s"
+    "\":0,\"dram_bytes\":0,\"dram_j\":0,\"glb_overflow\":0,\"hop_bytes\":0,\""
+    "intra_tile_j\":0,\"noc_j\":0}],\"poison_reason\":\"killed\\tby \\\"watch"
+    "dog\\\"\",\"poisoned\":true,\"pruned_by_bound\":true,\"rung_reached\":0,"
+    "\"sa_iters\":0,\"seeded_analytic\":false},{\"arch\":{\"d2d_gbps\":16,\"d"
+    "ram_count\":2,\"dram_gbps\":144,\"freq_ghz\":1,\"glb_kib\":2048,\"macs_p"
+    "er_core\":1024,\"name\":\"custom\",\"noc_gbps\":32,\"topology\":\"mesh\""
+    ",\"x_cores\":6,\"x_cut\":1,\"y_cores\":6,\"y_cut\":1},\"bound_compute_s"
+    "\":0,\"bound_dram_s\":0,\"bound_noc_s\":0,\"bound_refetch_bytes\":0,\"de"
+    "lay_geo_s\":0,\"energy_geo_j\":0,\"eval_seconds\":0,\"feasible\":true,\""
+    "mc\":{\"compute_die_area_mm2\":0,\"compute_die_yield\":1,\"compute_silic"
+    "on\":0,\"d2d_area_fraction\":0,\"dram\":0,\"io_silicon\":0,\"package\":0"
+    ",\"total\":0,\"total_silicon_area_mm2\":0},\"objective\":0.3000000000000"
+    "0004,\"objective_lower_bound\":0.10000000000000002,\"per_model\":[{\"d2d"
+    "_hop_bytes\":0,\"d2d_j\":0,\"delay_s\":0.003,\"dram_bytes\":0,\"dram_j\""
+    ":0,\"glb_overflow\":0,\"hop_bytes\":0,\"intra_tile_j\":0,\"noc_j\":0},{"
+    "\"d2d_hop_bytes\":0,\"d2d_j\":0,\"delay_s\":0,\"dram_bytes\":0,\"dram_j"
+    "\":0,\"glb_overflow\":0,\"hop_bytes\":0,\"intra_tile_j\":0,\"noc_j\":0}]"
+    ",\"poison_reason\":\"\",\"poisoned\":false,\"pruned_by_bound\":false,\"r"
+    "ung_reached\":1,\"sa_iters\":0,\"seeded_analytic\":false}],\"stats\":{\""
+    "cancelled\":false,\"resumed_rung\":-1,\"rungs\":[{\"advanced\":2,\"best_"
+    "objective\":0,\"cpu_seconds\":0,\"entered\":3,\"name\":\"screen\",\"pois"
+    "oned\":0,\"pruned_bound\":0,\"pruned_rank\":0,\"sa_iters\":0},{\"advance"
+    "d\":0,\"best_objective\":0,\"cpu_seconds\":0,\"entered\":0,\"name\":\"ra"
+    "ce1\",\"poisoned\":0,\"pruned_bound\":0,\"pruned_rank\":0,\"sa_iters\":0"
+    "},{\"advanced\":0,\"best_objective\":0,\"cpu_seconds\":0,\"entered\":0,"
+    "\"name\":\"polish\",\"poisoned\":0,\"pruned_bound\":0,\"pruned_rank\":0,"
+    "\"sa_iters\":0}],\"scheduled\":true,\"truncated\":false}},\"survivors\":"
+    "[0,2],\"tag\":\"fedcba9876543210\",\"version\":1,\"warm_starts\":[[{\"ba"
+    "tch\":4,\"groups\":[{\"batch_unit\":2,\"layers\":[0,1],\"schemes\":[{\"c"
+    "ore_group\":[0,1],\"flow\":{\"ifmap\":1,\"ofmap\":-1,\"weight\":0},\"par"
+    "tition\":{\"b\":1,\"h\":1,\"k\":2,\"w\":1}},{\"core_group\":[2,4],\"flow"
+    "\":{\"ifmap\":-1,\"ofmap\":0,\"weight\":1},\"partition\":{\"b\":1,\"h\":"
+    "2,\"k\":1,\"w\":1}}]},{\"batch_unit\":4,\"layers\":[2],\"schemes\":[{\"c"
+    "ore_group\":[7],\"flow\":{\"ifmap\":-1,\"ofmap\":1,\"weight\":0},\"parti"
+    "tion\":{\"b\":1,\"h\":1,\"k\":1,\"w\":1}}]}]},{\"batch\":4,\"groups\":[{"
+    "\"batch_unit\":2,\"layers\":[0,1],\"schemes\":[{\"core_group\":[0,1],\"f"
+    "low\":{\"ifmap\":1,\"ofmap\":-1,\"weight\":0},\"partition\":{\"b\":1,\"h"
+    "\":1,\"k\":2,\"w\":1}},{\"core_group\":[2,5],\"flow\":{\"ifmap\":-1,\"of"
+    "map\":1,\"weight\":1},\"partition\":{\"b\":1,\"h\":2,\"k\":1,\"w\":1}}]}"
+    ",{\"batch_unit\":4,\"layers\":[2],\"schemes\":[{\"core_group\":[7],\"flo"
+    "w\":{\"ifmap\":-1,\"ofmap\":1,\"weight\":0},\"partition\":{\"b\":1,\"h\""
+    ":1,\"k\":1,\"w\":1}}]}]}],[{\"batch\":4,\"groups\":[{\"batch_unit\":2,\""
+    "layers\":[0,1],\"schemes\":[{\"core_group\":[0,1],\"flow\":{\"ifmap\":1,"
+    "\"ofmap\":-1,\"weight\":0},\"partition\":{\"b\":1,\"h\":1,\"k\":2,\"w\":"
+    "1}},{\"core_group\":[3,4],\"flow\":{\"ifmap\":-1,\"ofmap\":1,\"weight\":"
+    "1},\"partition\":{\"b\":1,\"h\":2,\"k\":1,\"w\":1}}]},{\"batch_unit\":4,"
+    "\"layers\":[2],\"schemes\":[{\"core_group\":[7],\"flow\":{\"ifmap\":-1,"
+    "\"ofmap\":1,\"weight\":0},\"partition\":{\"b\":1,\"h\":1,\"k\":1,\"w\":1"
+    "}}]}]},{\"batch\":4,\"groups\":[{\"batch_unit\":2,\"layers\":[0,1],\"sch"
+    "emes\":[{\"core_group\":[0,1],\"flow\":{\"ifmap\":1,\"ofmap\":-1,\"weigh"
+    "t\":0},\"partition\":{\"b\":1,\"h\":1,\"k\":2,\"w\":1}},{\"core_group\":"
+    "[3,5],\"flow\":{\"ifmap\":-1,\"ofmap\":2,\"weight\":1},\"partition\":{\""
+    "b\":1,\"h\":2,\"k\":1,\"w\":1}}]},{\"batch_unit\":4,\"layers\":[2],\"sch"
+    "emes\":[{\"core_group\":[7],\"flow\":{\"ifmap\":-1,\"ofmap\":1,\"weight"
+    "\":0},\"partition\":{\"b\":1,\"h\":1,\"k\":1,\"w\":1}}]}]}]]}}"
+    "\n";
+
+std::string
+mappingsText(const std::vector<mapping::LpMapping> &ms)
+{
+    std::string out;
+    for (const mapping::LpMapping &m : ms)
+        out += api::lpMappingToJson(m).canonical() + "\n";
+    return out;
+}
+
+TEST_F(RungJournalTest, StreamedLineIsByteIdenticalToVersion1)
+{
+    const dse::JournalRecord rec = pinnedRecord();
+    const std::string p = path("j");
+    ASSERT_TRUE(dse::journalAppend(p, rec));
+    EXPECT_EQ(slurp(p), kPinnedLine);
+
+    // The scheduler's form: warm starts streamed from a per-candidate
+    // table (candidate 1 was not promoted).
+    const std::vector<std::vector<mapping::LpMapping>> by_candidate = {
+        rec.warmStarts[0], {}, rec.warmStarts[1]};
+    const std::string q = path("k");
+    ASSERT_TRUE(dse::journalAppend(q, rec, by_candidate));
+    EXPECT_EQ(slurp(q), kPinnedLine);
+}
+
+TEST_F(RungJournalTest, Version1LineLoadsAndResumesAppending)
+{
+    const std::string p = path("j");
+    {
+        std::ofstream out(p, std::ios::binary);
+        out << kPinnedLine;
+    }
+    const dse::JournalRecord want = pinnedRecord();
+    dse::JournalLoadResult loaded = dse::journalLoad(p, want.tag);
+    ASSERT_EQ(loaded.records.size(), 1u) << loaded.error;
+    EXPECT_EQ(loaded.droppedTail, 0);
+    EXPECT_EQ(loaded.validBytes, kPinnedLine.size());
+    const dse::JournalRecord &got = loaded.records[0];
+    EXPECT_EQ(got.rung, 1);
+    EXPECT_EQ(got.rungName, "race1");
+    EXPECT_TRUE(std::isinf(got.bestSoFar));
+    EXPECT_EQ(got.survivors, want.survivors);
+    ASSERT_EQ(got.snapshot.records.size(), 3u);
+    EXPECT_EQ(got.snapshot.records[1].poisonReason,
+              want.snapshot.records[1].poisonReason);
+    ASSERT_EQ(got.warmStarts.size(), 2u);
+    for (std::size_t k = 0; k < 2; ++k)
+        EXPECT_EQ(mappingsText(got.warmStarts[k]),
+                  mappingsText(want.warmStarts[k]));
+
+    // Re-encoding the decoded record gives the same bytes, and the next
+    // rung appends onto the old line as one contiguous journal.
+    const std::string q = path("k");
+    ASSERT_TRUE(dse::journalAppend(q, got));
+    EXPECT_EQ(slurp(q), kPinnedLine);
+    dse::JournalRecord next = want;
+    next.rung = 2;
+    next.rungName = "polish";
+    ASSERT_TRUE(dse::journalAppend(p, next));
+    loaded = dse::journalLoad(p, want.tag);
+    ASSERT_EQ(loaded.records.size(), 2u);
+    EXPECT_EQ(loaded.records[1].rung, 2);
+    EXPECT_EQ(loaded.droppedTail, 0);
 }
 
 // ----------------------------------------------- crash-resume matrix ----
