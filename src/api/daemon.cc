@@ -1,11 +1,10 @@
 #include "src/api/daemon.hh"
 
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <vector>
 
+#include "src/api/results.hh"
 #include "src/common/json.hh"
 
 namespace gemini::api {
@@ -13,14 +12,6 @@ namespace gemini::api {
 using common::json::Value;
 
 namespace {
-
-std::string
-hashHex(std::uint64_t h)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
-    return buf;
-}
 
 net::HttpResponse
 errorResponse(int status, const std::string &message)
@@ -58,7 +49,7 @@ jobInfoToJson(const JobInfo &info)
 {
     Value v = Value::object();
     v.set("id", info.id);
-    v.set("spec_hash", hashHex(info.specHash));
+    v.set("spec_hash", common::json::hex64(info.specHash));
     v.set("tenant", info.tenant);
     v.set("name", info.name);
     v.set("priority", info.priority);
@@ -94,35 +85,12 @@ eventToJson(const JobEvent &event)
     v.set("advanced", event.event.advanced);
     v.set("pruned_bound", event.event.prunedBound);
     v.set("pruned_rank", event.event.prunedRank);
-    // Infinity is not JSON; "none" mirrors setExtended in results.cc.
+    // Infinity is not JSON: the event stream spells it "none".
     if (event.event.bestObjective ==
         std::numeric_limits<double>::infinity())
         v.set("best_objective", "none");
     else
         v.set("best_objective", event.event.bestObjective);
-    return v;
-}
-
-/** The DseStats ledger for status payloads (flags + rung table). */
-Value
-statsToJson(const dse::DseStats &stats)
-{
-    Value rungs = Value::array();
-    for (const auto &rs : stats.rungs) {
-        Value r = Value::object();
-        r.set("name", rs.name);
-        r.set("entered", rs.entered);
-        r.set("advanced", rs.advanced);
-        r.set("pruned_bound", rs.prunedBound);
-        r.set("pruned_rank", rs.prunedRank);
-        rungs.push(std::move(r));
-    }
-    Value v = Value::object();
-    v.set("scheduled", stats.scheduled);
-    v.set("cancelled", stats.cancelled);
-    v.set("truncated", stats.truncated);
-    v.set("resumed_rung", stats.resumedRung);
-    v.set("rungs", std::move(rungs));
     return v;
 }
 
@@ -349,7 +317,7 @@ Daemon::handleStatus(const std::string &id, net::ResponseWriter &w)
         scheduler_.result(id);
     v.set("result_ready", result != nullptr);
     if (result && result->spec.mode == ExperimentSpec::Mode::Dse)
-        v.set("stats", statsToJson(result->dse.stats));
+        v.set("stats", writeJson(result->dse.stats));
     w.send(net::jsonResponse(200, v.dump()));
 }
 

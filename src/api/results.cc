@@ -1,625 +1,288 @@
 #include "src/api/results.hh"
 
-#include <cmath>
 #include <utility>
-
-#include "src/api/json_reader.hh"
 
 namespace gemini::api {
 
 using common::json::Value;
 
-namespace {
+// ---- field lists ----------------------------------------------------------
 
-/** Write a possibly-infinite number (null = infinity on the wire). */
+template <class Io>
 void
-setExtended(Value &obj, const char *key, double d)
+describe(Io &io, arch::ArchConfig &x)
 {
-    if (std::isfinite(d))
-        obj.set(key, d);
-    else
-        obj.set(key, Value(nullptr));
+    io.field("name", x.name);
+    io.field("x_cores", x.xCores);
+    io.field("y_cores", x.yCores);
+    io.field("x_cut", x.xCut);
+    io.field("y_cut", x.yCut);
+    io.named("topology", x.topology, "topology", arch::kTopologyNames);
+    io.field("noc_gbps", x.nocBwGBps);
+    io.field("d2d_gbps", x.d2dBwGBps);
+    io.field("dram_gbps", x.dramBwGBps);
+    io.field("dram_count", x.dramCount);
+    io.field("macs_per_core", x.macsPerCore);
+    io.field("glb_kib", x.glbKiB);
+    io.field("freq_ghz", x.freqGHz);
 }
 
-} // namespace
+template <class Io>
+void
+describe(Io &io, eval::EvalBreakdown &x)
+{
+    io.field("delay_s", x.delay);
+    io.field("intra_tile_j", x.intraTileEnergy);
+    io.field("noc_j", x.nocEnergy);
+    io.field("d2d_j", x.d2dEnergy);
+    io.field("dram_j", x.dramEnergy);
+    io.field("dram_bytes", x.dramBytes);
+    io.field("hop_bytes", x.hopBytes);
+    io.field("d2d_hop_bytes", x.d2dHopBytes);
+    io.field("glb_overflow", x.glbOverflow);
+}
 
-// ---- ArchConfig -----------------------------------------------------------
+template <class Io>
+void
+describe(Io &io, cost::CostBreakdown &x)
+{
+    io.field("compute_silicon", x.computeSilicon);
+    io.field("io_silicon", x.ioSilicon);
+    io.field("dram", x.dram);
+    io.field("package", x.package);
+    io.field("compute_die_area_mm2", x.computeDieAreaMm2);
+    io.field("total_silicon_area_mm2", x.totalSiliconAreaMm2);
+    io.field("compute_die_yield", x.computeDieYield);
+    io.field("d2d_area_fraction", x.d2dAreaFraction);
+    io.derived("total", x.total());
+}
+
+template <class Io>
+void
+describe(Io &io, mapping::Partition &x)
+{
+    io.field("h", x.h);
+    io.field("w", x.w);
+    io.field("b", x.b);
+    io.field("k", x.k);
+}
+
+template <class Io>
+void
+describe(Io &io, mapping::FlowOfData &x)
+{
+    io.field("ifmap", x.ifmap);
+    io.field("weight", x.weight);
+    io.field("ofmap", x.ofmap);
+}
+
+template <class Io>
+void
+describe(Io &io, mapping::MappingScheme &x)
+{
+    io.required("partition", x.part);
+    io.field("core_group", x.coreGroup);
+    io.required("flow", x.fd);
+}
+
+template <class Io>
+void
+describe(Io &io, mapping::LayerGroupMapping &x)
+{
+    io.field("layers", x.layers);
+    io.field("batch_unit", x.batchUnit);
+    io.required("schemes", x.schemes);
+    io.check(x.schemes.size() == x.layers.size(), "",
+             "schemes and layers must be parallel arrays");
+}
+
+template <class Io>
+void
+describe(Io &io, mapping::LpMapping &x)
+{
+    io.field("batch", x.batch);
+    io.required("groups", x.groups);
+}
+
+template <class Io>
+void
+describe(Io &io, mapping::SaStats &x)
+{
+    io.field("proposed", x.proposed);
+    io.field("inapplicable", x.inapplicable);
+    io.field("accepted", x.accepted);
+    io.field("improved", x.improved);
+    io.field("initial_cost", x.initialCost);
+    io.field("final_cost", x.finalCost);
+    io.field("chains", x.chains);
+    io.field("best_chain", x.bestChain);
+    io.field("iters_run", x.itersRun);
+    io.field("best_iteration", x.bestIteration);
+}
+
+template <class Io>
+void
+describe(Io &io, mapping::MappingResult &x)
+{
+    io.required("mapping", x.mapping);
+    io.field("groups", x.groups);
+    io.field("total", x.total);
+    io.field("sa_stats", x.saStats);
+}
+
+template <class Io>
+void
+describe(Io &io, dse::DseRecord &x)
+{
+    io.required("arch", x.arch);
+    io.field("mc", x.mc);
+    io.field("delay_geo_s", x.delayGeo);
+    io.field("energy_geo_j", x.energyGeo);
+    io.extended("objective", x.objective);
+    io.field("feasible", x.feasible);
+    io.field("per_model", x.perModel);
+    io.extended("objective_lower_bound", x.objectiveLowerBound);
+    io.field("rung_reached", x.rungReached);
+    io.field("pruned_by_bound", x.prunedByBound);
+    io.field("poisoned", x.poisoned);
+    io.field("poison_reason", x.poisonReason);
+    io.field("sa_iters", x.saIters);
+    io.field("eval_seconds", x.evalSeconds);
+    io.field("bound_compute_s", x.boundComputeSeconds);
+    io.field("bound_dram_s", x.boundDramSeconds);
+    io.field("bound_noc_s", x.boundNocSeconds);
+    io.field("bound_refetch_bytes", x.boundRefetchBytes);
+    io.field("seeded_analytic", x.seededAnalytic);
+}
+
+template <class Io>
+void
+describe(Io &io, dse::DseRungStats &x)
+{
+    io.field("name", x.name);
+    io.field("entered", x.entered);
+    io.field("advanced", x.advanced);
+    io.field("pruned_bound", x.prunedBound);
+    io.field("pruned_rank", x.prunedRank);
+    io.field("poisoned", x.poisoned);
+    io.field("sa_iters", x.saIters);
+    io.field("cpu_seconds", x.cpuSeconds);
+    io.extended("best_objective", x.bestObjective);
+}
+
+template <class Io>
+void
+describe(Io &io, dse::DseStats &x)
+{
+    io.field("scheduled", x.scheduled);
+    io.field("cancelled", x.cancelled);
+    io.field("truncated", x.truncated);
+    io.field("resumed_rung", x.resumedRung);
+    io.field("rungs", x.rungs);
+}
+
+template <class Io>
+void
+describe(Io &io, dse::DseResult &x)
+{
+    io.required("records", x.records);
+    io.field("best_index", x.bestIndex);
+    io.field("stats", x.stats);
+    io.check(x.bestIndex < static_cast<int>(x.records.size()), "best_index",
+             "out of range for " + std::to_string(x.records.size()) +
+                 " records");
+}
+
+#define GEMINI_WIRE_INSTANTIATE(T)                                           \
+    template void describe(ObjectReader &, T &);                             \
+    template void describe(ObjectWriter &, T &);
+GEMINI_WIRE_INSTANTIATE(arch::ArchConfig)
+GEMINI_WIRE_INSTANTIATE(eval::EvalBreakdown)
+GEMINI_WIRE_INSTANTIATE(cost::CostBreakdown)
+GEMINI_WIRE_INSTANTIATE(mapping::LpMapping)
+GEMINI_WIRE_INSTANTIATE(mapping::MappingResult)
+GEMINI_WIRE_INSTANTIATE(dse::DseStats)
+GEMINI_WIRE_INSTANTIATE(dse::DseResult)
+#undef GEMINI_WIRE_INSTANTIATE
+
+// ---- public round trips ---------------------------------------------------
 
 Value
 archConfigToJson(const arch::ArchConfig &cfg)
 {
-    Value v = Value::object();
-    v.set("name", cfg.name);
-    v.set("x_cores", cfg.xCores);
-    v.set("y_cores", cfg.yCores);
-    v.set("x_cut", cfg.xCut);
-    v.set("y_cut", cfg.yCut);
-    v.set("topology", arch::topologyName(cfg.topology));
-    v.set("noc_gbps", cfg.nocBwGBps);
-    v.set("d2d_gbps", cfg.d2dBwGBps);
-    v.set("dram_gbps", cfg.dramBwGBps);
-    v.set("dram_count", cfg.dramCount);
-    v.set("macs_per_core", cfg.macsPerCore);
-    v.set("glb_kib", cfg.glbKiB);
-    v.set("freq_ghz", cfg.freqGHz);
-    return v;
+    return writeJson(cfg);
 }
 
 bool
 archConfigFromJson(const Value &v, const std::string &path,
                    arch::ArchConfig &out, std::string *error)
 {
-    ObjectReader r(v, path, error);
-    arch::ArchConfig cfg;
-    r.getString("name", cfg.name);
-    r.getInt("x_cores", cfg.xCores);
-    r.getInt("y_cores", cfg.yCores);
-    r.getInt("x_cut", cfg.xCut);
-    r.getInt("y_cut", cfg.yCut);
-    std::string topology = arch::topologyName(cfg.topology);
-    r.getString("topology", topology);
-    if (r.ok() && !arch::topologyFromName(topology, cfg.topology)) {
-        if (error && error->empty()) {
-            std::string valid;
-            for (const arch::Topology t : arch::kAllTopologies) {
-                if (!valid.empty())
-                    valid += ", ";
-                valid += arch::topologyName(t);
-            }
-            *error = path + ".topology: unknown topology \"" + topology +
-                     "\" (valid: " + valid + ")";
-        }
-        return false;
-    }
-    r.getDouble("noc_gbps", cfg.nocBwGBps);
-    r.getDouble("d2d_gbps", cfg.d2dBwGBps);
-    r.getDouble("dram_gbps", cfg.dramBwGBps);
-    r.getInt("dram_count", cfg.dramCount);
-    r.getInt("macs_per_core", cfg.macsPerCore);
-    r.getInt("glb_kib", cfg.glbKiB);
-    r.getDouble("freq_ghz", cfg.freqGHz);
-    if (!r.finish())
-        return false;
-    out = cfg;
-    return true;
+    return readJson(v, path, out, error);
 }
-
-// ---- EvalBreakdown --------------------------------------------------------
 
 Value
 evalBreakdownToJson(const eval::EvalBreakdown &b)
 {
-    Value v = Value::object();
-    v.set("delay_s", b.delay);
-    v.set("intra_tile_j", b.intraTileEnergy);
-    v.set("noc_j", b.nocEnergy);
-    v.set("d2d_j", b.d2dEnergy);
-    v.set("dram_j", b.dramEnergy);
-    v.set("dram_bytes", b.dramBytes);
-    v.set("hop_bytes", b.hopBytes);
-    v.set("d2d_hop_bytes", b.d2dHopBytes);
-    v.set("glb_overflow", b.glbOverflow);
-    return v;
+    return writeJson(b);
 }
 
 bool
 evalBreakdownFromJson(const Value &v, const std::string &path,
                       eval::EvalBreakdown &out, std::string *error)
 {
-    ObjectReader r(v, path, error);
-    eval::EvalBreakdown b;
-    r.getDouble("delay_s", b.delay);
-    r.getDouble("intra_tile_j", b.intraTileEnergy);
-    r.getDouble("noc_j", b.nocEnergy);
-    r.getDouble("d2d_j", b.d2dEnergy);
-    r.getDouble("dram_j", b.dramEnergy);
-    r.getDouble("dram_bytes", b.dramBytes);
-    r.getDouble("hop_bytes", b.hopBytes);
-    r.getDouble("d2d_hop_bytes", b.d2dHopBytes);
-    r.getDouble("glb_overflow", b.glbOverflow);
-    if (!r.finish())
-        return false;
-    out = b;
-    return true;
+    return readJson(v, path, out, error);
 }
-
-// ---- CostBreakdown --------------------------------------------------------
 
 Value
 costBreakdownToJson(const cost::CostBreakdown &b)
 {
-    Value v = Value::object();
-    v.set("compute_silicon", b.computeSilicon);
-    v.set("io_silicon", b.ioSilicon);
-    v.set("dram", b.dram);
-    v.set("package", b.package);
-    v.set("compute_die_area_mm2", b.computeDieAreaMm2);
-    v.set("total_silicon_area_mm2", b.totalSiliconAreaMm2);
-    v.set("compute_die_yield", b.computeDieYield);
-    v.set("d2d_area_fraction", b.d2dAreaFraction);
-    v.set("total", b.total()); // derived, for readers; ignored on parse
-    return v;
+    return writeJson(b);
 }
 
 bool
 costBreakdownFromJson(const Value &v, const std::string &path,
                       cost::CostBreakdown &out, std::string *error)
 {
-    ObjectReader r(v, path, error);
-    cost::CostBreakdown b;
-    r.getDouble("compute_silicon", b.computeSilicon);
-    r.getDouble("io_silicon", b.ioSilicon);
-    r.getDouble("dram", b.dram);
-    r.getDouble("package", b.package);
-    r.getDouble("compute_die_area_mm2", b.computeDieAreaMm2);
-    r.getDouble("total_silicon_area_mm2", b.totalSiliconAreaMm2);
-    r.getDouble("compute_die_yield", b.computeDieYield);
-    r.getDouble("d2d_area_fraction", b.d2dAreaFraction);
-    double ignored_total = 0.0;
-    r.getDouble("total", ignored_total);
-    if (!r.finish())
-        return false;
-    out = b;
-    return true;
+    return readJson(v, path, out, error);
 }
-
-// ---- LpMapping ------------------------------------------------------------
-
-namespace {
-
-Value
-schemeToJson(const mapping::MappingScheme &s)
-{
-    Value part = Value::object();
-    part.set("h", s.part.h);
-    part.set("w", s.part.w);
-    part.set("b", s.part.b);
-    part.set("k", s.part.k);
-
-    Value cores = Value::array();
-    for (const CoreId c : s.coreGroup)
-        cores.push(static_cast<std::int64_t>(c));
-
-    Value fd = Value::object();
-    fd.set("ifmap", static_cast<std::int64_t>(s.fd.ifmap));
-    fd.set("weight", static_cast<std::int64_t>(s.fd.weight));
-    fd.set("ofmap", static_cast<std::int64_t>(s.fd.ofmap));
-
-    Value v = Value::object();
-    v.set("partition", std::move(part));
-    v.set("core_group", std::move(cores));
-    v.set("flow", std::move(fd));
-    return v;
-}
-
-bool
-schemeFromJson(const Value &v, const std::string &path,
-               mapping::MappingScheme &out, std::string *error)
-{
-    ObjectReader r(v, path, error);
-    mapping::MappingScheme s;
-    if (const Value *part = r.require("partition")) {
-        ObjectReader pr(*part, path + ".partition", error);
-        pr.getInt("h", s.part.h);
-        pr.getInt("w", s.part.w);
-        pr.getInt("b", s.part.b);
-        pr.getInt("k", s.part.k);
-        if (!pr.finish())
-            return false;
-    }
-    r.getIntList("core_group", s.coreGroup);
-    if (const Value *fd = r.require("flow")) {
-        ObjectReader fr(*fd, path + ".flow", error);
-        fr.getInt("ifmap", s.fd.ifmap);
-        fr.getInt("weight", s.fd.weight);
-        fr.getInt("ofmap", s.fd.ofmap);
-        if (!fr.finish())
-            return false;
-    }
-    if (!r.finish())
-        return false;
-    out = std::move(s);
-    return true;
-}
-
-} // namespace
 
 Value
 lpMappingToJson(const mapping::LpMapping &m)
 {
-    Value groups = Value::array();
-    for (const mapping::LayerGroupMapping &g : m.groups) {
-        Value layers = Value::array();
-        for (const LayerId l : g.layers)
-            layers.push(static_cast<std::int64_t>(l));
-        Value schemes = Value::array();
-        for (const mapping::MappingScheme &s : g.schemes)
-            schemes.push(schemeToJson(s));
-        Value gv = Value::object();
-        gv.set("layers", std::move(layers));
-        gv.set("batch_unit", g.batchUnit);
-        gv.set("schemes", std::move(schemes));
-        groups.push(std::move(gv));
-    }
-    Value v = Value::object();
-    v.set("batch", m.batch);
-    v.set("groups", std::move(groups));
-    return v;
+    return writeJson(m);
 }
 
 bool
 lpMappingFromJson(const Value &v, const std::string &path,
                   mapping::LpMapping &out, std::string *error)
 {
-    ObjectReader r(v, path, error);
-    mapping::LpMapping m;
-    r.getInt("batch", m.batch);
-    if (const Value *groups = r.require("groups")) {
-        if (!groups->isArray()) {
-            if (error && error->empty())
-                *error = path + ".groups: expected an array";
-            return false;
-        }
-        std::size_t gi = 0;
-        for (const Value &gv : groups->asArray()) {
-            const std::string gpath =
-                path + ".groups[" + std::to_string(gi) + "]";
-            ObjectReader gr(gv, gpath, error);
-            mapping::LayerGroupMapping group;
-            gr.getIntList("layers", group.layers);
-            gr.getInt("batch_unit", group.batchUnit);
-            if (const Value *schemes = gr.require("schemes")) {
-                if (!schemes->isArray()) {
-                    if (error && error->empty())
-                        *error = gpath + ".schemes: expected an array";
-                    return false;
-                }
-                std::size_t si = 0;
-                for (const Value &sv : schemes->asArray()) {
-                    mapping::MappingScheme s;
-                    if (!schemeFromJson(sv,
-                                        gpath + ".schemes[" +
-                                            std::to_string(si) + "]",
-                                        s, error))
-                        return false;
-                    group.schemes.push_back(std::move(s));
-                    ++si;
-                }
-            }
-            if (!gr.finish())
-                return false;
-            if (group.schemes.size() != group.layers.size()) {
-                if (error && error->empty())
-                    *error = gpath + ": schemes and layers must be "
-                                     "parallel arrays";
-                return false;
-            }
-            m.groups.push_back(std::move(group));
-            ++gi;
-        }
-    }
-    if (!r.finish())
-        return false;
-    out = std::move(m);
-    return true;
+    return readJson(v, path, out, error);
 }
-
-// ---- MappingResult --------------------------------------------------------
-
-namespace {
-
-Value
-saStatsToJson(const mapping::SaStats &s)
-{
-    Value v = Value::object();
-    v.set("proposed", s.proposed);
-    v.set("inapplicable", s.inapplicable);
-    v.set("accepted", s.accepted);
-    v.set("improved", s.improved);
-    v.set("initial_cost", s.initialCost);
-    v.set("final_cost", s.finalCost);
-    v.set("chains", s.chains);
-    v.set("best_chain", s.bestChain);
-    v.set("iters_run", s.itersRun);
-    v.set("best_iteration", s.bestIteration);
-    return v;
-}
-
-bool
-saStatsFromJson(const Value &v, const std::string &path,
-                mapping::SaStats &out, std::string *error)
-{
-    ObjectReader r(v, path, error);
-    mapping::SaStats s;
-    r.getInt("proposed", s.proposed);
-    r.getInt("inapplicable", s.inapplicable);
-    r.getInt("accepted", s.accepted);
-    r.getInt("improved", s.improved);
-    r.getDouble("initial_cost", s.initialCost);
-    r.getDouble("final_cost", s.finalCost);
-    r.getInt("chains", s.chains);
-    r.getInt("best_chain", s.bestChain);
-    // Optional keys (absent in pre-plateau files): defaults hold.
-    r.getInt("iters_run", s.itersRun);
-    r.getInt("best_iteration", s.bestIteration);
-    if (!r.finish())
-        return false;
-    out = s;
-    return true;
-}
-
-} // namespace
 
 Value
 mappingResultToJson(const mapping::MappingResult &r)
 {
-    Value groups = Value::array();
-    for (const eval::EvalBreakdown &g : r.groups)
-        groups.push(evalBreakdownToJson(g));
-    Value v = Value::object();
-    v.set("mapping", lpMappingToJson(r.mapping));
-    v.set("groups", std::move(groups));
-    v.set("total", evalBreakdownToJson(r.total));
-    v.set("sa_stats", saStatsToJson(r.saStats));
-    return v;
+    return writeJson(r);
 }
 
 bool
 mappingResultFromJson(const Value &v, const std::string &path,
                       mapping::MappingResult &out, std::string *error)
 {
-    ObjectReader r(v, path, error);
-    mapping::MappingResult result;
-    if (const Value *m = r.require("mapping")) {
-        if (!lpMappingFromJson(*m, path + ".mapping", result.mapping,
-                               error))
-            return false;
-    }
-    if (const Value *groups = r.child("groups")) {
-        if (!groups->isArray()) {
-            if (error && error->empty())
-                *error = path + ".groups: expected an array";
-            return false;
-        }
-        std::size_t i = 0;
-        for (const Value &gv : groups->asArray()) {
-            eval::EvalBreakdown b;
-            if (!evalBreakdownFromJson(
-                    gv, path + ".groups[" + std::to_string(i) + "]", b,
-                    error))
-                return false;
-            result.groups.push_back(b);
-            ++i;
-        }
-    }
-    if (const Value *total = r.child("total")) {
-        if (!evalBreakdownFromJson(*total, path + ".total", result.total,
-                                   error))
-            return false;
-    }
-    if (const Value *stats = r.child("sa_stats")) {
-        if (!saStatsFromJson(*stats, path + ".sa_stats", result.saStats,
-                             error))
-            return false;
-    }
-    if (!r.finish())
-        return false;
-    out = std::move(result);
-    return true;
+    return readJson(v, path, out, error);
 }
-
-// ---- DseResult ------------------------------------------------------------
-
-namespace {
-
-Value
-dseRecordToJson(const dse::DseRecord &rec)
-{
-    Value per_model = Value::array();
-    for (const eval::EvalBreakdown &b : rec.perModel)
-        per_model.push(evalBreakdownToJson(b));
-    Value v = Value::object();
-    v.set("arch", archConfigToJson(rec.arch));
-    v.set("mc", costBreakdownToJson(rec.mc));
-    v.set("delay_geo_s", rec.delayGeo);
-    v.set("energy_geo_j", rec.energyGeo);
-    setExtended(v, "objective", rec.objective);
-    v.set("feasible", rec.feasible);
-    v.set("per_model", std::move(per_model));
-    setExtended(v, "objective_lower_bound", rec.objectiveLowerBound);
-    v.set("rung_reached", rec.rungReached);
-    v.set("pruned_by_bound", rec.prunedByBound);
-    v.set("poisoned", rec.poisoned);
-    v.set("poison_reason", rec.poisonReason);
-    v.set("sa_iters", rec.saIters);
-    v.set("eval_seconds", rec.evalSeconds);
-    v.set("bound_compute_s", rec.boundComputeSeconds);
-    v.set("bound_dram_s", rec.boundDramSeconds);
-    v.set("bound_noc_s", rec.boundNocSeconds);
-    v.set("bound_refetch_bytes", rec.boundRefetchBytes);
-    v.set("seeded_analytic", rec.seededAnalytic);
-    return v;
-}
-
-bool
-dseRecordFromJson(const Value &v, const std::string &path,
-                  dse::DseRecord &out, std::string *error)
-{
-    ObjectReader r(v, path, error);
-    dse::DseRecord rec;
-    if (const Value *archv = r.require("arch")) {
-        if (!archConfigFromJson(*archv, path + ".arch", rec.arch, error))
-            return false;
-    }
-    if (const Value *mc = r.child("mc")) {
-        if (!costBreakdownFromJson(*mc, path + ".mc", rec.mc, error))
-            return false;
-    }
-    r.getDouble("delay_geo_s", rec.delayGeo);
-    r.getDouble("energy_geo_j", rec.energyGeo);
-    r.getExtendedDouble("objective", rec.objective);
-    r.getBool("feasible", rec.feasible);
-    if (const Value *per_model = r.child("per_model")) {
-        if (!per_model->isArray()) {
-            if (error && error->empty())
-                *error = path + ".per_model: expected an array";
-            return false;
-        }
-        std::size_t i = 0;
-        for (const Value &bv : per_model->asArray()) {
-            eval::EvalBreakdown b;
-            if (!evalBreakdownFromJson(
-                    bv, path + ".per_model[" + std::to_string(i) + "]", b,
-                    error))
-                return false;
-            rec.perModel.push_back(b);
-            ++i;
-        }
-    }
-    r.getExtendedDouble("objective_lower_bound", rec.objectiveLowerBound);
-    r.getInt("rung_reached", rec.rungReached);
-    r.getBool("pruned_by_bound", rec.prunedByBound);
-    // Optional keys (absent in pre-worker-mode files): defaults hold.
-    r.getBool("poisoned", rec.poisoned);
-    r.getString("poison_reason", rec.poisonReason);
-    r.getInt("sa_iters", rec.saIters);
-    r.getDouble("eval_seconds", rec.evalSeconds);
-    // Bound decomposition + seed flag (absent in pre-analytical files).
-    r.getDouble("bound_compute_s", rec.boundComputeSeconds);
-    r.getDouble("bound_dram_s", rec.boundDramSeconds);
-    r.getDouble("bound_noc_s", rec.boundNocSeconds);
-    r.getDouble("bound_refetch_bytes", rec.boundRefetchBytes);
-    r.getBool("seeded_analytic", rec.seededAnalytic);
-    if (!r.finish())
-        return false;
-    out = std::move(rec);
-    return true;
-}
-
-Value
-rungStatsToJson(const dse::DseRungStats &rs)
-{
-    Value v = Value::object();
-    v.set("name", rs.name);
-    v.set("entered", rs.entered);
-    v.set("advanced", rs.advanced);
-    v.set("pruned_bound", rs.prunedBound);
-    v.set("pruned_rank", rs.prunedRank);
-    v.set("poisoned", rs.poisoned);
-    v.set("sa_iters", rs.saIters);
-    v.set("cpu_seconds", rs.cpuSeconds);
-    setExtended(v, "best_objective", rs.bestObjective);
-    return v;
-}
-
-bool
-rungStatsFromJson(const Value &v, const std::string &path,
-                  dse::DseRungStats &out, std::string *error)
-{
-    ObjectReader r(v, path, error);
-    dse::DseRungStats rs;
-    r.getString("name", rs.name);
-    r.getInt("entered", rs.entered);
-    r.getInt("advanced", rs.advanced);
-    r.getInt("pruned_bound", rs.prunedBound);
-    r.getInt("pruned_rank", rs.prunedRank);
-    r.getInt("poisoned", rs.poisoned); // optional: absent in old files
-    r.getInt("sa_iters", rs.saIters);
-    r.getDouble("cpu_seconds", rs.cpuSeconds);
-    r.getExtendedDouble("best_objective", rs.bestObjective);
-    if (!r.finish())
-        return false;
-    out = std::move(rs);
-    return true;
-}
-
-} // namespace
 
 Value
 dseResultToJson(const dse::DseResult &r)
 {
-    Value records = Value::array();
-    for (const dse::DseRecord &rec : r.records)
-        records.push(dseRecordToJson(rec));
-    Value rungs = Value::array();
-    for (const dse::DseRungStats &rs : r.stats.rungs)
-        rungs.push(rungStatsToJson(rs));
-    Value stats = Value::object();
-    stats.set("scheduled", r.stats.scheduled);
-    stats.set("cancelled", r.stats.cancelled);
-    stats.set("truncated", r.stats.truncated);
-    stats.set("resumed_rung", r.stats.resumedRung);
-    stats.set("rungs", std::move(rungs));
-    Value v = Value::object();
-    v.set("records", std::move(records));
-    v.set("best_index", r.bestIndex);
-    v.set("stats", std::move(stats));
-    return v;
+    return writeJson(r);
 }
 
 bool
 dseResultFromJson(const Value &v, const std::string &path,
                   dse::DseResult &out, std::string *error)
 {
-    ObjectReader r(v, path, error);
-    dse::DseResult result;
-    if (const Value *records = r.require("records")) {
-        if (!records->isArray()) {
-            if (error && error->empty())
-                *error = path + ".records: expected an array";
-            return false;
-        }
-        std::size_t i = 0;
-        for (const Value &rv : records->asArray()) {
-            dse::DseRecord rec;
-            if (!dseRecordFromJson(
-                    rv, path + ".records[" + std::to_string(i) + "]", rec,
-                    error))
-                return false;
-            result.records.push_back(std::move(rec));
-            ++i;
-        }
-    }
-    r.getInt("best_index", result.bestIndex);
-    if (const Value *stats = r.child("stats")) {
-        ObjectReader sr(*stats, path + ".stats", error);
-        sr.getBool("scheduled", result.stats.scheduled);
-        sr.getBool("cancelled", result.stats.cancelled);
-        sr.getBool("truncated", result.stats.truncated);
-        sr.getInt("resumed_rung", result.stats.resumedRung);
-        if (const Value *rungs = sr.child("rungs")) {
-            if (!rungs->isArray()) {
-                if (error && error->empty())
-                    *error = path + ".stats.rungs: expected an array";
-                return false;
-            }
-            std::size_t i = 0;
-            for (const Value &rv : rungs->asArray()) {
-                dse::DseRungStats rs;
-                if (!rungStatsFromJson(rv,
-                                       path + ".stats.rungs[" +
-                                           std::to_string(i) + "]",
-                                       rs, error))
-                    return false;
-                result.stats.rungs.push_back(std::move(rs));
-                ++i;
-            }
-        }
-        if (!sr.finish())
-            return false;
-    }
-    if (!r.finish())
-        return false;
-    if (result.bestIndex >= 0 &&
-        static_cast<std::size_t>(result.bestIndex) >=
-            result.records.size()) {
-        if (error && error->empty())
-            *error = path + ".best_index: out of range for " +
-                     std::to_string(result.records.size()) + " records";
-        return false;
-    }
-    out = std::move(result);
-    return true;
+    return readJson(v, path, out, error);
 }
 
 } // namespace gemini::api

@@ -11,6 +11,14 @@
  * infeasible candidates) are spelled `null` — JSON has no Inf — and read
  * back as +infinity; readers reject unknown keys with "path.key: reason"
  * messages like the spec reader does.
+ *
+ * Each type's wire form is written down once, as the field list of its
+ * describe() (see api/json_reader.hh): the writer emits the keys in list
+ * order and the reader accepts exactly those keys, so the two cannot
+ * drift. The xToJson / xFromJson functions below are thin wrappers over
+ * writeJson / readJson; the describe() declarations let other wire
+ * structs (worker frames, journal records, results, the daemon's status)
+ * nest these types in their own field lists.
  */
 
 #ifndef GEMINI_API_RESULTS_HH
@@ -18,6 +26,7 @@
 
 #include <string>
 
+#include "src/api/json_reader.hh"
 #include "src/arch/arch_config.hh"
 #include "src/common/json.hh"
 #include "src/cost/mc_evaluator.hh"
@@ -27,6 +36,16 @@
 #include "src/mapping/engine.hh"
 
 namespace gemini::api {
+
+// Field lists, instantiated in results.cc for ObjectReader and
+// ObjectWriter.
+template <class Io> void describe(Io &io, arch::ArchConfig &x);
+template <class Io> void describe(Io &io, eval::EvalBreakdown &x);
+template <class Io> void describe(Io &io, cost::CostBreakdown &x);
+template <class Io> void describe(Io &io, mapping::LpMapping &x);
+template <class Io> void describe(Io &io, mapping::MappingResult &x);
+template <class Io> void describe(Io &io, dse::DseStats &x);
+template <class Io> void describe(Io &io, dse::DseResult &x);
 
 // ---- ArchConfig -----------------------------------------------------------
 

@@ -3,29 +3,15 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 
 #include "src/common/logging.hh"
 
 namespace gemini::api {
 
-namespace {
-
-std::string
-hashHex(std::uint64_t h)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
-    return buf;
-}
-
-} // namespace
-
 std::string
 jobId(std::uint64_t specHash, const std::string &tenant)
 {
-    return hashHex(specHash) + "-" + tenant;
+    return common::json::hex64(specHash) + "-" + tenant;
 }
 
 bool
@@ -505,7 +491,7 @@ JobScheduler::recoverInterrupted()
         std::optional<ExperimentSpec> spec =
             store->loadSpec(hash, &error);
         if (!spec) {
-            GEMINI_WARN("recovery: journal ", hashHex(hash),
+            GEMINI_WARN("recovery: journal ", common::json::hex64(hash),
                         " has no loadable spec sidecar (", error,
                         "); leaving it for manual `gemini resume`");
             continue;
@@ -528,7 +514,7 @@ JobScheduler::recoverInterrupted()
             ++recovered;
         } else {
             GEMINI_WARN("recovery: cannot re-admit journal ",
-                        hashHex(hash), ": ", error);
+                        common::json::hex64(hash), ": ", error);
         }
     }
     return recovered;

@@ -1,8 +1,6 @@
 #include "src/api/service.hh"
 
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -36,162 +34,63 @@ jobStateName(JobState s)
 
 namespace {
 
-const char *
-errorKindName(ExperimentResult::ErrorKind k)
-{
-    switch (k) {
-      case ExperimentResult::ErrorKind::None: return "none";
-      case ExperimentResult::ErrorKind::InvalidSpec: return "invalid_spec";
-      case ExperimentResult::ErrorKind::Runtime: return "runtime";
-    }
-    return "?";
-}
-
-bool
-errorKindFromName(const std::string &name, ExperimentResult::ErrorKind &out)
-{
-    if (name == "none")
-        out = ExperimentResult::ErrorKind::None;
-    else if (name == "invalid_spec")
-        out = ExperimentResult::ErrorKind::InvalidSpec;
-    else if (name == "runtime")
-        out = ExperimentResult::ErrorKind::Runtime;
-    else
-        return false;
-    return true;
-}
+constexpr std::pair<ExperimentResult::ErrorKind, const char *> kErrorKinds[] =
+    {{ExperimentResult::ErrorKind::None, "none"},
+     {ExperimentResult::ErrorKind::InvalidSpec, "invalid_spec"},
+     {ExperimentResult::ErrorKind::Runtime, "runtime"}};
 
 } // namespace
+
+/**
+ * A failed result carries no payload; otherwise the spec's mode picks
+ * it: the DSE ledger, or the architecture, its cost and one mapping per
+ * model. The reader accepts (and ignores) the other mode's keys.
+ */
+template <class Io>
+void
+describe(Io &io, ExperimentResult &x)
+{
+    int schema = kSchemaVersion;
+    io.field("schema_version", schema);
+    io.check(schema <= kSchemaVersion, "schema_version",
+             "written by a newer build (" + std::to_string(schema) + ")");
+    io.derived("name", x.spec.name);
+    io.hex("spec_hash", x.specHash, "0x");
+    io.field("from_cache", x.fromCache);
+    io.field("cancelled", x.cancelled);
+    io.field("truncated", x.truncated);
+    io.field("error", x.error);
+    io.named("error_kind", x.errorKind, "kind", kErrorKinds);
+    io.required("spec", x.spec);
+    const bool dse = x.spec.mode == ExperimentSpec::Mode::Dse;
+    const auto payload = [&](const char *key, auto &value, bool carried) {
+        if (carried && !x.failed())
+            io.required(key, value);
+        else if (Io::kReading)
+            io.field(key, value);
+    };
+    payload("dse", x.dse, dse);
+    payload("arch", x.mapArch, !dse);
+    payload("mc", x.mapArchMc, !dse);
+    payload("mappings", x.mappings, !dse);
+}
 
 Value
 ExperimentResult::toJson() const
 {
-    char hash[32];
-    std::snprintf(hash, sizeof hash, "0x%016" PRIx64, specHash);
-
-    Value v = Value::object();
-    v.set("schema_version", kSchemaVersion);
-    v.set("name", spec.name);
-    v.set("spec_hash", hash);
-    v.set("from_cache", fromCache);
-    v.set("cancelled", cancelled);
-    v.set("truncated", truncated);
-    v.set("error", error);
-    v.set("error_kind", errorKindName(errorKind));
-    v.set("spec", spec.toJson());
-    if (failed())
-        return v;
-    if (spec.mode == ExperimentSpec::Mode::Dse) {
-        v.set("dse", dseResultToJson(dse));
-    } else {
-        v.set("arch", archConfigToJson(mapArch));
-        v.set("mc", costBreakdownToJson(mapArchMc));
-        Value arr = Value::array();
-        for (const mapping::MappingResult &m : mappings)
-            arr.push(mappingResultToJson(m));
-        v.set("mappings", std::move(arr));
-    }
-    return v;
+    ObjectWriter w;
+    describe(w, const_cast<ExperimentResult &>(*this));
+    return w.take();
 }
 
 std::optional<ExperimentResult>
 ExperimentResult::fromJson(const Value &v, std::string *error)
 {
-    ObjectReader r(v, "result", error);
     ExperimentResult res;
-
-    int schema = kSchemaVersion;
-    r.getInt("schema_version", schema);
-    if (r.ok() && schema > kSchemaVersion) {
-        if (error && error->empty())
-            *error = "result.schema_version: written by a newer build (" +
-                     std::to_string(schema) + ")";
-        return std::nullopt;
-    }
-
-    std::string ignored_name;
-    r.getString("name", ignored_name); // mirror of spec.name
-
-    std::string hash_hex;
-    r.getString("spec_hash", hash_hex);
-    if (r.ok()) {
-        char *end = nullptr;
-        if (hash_hex.rfind("0x", 0) == 0)
-            res.specHash = std::strtoull(hash_hex.c_str() + 2, &end, 16);
-        if (hash_hex.rfind("0x", 0) != 0 || *end != '\0') {
-            if (error && error->empty())
-                *error = "result.spec_hash: expected a 0x-prefixed hex "
-                         "string";
-            return std::nullopt;
-        }
-    }
-
-    r.getBool("from_cache", res.fromCache);
-    r.getBool("cancelled", res.cancelled);
-    r.getBool("truncated", res.truncated);
-    r.getString("error", res.error);
-    std::string kind = "none";
-    r.getString("error_kind", kind);
-    if (r.ok() && !errorKindFromName(kind, res.errorKind)) {
-        if (error && error->empty())
-            *error = "result.error_kind: unknown kind \"" + kind + "\"";
-        return std::nullopt;
-    }
-
-    if (const Value *specv = r.require("spec")) {
-        std::optional<ExperimentSpec> spec =
-            ExperimentSpec::fromJson(*specv, error);
-        if (!spec)
-            return std::nullopt;
-        res.spec = std::move(*spec);
-    }
-
-    const Value *dsev = r.child("dse");
-    const Value *archv = r.child("arch");
-    const Value *mcv = r.child("mc");
-    const Value *mappingsv = r.child("mappings");
+    ObjectReader r(v, "result", error);
+    describe(r, res);
     if (!r.finish())
         return std::nullopt;
-
-    if (res.failed())
-        return res; // failed results carry no payload
-
-    if (res.spec.mode == ExperimentSpec::Mode::Dse) {
-        if (!dsev) {
-            if (error && error->empty())
-                *error = "result.dse: required for a dse-mode result";
-            return std::nullopt;
-        }
-        if (!dseResultFromJson(*dsev, "result.dse", res.dse, error))
-            return std::nullopt;
-    } else {
-        if (!archv || !mcv || !mappingsv) {
-            if (error && error->empty())
-                *error = "result: map-mode results need arch, mc and "
-                         "mappings";
-            return std::nullopt;
-        }
-        if (!archConfigFromJson(*archv, "result.arch", res.mapArch, error))
-            return std::nullopt;
-        if (!costBreakdownFromJson(*mcv, "result.mc", res.mapArchMc,
-                                   error))
-            return std::nullopt;
-        if (!mappingsv->isArray()) {
-            if (error && error->empty())
-                *error = "result.mappings: expected an array";
-            return std::nullopt;
-        }
-        std::size_t i = 0;
-        for (const Value &mv : mappingsv->asArray()) {
-            mapping::MappingResult m;
-            if (!mappingResultFromJson(
-                    mv, "result.mappings[" + std::to_string(i) + "]", m,
-                    error))
-                return std::nullopt;
-            res.mappings.push_back(std::move(m));
-            ++i;
-        }
-    }
     return res;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 
@@ -11,430 +12,201 @@
 #include "src/arch/presets.hh"
 #include "src/dnn/parser.hh"
 #include "src/dnn/zoo.hh"
+#include "src/dse/candidates.hh"
 
 namespace gemini::api {
 
-using common::json::Array;
-using common::json::Object;
 using common::json::Value;
 
-namespace {
+// ---- field lists ----------------------------------------------------------
 
-bool
-readObjective(const Value &v, const std::string &path, ExperimentSpec &spec,
-              std::string *error)
+template <class Io>
+void
+describe(Io &io, ModelSpec &x)
 {
-    ObjectReader r(v, path, error);
-    r.getDouble("alpha", spec.alpha);
-    r.getDouble("beta", spec.beta);
-    r.getDouble("gamma", spec.gamma);
-    return r.finish();
+    if (Io::kReading || !x.zoo.empty())
+        io.field("zoo", x.zoo);
+    if (Io::kReading || !x.file.empty())
+        io.field("file", x.file);
 }
 
-bool
-readModels(const Value &v, const std::string &path, ExperimentSpec &spec,
-           std::string *error)
+template <class Io>
+void
+describe(Io &io, ArchSpec &x)
 {
-    if (!v.isArray()) {
-        if (error && error->empty())
-            *error = path + ": expected an array of model objects";
-        return false;
+    if (Io::kReading || !x.preset.empty())
+        io.field("preset", x.preset);
+    io.field("config", x.config);
+}
+
+template <class Io>
+void
+describe(Io &io, dse::DseAxes &x)
+{
+    io.field("tops_target", x.topsTarget);
+    io.field("x_cuts", x.xCuts);
+    io.field("y_cuts", x.yCuts);
+    io.field("dram_gbps_per_tops", x.dramGBpsPerTops);
+    io.field("noc_gbps", x.nocGBps);
+    io.field("d2d_ratio", x.d2dRatio);
+    io.field("glb_kib", x.glbKiB);
+    io.field("macs_per_core", x.macsPerCore);
+    io.named("topologies", x.topologies, "topology", arch::kTopologyNames);
+}
+
+template <class Io>
+void
+describe(Io &io, dse::DseSchedule &x)
+{
+    io.field("enabled", x.enabled);
+    io.field("rungs", x.rungs);
+    io.field("keep_fraction", x.keepFraction);
+    io.field("base_iters", x.baseIters);
+    io.field("lower_bound_prune", x.lowerBoundPrune);
+    io.field("analytic_bound", x.analyticBound);
+    io.field("min_keep", x.minKeep);
+    io.field("polish_chains", x.polishChains);
+}
+
+template <class Io>
+void
+describe(Io &io, mapping::SaOptions &x)
+{
+    io.field("iterations", x.iterations);
+    io.field("t_start", x.tStart);
+    io.field("t_end", x.tEnd);
+    io.field("seed", x.seed);
+    io.field("chains", x.chains);
+    io.field("incremental_cost", x.incrementalCost);
+    io.field("reheat_interval", x.reheatInterval);
+    io.field("operator_mask", x.operatorMask);
+    io.field("plateau_window", x.plateauWindow);
+}
+
+/** The engine knobs; `tech` travels as the spec's own top-level section. */
+template <class Io>
+void
+describe(Io &io, mapping::MappingOptions &x)
+{
+    io.field("batch", x.batch);
+    io.field("run_sa", x.runSa);
+    io.field("sa", x.sa);
+    io.field("sa_threads", x.saThreads);
+    io.field("analyzer_cache_entries", x.analyzerCacheEntries);
+    io.field("delta_eval", x.deltaEval);
+    io.field("max_group_layers", x.maxGroupLayers);
+    io.field("analytic_seed", x.analyticSeed);
+    io.field("batch_units", x.batchUnits);
+}
+
+template <class Io>
+void
+describe(Io &io, arch::TechParams &x)
+{
+    io.field("mac_j", x.macJ);
+    io.field("vec_op_j", x.vecOpJ);
+    io.field("glb_j_per_byte", x.glbJPerByte);
+    io.field("buf_j_per_byte", x.bufJPerByte);
+    io.field("noc_hop_j_per_byte", x.nocHopJPerByte);
+    io.field("d2d_j_per_byte", x.d2dJPerByte);
+    io.field("dram_j_per_byte", x.dramJPerByte);
+    io.field("nop_serialization_j_per_byte", x.nopSerializationJPerByte);
+    io.field("lanes_c", x.lanesC);
+    io.field("vec_lane_divisor", x.vecLaneDivisor);
+    io.field("glb_bytes_per_cycle_per_mac", x.glbBytesPerCyclePerMac);
+    io.field("wbuf_bytes_per_mac", x.wbufBytesPerMac);
+    io.field("ibuf_bytes_per_mac", x.ibufBytesPerMac);
+    io.field("abuf_bytes_per_mac", x.abufBytesPerMac);
+}
+
+template <class Io>
+void
+describe(Io &io, cost::SubstrateTier &x)
+{
+    io.field("max_area_mm2", x.maxAreaMm2);
+    io.field("dollar_per_mm2", x.dollarPerMm2);
+}
+
+template <class Io>
+void
+describe(Io &io, cost::CostParams &x)
+{
+    io.field("silicon_dollar_per_mm2", x.siliconDollarPerMm2);
+    io.field("yield_unit", x.yieldUnit);
+    io.field("unit_area_mm2", x.unitAreaMm2);
+    io.field("mac_area_mm2", x.macAreaMm2);
+    io.field("glb_area_mm2_per_mib", x.glbAreaMm2PerMiB);
+    io.field("core_fixed_area_mm2", x.coreFixedAreaMm2);
+    io.field("d2d_area_base_mm2", x.d2dAreaBaseMm2);
+    io.field("d2d_area_per_gbps", x.d2dAreaPerGBps);
+    io.field("io_chiplet_fixed_mm2", x.ioChipletFixedMm2);
+    io.field("io_phy_area_per_gbps", x.ioPhyAreaPerGBps);
+    io.field("dram_unit_bw_gbps", x.dramUnitBwGBps);
+    io.field("dram_die_price", x.dramDiePrice);
+    io.field("substrate_scale", x.substrateScale);
+    io.field("package_yield_per_die", x.packageYieldPerDie);
+    io.field("monolithic_substrate_dollar_per_mm2",
+             x.monolithicSubstrateDollarPerMm2);
+    io.field("chiplet_substrate_tiers", x.chipletSubstrateTiers);
+}
+
+constexpr std::pair<ExecutionSpec::Mode, const char *> kExecutionModes[] = {
+    {ExecutionSpec::Mode::InProcess, "in_process"},
+    {ExecutionSpec::Mode::Workers, "workers"}};
+
+template <class Io>
+void
+describe(Io &io, ExecutionSpec &x)
+{
+    io.named("mode", x.mode, "mode", kExecutionModes);
+    io.field("workers", x.workers);
+    io.field("max_retries", x.maxRetries);
+    io.field("candidate_deadline_seconds", x.candidateDeadlineSeconds);
+    io.field("candidate_rss_mib", x.candidateRssMiB);
+}
+
+constexpr std::pair<ExperimentSpec::Mode, const char *> kSpecModes[] = {
+    {ExperimentSpec::Mode::Map, "map"}, {ExperimentSpec::Mode::Dse, "dse"}};
+
+/**
+ * The top level. Its one bespoke part: each mode writes only its own
+ * architecture keys (arch for map; axes, schedule and max_candidates for
+ * dse), but a spec may carry both sets and switch modes.
+ */
+template <class Io>
+void
+describe(Io &io, ExperimentSpec &x)
+{
+    // The version gate comes first: a newer schema must be rejected with
+    // a clear message, not misread through this build's key set.
+    io.field("schema_version", x.schemaVersion);
+    io.check(x.schemaVersion == kSchemaVersion, "schema_version",
+             "version " + std::to_string(x.schemaVersion) +
+                 " is not supported (this build speaks version " +
+                 std::to_string(kSchemaVersion) + ")");
+    io.field("name", x.name);
+    io.named("mode", x.mode, "mode", kSpecModes);
+    io.field("models", x.models);
+    const bool map = x.mode == ExperimentSpec::Mode::Map;
+    if (Io::kReading || map)
+        io.field("arch", x.arch);
+    if (Io::kReading || !map) {
+        io.field("axes", x.axes);
+        io.field("schedule", x.schedule);
+        io.field("max_candidates", x.maxCandidates);
     }
-    spec.models.clear();
-    std::size_t i = 0;
-    for (const Value &e : v.asArray()) {
-        ObjectReader r(e, path + "[" + std::to_string(i) + "]", error);
-        ModelSpec m;
-        r.getString("zoo", m.zoo);
-        r.getString("file", m.file);
-        if (!r.finish())
-            return false;
-        spec.models.push_back(std::move(m));
-        ++i;
-    }
-    return true;
+    io.object("objective", [&](auto &o) {
+        o.field("alpha", x.alpha);
+        o.field("beta", x.beta);
+        o.field("gamma", x.gamma);
+    });
+    io.field("mapping", x.mapping);
+    io.field("tech", x.mapping.tech);
+    io.field("cost", x.costParams);
+    io.field("threads", x.threads);
+    io.field("deadline_seconds", x.deadlineSeconds);
+    io.field("execution", x.execution);
 }
-
-bool
-readArch(const Value &v, const std::string &path, ExperimentSpec &spec,
-         std::string *error)
-{
-    ObjectReader r(v, path, error);
-    r.getString("preset", spec.arch.preset);
-    if (const Value *cfg = r.child("config")) {
-        arch::ArchConfig parsed;
-        if (!archConfigFromJson(*cfg, path + ".config", parsed, error))
-            return false;
-        spec.arch.config = parsed;
-    }
-    return r.finish();
-}
-
-bool
-readAxes(const Value &v, const std::string &path, dse::DseAxes &axes,
-         std::string *error)
-{
-    ObjectReader r(v, path, error);
-    r.getDouble("tops_target", axes.topsTarget);
-    r.getIntList("x_cuts", axes.xCuts);
-    r.getIntList("y_cuts", axes.yCuts);
-    r.getDoubleList("dram_gbps_per_tops", axes.dramGBpsPerTops);
-    r.getDoubleList("noc_gbps", axes.nocGBps);
-    r.getDoubleList("d2d_ratio", axes.d2dRatio);
-    r.getIntList("glb_kib", axes.glbKiB);
-    r.getIntList("macs_per_core", axes.macsPerCore);
-    if (const Value *topos = r.child("topologies")) {
-        if (!topos->isArray()) {
-            if (error && error->empty())
-                *error = path + ".topologies: expected an array of "
-                                "topology names";
-            return false;
-        }
-        std::vector<arch::Topology> parsed;
-        for (const Value &e : topos->asArray()) {
-            arch::Topology t;
-            if (!e.isString() || !arch::topologyFromName(e.asString(), t)) {
-                if (error && error->empty()) {
-                    std::string valid;
-                    for (const arch::Topology known : arch::kAllTopologies) {
-                        if (!valid.empty())
-                            valid += ", ";
-                        valid += arch::topologyName(known);
-                    }
-                    *error = path + ".topologies: unknown topology (valid: " +
-                             valid + ")";
-                }
-                return false;
-            }
-            parsed.push_back(t);
-        }
-        axes.topologies = std::move(parsed);
-    }
-    return r.finish();
-}
-
-bool
-readSchedule(const Value &v, const std::string &path, dse::DseSchedule &s,
-             std::string *error)
-{
-    ObjectReader r(v, path, error);
-    r.getBool("enabled", s.enabled);
-    r.getInt("rungs", s.rungs);
-    r.getDouble("keep_fraction", s.keepFraction);
-    r.getInt("base_iters", s.baseIters);
-    r.getBool("lower_bound_prune", s.lowerBoundPrune);
-    r.getBool("analytic_bound", s.analyticBound);
-    r.getInt("min_keep", s.minKeep);
-    r.getInt("polish_chains", s.polishChains);
-    return r.finish();
-}
-
-bool
-readSa(const Value &v, const std::string &path, mapping::SaOptions &sa,
-       std::string *error)
-{
-    ObjectReader r(v, path, error);
-    r.getInt("iterations", sa.iterations);
-    r.getDouble("t_start", sa.tStart);
-    r.getDouble("t_end", sa.tEnd);
-    r.getInt("seed", sa.seed);
-    r.getInt("chains", sa.chains);
-    r.getBool("incremental_cost", sa.incrementalCost);
-    r.getInt("reheat_interval", sa.reheatInterval);
-    r.getInt("operator_mask", sa.operatorMask);
-    r.getInt("plateau_window", sa.plateauWindow);
-    return r.finish();
-}
-
-bool
-readMapping(const Value &v, const std::string &path,
-            mapping::MappingOptions &m, std::string *error)
-{
-    ObjectReader r(v, path, error);
-    r.getInt("batch", m.batch);
-    r.getBool("run_sa", m.runSa);
-    r.getInt("sa_threads", m.saThreads);
-    r.getInt("analyzer_cache_entries", m.analyzerCacheEntries);
-    r.getBool("delta_eval", m.deltaEval);
-    r.getInt("max_group_layers", m.maxGroupLayers);
-    r.getBool("analytic_seed", m.analyticSeed);
-    r.getIntList("batch_units", m.batchUnits);
-    if (const Value *sa = r.child("sa")) {
-        if (!readSa(*sa, path + ".sa", m.sa, error))
-            return false;
-    }
-    return r.finish();
-}
-
-bool
-readTech(const Value &v, const std::string &path, arch::TechParams &t,
-         std::string *error)
-{
-    ObjectReader r(v, path, error);
-    r.getDouble("mac_j", t.macJ);
-    r.getDouble("vec_op_j", t.vecOpJ);
-    r.getDouble("glb_j_per_byte", t.glbJPerByte);
-    r.getDouble("buf_j_per_byte", t.bufJPerByte);
-    r.getDouble("noc_hop_j_per_byte", t.nocHopJPerByte);
-    r.getDouble("d2d_j_per_byte", t.d2dJPerByte);
-    r.getDouble("dram_j_per_byte", t.dramJPerByte);
-    r.getDouble("nop_serialization_j_per_byte", t.nopSerializationJPerByte);
-    r.getInt("lanes_c", t.lanesC);
-    r.getInt("vec_lane_divisor", t.vecLaneDivisor);
-    r.getDouble("glb_bytes_per_cycle_per_mac", t.glbBytesPerCyclePerMac);
-    r.getDouble("wbuf_bytes_per_mac", t.wbufBytesPerMac);
-    r.getDouble("ibuf_bytes_per_mac", t.ibufBytesPerMac);
-    r.getDouble("abuf_bytes_per_mac", t.abufBytesPerMac);
-    return r.finish();
-}
-
-bool
-readCost(const Value &v, const std::string &path, cost::CostParams &c,
-         std::string *error)
-{
-    ObjectReader r(v, path, error);
-    r.getDouble("silicon_dollar_per_mm2", c.siliconDollarPerMm2);
-    r.getDouble("yield_unit", c.yieldUnit);
-    r.getDouble("unit_area_mm2", c.unitAreaMm2);
-    r.getDouble("mac_area_mm2", c.macAreaMm2);
-    r.getDouble("glb_area_mm2_per_mib", c.glbAreaMm2PerMiB);
-    r.getDouble("core_fixed_area_mm2", c.coreFixedAreaMm2);
-    r.getDouble("d2d_area_base_mm2", c.d2dAreaBaseMm2);
-    r.getDouble("d2d_area_per_gbps", c.d2dAreaPerGBps);
-    r.getDouble("io_chiplet_fixed_mm2", c.ioChipletFixedMm2);
-    r.getDouble("io_phy_area_per_gbps", c.ioPhyAreaPerGBps);
-    r.getDouble("dram_unit_bw_gbps", c.dramUnitBwGBps);
-    r.getDouble("dram_die_price", c.dramDiePrice);
-    r.getDouble("substrate_scale", c.substrateScale);
-    r.getDouble("package_yield_per_die", c.packageYieldPerDie);
-    r.getDouble("monolithic_substrate_dollar_per_mm2",
-                c.monolithicSubstrateDollarPerMm2);
-    if (const Value *tiers = r.child("chiplet_substrate_tiers")) {
-        if (!tiers->isArray()) {
-            if (error && error->empty())
-                *error = path + ".chiplet_substrate_tiers: expected an "
-                                "array of tier objects";
-            return false;
-        }
-        std::vector<cost::SubstrateTier> parsed;
-        std::size_t i = 0;
-        for (const Value &e : tiers->asArray()) {
-            ObjectReader tr(e, path + ".chiplet_substrate_tiers[" +
-                                   std::to_string(i) + "]",
-                            error);
-            cost::SubstrateTier tier{0.0, 0.0};
-            tr.getDouble("max_area_mm2", tier.maxAreaMm2);
-            tr.getDouble("dollar_per_mm2", tier.dollarPerMm2);
-            if (!tr.finish())
-                return false;
-            parsed.push_back(tier);
-            ++i;
-        }
-        c.chipletSubstrateTiers = std::move(parsed);
-    }
-    return r.finish();
-}
-
-bool
-readExecution(const Value &v, const std::string &path, ExecutionSpec &e,
-              std::string *error)
-{
-    ObjectReader r(v, path, error);
-    std::string mode = e.mode == ExecutionSpec::Mode::Workers ? "workers"
-                                                              : "in_process";
-    r.getString("mode", mode);
-    if (!r.ok())
-        return false;
-    if (mode == "in_process") {
-        e.mode = ExecutionSpec::Mode::InProcess;
-    } else if (mode == "workers") {
-        e.mode = ExecutionSpec::Mode::Workers;
-    } else {
-        if (error && error->empty())
-            *error = path + ".mode: unknown mode \"" + mode +
-                     "\" (valid: in_process, workers)";
-        return false;
-    }
-    r.getInt("workers", e.workers);
-    r.getInt("max_retries", e.maxRetries);
-    r.getDouble("candidate_deadline_seconds", e.candidateDeadlineSeconds);
-    r.getInt("candidate_rss_mib", e.candidateRssMiB);
-    return r.finish();
-}
-
-Value
-executionToJson(const ExecutionSpec &e)
-{
-    Value v = Value::object();
-    v.set("mode", e.mode == ExecutionSpec::Mode::Workers ? "workers"
-                                                         : "in_process");
-    v.set("workers", e.workers);
-    v.set("max_retries", e.maxRetries);
-    v.set("candidate_deadline_seconds", e.candidateDeadlineSeconds);
-    v.set("candidate_rss_mib", e.candidateRssMiB);
-    return v;
-}
-
-Value
-objectiveToJson(const ExperimentSpec &spec)
-{
-    Value v = Value::object();
-    v.set("alpha", spec.alpha);
-    v.set("beta", spec.beta);
-    v.set("gamma", spec.gamma);
-    return v;
-}
-
-Value
-modelsToJson(const ExperimentSpec &spec)
-{
-    Value arr = Value::array();
-    for (const ModelSpec &m : spec.models) {
-        Value v = Value::object();
-        if (!m.zoo.empty())
-            v.set("zoo", m.zoo);
-        if (!m.file.empty())
-            v.set("file", m.file);
-        arr.push(std::move(v));
-    }
-    return arr;
-}
-
-Value
-archToJson(const ArchSpec &a)
-{
-    Value v = Value::object();
-    if (!a.preset.empty())
-        v.set("preset", a.preset);
-    if (a.config)
-        v.set("config", archConfigToJson(*a.config));
-    return v;
-}
-
-Value
-axesToJson(const dse::DseAxes &axes)
-{
-    const auto numbers = [](const auto &list) {
-        Value arr = Value::array();
-        for (const auto e : list)
-            arr.push(e);
-        return arr;
-    };
-    Value v = Value::object();
-    v.set("tops_target", axes.topsTarget);
-    v.set("x_cuts", numbers(axes.xCuts));
-    v.set("y_cuts", numbers(axes.yCuts));
-    v.set("dram_gbps_per_tops", numbers(axes.dramGBpsPerTops));
-    v.set("noc_gbps", numbers(axes.nocGBps));
-    v.set("d2d_ratio", numbers(axes.d2dRatio));
-    v.set("glb_kib", numbers(axes.glbKiB));
-    v.set("macs_per_core", numbers(axes.macsPerCore));
-    Value topos = Value::array();
-    for (const arch::Topology t : axes.topologies)
-        topos.push(arch::topologyName(t));
-    v.set("topologies", std::move(topos));
-    return v;
-}
-
-Value
-scheduleToJson(const dse::DseSchedule &s)
-{
-    Value v = Value::object();
-    v.set("enabled", s.enabled);
-    v.set("rungs", s.rungs);
-    v.set("keep_fraction", s.keepFraction);
-    v.set("base_iters", s.baseIters);
-    v.set("lower_bound_prune", s.lowerBoundPrune);
-    v.set("analytic_bound", s.analyticBound);
-    v.set("min_keep", static_cast<std::uint64_t>(s.minKeep));
-    v.set("polish_chains", s.polishChains);
-    return v;
-}
-
-Value
-mappingToJson(const mapping::MappingOptions &m)
-{
-    Value sa = Value::object();
-    sa.set("iterations", m.sa.iterations);
-    sa.set("t_start", m.sa.tStart);
-    sa.set("t_end", m.sa.tEnd);
-    sa.set("seed", static_cast<std::uint64_t>(m.sa.seed));
-    sa.set("chains", m.sa.chains);
-    sa.set("incremental_cost", m.sa.incrementalCost);
-    sa.set("reheat_interval", m.sa.reheatInterval);
-    sa.set("operator_mask", m.sa.operatorMask);
-    sa.set("plateau_window", m.sa.plateauWindow);
-
-    Value v = Value::object();
-    v.set("batch", m.batch);
-    v.set("run_sa", m.runSa);
-    v.set("sa", std::move(sa));
-    v.set("sa_threads", m.saThreads);
-    v.set("analyzer_cache_entries",
-          static_cast<std::uint64_t>(m.analyzerCacheEntries));
-    v.set("delta_eval", m.deltaEval);
-    v.set("max_group_layers", m.maxGroupLayers);
-    v.set("analytic_seed", m.analyticSeed);
-    Value units = Value::array();
-    for (const std::int64_t u : m.batchUnits)
-        units.push(u);
-    v.set("batch_units", std::move(units));
-    return v;
-}
-
-Value
-techToJson(const arch::TechParams &t)
-{
-    Value v = Value::object();
-    v.set("mac_j", t.macJ);
-    v.set("vec_op_j", t.vecOpJ);
-    v.set("glb_j_per_byte", t.glbJPerByte);
-    v.set("buf_j_per_byte", t.bufJPerByte);
-    v.set("noc_hop_j_per_byte", t.nocHopJPerByte);
-    v.set("d2d_j_per_byte", t.d2dJPerByte);
-    v.set("dram_j_per_byte", t.dramJPerByte);
-    v.set("nop_serialization_j_per_byte", t.nopSerializationJPerByte);
-    v.set("lanes_c", t.lanesC);
-    v.set("vec_lane_divisor", t.vecLaneDivisor);
-    v.set("glb_bytes_per_cycle_per_mac", t.glbBytesPerCyclePerMac);
-    v.set("wbuf_bytes_per_mac", t.wbufBytesPerMac);
-    v.set("ibuf_bytes_per_mac", t.ibufBytesPerMac);
-    v.set("abuf_bytes_per_mac", t.abufBytesPerMac);
-    return v;
-}
-
-Value
-costToJson(const cost::CostParams &c)
-{
-    Value v = Value::object();
-    v.set("silicon_dollar_per_mm2", c.siliconDollarPerMm2);
-    v.set("yield_unit", c.yieldUnit);
-    v.set("unit_area_mm2", c.unitAreaMm2);
-    v.set("mac_area_mm2", c.macAreaMm2);
-    v.set("glb_area_mm2_per_mib", c.glbAreaMm2PerMiB);
-    v.set("core_fixed_area_mm2", c.coreFixedAreaMm2);
-    v.set("d2d_area_base_mm2", c.d2dAreaBaseMm2);
-    v.set("d2d_area_per_gbps", c.d2dAreaPerGBps);
-    v.set("io_chiplet_fixed_mm2", c.ioChipletFixedMm2);
-    v.set("io_phy_area_per_gbps", c.ioPhyAreaPerGBps);
-    v.set("dram_unit_bw_gbps", c.dramUnitBwGBps);
-    v.set("dram_die_price", c.dramDiePrice);
-    v.set("substrate_scale", c.substrateScale);
-    v.set("package_yield_per_die", c.packageYieldPerDie);
-    v.set("monolithic_substrate_dollar_per_mm2",
-          c.monolithicSubstrateDollarPerMm2);
-    Value tiers = Value::array();
-    for (const cost::SubstrateTier &tier : c.chipletSubstrateTiers) {
-        Value tv = Value::object();
-        tv.set("max_area_mm2", tier.maxAreaMm2);
-        tv.set("dollar_per_mm2", tier.dollarPerMm2);
-        tiers.push(std::move(tv));
-    }
-    v.set("chiplet_substrate_tiers", std::move(tiers));
-    return v;
-}
-
-} // namespace
 
 std::optional<ExperimentSpec>
 ExperimentSpec::fromJson(const Value &v, std::string *error)
@@ -443,79 +215,7 @@ ExperimentSpec::fromJson(const Value &v, std::string *error)
         error->clear();
     ExperimentSpec spec;
     ObjectReader r(v, "spec", error);
-    if (!r.ok())
-        return std::nullopt;
-
-    // The version gate comes first: a newer schema must be rejected with
-    // a clear message, not misread through this build's key set.
-    r.getInt("schema_version", spec.schemaVersion);
-    if (!r.ok())
-        return std::nullopt;
-    if (spec.schemaVersion != kSchemaVersion) {
-        if (error && error->empty())
-            *error = "spec.schema_version: version " +
-                     std::to_string(spec.schemaVersion) +
-                     " is not supported (this build speaks version " +
-                     std::to_string(kSchemaVersion) + ")";
-        return std::nullopt;
-    }
-
-    r.getString("name", spec.name);
-    std::string mode = "dse";
-    r.getString("mode", mode);
-    if (!r.ok())
-        return std::nullopt;
-    if (mode == "map") {
-        spec.mode = Mode::Map;
-    } else if (mode == "dse") {
-        spec.mode = Mode::Dse;
-    } else {
-        if (error && error->empty())
-            *error = "spec.mode: unknown mode \"" + mode +
-                     "\" (valid: map, dse)";
-        return std::nullopt;
-    }
-
-    if (const Value *models = r.child("models")) {
-        if (!readModels(*models, "spec.models", spec, error))
-            return std::nullopt;
-    }
-    if (const Value *archv = r.child("arch")) {
-        if (!readArch(*archv, "spec.arch", spec, error))
-            return std::nullopt;
-    }
-    if (const Value *axes = r.child("axes")) {
-        if (!readAxes(*axes, "spec.axes", spec.axes, error))
-            return std::nullopt;
-    }
-    if (const Value *schedule = r.child("schedule")) {
-        if (!readSchedule(*schedule, "spec.schedule", spec.schedule, error))
-            return std::nullopt;
-    }
-    if (const Value *objective = r.child("objective")) {
-        if (!readObjective(*objective, "spec.objective", spec, error))
-            return std::nullopt;
-    }
-    if (const Value *mapping = r.child("mapping")) {
-        if (!readMapping(*mapping, "spec.mapping", spec.mapping, error))
-            return std::nullopt;
-    }
-    if (const Value *tech = r.child("tech")) {
-        if (!readTech(*tech, "spec.tech", spec.mapping.tech, error))
-            return std::nullopt;
-    }
-    if (const Value *costv = r.child("cost")) {
-        if (!readCost(*costv, "spec.cost", spec.costParams, error))
-            return std::nullopt;
-    }
-    if (const Value *execution = r.child("execution")) {
-        if (!readExecution(*execution, "spec.execution", spec.execution,
-                           error))
-            return std::nullopt;
-    }
-    r.getInt("max_candidates", spec.maxCandidates);
-    r.getInt("threads", spec.threads);
-    r.getDouble("deadline_seconds", spec.deadlineSeconds);
+    describe(r, spec);
     if (!r.finish())
         return std::nullopt;
 
@@ -557,27 +257,165 @@ ExperimentSpec::fromFile(const std::string &path, std::string *error)
 Value
 ExperimentSpec::toJson() const
 {
-    Value v = Value::object();
-    v.set("schema_version", schemaVersion);
-    v.set("name", name);
-    v.set("mode", mode == Mode::Map ? "map" : "dse");
-    v.set("models", modelsToJson(*this));
-    if (mode == Mode::Map) {
-        v.set("arch", archToJson(arch));
-    } else {
-        v.set("axes", axesToJson(axes));
-        v.set("schedule", scheduleToJson(schedule));
-        v.set("max_candidates", static_cast<std::uint64_t>(maxCandidates));
-    }
-    v.set("objective", objectiveToJson(*this));
-    v.set("mapping", mappingToJson(mapping));
-    v.set("tech", techToJson(mapping.tech));
-    v.set("cost", costToJson(costParams));
-    v.set("threads", threads);
-    v.set("deadline_seconds", deadlineSeconds);
-    v.set("execution", executionToJson(execution));
-    return v;
+    ObjectWriter w;
+    describe(w, const_cast<ExperimentSpec &>(*this));
+    return w.take();
 }
+
+namespace {
+
+using Complain = std::function<void(const std::string &)>;
+
+std::string
+number(double v)
+{
+    return Value(v).dump();
+}
+
+/** One "key: rule" complaint per value outside its range. */
+template <class T>
+void
+atLeast(const Complain &complain, const std::string &key, T v, T min)
+{
+    if constexpr (std::is_integral_v<T>) {
+        if (v < min)
+            complain(key + ": must be >= " + std::to_string(min));
+    } else if (!(v >= min) || !std::isfinite(v)) {
+        complain(key + ": must be a finite number >= " + number(min));
+    }
+}
+
+void
+positive(const Complain &complain, const std::string &key, double v)
+{
+    if (!(v > 0.0) || !std::isfinite(v))
+        complain(key + ": must be a finite number > 0");
+}
+
+void
+fraction(const Complain &complain, const std::string &key, double v)
+{
+    if (!(v > 0.0 && v <= 1.0))
+        complain(key + ": must be within (0, 1]");
+}
+
+/**
+ * Every axis value must be usable on its own (a zero cut divides by zero,
+ * a zero MAC count or bandwidth admits no architecture), and together
+ * they must enumerate at least one candidate.
+ */
+void
+validateAxes(const dse::DseAxes &axes, const Complain &complain)
+{
+    std::size_t problems = 0;
+    const Complain count = [&](const std::string &p) {
+        ++problems;
+        complain(p);
+    };
+    positive(count, "axes.tops_target", axes.topsTarget);
+    const auto each = [&](const auto &list, const std::string &key,
+                          const auto &check) {
+        if (list.empty())
+            count("axes." + key + ": at least one value is required");
+        for (std::size_t i = 0; i < list.size(); ++i)
+            check(count, "axes." + key + "[" + std::to_string(i) + "]",
+                  list[i]);
+    };
+    const auto atLeastOne = [](const Complain &c, const std::string &key,
+                               int v) { atLeast(c, key, v, 1); };
+    each(axes.xCuts, "x_cuts", atLeastOne);
+    each(axes.yCuts, "y_cuts", atLeastOne);
+    each(axes.dramGBpsPerTops, "dram_gbps_per_tops", positive);
+    each(axes.nocGBps, "noc_gbps", positive);
+    each(axes.d2dRatio, "d2d_ratio", positive);
+    each(axes.glbKiB, "glb_kib", atLeastOne);
+    each(axes.macsPerCore, "macs_per_core", atLeastOne);
+    if (axes.topologies.empty())
+        count("axes.topologies: at least one value is required");
+    if (problems)
+        return;
+    for (const int macs : axes.macsPerCore) {
+        const double cores = axes.topsTarget * 1000.0 / (2.0 * macs);
+        if (cores < dse::kMinExactCores || cores > dse::kMaxExactCores)
+            count("axes.tops_target: " + number(axes.topsTarget) +
+                  " TOPS needs " + number(cores) + " cores of " +
+                  std::to_string(macs) + " MACs (must be within [" +
+                  number(dse::kMinExactCores) + ", " +
+                  number(dse::kMaxExactCores) + "])");
+    }
+    if (!problems && !dse::hasCandidates(axes))
+        count("axes: the axis lists enumerate no valid candidate (no "
+              "x_cuts/y_cuts pair divides the core grid, or every "
+              "combination fails the architecture checks)");
+}
+
+void
+validateTech(const arch::TechParams &t, const Complain &complain)
+{
+    for (const auto &[key, v] : {
+             std::pair{"mac_j", t.macJ},
+             {"vec_op_j", t.vecOpJ},
+             {"glb_j_per_byte", t.glbJPerByte},
+             {"buf_j_per_byte", t.bufJPerByte},
+             {"noc_hop_j_per_byte", t.nocHopJPerByte},
+             {"d2d_j_per_byte", t.d2dJPerByte},
+             {"dram_j_per_byte", t.dramJPerByte},
+             {"nop_serialization_j_per_byte", t.nopSerializationJPerByte},
+         })
+        atLeast(complain, std::string("tech.") + key, v, 0.0);
+    atLeast(complain, "tech.lanes_c", t.lanesC, 1);
+    atLeast(complain, "tech.vec_lane_divisor", t.vecLaneDivisor, 1);
+    for (const auto &[key, v] : {
+             std::pair{"glb_bytes_per_cycle_per_mac",
+                       t.glbBytesPerCyclePerMac},
+             {"wbuf_bytes_per_mac", t.wbufBytesPerMac},
+             {"ibuf_bytes_per_mac", t.ibufBytesPerMac},
+             {"abuf_bytes_per_mac", t.abufBytesPerMac},
+         })
+        positive(complain, std::string("tech.") + key, v);
+}
+
+void
+validateCost(const cost::CostParams &c, const Complain &complain)
+{
+    for (const auto &[key, v] : {
+             std::pair{"silicon_dollar_per_mm2", c.siliconDollarPerMm2},
+             {"mac_area_mm2", c.macAreaMm2},
+             {"glb_area_mm2_per_mib", c.glbAreaMm2PerMiB},
+             {"core_fixed_area_mm2", c.coreFixedAreaMm2},
+             {"d2d_area_base_mm2", c.d2dAreaBaseMm2},
+             {"d2d_area_per_gbps", c.d2dAreaPerGBps},
+             {"io_chiplet_fixed_mm2", c.ioChipletFixedMm2},
+             {"io_phy_area_per_gbps", c.ioPhyAreaPerGBps},
+             {"dram_die_price", c.dramDiePrice},
+             {"monolithic_substrate_dollar_per_mm2",
+              c.monolithicSubstrateDollarPerMm2},
+         })
+        atLeast(complain, std::string("cost.") + key, v, 0.0);
+    for (const auto &[key, v] : {
+             std::pair{"unit_area_mm2", c.unitAreaMm2},
+             {"dram_unit_bw_gbps", c.dramUnitBwGBps},
+             {"substrate_scale", c.substrateScale},
+         })
+        positive(complain, std::string("cost.") + key, v);
+    fraction(complain, "cost.yield_unit", c.yieldUnit);
+    fraction(complain, "cost.package_yield_per_die", c.packageYieldPerDie);
+    const std::vector<cost::SubstrateTier> &tiers = c.chipletSubstrateTiers;
+    if (tiers.empty())
+        complain("cost.chiplet_substrate_tiers: at least one tier is "
+                 "required");
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+        const std::string where =
+            "cost.chiplet_substrate_tiers[" + std::to_string(i) + "]";
+        positive(complain, where + ".max_area_mm2", tiers[i].maxAreaMm2);
+        atLeast(complain, where + ".dollar_per_mm2", tiers[i].dollarPerMm2,
+                0.0);
+        if (i && !(tiers[i].maxAreaMm2 > tiers[i - 1].maxAreaMm2))
+            complain(where + ".max_area_mm2: tiers must ascend by area");
+    }
+}
+
+} // namespace
 
 std::string
 ExperimentSpec::validate() const
@@ -630,21 +468,7 @@ ExperimentSpec::validate() const
                 complain("arch.config: " + err);
         }
     } else {
-        if (axes.topsTarget <= 0)
-            complain("axes.tops_target: must be positive");
-        const auto nonEmpty = [&](const auto &list, const char *key) {
-            if (list.empty())
-                complain(std::string("axes.") + key +
-                         ": at least one value is required");
-        };
-        nonEmpty(axes.xCuts, "x_cuts");
-        nonEmpty(axes.yCuts, "y_cuts");
-        nonEmpty(axes.dramGBpsPerTops, "dram_gbps_per_tops");
-        nonEmpty(axes.nocGBps, "noc_gbps");
-        nonEmpty(axes.d2dRatio, "d2d_ratio");
-        nonEmpty(axes.glbKiB, "glb_kib");
-        nonEmpty(axes.macsPerCore, "macs_per_core");
-        nonEmpty(axes.topologies, "topologies");
+        validateAxes(axes, complain);
         if (schedule.rungs < 0)
             complain("schedule.rungs: must be >= 0");
         if (schedule.keepFraction < 0.0 || schedule.keepFraction > 1.0)
@@ -654,6 +478,9 @@ ExperimentSpec::validate() const
         if (schedule.polishChains < 1)
             complain("schedule.polish_chains: must be >= 1");
     }
+
+    validateTech(mapping.tech, complain);
+    validateCost(costParams, complain);
 
     if (!(std::isfinite(alpha) && std::isfinite(beta) &&
           std::isfinite(gamma)))

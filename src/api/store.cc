@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -26,17 +25,10 @@
 namespace gemini::api {
 
 namespace fs = std::filesystem;
+using common::json::hex64;
 using common::json::Value;
 
 namespace {
-
-std::string
-hashHex(std::uint64_t h)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
-    return buf;
-}
 
 bool
 readFile(const std::string &path, std::string &out)
@@ -214,25 +206,25 @@ ResultStore::~ResultStore()
 std::string
 ResultStore::resultPath(std::uint64_t hash) const
 {
-    return (fs::path(dir_) / (hashHex(hash) + ".result.json")).string();
+    return (fs::path(dir_) / (hex64(hash) + ".result.json")).string();
 }
 
 std::string
 ResultStore::specPath(std::uint64_t hash) const
 {
-    return (fs::path(dir_) / (hashHex(hash) + ".spec.json")).string();
+    return (fs::path(dir_) / (hex64(hash) + ".spec.json")).string();
 }
 
 std::string
 ResultStore::journalPath(std::uint64_t hash) const
 {
-    return (fs::path(dir_) / (hashHex(hash) + ".journal")).string();
+    return (fs::path(dir_) / (hex64(hash) + ".journal")).string();
 }
 
 std::string
 ResultStore::metaPath(std::uint64_t hash) const
 {
-    return (fs::path(dir_) / (hashHex(hash) + ".meta.json")).string();
+    return (fs::path(dir_) / (hex64(hash) + ".meta.json")).string();
 }
 
 std::shared_ptr<const ExperimentResult>
@@ -254,20 +246,20 @@ ResultStore::get(std::uint64_t hash, const std::string &canonicalSpec)
     }
     ObjectReader r(*v, "store", &error);
     std::string checksum;
-    r.getString("checksum", checksum);
+    r.field("checksum", checksum);
     const Value *payload = r.require("payload");
     if (!payload || !r.finish()) {
         quarantine(path, error);
         return nullptr;
     }
-    if (hashHex(common::json::fnv1a64(payload->canonical())) != checksum) {
+    if (hex64(common::json::fnv1a64(payload->canonical())) != checksum) {
         quarantine(path, "checksum mismatch (bit rot or torn write)");
         return nullptr;
     }
 
     ObjectReader pr(*payload, "store.payload", &error);
     std::string storedSpec;
-    pr.getString("spec_canonical", storedSpec);
+    pr.field("spec_canonical", storedSpec);
     const Value *resultv = pr.require("result");
     if (!resultv || !pr.finish()) {
         quarantine(path, error);
@@ -277,7 +269,7 @@ ResultStore::get(std::uint64_t hash, const std::string &canonicalSpec)
         // A genuine 64-bit hash collision: the record is intact and
         // belongs to a *different* experiment. Leave it alone; the
         // colliding spec runs for real.
-        GEMINI_WARN("store: hash ", hashHex(hash), " collides with a "
+        GEMINI_WARN("store: hash ", hex64(hash), " collides with a "
                     "different spec; recomputing instead of serving it");
         return nullptr;
     }
@@ -313,7 +305,7 @@ ResultStore::put(const ExperimentResult &result, std::string *error)
     // Envelope spliced around the exact canonical bytes that were
     // checksummed (same convention as the rung journal).
     std::string text = "{\"checksum\":\"";
-    text += hashHex(common::json::fnv1a64(canonical));
+    text += hex64(common::json::fnv1a64(canonical));
     text += "\",\"payload\":";
     text += canonical;
     text += "}\n";
@@ -363,17 +355,16 @@ ResultStore::list()
         if (name.size() != 16 + suffix.size() ||
             name.compare(16, suffix.size(), suffix) != 0)
             continue;
-        const std::string hex = name.substr(0, 16);
-        char *end = nullptr;
-        const std::uint64_t hash = std::strtoull(hex.c_str(), &end, 16);
-        if (end != hex.c_str() + hex.size())
+        const std::optional<std::uint64_t> hash =
+            common::json::parseHex64(std::string_view(name).substr(0, 16));
+        if (!hash)
             continue;
         StoreEntry e;
-        e.hash = hash;
+        e.hash = *hash;
         e.path = de.path().string();
         std::error_code sec;
         e.bytes = static_cast<std::uint64_t>(de.file_size(sec));
-        e.hasJournal = fs::exists(journalPath(hash));
+        e.hasJournal = fs::exists(journalPath(*hash));
         e.poisoned = countPoisoned(e.path);
         entries.push_back(std::move(e));
     }
@@ -476,13 +467,10 @@ ResultStore::orphanJournals()
         const std::string name = de.path().filename().string();
         if (name.size() != 16 + 8 || name.compare(16, 8, ".journal") != 0)
             continue;
-        const std::string hex = name.substr(0, 16);
-        char *end = nullptr;
-        const std::uint64_t hash = std::strtoull(hex.c_str(), &end, 16);
-        if (end != hex.c_str() + hex.size())
-            continue;
-        if (!fs::exists(fs::path(dir_) / (hex + ".result.json")))
-            orphans.push_back(hash);
+        const std::optional<std::uint64_t> hash =
+            common::json::parseHex64(std::string_view(name).substr(0, 16));
+        if (hash && !fs::exists(resultPath(*hash)))
+            orphans.push_back(*hash);
     }
     std::sort(orphans.begin(), orphans.end());
     return orphans;

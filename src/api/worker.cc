@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -25,254 +24,104 @@ namespace {
 /** Cadence of the worker's I'm-alive frames during an evaluation. */
 constexpr auto kHeartbeatInterval = std::chrono::milliseconds(100);
 
-std::string
-seedToHex(std::uint64_t seed)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "0x%016" PRIx64, seed);
-    return buf;
-}
+constexpr std::pair<WorkerRequest::Kind, const char *> kRequestKinds[] = {
+    {WorkerRequest::Kind::Init, "init"},
+    {WorkerRequest::Kind::Eval, "eval"},
+    {WorkerRequest::Kind::Shutdown, "shutdown"}};
 
+constexpr std::pair<WorkerResponse::Kind, const char *> kResponseKinds[] = {
+    {WorkerResponse::Kind::Ready, "ready"},
+    {WorkerResponse::Kind::Heartbeat, "heartbeat"},
+    {WorkerResponse::Kind::Result, "result"},
+    {WorkerResponse::Kind::Error, "error"}};
+
+/** Parse one frame through its field list; `what` prefixes errors. */
+template <class Frame>
 bool
-seedFromHex(const std::string &text, std::uint64_t &out)
+readFrame(const std::string &text, const char *what, Frame &out,
+          std::string *error)
 {
-    if (text.rfind("0x", 0) != 0)
+    const std::optional<Value> v = common::json::parse(text, error);
+    if (!v) {
+        if (error)
+            *error = std::string(what) + ": JSON syntax error at " + *error;
         return false;
-    char *end = nullptr;
-    out = std::strtoull(text.c_str() + 2, &end, 16);
-    return end && *end == '\0';
-}
-
-const char *
-requestKindName(WorkerRequest::Kind k)
-{
-    switch (k) {
-      case WorkerRequest::Kind::Init: return "init";
-      case WorkerRequest::Kind::Eval: return "eval";
-      case WorkerRequest::Kind::Shutdown: return "shutdown";
     }
-    return "?";
-}
-
-const char *
-responseKindName(WorkerResponse::Kind k)
-{
-    switch (k) {
-      case WorkerResponse::Kind::Ready: return "ready";
-      case WorkerResponse::Kind::Heartbeat: return "heartbeat";
-      case WorkerResponse::Kind::Result: return "result";
-      case WorkerResponse::Kind::Error: return "error";
-    }
-    return "?";
+    return readJson(*v, what, out, error);
 }
 
 } // namespace
 
+/** A request carries only its own kind's keys. */
+template <class Io>
+void
+describe(Io &io, WorkerRequest &x)
+{
+    io.required("kind", x.kind, "kind", kRequestKinds);
+    io.field("seq", x.seq);
+    if (x.kind == WorkerRequest::Kind::Init) {
+        io.field("spec", x.specText);
+    } else if (x.kind == WorkerRequest::Kind::Eval) {
+        io.field("index", x.index);
+        io.field("rung", x.rung);
+        io.field("iters", x.iters);
+        io.field("chains", x.chains);
+        io.hex("seed", x.seed, "0x");
+        io.required("arch", x.arch);
+        io.field("warm_starts", x.warmStarts);
+        // Reject what no rung of a ladder would send (see
+        // dse::RemoteEvalRequest) rather than guess at it.
+        io.check(x.rung >= -1, "rung",
+                 "must be -1 (exhaustive), 0 (screen) or a warm-started "
+                 "rung >= 1");
+        io.check(x.iters >= 0, "iters", "must be >= 0");
+        io.check(x.rung != 0 || x.iters == 0, "iters",
+                 "the screen rung runs no SA, must be 0");
+        io.check(x.chains >= 1, "chains", "must be >= 1");
+        io.check(x.rung >= 1 || x.warmStarts.empty(), "warm_starts",
+                 "only rungs >= 1 start warm");
+    }
+}
+
+/** A response writes only its own kind's keys but accepts all of them. */
+template <class Io>
+void
+describe(Io &io, WorkerResponse &x)
+{
+    io.required("kind", x.kind, "kind", kResponseKinds);
+    io.field("seq", x.seq);
+    if (Io::kReading || x.kind == WorkerResponse::Kind::Error)
+        io.field("message", x.message);
+    if (Io::kReading || x.kind == WorkerResponse::Kind::Result) {
+        io.field("per_model", x.perModel);
+        io.field("mappings", x.mappings);
+    }
+}
+
 std::string
 WorkerRequest::toText() const
 {
-    Value v = Value::object();
-    v.set("kind", requestKindName(kind));
-    v.set("seq", seq);
-    if (kind == Kind::Init) {
-        v.set("spec", specText);
-    } else if (kind == Kind::Eval) {
-        v.set("index", static_cast<std::uint64_t>(index));
-        v.set("rung", rung);
-        v.set("iters", iters);
-        v.set("chains", chains);
-        v.set("seed", seedToHex(seed));
-        v.set("arch", archConfigToJson(arch));
-        Value warm = Value::array();
-        for (const mapping::LpMapping &m : warmStarts)
-            warm.push(lpMappingToJson(m));
-        v.set("warm_starts", std::move(warm));
-    }
-    return v.dump();
+    return writeJson(*this).dump();
 }
 
 bool
 WorkerRequest::fromText(const std::string &text, WorkerRequest &out,
                         std::string *error)
 {
-    const std::optional<Value> v = common::json::parse(text, error);
-    if (!v) {
-        if (error)
-            *error = "request: JSON syntax error at " + *error;
-        return false;
-    }
-    WorkerRequest rq;
-    ObjectReader r(*v, "request", error);
-    std::string kind;
-    r.getString("kind", kind);
-    if (!r.ok())
-        return false;
-    if (kind == "init") {
-        rq.kind = Kind::Init;
-    } else if (kind == "eval") {
-        rq.kind = Kind::Eval;
-    } else if (kind == "shutdown") {
-        rq.kind = Kind::Shutdown;
-    } else {
-        if (error && error->empty())
-            *error = "request.kind: unknown kind \"" + kind + "\"";
-        return false;
-    }
-    r.getInt("seq", rq.seq);
-    if (rq.kind == Kind::Init) {
-        r.getString("spec", rq.specText);
-    } else if (rq.kind == Kind::Eval) {
-        r.getInt("index", rq.index);
-        r.getInt("rung", rq.rung);
-        r.getInt("iters", rq.iters);
-        r.getInt("chains", rq.chains);
-        std::string seed_hex = seedToHex(0);
-        r.getString("seed", seed_hex);
-        if (r.ok() && !seedFromHex(seed_hex, rq.seed)) {
-            if (error && error->empty())
-                *error = "request.seed: expected a 0x-prefixed hex string";
-            return false;
-        }
-        if (const Value *archv = r.require("arch")) {
-            if (!archConfigFromJson(*archv, "request.arch", rq.arch, error))
-                return false;
-        }
-        if (const Value *warm = r.child("warm_starts")) {
-            if (!warm->isArray()) {
-                if (error && error->empty())
-                    *error = "request.warm_starts: expected an array";
-                return false;
-            }
-            std::size_t i = 0;
-            for (const Value &mv : warm->asArray()) {
-                mapping::LpMapping m;
-                if (!lpMappingFromJson(mv,
-                                       "request.warm_starts[" +
-                                           std::to_string(i) + "]",
-                                       m, error))
-                    return false;
-                rq.warmStarts.push_back(std::move(m));
-                ++i;
-            }
-        }
-        if (r.ok()) {
-            // Reject what no rung of a ladder would send (see
-            // dse::RemoteEvalRequest) rather than guess at it.
-            const char *bad = nullptr;
-            if (rq.rung < -1)
-                bad = "request.rung: must be -1 (exhaustive), 0 (screen) "
-                      "or a warm-started rung >= 1";
-            else if (rq.iters < 0)
-                bad = "request.iters: must be >= 0";
-            else if (rq.rung == 0 && rq.iters != 0)
-                bad = "request.iters: the screen rung runs no SA, must be 0";
-            else if (rq.chains < 1)
-                bad = "request.chains: must be >= 1";
-            else if (rq.rung < 1 && !rq.warmStarts.empty())
-                bad = "request.warm_starts: only rungs >= 1 start warm";
-            if (bad) {
-                if (error && error->empty())
-                    *error = bad;
-                return false;
-            }
-        }
-    }
-    if (!r.finish())
-        return false;
-    out = std::move(rq);
-    return true;
+    return readFrame(text, "request", out, error);
 }
 
 std::string
 WorkerResponse::toText() const
 {
-    Value v = Value::object();
-    v.set("kind", responseKindName(kind));
-    v.set("seq", seq);
-    if (kind == Kind::Error) {
-        v.set("message", message);
-    } else if (kind == Kind::Result) {
-        Value per_model = Value::array();
-        for (const eval::EvalBreakdown &b : perModel)
-            per_model.push(evalBreakdownToJson(b));
-        v.set("per_model", std::move(per_model));
-        Value maps = Value::array();
-        for (const mapping::LpMapping &m : mappings)
-            maps.push(lpMappingToJson(m));
-        v.set("mappings", std::move(maps));
-    }
-    return v.dump();
+    return writeJson(*this).dump();
 }
 
 bool
 WorkerResponse::fromText(const std::string &text, WorkerResponse &out,
                          std::string *error)
 {
-    const std::optional<Value> v = common::json::parse(text, error);
-    if (!v) {
-        if (error)
-            *error = "response: JSON syntax error at " + *error;
-        return false;
-    }
-    WorkerResponse resp;
-    ObjectReader r(*v, "response", error);
-    std::string kind;
-    r.getString("kind", kind);
-    if (!r.ok())
-        return false;
-    if (kind == "ready") {
-        resp.kind = Kind::Ready;
-    } else if (kind == "heartbeat") {
-        resp.kind = Kind::Heartbeat;
-    } else if (kind == "result") {
-        resp.kind = Kind::Result;
-    } else if (kind == "error") {
-        resp.kind = Kind::Error;
-    } else {
-        if (error && error->empty())
-            *error = "response.kind: unknown kind \"" + kind + "\"";
-        return false;
-    }
-    r.getInt("seq", resp.seq);
-    r.getString("message", resp.message);
-    if (const Value *per_model = r.child("per_model")) {
-        if (!per_model->isArray()) {
-            if (error && error->empty())
-                *error = "response.per_model: expected an array";
-            return false;
-        }
-        std::size_t i = 0;
-        for (const Value &bv : per_model->asArray()) {
-            eval::EvalBreakdown b;
-            if (!evalBreakdownFromJson(
-                    bv, "response.per_model[" + std::to_string(i) + "]", b,
-                    error))
-                return false;
-            resp.perModel.push_back(b);
-            ++i;
-        }
-    }
-    if (const Value *maps = r.child("mappings")) {
-        if (!maps->isArray()) {
-            if (error && error->empty())
-                *error = "response.mappings: expected an array";
-            return false;
-        }
-        std::size_t i = 0;
-        for (const Value &mv : maps->asArray()) {
-            mapping::LpMapping m;
-            if (!lpMappingFromJson(
-                    mv, "response.mappings[" + std::to_string(i) + "]", m,
-                    error))
-                return false;
-            resp.mappings.push_back(std::move(m));
-            ++i;
-        }
-    }
-    if (!r.finish())
-        return false;
-    out = std::move(resp);
-    return true;
+    return readFrame(text, "response", out, error);
 }
 
 namespace {

@@ -8,25 +8,10 @@ namespace gemini::arch {
 const char *
 topologyName(Topology t)
 {
-    switch (t) {
-      case Topology::Mesh: return "mesh";
-      case Topology::FoldedTorus: return "folded-torus";
-      case Topology::ConcentratedRing: return "concentrated-ring";
-      case Topology::HierarchicalNop: return "hierarchical-nop";
-    }
+    for (const auto &[topology, name] : kTopologyNames)
+        if (topology == t)
+            return name;
     return "?";
-}
-
-bool
-topologyFromName(const std::string &name, Topology &out)
-{
-    for (const Topology t : kAllTopologies) {
-        if (name == topologyName(t)) {
-            out = t;
-            return true;
-        }
-    }
-    return false;
 }
 
 int

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "src/common/types.hh"
 
@@ -41,14 +42,14 @@ inline constexpr Topology kAllTopologies[] = {
     Topology::Mesh, Topology::FoldedTorus, Topology::ConcentratedRing,
     Topology::HierarchicalNop};
 
-const char *topologyName(Topology t);
+/** Name of each topology ("mesh", "folded-torus", ...), as on the wire. */
+inline constexpr std::pair<Topology, const char *> kTopologyNames[] = {
+    {Topology::Mesh, "mesh"},
+    {Topology::FoldedTorus, "folded-torus"},
+    {Topology::ConcentratedRing, "concentrated-ring"},
+    {Topology::HierarchicalNop, "hierarchical-nop"}};
 
-/**
- * Inverse of topologyName ("mesh", "folded-torus", ...). Returns false
- * on an unknown name, leaving `out` untouched — callers (the JSON spec
- * layer) turn that into an actionable error listing the valid names.
- */
-bool topologyFromName(const std::string &name, Topology &out);
+const char *topologyName(Topology t);
 
 /**
  * Architecture parameters (Sec. III "Configurable Parameters").

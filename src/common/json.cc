@@ -540,4 +540,30 @@ fnv1a64(std::string_view s)
     return h;
 }
 
+std::string
+hex64(std::uint64_t v)
+{
+    std::string out(16, '0');
+    for (int i = 15; i >= 0; --i, v >>= 4)
+        out[i] = "0123456789abcdef"[v & 0xf];
+    return out;
+}
+
+std::optional<std::uint64_t>
+parseHex64(std::string_view text)
+{
+    if (text.size() != 16)
+        return std::nullopt;
+    std::uint64_t v = 0;
+    for (const char c : text) {
+        if (c >= '0' && c <= '9')
+            v = v << 4 | static_cast<std::uint64_t>(c - '0');
+        else if (c >= 'a' && c <= 'f')
+            v = v << 4 | static_cast<std::uint64_t>(c - 'a' + 10);
+        else
+            return std::nullopt;
+    }
+    return v;
+}
+
 } // namespace gemini::common::json

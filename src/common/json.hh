@@ -135,6 +135,18 @@ std::optional<Value> parse(std::string_view text,
 /** FNV-1a 64-bit hash (content hashing of canonical spec text). */
 std::uint64_t fnv1a64(std::string_view s);
 
+/**
+ * A 64-bit value as exactly 16 lowercase hex digits — the wire form of
+ * hashes, tags and seeds, which a JSON double cannot hold exactly.
+ */
+std::string hex64(std::uint64_t v);
+
+/**
+ * Inverse of hex64: accepts exactly the 16 lowercase hex digits it
+ * writes (no prefix, sign, whitespace or short form).
+ */
+std::optional<std::uint64_t> parseHex64(std::string_view text);
+
 } // namespace gemini::common::json
 
 #endif // GEMINI_COMMON_JSON_HH

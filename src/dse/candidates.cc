@@ -53,7 +53,8 @@ chooseCoreGrid(double tops_target, int macs_per_core,
         tops_target * 1000.0 / (2.0 * macs_per_core); // at 1 GHz
     // A single core within the same ~15% tolerance the search window uses
     // is still a valid grid (e.g. 1 TOPs on 512-MAC cores -> exact 0.98).
-    GEMINI_ASSERT(exact >= 0.85, "TOPS target too small for this MAC count");
+    GEMINI_ASSERT(exact >= kMinExactCores && exact <= kMaxExactCores,
+                  "TOPS target out of range for this MAC count");
     const int lo = std::max(1, static_cast<int>(std::floor(exact * 0.85)));
     const int hi = std::max(lo, static_cast<int>(std::ceil(exact * 1.15)));
 
@@ -96,10 +97,16 @@ chooseCoreGrid(double tops_target, int macs_per_core,
     y_cores = best_y;
 }
 
-std::vector<arch::ArchConfig>
-enumerateCandidates(const DseAxes &axes)
+namespace {
+
+/**
+ * Hand every valid candidate of an axis set, in enumeration order and
+ * still unnamed, to `take`; stop early once it returns false.
+ */
+template <class Take>
+void
+visitCandidates(const DseAxes &axes, Take &&take)
 {
-    std::vector<arch::ArchConfig> out;
     for (int macs : axes.macsPerCore) {
         int xc = 0, yc = 0;
         chooseCoreGrid(axes.topsTarget, macs, axes.xCuts, axes.yCuts, xc,
@@ -132,12 +139,8 @@ enumerateCandidates(const DseAxes &axes)
                                 cfg.macsPerCore = macs;
                                 for (int glb : axes.glbKiB) {
                                     cfg.glbKiB = glb;
-                                    std::ostringstream name;
-                                    name << "dse-" << axes.topsTarget
-                                         << "T-" << out.size();
-                                    cfg.name = name.str();
-                                    if (cfg.validate().empty())
-                                        out.push_back(cfg);
+                                    if (cfg.validate().empty() && !take(cfg))
+                                        return;
                                 }
                                 // Monolithic candidates do not vary by
                                 // D2D ratio; skip the duplicates.
@@ -150,7 +153,33 @@ enumerateCandidates(const DseAxes &axes)
             }
         }
     }
+}
+
+} // namespace
+
+std::vector<arch::ArchConfig>
+enumerateCandidates(const DseAxes &axes)
+{
+    std::vector<arch::ArchConfig> out;
+    visitCandidates(axes, [&](arch::ArchConfig cfg) {
+        std::ostringstream name;
+        name << "dse-" << axes.topsTarget << "T-" << out.size();
+        cfg.name = name.str();
+        out.push_back(std::move(cfg));
+        return true;
+    });
     return out;
+}
+
+bool
+hasCandidates(const DseAxes &axes)
+{
+    bool any = false;
+    visitCandidates(axes, [&](const arch::ArchConfig &) {
+        any = true;
+        return false;
+    });
+    return any;
 }
 
 } // namespace gemini::dse

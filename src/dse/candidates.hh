@@ -46,11 +46,20 @@ struct DseAxes
 };
 
 /**
+ * The range of exact core counts (TOPS target over per-core TOPS at
+ * 1 GHz) chooseCoreGrid accepts: at least one core within its ~15%
+ * window, and a grid small enough to search.
+ */
+inline constexpr double kMinExactCores = 0.85;
+inline constexpr double kMaxExactCores = 16384.0;
+
+/**
  * Choose the core grid for a MAC count under a TOPS target: the candidate
  * core count within ~15% of the exact requirement whose near-square factor
  * pair admits the most valid (XCut, YCut) combinations (ties prefer the
  * closest count, then the squarest grid). This reproduces the paper's
- * "36 cores -> 6x6, 18 -> 6x3" arrangement rule.
+ * "36 cores -> 6x6, 18 -> 6x3" arrangement rule. Every cut must be >= 1
+ * and the exact core count within [kMinExactCores, kMaxExactCores].
  */
 void chooseCoreGrid(double tops_target, int macs_per_core,
                     const std::vector<int> &x_cuts,
@@ -59,6 +68,9 @@ void chooseCoreGrid(double tops_target, int macs_per_core,
 
 /** Enumerate all valid candidates of one axis set. */
 std::vector<arch::ArchConfig> enumerateCandidates(const DseAxes &axes);
+
+/** Whether enumerateCandidates(axes) is non-empty, found cheaply. */
+bool hasCandidates(const DseAxes &axes);
 
 } // namespace gemini::dse
 

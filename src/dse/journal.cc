@@ -1,10 +1,7 @@
 #include "src/dse/journal.hh"
 
 #include <cerrno>
-#include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string_view>
@@ -27,15 +24,29 @@ namespace gemini::dse {
 
 using common::json::Value;
 
-namespace {
-
-std::string
-hex16(std::uint64_t h)
+/** The record's field list (it lives in this namespace for ADL). */
+template <class Io>
+void
+describe(Io &io, JournalRecord &x)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
-    return buf;
+    io.field("version", x.version);
+    io.check(x.version <= 1, "version",
+             "from a newer writer (" + std::to_string(x.version) + ")");
+    io.hex("tag", x.tag, ""); // hex: 64-bit tags exceed JSON's 2^53
+    io.field("rung", x.rung);
+    io.field("rung_name", x.rungName);
+    io.field("final", x.final);
+    io.extended("best_so_far", x.bestSoFar);
+    io.required("snapshot", x.snapshot);
+    io.field("survivors", x.survivors);
+    // appendPayload streams the warm starts itself, one mapping at a time.
+    if (Io::kReading)
+        io.required("warm_starts", x.warmStarts);
+    io.check(x.survivors.size() == x.warmStarts.size(), "",
+             "survivors and warm_starts must be parallel");
 }
+
+namespace {
 
 /**
  * Append the canonical payload of one record to `out`, with survivor k's
@@ -52,22 +63,7 @@ void
 appendPayload(std::string &out, const JournalRecord &rec,
               const WarmOf &warm_of)
 {
-    Value survivors = Value::array();
-    for (const std::size_t i : rec.survivors)
-        survivors.push(static_cast<std::int64_t>(i));
-    Value v = Value::object();
-    v.set("version", rec.version);
-    v.set("tag", hex16(rec.tag)); // hex: 64-bit tags exceed JSON's 2^53
-    v.set("rung", rec.rung);
-    v.set("rung_name", rec.rungName);
-    v.set("final", rec.final);
-    if (std::isfinite(rec.bestSoFar))
-        v.set("best_so_far", rec.bestSoFar);
-    else
-        v.set("best_so_far", Value(nullptr));
-    v.set("snapshot", api::dseResultToJson(rec.snapshot));
-    v.set("survivors", std::move(survivors));
-
+    const Value v = api::writeJson(rec);
     out += v.canonical();
     out.pop_back(); // the record's closing brace
     out += ",\"warm_starts\":[";
@@ -103,86 +99,10 @@ encodeLine(const JournalRecord &rec, const WarmOf &warm_of)
     std::string line(kHead);
     appendPayload(line, rec, warm_of);
     line.replace(kChecksumAt, 16,
-                 hex16(common::json::fnv1a64(
+                 common::json::hex64(common::json::fnv1a64(
                      std::string_view(line).substr(kHead.size()))));
     line += "}\n";
     return line;
-}
-
-bool
-recordFromJson(const Value &v, JournalRecord &out, std::string *error)
-{
-    api::ObjectReader r(v, "record", error);
-    JournalRecord rec;
-    r.getInt("version", rec.version);
-    std::string tag_hex;
-    r.getString("tag", tag_hex);
-    if (r.ok()) {
-        char *end = nullptr;
-        rec.tag = std::strtoull(tag_hex.c_str(), &end, 16);
-        if (tag_hex.empty() || *end != '\0') {
-            if (error && error->empty())
-                *error = "record.tag: expected a hex string";
-            return false;
-        }
-    }
-    r.getInt("rung", rec.rung);
-    r.getString("rung_name", rec.rungName);
-    r.getBool("final", rec.final);
-    rec.bestSoFar = 0.0;
-    r.getExtendedDouble("best_so_far", rec.bestSoFar);
-    if (const Value *snapshot = r.require("snapshot")) {
-        if (!api::dseResultFromJson(*snapshot, "record.snapshot",
-                                    rec.snapshot, error))
-            return false;
-    }
-    r.getIntList("survivors", rec.survivors);
-    if (const Value *warm = r.require("warm_starts")) {
-        if (!warm->isArray()) {
-            if (error && error->empty())
-                *error = "record.warm_starts: expected an array";
-            return false;
-        }
-        std::size_t si = 0;
-        for (const Value &inner : warm->asArray()) {
-            if (!inner.isArray()) {
-                if (error && error->empty())
-                    *error = "record.warm_starts: expected arrays of "
-                             "mappings";
-                return false;
-            }
-            std::vector<mapping::LpMapping> per_model;
-            std::size_t mi = 0;
-            for (const Value &mv : inner.asArray()) {
-                mapping::LpMapping m;
-                if (!api::lpMappingFromJson(
-                        mv,
-                        "record.warm_starts[" + std::to_string(si) + "][" +
-                            std::to_string(mi) + "]",
-                        m, error))
-                    return false;
-                per_model.push_back(std::move(m));
-                ++mi;
-            }
-            rec.warmStarts.push_back(std::move(per_model));
-            ++si;
-        }
-    }
-    if (!r.finish())
-        return false;
-    if (rec.version > 1) {
-        if (error && error->empty())
-            *error = "record.version: from a newer writer (" +
-                     std::to_string(rec.version) + ")";
-        return false;
-    }
-    if (rec.survivors.size() != rec.warmStarts.size()) {
-        if (error && error->empty())
-            *error = "record: survivors and warm_starts must be parallel";
-        return false;
-    }
-    out = std::move(rec);
-    return true;
 }
 
 /** Parse + verify one journal line; false on any mismatch. */
@@ -195,16 +115,16 @@ decodeLine(const std::string &line, std::uint64_t tag, JournalRecord &out,
         return false;
     api::ObjectReader r(*v, "line", error);
     std::string checksum;
-    r.getString("checksum", checksum);
+    r.field("checksum", checksum);
     const Value *record = r.require("record");
     if (!record || !r.finish())
         return false;
-    if (hex16(common::json::fnv1a64(record->canonical())) != checksum) {
+    if (common::json::hex64(common::json::fnv1a64(record->canonical())) != checksum) {
         if (error && error->empty())
             *error = "line.checksum: mismatch (corrupt or torn record)";
         return false;
     }
-    if (!recordFromJson(*record, out, error))
+    if (!api::readJson(*record, "record", out, error))
         return false;
     if (out.tag != tag) {
         if (error && error->empty())

@@ -217,6 +217,103 @@ TEST(Spec, RejectsOutOfRangeIntegers)
     EXPECT_NE(error.find("out of range"), std::string::npos) << error;
 }
 
+// Specs an earlier build accepted and then crashed on (SIGFPE, an
+// assert, or a negative DRAM price): validate() now names the field.
+
+std::string
+problemsWith(void (*edit)(ExperimentSpec &))
+{
+    ExperimentSpec spec = tinyDseSpec();
+    edit(spec);
+    return spec.validate();
+}
+
+TEST(SpecValidate, ZeroCutIsRejected)
+{
+    EXPECT_EQ(problemsWith([](ExperimentSpec &s) { s.axes.xCuts = {0}; }),
+              "axes.x_cuts[0]: must be >= 1");
+}
+
+TEST(SpecValidate, ZeroChannelLanesAreRejected)
+{
+    EXPECT_EQ(
+        problemsWith([](ExperimentSpec &s) { s.mapping.tech.lanesC = 0; }),
+        "tech.lanes_c: must be >= 1");
+}
+
+TEST(SpecValidate, TopsTargetBelowOneCoreIsRejected)
+{
+    EXPECT_EQ(
+        problemsWith([](ExperimentSpec &s) { s.axes.topsTarget = 0.001; }),
+        "axes.tops_target: 0.001 TOPS needs 0.001953125 cores of 256 MACs "
+        "(must be within [0.85, 16384])");
+}
+
+TEST(SpecValidate, CutsThatDivideNoGridAreRejected)
+{
+    EXPECT_EQ(problemsWith([](ExperimentSpec &s) {
+                  s.axes.xCuts = {7};
+                  s.axes.yCuts = {7};
+              }),
+              "axes: the axis lists enumerate no valid candidate (no "
+              "x_cuts/y_cuts pair divides the core grid, or every "
+              "combination fails the architecture checks)");
+}
+
+TEST(SpecValidate, ZeroMacsPerCoreAreRejected)
+{
+    EXPECT_EQ(
+        problemsWith([](ExperimentSpec &s) { s.axes.macsPerCore = {0}; }),
+        "axes.macs_per_core[0]: must be >= 1");
+}
+
+TEST(SpecValidate, ZeroGlbIsRejected)
+{
+    EXPECT_EQ(problemsWith([](ExperimentSpec &s) { s.axes.glbKiB = {0}; }),
+              "axes.glb_kib[0]: must be >= 1");
+}
+
+TEST(SpecValidate, NegativeNocBandwidthIsRejected)
+{
+    EXPECT_EQ(
+        problemsWith([](ExperimentSpec &s) { s.axes.nocGBps = {16, -1}; }),
+        "axes.noc_gbps[1]: must be a finite number > 0");
+}
+
+TEST(SpecValidate, ZeroDramDieBandwidthIsRejected)
+{
+    EXPECT_EQ(problemsWith([](ExperimentSpec &s) {
+                  s.costParams.dramUnitBwGBps = 0;
+              }),
+              "cost.dram_unit_bw_gbps: must be a finite number > 0");
+}
+
+TEST(SpecValidate, CostTiersMustBePresentAndAscend)
+{
+    EXPECT_EQ(problemsWith([](ExperimentSpec &s) {
+                  s.costParams.chipletSubstrateTiers.clear();
+              }),
+              "cost.chiplet_substrate_tiers: at least one tier is required");
+    EXPECT_EQ(problemsWith([](ExperimentSpec &s) {
+                  s.costParams.chipletSubstrateTiers = {{2000, 0.01},
+                                                        {1000, 0.02}};
+              }),
+              "cost.chiplet_substrate_tiers[1].max_area_mm2: tiers must "
+              "ascend by area");
+}
+
+TEST(SpecValidate, InvalidSpecFailsTheJobInsteadOfTheProcess)
+{
+    ExperimentSpec spec = tinyDseSpec();
+    spec.axes.xCuts = {0};
+    ExplorationService service(1);
+    JobHandle job = service.submit(spec);
+    const ExperimentResult &r = job.wait();
+    ASSERT_TRUE(r.failed());
+    EXPECT_EQ(r.errorKind, ExperimentResult::ErrorKind::InvalidSpec);
+    EXPECT_NE(r.error.find("axes.x_cuts[0]"), std::string::npos) << r.error;
+}
+
 TEST(Spec, ModelNeedsExactlyOneSource)
 {
     ExperimentSpec spec = tinyDseSpec();

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -246,6 +247,79 @@ TEST_F(DaemonTest, HttpRunMatchesInProcessRunBitForBit)
     stripTiming(*overHttp);
     EXPECT_EQ(reference.canonical(), overHttp->canonical())
         << "HTTP result must be bit-identical to the in-process run";
+}
+
+TEST_F(DaemonTest, StatusStatsAreTheResultsStats)
+{
+    Stack stack(dir_);
+    ExperimentSpec spec = tinyDseSpec("stats");
+    spec.schedule.enabled = true;
+    spec.schedule.rungs = 1;
+    int status = 0;
+    json::Value admitted = stack.submit(spec, "alice", &status);
+    ASSERT_EQ(status, 202) << admitted.dump();
+    const std::string id = admitted.find("id")->asString();
+    json::Value terminal = stack.waitTerminal(id);
+    ASSERT_EQ(terminal.find("state")->asString(), "done");
+
+    std::string error;
+    auto response = stack.client->request(
+        "GET", "/v1/jobs/" + id + "/result", "", &error);
+    ASSERT_TRUE(response.has_value()) << error;
+    auto result = json::parse(response->body, &error);
+    ASSERT_TRUE(result.has_value()) << error;
+
+    // One writer for the ledger: every rung key, poisoned included.
+    const json::Value *stats = terminal.find("stats");
+    ASSERT_NE(stats, nullptr) << terminal.dump();
+    EXPECT_EQ(stats->dump(), result->find("dse")->find("stats")->dump());
+    const json::Value &rung = stats->find("rungs")->asArray().at(0);
+    for (const char *key :
+         {"poisoned", "sa_iters", "cpu_seconds", "best_objective"})
+        EXPECT_NE(rung.find(key), nullptr) << key;
+}
+
+TEST_F(DaemonTest, SpecThatWouldCrashTheRunIsRefused)
+{
+    Stack stack(dir_);
+    ExperimentSpec bad = tinyDseSpec("zero-cut");
+    bad.axes.xCuts = {0};
+    std::string error;
+    auto r = stack.client->request("POST", "/v1/jobs?tenant=alice",
+                                   bad.toJson().dump(), &error);
+    ASSERT_TRUE(r.has_value()) << error;
+    EXPECT_EQ(r->status, 400);
+    EXPECT_NE(r->body.find("axes.x_cuts[0]"), std::string::npos) << r->body;
+
+    // The daemon is still serving.
+    r = stack.client->request("GET", "/healthz", "", &error);
+    ASSERT_TRUE(r.has_value()) << error;
+    EXPECT_EQ(r->status, 200);
+}
+
+TEST_F(DaemonTest, OrphanJournalOfAnInvalidSpecDoesNotStopTheDaemon)
+{
+    // What an older build leaves behind when a spec it accepted killed
+    // the run: the spec sidecar and a rung journal, but no result.
+    ExperimentSpec bad = tinyDseSpec("zero-lanes");
+    bad.schedule.enabled = true;
+    bad.mapping.tech.lanesC = 0;
+    const std::uint64_t hash = bad.canonicalHash();
+    {
+        ResultStore store(dir_);
+        store.putSpec(bad, hash);
+        std::ofstream(store.journalPath(hash)) << "";
+        ASSERT_EQ(store.orphanJournals(),
+                  (std::vector<std::uint64_t>{hash}));
+    }
+
+    Stack stack(dir_);
+    EXPECT_EQ(stack.scheduler->recoverInterrupted(), 0);
+    EXPECT_TRUE(stack.scheduler->list().empty());
+    std::string error;
+    auto r = stack.client->request("GET", "/healthz", "", &error);
+    ASSERT_TRUE(r.has_value()) << error;
+    EXPECT_EQ(r->status, 200);
 }
 
 TEST_F(DaemonTest, ResubmissionIsAnsweredInstantly)

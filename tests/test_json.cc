@@ -173,5 +173,18 @@ TEST(Json, Fnv1a64KnownVectorsAndSensitivity)
     EXPECT_NE(fnv1a64("spec-a"), fnv1a64("spec-b"));
 }
 
+TEST(Json, Hex64RoundTripsAndAcceptsOnlyItsOwnDigits)
+{
+    EXPECT_EQ(hex64(0), "0000000000000000");
+    EXPECT_EQ(hex64(0xfedcba9876543210ull), "fedcba9876543210");
+    for (const std::uint64_t v : {0ull, 1ull, 0xc0d4dd0d51c69106ull, ~0ull})
+        EXPECT_EQ(parseHex64(hex64(v)), v);
+    for (const char *bad :
+         {"", "0", "0x", "0x0000000000000001", "000000000000000", 
+          "00000000000000000", "+000000000000007", "-000000000000005",
+          " 000000000000007", "FEDCBA9876543210", "000000000000000g"})
+        EXPECT_FALSE(parseHex64(bad).has_value()) << '"' << bad << '"';
+}
+
 } // namespace
 } // namespace gemini::common::json

@@ -33,11 +33,14 @@
  * half-written file behind.
  */
 
+#include <algorithm>
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/api/results.hh"
@@ -49,6 +52,7 @@
 #include "src/arch/presets.hh"
 #include "src/common/artifacts.hh"
 #include "src/common/fs_atomic.hh"
+#include "src/common/json.hh"
 #include "src/dnn/zoo.hh"
 
 using namespace gemini;
@@ -315,13 +319,12 @@ cmdResume(const std::string &target, int argc, char **argv)
     // `resume <16-hex-hash>` pulls the spec sidecar from the store;
     // `resume <spec.json>` rehashes the file. Both then run with
     // SubmitOptions::resume so the journal warm-starts the scheduler.
-    std::string hex = target;
-    if (hex.rfind("0x", 0) == 0)
-        hex = hex.substr(2);
-    const bool looks_like_hash =
-        hex.size() == 16 &&
-        hex.find_first_not_of("0123456789abcdefABCDEF") == std::string::npos;
-    if (!looks_like_hash) {
+    std::string hex = target.rfind("0x", 0) == 0 ? target.substr(2) : target;
+    std::transform(hex.begin(), hex.end(), hex.begin(), [](unsigned char c) {
+        return static_cast<char>(std::tolower(c));
+    });
+    const std::optional<std::uint64_t> hash = common::json::parseHex64(hex);
+    if (!hash) {
         std::optional<api::ExperimentSpec> spec = loadSpec(target);
         if (!spec)
             return 1;
@@ -335,10 +338,8 @@ cmdResume(const std::string &target, int argc, char **argv)
         return 2;
     }
     api::ResultStore store(store_dir);
-    const std::uint64_t hash =
-        std::strtoull(hex.c_str(), nullptr, 16);
     std::string error;
-    std::optional<api::ExperimentSpec> spec = store.loadSpec(hash, &error);
+    std::optional<api::ExperimentSpec> spec = store.loadSpec(*hash, &error);
     if (!spec) {
         std::fprintf(stderr, "%s\n", error.c_str());
         return 1;
