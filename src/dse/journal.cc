@@ -51,7 +51,8 @@ namespace {
 /**
  * Append the canonical payload of one record to `out`, with survivor k's
  * warm starts read from `warm_of(k)`. Everything but the warm starts goes
- * through one Value; the warm starts are spliced into its canonical text
+ * through one Value written from the record's field list (which leaves
+ * them out); the warm starts are spliced into its canonical text
  * one mapping at a time, so no tree of every survivor's mappings is ever
  * built. The splice reproduces the canonical form exactly: canonical() is
  * compact and sorts keys bytewise, and "warm_starts" sorts after every
