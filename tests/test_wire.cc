@@ -70,7 +70,7 @@ hashText(std::uint64_t h)
     return buf;
 }
 
-/** A scratch directory removed when the test ends. */
+/** A temporary directory removed when the test ends. */
 class WireTest : public ::testing::Test
 {
   protected:
