@@ -66,7 +66,7 @@ double
 dramIngressCutBps(const arch::ArchConfig &cfg)
 {
     const noc::InterconnectModel noc(cfg);
-    std::vector<noc::LinkKey> links;
+    std::vector<noc::LinkId> links;
     links.reserve(static_cast<std::size_t>(cfg.dramCount) * 2);
     for (int d = 0; d < cfg.dramCount; ++d) {
         const noc::NodeId dram = noc.dramNode(d);
@@ -82,8 +82,8 @@ dramIngressCutBps(const arch::ArchConfig &cfg)
     std::sort(links.begin(), links.end());
     links.erase(std::unique(links.begin(), links.end()), links.end());
     double bps = 0.0;
-    for (const noc::LinkKey key : links)
-        bps += noc.linkBandwidthBps(noc::linkFrom(key), noc::linkTo(key));
+    for (const noc::LinkId id : links)
+        bps += noc.linkBandwidthAt(id);
     return bps;
 }
 

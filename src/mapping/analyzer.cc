@@ -22,7 +22,7 @@ Analyzer::Analyzer(const dnn::Graph &graph, const arch::ArchConfig &arch,
       trafficCompiler_(graph, arch_, noc)
 {
     GEMINI_ASSERT(graph.finalized(), "graph must be finalized");
-    merge_.reset(static_cast<std::size_t>(noc_.nodeCount()));
+    merge_.reset(noc_.linkCount());
 }
 
 void
@@ -123,8 +123,8 @@ Analyzer::analyzeGroup(const LayerGroupMapping &group, std::int64_t batch,
         total_links += flows->links.size();
     out.traffic.reserve(total_links);
     for (const LayerFlows *flows : fragScratch_.flows) {
-        for (const auto &[link, bytes] : flows->links)
-            out.traffic.addLink(link, bytes);
+        for (const auto &[id, bytes] : flows->links)
+            out.traffic.addLink(noc_.linkAt(id), bytes);
         for (int d = 0; d < arch_.dramCount; ++d)
             out.dramBytesPerUnit[d] += flows->dramBytes[d];
         out.glbOverflow = std::max(out.glbOverflow, flows->glbOverflow);
@@ -313,8 +313,8 @@ Analyzer::evaluateGroupFullMerge(const LayerGroupMapping &group,
 
     // Cost accumulation: merge the fragments' link loads through the dense
     // scratch — per-link totals sum in layer order (identical to the map
-    // assembly) and the per-link sums fold in ascending slot order, the
-    // canonical order the delta-evaluated state reproduces. No TrafficMap
+    // assembly) and the per-link sums fold in ascending link-id order,
+    // the canonical order the delta-evaluated state reproduces. No TrafficMap
     // is materialized. The on-chip/D2D sums are order-dependent and stay
     // sequential; the bottleneck max batches through the fused SIMD
     // kernel over the packed (bytes, kind) arrays the drain fills.
@@ -325,9 +325,8 @@ Analyzer::evaluateGroupFullMerge(const LayerGroupMapping &group,
                        fs.flows[li]->links.size());
     linkBytes_.clear();
     linkKinds_.clear();
-    merge_.drainSlots([&](std::uint64_t slot, double bytes) {
-        const noc::LinkKind kind =
-            noc_.linkKindAt(static_cast<std::size_t>(slot));
+    merge_.drainSlots([&](noc::LinkId id, double bytes) {
+        const noc::LinkKind kind = noc_.linkKindAt(id);
         if (kind == noc::LinkKind::D2D)
             d2d += bytes;
         else

@@ -16,7 +16,7 @@
 #ifndef GEMINI_MAPPING_FRAGMENTS_HH
 #define GEMINI_MAPPING_FRAGMENTS_HH
 
-#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -27,7 +27,6 @@
 #include "src/common/small_vec.hh"
 #include "src/common/types.hh"
 #include "src/mapping/encoding.hh"
-#include "src/mapping/kernels.hh"
 #include "src/noc/interconnect.hh"
 
 namespace gemini::mapping {
@@ -78,9 +77,9 @@ struct LayerTiles
  * Traffic-compiler product of one layer: every flow charged to it (inbound
  * activations, weight loads, managed ofmap stores) plus its GLB pressure.
  * The group analysis is the sum of its layers' fragments. Link loads are
- * stored as a flat vector with one entry per link, in first-touch order
- * (deterministic): assembly walks it linearly, so a cached fragment
- * reproduces the uncached result bit for bit.
+ * stored as a flat vector with one (link id, bytes) entry per link, in
+ * first-touch order (deterministic): assembly walks it linearly, so a
+ * cached fragment reproduces the uncached result bit for bit.
  */
 struct LayerFlows
 {
@@ -89,146 +88,120 @@ struct LayerFlows
     // fragment on the dse_screen workload and about 517 on map_sa_gpt2
     // (256 cores), and about 70% of fragments spill past the 24 inline
     // slots to the heap.
-    common::SmallVec<std::pair<noc::LinkKey, double>, 24> links;
+    common::SmallVec<std::pair<noc::LinkId, double>, 24> links;
     common::SmallVec<double, 8> dramBytes; ///< per-stack bytes per unit
     double glbOverflow = 0.0;              ///< worst piece pressure ratio
 };
 
 /**
- * Dense per-link accumulator scratch (nodeCount^2 doubles, a few KiB):
- * link loads merge by array index instead of sorting or hashing — the
- * node space of one architecture is tiny. Dirtied slots are recorded in
- * first-touch order for deterministic emission and cheap reset; per-link
- * contributions sum in emission order, exactly as a map accumulation
- * would. All contributions are strictly positive, so a zero slot always
- * means "untouched".
+ * Dense per-link accumulator scratch, one double per link id (the
+ * interconnect's linkCount(): about a thousand links, a few KiB, even on
+ * the 264-node grid). Link loads merge by array index instead of sorting
+ * or hashing. Dirtied ids are recorded twice: in first-touch order for
+ * drain(), and in a bitmap that drainSlots() walks in ascending id order
+ * — the canonical fold order — without a sort. Per-link contributions
+ * sum in add order, exactly as a map accumulation would. All
+ * contributions are strictly positive, so a zero entry always means
+ * "untouched".
  */
 class DenseLinkAccumulator
 {
   public:
     /**
-     * Size for an interconnect's node count (idempotent). Flat indices
-     * span node_count^2, so they are kept in 64-bit; the guard rejects
-     * node counts whose dense table could not be addressed (or
-     * allocated) sanely rather than silently wrapping. The table is
-     * demand-zero storage: the drain discipline restores every dirtied
-     * slot to 0.0, so a matching-size reset with no pending touches is
-     * free, and a fresh sizing maps zero pages without sweeping them.
+     * Size for an interconnect's link count (idempotent). The guard
+     * rejects counts beyond the 32-bit link-id space rather than
+     * silently wrapping. The table is demand-zero storage: the drain
+     * discipline restores every dirtied entry to 0.0, so a matching-size
+     * reset with no pending touches is free.
      */
     void
-    reset(std::size_t node_count)
+    reset(std::size_t link_count)
     {
-        GEMINI_ASSERT(node_count <= kMaxNodes,
-                      "DenseLinkAccumulator: node count ", node_count,
-                      " exceeds the dense-table limit ", kMaxNodes);
-        if (node_count * node_count != bytes_.size()) {
-            bytes_.resizeZero(node_count * node_count);
-        } else if (!touched_.empty()) {
-            for (std::uint64_t idx : touched_)
-                bytes_[static_cast<std::size_t>(idx)] = 0.0;
+        GEMINI_ASSERT(link_count <= kMaxLinks,
+                      "DenseLinkAccumulator: link count ", link_count,
+                      " exceeds the dense-table limit ", kMaxLinks);
+        if (link_count != bytes_.size()) {
+            bytes_.resizeZero(link_count);
+            touchedBits_.assign((link_count + 63) / 64, 0);
+        } else {
+            for (noc::LinkId id : touched_) {
+                bytes_[id] = 0.0;
+                touchedBits_[id >> 6] = 0;
+            }
         }
-        nodes_ = node_count;
         touched_.clear();
     }
 
     void
-    add(noc::LinkKey link, double bytes)
+    add(noc::LinkId id, double bytes)
     {
-        addSlot(static_cast<std::uint64_t>(noc::linkFrom(link)) * nodes_ +
-                    static_cast<std::uint64_t>(noc::linkTo(link)),
-                bytes);
-    }
-
-    /**
-     * add() by flat slot (from * node_count + to) — the slot space of
-     * InterconnectModel::linkSlot when sized with its nodeCount().
-     */
-    void
-    addSlot(std::uint64_t idx, double bytes)
-    {
-        if (bytes_[idx] == 0.0)
-            touched_.push_back(idx);
-        bytes_[idx] += bytes;
-    }
-
-    /**
-     * Merge a fragment's whole link list at once: flat slots batch
-     * through the SIMD index kernel, then accumulate in list order —
-     * bit-identical to add() per entry (same indices, same sum order).
-     */
-    void
-    addMany(const std::pair<noc::LinkKey, double> *links, std::size_t n)
-    {
-        idxScratch_.resize(n);
-        kernels::active().linkSlots(idxScratch_.data(), links, nodes_, n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const auto idx = static_cast<std::size_t>(idxScratch_[i]);
-            if (bytes_[idx] == 0.0)
-                touched_.push_back(idxScratch_[i]);
-            bytes_[idx] += links[i].second;
+        if (bytes_[id] == 0.0) {
+            touched_.push_back(id);
+            touchedBits_[id >> 6] |= std::uint64_t{1} << (id & 63);
         }
+        bytes_[id] += bytes;
+    }
+
+    /** add() every entry of a fragment's link list, in list order. */
+    void
+    addMany(const std::pair<noc::LinkId, double> *links, std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            add(links[i].first, links[i].second);
     }
 
     std::size_t touchedCount() const { return touched_.size(); }
 
     /**
-     * Emit every dirtied (from, to, bytes) in first-touch order and zero
-     * the scratch back out (ready for the next merge).
+     * Emit every dirtied (id, bytes) in first-touch order and zero the
+     * scratch back out (ready for the next merge).
      */
     template <typename Fn>
     void
     drain(Fn &&fn)
     {
-        for (std::uint64_t idx : touched_) {
-            const auto i = static_cast<std::size_t>(idx);
-            const double bytes = bytes_[i];
-            bytes_[i] = 0.0;
-            fn(static_cast<noc::NodeId>(i / nodes_),
-               static_cast<noc::NodeId>(i % nodes_), bytes);
+        for (noc::LinkId id : touched_) {
+            const double bytes = bytes_[id];
+            bytes_[id] = 0.0;
+            touchedBits_[id >> 6] = 0; // every bit of the word is drained
+            fn(id, bytes);
         }
         touched_.clear();
     }
 
     /**
-     * Like drain, but in ascending flat-slot order — the canonical fold
+     * Like drain, but in ascending link-id order: the canonical fold
      * order of the delta-evaluated group state, which must not depend on
-     * merge history (see DESIGN.md "Delta group evaluation").
-     */
-    template <typename Fn>
-    void
-    drainSorted(Fn &&fn)
-    {
-        std::sort(touched_.begin(), touched_.end());
-        drain(std::forward<Fn>(fn));
-    }
-
-    /**
-     * drainSorted without the flat-index round trip: emits (slot, bytes)
-     * in ascending flat-slot order for callers that classify links by
-     * dense slot (linkKindAt) rather than by endpoints.
+     * merge history (see DESIGN.md "Delta group evaluation"). Walks the
+     * touched bitmap word by word.
      */
     template <typename Fn>
     void
     drainSlots(Fn &&fn)
     {
-        std::sort(touched_.begin(), touched_.end());
-        for (std::uint64_t idx : touched_) {
-            const auto i = static_cast<std::size_t>(idx);
-            const double bytes = bytes_[i];
-            bytes_[i] = 0.0;
-            fn(idx, bytes);
+        if (touched_.empty())
+            return;
+        for (std::size_t w = 0; w < touchedBits_.size(); ++w) {
+            for (std::uint64_t bits = touchedBits_[w]; bits != 0;
+                 bits &= bits - 1) {
+                const auto id = static_cast<noc::LinkId>(
+                    w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+                const double bytes = bytes_[id];
+                bytes_[id] = 0.0;
+                fn(id, bytes);
+            }
+            touchedBits_[w] = 0;
         }
         touched_.clear();
     }
 
-    /** Largest supported node count (dense table of 2^48 slots). */
-    static constexpr std::size_t kMaxNodes = std::size_t{1} << 24;
+    /** Largest supported link count (the 32-bit link-id space). */
+    static constexpr std::size_t kMaxLinks = std::size_t{1} << 32;
 
   private:
-    std::size_t nodes_ = 0;
-    common::ZeroVec<double> bytes_; ///< demand-zero dense table
-    std::vector<std::uint64_t> touched_;
-    std::vector<std::uint64_t> idxScratch_; ///< addMany slot batch
+    common::ZeroVec<double> bytes_;          ///< one entry per link id
+    std::vector<noc::LinkId> touched_;       ///< first-touch order
+    std::vector<std::uint64_t> touchedBits_; ///< one bit per link id
 };
 
 } // namespace gemini::mapping

@@ -36,18 +36,18 @@ MaxSegTree::assign(const double *values, std::size_t count)
 }
 
 std::uint32_t
-GroupState::denseIdxOf(std::uint32_t slot)
+GroupState::denseIdxOf(noc::LinkId link)
 {
-    std::uint32_t idx1 = slotMap_[slot];
+    std::uint32_t idx1 = linkMap_[link];
     if (idx1 == 0) {
         if (dense_.size() == tree_.leaves())
             tree_.resizePreserve(
                 std::max<std::size_t>(64, 2 * dense_.size()));
         DenseSlot fresh;
-        fresh.slot = slot;
+        fresh.link = link;
         dense_.push_back(fresh);
         idx1 = static_cast<std::uint32_t>(dense_.size());
-        slotMap_[slot] = idx1;
+        linkMap_[link] = idx1;
     }
     return idx1 - 1;
 }
@@ -76,14 +76,14 @@ void
 GroupState::noteCapacities()
 {
     const std::size_t sum =
-        slotMap_.size() * 4 + dense_.capacity() * sizeof(DenseSlot) +
+        linkMap_.size() * 4 + dense_.capacity() * sizeof(DenseSlot) +
         active_.capacity() * 4 + layerEnergy_.capacity() * 8 +
         layerStage_.capacity() * 8 + layerGlb_.capacity() * 8 +
         layerDram_.capacity() * 8 + affected_.capacity() * 4 +
         activeAdds_.capacity() * 4 + activeDels_.capacity() * 4 +
         activeScratch_.capacity() * 4 + bytesScratch_.capacity() * 8 +
         kindScratch_.capacity() + secondsScratch_.capacity() * 8 +
-        slotScratch_.capacity() * 8 + cachedDram_.capacity() * 8;
+        depthScratch_.capacity() * 4 + cachedDram_.capacity() * 8;
     if (sum > capWatermark_) {
         if (capWatermark_ != 0)
             ++growthEvents_;
@@ -116,15 +116,13 @@ GroupState::rebuild(const dnn::Graph &graph, const LayerGroupMapping &group,
     for (LayerId id : group.layers)
         membership.push_back(id);
 
-    nodes_ = static_cast<std::size_t>(noc.nodeCount());
-    const std::size_t n_slots = nodes_ * nodes_;
-    if (slotMap_.size() != n_slots) {
-        slotMap_.resizeZero(n_slots);
+    if (linkMap_.size() != noc.linkCount()) {
+        linkMap_.resizeZero(noc.linkCount());
     } else {
-        // Sparse clear: only ever-touched slots (the dense entries) can
+        // Sparse clear: only ever-touched links (the dense entries) can
         // hold a nonzero index.
         for (const DenseSlot &d : dense_)
-            slotMap_[d.slot] = 0;
+            linkMap_[d.link] = 0;
     }
     dense_.clear();
     contribArena_.reset();
@@ -137,10 +135,10 @@ GroupState::rebuild(const dnn::Graph &graph, const LayerGroupMapping &group,
     layerGlb_.assign(n_layers, 0.0);
     layerDram_.assign(n_layers * dramStride_, 0.0);
 
-    // Pass 1: per-layer metadata, flat link slots (batched through the
-    // SIMD index kernel) and per-slot contribution counts; dense entries
-    // are created in first-touch order. Layer entries are recycled in
-    // place so their vectors keep capacity across rebuilds.
+    // Pass 1: per-layer metadata, link ids and per-link contribution
+    // counts; dense entries are created in first-touch order. Layer
+    // entries are recycled in place so their vectors keep capacity
+    // across rebuilds.
     layers.resize(n_layers);
     for (std::size_t li = 0; li < n_layers; ++li) {
         GroupLayerState &entry = layers[li];
@@ -164,19 +162,16 @@ GroupState::rebuild(const dnn::Graph &graph, const LayerGroupMapping &group,
             }
         }
 
-        const auto &links = flows[li]->links;
-        slotScratch_.resize(links.size());
-        k.linkSlots(slotScratch_.data(), links.data(), nodes_,
-                    links.size());
-        entry.linkSlots.assign(slotScratch_.begin(), slotScratch_.end());
-        for (std::uint32_t slot : entry.linkSlots) {
-            std::uint32_t &m = slotMap_[slot];
+        entry.linkIds.clear();
+        for (const auto &[link, bytes] : flows[li]->links) {
+            entry.linkIds.push_back(link);
+            std::uint32_t &m = linkMap_[link];
             if (m == 0) {
                 DenseSlot fresh;
-                fresh.slot = slot;
+                fresh.link = link;
                 dense_.push_back(fresh);
                 m = static_cast<std::uint32_t>(dense_.size());
-                active_.push_back(slot);
+                active_.push_back(link);
             }
             ++dense_[m - 1].len;
         }
@@ -194,9 +189,8 @@ GroupState::rebuild(const dnn::Graph &graph, const LayerGroupMapping &group,
     }
     for (std::size_t li = 0; li < n_layers; ++li) {
         const auto &links = flows[li]->links;
-        const auto &lslots = layers[li].linkSlots;
-        for (std::size_t e = 0; e < lslots.size(); ++e) {
-            DenseSlot &d = dense_[slotMap_[lslots[e]] - 1];
+        for (std::size_t e = 0; e < links.size(); ++e) {
+            DenseSlot &d = dense_[linkMap_[links[e].first] - 1];
             d.contrib[d.len++] = {links[e].second,
                                   static_cast<std::uint32_t>(li), 0};
             d.bytes += links[e].second;
@@ -215,7 +209,7 @@ GroupState::rebuild(const dnn::Graph &graph, const LayerGroupMapping &group,
     kindScratch_.resize(n_active);
     for (std::size_t i = 0; i < n_active; ++i) {
         DenseSlot &d = dense_[i];
-        const auto kind = static_cast<std::uint8_t>(noc.linkKindAt(d.slot));
+        const auto kind = static_cast<std::uint8_t>(noc.linkKindAt(d.link));
         d.kindPlus1 = static_cast<std::uint8_t>(kind + 1);
         bytesScratch_[i] = d.bytes;
         kindScratch_[i] = kind;
@@ -227,20 +221,19 @@ GroupState::rebuild(const dnn::Graph &graph, const LayerGroupMapping &group,
     tree_.assign(secondsScratch_.data(), n_active);
 
     // Pipeline depth is membership-invariant: compute once per rebuild.
-    // (slotScratch_ doubles as the per-layer depth array.)
-    slotScratch_.assign(n_layers, 1);
-    std::uint64_t depth = 1;
+    depthScratch_.assign(n_layers, 1);
+    int depth = 1;
     for (std::size_t li = 0; li < n_layers; ++li) {
         for (LayerId in : graph.layer(group.layers[li]).inputs) {
             const int pi = group.indexOf(in);
             if (pi >= 0)
-                slotScratch_[li] =
-                    std::max(slotScratch_[li],
-                             slotScratch_[static_cast<std::size_t>(pi)] + 1);
+                depthScratch_[li] = std::max(
+                    depthScratch_[li],
+                    depthScratch_[static_cast<std::size_t>(pi)] + 1);
         }
-        depth = std::max(depth, slotScratch_[li]);
+        depth = std::max(depth, depthScratch_[li]);
     }
-    pipelineDepth = static_cast<int>(depth);
+    pipelineDepth = depth;
 
     valid = true;
     foldsValid_ = false;
@@ -280,12 +273,9 @@ GroupState::applyDelta(const LayerGroupMapping &group,
         // favor of one in-place byte overwrite.
         const auto &links = flows[li]->links;
         const std::size_t n_new = links.size();
-        slotScratch_.resize(n_new);
-        k.linkSlots(slotScratch_.data(), links.data(), nodes_, n_new);
         idxScratch_.resize(n_new);
         for (std::size_t e = 0; e < n_new; ++e)
-            idxScratch_[e] =
-                denseIdxOf(static_cast<std::uint32_t>(slotScratch_[e]));
+            idxScratch_[e] = denseIdxOf(links[e].first);
         ++stampEpoch_;
         if (denseStamp_.size() < dense_.size())
             denseStamp_.resize(dense_.size(), 0);
@@ -293,15 +283,15 @@ GroupState::applyDelta(const LayerGroupMapping &group,
             denseStamp_[idxScratch_[e]] = stampEpoch_;
 
         // Unlink the layer's old contributions — except stamped slots,
-        // whose entry survives for the overwrite. The slot-map loads are
+        // whose entry survives for the overwrite. The link-map loads are
         // gathered up front: issued back to back they overlap in the
         // load queue instead of serializing behind each entry's
         // dense-line and slab chase. A linked slot always has a dense
         // entry.
-        const std::size_t n_old = entry.linkSlots.size();
+        const std::size_t n_old = entry.linkIds.size();
         idxOldScratch_.resize(n_old);
         for (std::size_t e = 0; e < n_old; ++e)
-            idxOldScratch_[e] = slotMap_[entry.linkSlots[e]] - 1;
+            idxOldScratch_[e] = linkMap_[entry.linkIds[e]] - 1;
         for (std::size_t e = 0; e < n_old; ++e) {
             if (e + 2 < n_old)
                 __builtin_prefetch(dense_[idxOldScratch_[e + 2]].contrib);
@@ -337,7 +327,9 @@ GroupState::applyDelta(const LayerGroupMapping &group,
         // ascending layer order (the canonical per-slot fold order).
         // Carried-over slots still hold this layer's entry at its sorted
         // position; only genuinely new slots pay the insert memmove.
-        entry.linkSlots.assign(slotScratch_.begin(), slotScratch_.end());
+        entry.linkIds.clear();
+        for (const auto &[link, bytes] : links)
+            entry.linkIds.push_back(link);
         for (std::size_t e = 0; e < n_new; ++e) {
             if (e + 2 < n_new)
                 __builtin_prefetch(dense_[idxScratch_[e + 2]].contrib);
@@ -396,16 +388,16 @@ GroupState::applyDelta(const LayerGroupMapping &group,
         d.flag = 0;
         d.bytes = now_active ? sum : 0.0;
         if (now_active && !was_active)
-            activeAdds_.push_back(d.slot);
+            activeAdds_.push_back(d.link);
         else if (!now_active && was_active)
-            activeDels_.push_back(d.slot);
+            activeDels_.push_back(d.link);
         if (!now_active && d.contrib != nullptr) {
             freeSlab(d.contrib, d.capClass);
             d.contrib = nullptr;
         }
         if (d.kindPlus1 == 0)
             d.kindPlus1 = static_cast<std::uint8_t>(
-                static_cast<std::uint8_t>(noc.linkKindAt(d.slot)) + 1);
+                static_cast<std::uint8_t>(noc.linkKindAt(d.link)) + 1);
         bytesScratch_[i] = d.bytes; // 0.0 / bw == +0.0 for inactive
         kindScratch_[i] = static_cast<std::uint8_t>(d.kindPlus1 - 1);
     }
@@ -425,14 +417,14 @@ GroupState::applyDelta(const LayerGroupMapping &group,
         activeScratch_.clear();
         activeScratch_.reserve(active_.size() + activeAdds_.size());
         std::size_t ai = 0, di = 0;
-        for (std::uint32_t slot : active_) {
-            while (ai < activeAdds_.size() && activeAdds_[ai] < slot)
+        for (noc::LinkId link : active_) {
+            while (ai < activeAdds_.size() && activeAdds_[ai] < link)
                 activeScratch_.push_back(activeAdds_[ai++]);
-            if (di < activeDels_.size() && activeDels_[di] == slot) {
+            if (di < activeDels_.size() && activeDels_[di] == link) {
                 ++di;
                 continue;
             }
-            activeScratch_.push_back(slot);
+            activeScratch_.push_back(link);
         }
         while (ai < activeAdds_.size())
             activeScratch_.push_back(activeAdds_[ai++]);
@@ -449,13 +441,13 @@ GroupState::refreshFolds() const
         return;
     const kernels::KernelTable &k = kernels::active();
 
-    // Sequential adds in ascending-slot order (the canonical fold the
+    // Sequential adds in ascending link-id order (the canonical fold the
     // reference drains in) — order-dependent, so no SIMD here. The
-    // slotMap_ reads walk an ascending stride (prefetch-friendly) and
+    // linkMap_ reads walk an ascending stride (prefetch-friendly) and
     // the dense reads stay L1-resident.
     LinkFold link;
-    for (std::uint32_t slot : active_) {
-        const DenseSlot &d = dense_[slotMap_[slot] - 1];
+    for (noc::LinkId id : active_) {
+        const DenseSlot &d = dense_[linkMap_[id] - 1];
         if (d.kindPlus1 > 1)
             link.d2dBytes += d.bytes;
         else

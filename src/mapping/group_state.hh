@@ -11,23 +11,23 @@
  * fragment set*, folded in a canonical order — per-slot totals sum the
  * contributing layers' bytes in ascending layer order (exactly the order
  * the full-merge reference accumulates them), the on-chip/D2D sums fold
- * active slots in ascending flat-slot order (the reference drains its
- * dense scratch in the same sorted order), and the bottleneck is a max,
+ * active links in ascending link-id order (the reference drains its
+ * dense scratch in the same order), and the bottleneck is a max,
  * which is order-free. Delta application therefore never drifts from a
  * from-scratch re-merge: a changed layer's contributions are unlinked and
  * relinked, and every affected slot is *re-summed from zero* over its
  * (ascending-layer) contribution array rather than adjusted in place —
  * floating-point subtract-then-add could not reproduce the reference.
  *
- * Layout (PR 8): the nodeCount^2 slot space is only a 4-byte index map;
- * all hot per-slot state is packed into a dense array with one entry per
- * slot that ever carried traffic (about a thousand, tens of kilobytes),
+ * Layout: the interconnect's link-id space is only a 4-byte index map;
+ * all hot per-link state is packed into a dense array with one entry per
+ * link that ever carried traffic (about a thousand, tens of kilobytes),
  * so delta surgery and the canonical folds run against L1/L2-resident
- * lines instead of scattering over a multi-megabyte table. Contributions
- * live in size-classed slabs bump-allocated from a retained arena
- * (common/arena.hh) — list surgery is memmove over contiguous entries and
- * re-summing streams one cache-resident array, so steady-state delta
- * application performs zero heap allocations (allocEvents() proves it).
+ * lines. Contributions live in size-classed slabs bump-allocated from a
+ * retained arena (common/arena.hh) — list surgery is memmove over
+ * contiguous entries and re-summing streams one cache-resident array,
+ * so steady-state delta application performs zero heap allocations
+ * (allocEvents() proves it).
  * The canonical folds are cached per delta (pure functions of the
  * resident fragment set), and order-free reductions (tournament leaves,
  * maxima) batch through the runtime-dispatched SIMD kernels
@@ -125,12 +125,12 @@ struct GroupLayerState
     std::vector<DramSel> producerDrams;
 
     /**
-     * Flat slots of the layer's resident link fragment, in the
-     * fragment's (first-touch) emission order — everything unlinking
-     * needs; bytes live in the per-slot contribution slabs and the
-     * scalar aggregates in the owning GroupState's packed arrays.
+     * Link ids of the layer's resident link fragment, in the fragment's
+     * (first-touch) emission order — everything unlinking needs; bytes
+     * live in the per-link contribution slabs and the scalar aggregates
+     * in the owning GroupState's packed arrays.
      */
-    std::vector<std::uint32_t> linkSlots;
+    std::vector<noc::LinkId> linkIds;
 };
 
 /**
@@ -170,8 +170,8 @@ class GroupState
     /**
      * Replace the fragments of `changed` (ascending group indices) with
      * the non-null entries of `tiles`/`flows` and re-derive every affected
-     * link slot. O(changed fragments + affected slots * contributors +
-     * affected slots * log slots) — independent of group size.
+     * link. O(changed fragments + affected links * contributors +
+     * affected links * log links) — independent of group size.
      */
     void applyDelta(const LayerGroupMapping &group,
                     std::span<const std::size_t> changed,
@@ -180,7 +180,7 @@ class GroupState
                     const OfmapDramLookup &ofmap_dram_of,
                     const noc::InterconnectModel &noc);
 
-    /** Canonical fold of the resident link state (ascending slots). */
+    /** Canonical fold of the resident link state (ascending link ids). */
     struct LinkFold
     {
         double onChipBytes = 0.0;
@@ -224,7 +224,7 @@ class GroupState
     std::uint64_t allocEvents() const;
 
   private:
-    /** One layer's bytes on one link slot (slab entry). */
+    /** One layer's bytes on one link (slab entry). */
     struct Contrib
     {
         double bytes = 0.0;
@@ -251,24 +251,24 @@ class GroupState
     void freeSlab(Contrib *slab, std::uint16_t cls);
 
     /**
-     * All hot state of one ever-active slot, packed into the dense
+     * All hot state of one ever-active link, packed into the dense
      * array: running total, contribution slab (contiguous, ascending
-     * layer), owning flat slot, and the affected flag. The dense index
+     * layer), owning link id, and the affected flag. The dense index
      * doubles as the tournament-tree leaf id (max is order-free, so
      * first-touch leaf numbering cannot affect the result). Entries are
-     * never reclaimed between rebuilds: a slot whose traffic vanishes
+     * never reclaimed between rebuilds: a link whose traffic vanishes
      * keeps its entry at bytes 0 / len 0 with a 0.0 leaf.
      */
     struct DenseSlot
     {
-        double bytes = 0.0;         ///< canonical per-slot total
+        double bytes = 0.0;         ///< canonical per-link total
         Contrib *contrib = nullptr; ///< slab of `len` entries
-        std::uint32_t slot = 0;     ///< owning flat slot index
+        noc::LinkId link = 0;       ///< owning link id
         std::uint16_t len = 0;      ///< live entries in the slab
         std::uint16_t capClass = 0; ///< slab size class (valid iff contrib)
         std::uint8_t flag = 0;      ///< affected marker (kWas*)
         /**
-         * LinkKind + 1 (0 = not yet stamped). A slot's kind is fixed for
+         * LinkKind + 1 (0 = not yet stamped). A link's kind is fixed for
          * the life of the interconnect, so it is looked up exactly once
          * per dense entry — not per delta (the kind-table load was a
          * measured scattered-miss cost in the re-sum loop).
@@ -277,37 +277,34 @@ class GroupState
     };
 
     /**
-     * Dense index of a slot, creating (and tree-growing for) a fresh
+     * Dense index of a link, creating (and tree-growing for) a fresh
      * entry on first touch.
      */
-    std::uint32_t denseIdxOf(std::uint32_t slot);
+    std::uint32_t denseIdxOf(noc::LinkId link);
 
     /** Account capacity growth of the retained buffers (allocEvents). */
     void noteCapacities();
 
-    std::size_t nodes_ = 0; ///< interconnect node count
-
     /**
-     * slot -> dense index + 1 (0 = never touched). The only per-slot
-     * structure spanning the full nodeCount^2 space — 4 bytes per slot,
-     * so even the 264-node mesh maps in a few hundred kilobytes and the
-     * scattered delta lookups stay L2-resident. Rebuilds clear it
-     * sparsely (one write per dense entry), never by sweeping.
+     * link id -> dense index + 1 (0 = never touched). The only per-link
+     * structure spanning the whole link-id space — 4 bytes per link, a
+     * few KiB even on the 264-node grid. Rebuilds clear it sparsely (one
+     * write per dense entry), never by sweeping.
      */
-    common::ZeroVec<std::uint32_t> slotMap_;
+    common::ZeroVec<std::uint32_t> linkMap_;
 
-    /** Ever-active slots, first-touch order; index == tree leaf id. */
+    /** Ever-active links, first-touch order; index == tree leaf id. */
     std::vector<DenseSlot> dense_;
 
     common::BumpArena contribArena_{256 * 1024};
     std::array<Contrib *, kNumClasses> freeHeads_{};
 
     /**
-     * Sorted non-empty slots — the canonical link-fold order. The fold
-     * walk reads slotMap_ at an ascending stride (prefetch-friendly)
-     * and lands in the L1-resident dense array.
+     * Sorted non-empty link ids — the canonical link-fold order. The
+     * fold walk reads linkMap_ at an ascending stride
+     * (prefetch-friendly) and lands in the L1-resident dense array.
      */
-    std::vector<std::uint32_t> active_;
+    std::vector<noc::LinkId> active_;
 
     MaxSegTree tree_; ///< per-dense-slot seconds, max at root
 
@@ -333,7 +330,7 @@ class GroupState
     std::vector<double> bytesScratch_;
     std::vector<std::uint8_t> kindScratch_;
     std::vector<double> secondsScratch_;
-    std::vector<std::uint64_t> slotScratch_;
+    std::vector<int> depthScratch_; ///< per-layer pipeline depth
 
     /** Allocation accounting: arena events + buffer-capacity growth. */
     std::uint64_t growthEvents_ = 0;

@@ -63,20 +63,9 @@ scalarPairMax(double *parent, const double *children, std::size_t n_parents)
     }
 }
 
-void
-scalarLinkSlots(std::uint64_t *dst,
-                const std::pair<noc::LinkKey, double> *links,
-                std::uint64_t nodes, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const noc::LinkKey key = links[i].first;
-        dst[i] = (key >> 32) * nodes + (key & 0xFFFFFFFFull);
-    }
-}
-
 constexpr KernelTable kScalarTable = {
-    scalarAccumulate,       scalarMaxOf,   scalarSecondsFromKinds,
-    scalarMaxSeconds,       scalarPairMax, scalarLinkSlots,
+    scalarAccumulate, scalarMaxOf,   scalarSecondsFromKinds,
+    scalarMaxSeconds, scalarPairMax,
 };
 
 #ifdef GEMINI_KERNELS_X86
@@ -213,43 +202,9 @@ avx2PairMax(double *parent, const double *children, std::size_t n_parents)
     }
 }
 
-__attribute__((target("avx2"))) void
-avx2LinkSlots(std::uint64_t *dst,
-              const std::pair<noc::LinkKey, double> *links,
-              std::uint64_t nodes, std::size_t n)
-{
-    // Keys sit at 16-byte stride (pair<u64 key, double bytes>); nodes
-    // fits 32 bits (kMaxNodes = 2^24), so from * nodes is one mul_epu32.
-    const __m256i nodes_v =
-        _mm256_set1_epi64x(static_cast<long long>(nodes));
-    const __m256i lo_mask = _mm256_set1_epi64x(0xFFFFFFFFll);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i p01 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(links + i)); // k0 b0 k1 b1
-        const __m256i p23 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(links + i + 2));
-        // Gather the four keys into one vector: lanes {0,2} of each.
-        const __m256i k01 =
-            _mm256_permute4x64_epi64(p01, _MM_SHUFFLE(3, 1, 2, 0));
-        const __m256i k23 =
-            _mm256_permute4x64_epi64(p23, _MM_SHUFFLE(3, 1, 2, 0));
-        const __m256i keys = _mm256_permute2x128_si256(k01, k23, 0x20);
-        const __m256i from = _mm256_srli_epi64(keys, 32);
-        const __m256i to = _mm256_and_si256(keys, lo_mask);
-        const __m256i prod = _mm256_mul_epu32(from, nodes_v);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            _mm256_add_epi64(prod, to));
-    }
-    for (; i < n; ++i) {
-        const noc::LinkKey key = links[i].first;
-        dst[i] = (key >> 32) * nodes + (key & 0xFFFFFFFFull);
-    }
-}
-
 constexpr KernelTable kAvx2Table = {
     avx2Accumulate, avx2MaxOf,   avx2SecondsFromKinds,
-    avx2MaxSeconds, avx2PairMax, avx2LinkSlots,
+    avx2MaxSeconds, avx2PairMax,
 };
 
 #endif // GEMINI_KERNELS_X86

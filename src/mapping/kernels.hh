@@ -11,8 +11,7 @@
  *  - max folds: replicate the scalar fold's exact comparison semantics
  *    ((candidate > acc) ? candidate : acc, seed 0.0) with compare+blend
  *    rather than vmaxpd, so signed zeros cannot diverge, and rely on max
- *    being order-free for non-NaN inputs;
- *  - integer flat-index math: exact in any width.
+ *    being order-free for non-NaN inputs.
  *
  * Order-dependent folds (the canonical ascending sums the differential
  * fuzz suite pins bit-for-bit) are deliberately NOT here: those loops
@@ -25,10 +24,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 
 #include "src/common/simd.hh"
-#include "src/noc/traffic_map.hh"
 
 namespace gemini::mapping::kernels {
 
@@ -64,15 +61,6 @@ struct KernelTable
      */
     void (*pairMax)(double *parent, const double *children,
                     std::size_t n_parents);
-
-    /**
-     * dst[i] = linkFrom(links[i].first) * nodes + linkTo(links[i].first):
-     * dense flat slots of a fragment's link list, batched (exact integer
-     * math; nodes <= 2^24 keeps every product in 56 bits).
-     */
-    void (*linkSlots)(std::uint64_t *dst,
-                      const std::pair<noc::LinkKey, double> *links,
-                      std::uint64_t nodes, std::size_t n);
 };
 
 /** Table for an explicit variant (tests compare the two directly). */

@@ -197,7 +197,7 @@ TrafficCompiler::TrafficCompiler(const dnn::Graph &graph,
                                  const noc::InterconnectModel &noc)
     : graph_(graph), arch_(arch), noc_(noc)
 {
-    merge_.reset(static_cast<std::size_t>(noc_.nodeCount()));
+    merge_.reset(noc_.linkCount());
 }
 
 std::uint64_t
@@ -219,19 +219,17 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
     // emission order: per-link sums and first-touch link order are those
     // of the emitted hop sequence. reset() only clears slots a compile
     // that threw midway left behind.
-    merge_.reset(static_cast<std::size_t>(noc_.nodeCount()));
+    merge_.reset(noc_.linkCount());
     arena_.reset();
     auto unicast = [&](noc::NodeId src, noc::NodeId dst, double bytes) {
-        noc_.unicastLinks(src, dst, bytes, [&](std::uint32_t slot) {
-            merge_.addSlot(slot, bytes);
-        });
+        noc_.unicastLinks(src, dst, bytes,
+                          [&](noc::LinkId id) { merge_.add(id, bytes); });
     };
     auto multicast = [&](noc::NodeId src,
                          const std::vector<noc::NodeId> &dsts,
                          double bytes) {
-        noc_.multicastLinks(src, dsts, bytes, [&](std::uint32_t slot) {
-            merge_.addSlot(slot, bytes);
-        });
+        noc_.multicastLinks(src, dsts, bytes,
+                            [&](noc::LinkId id) { merge_.add(id, bytes); });
     };
 
     const LayerId layer_id = group.layers[li];
@@ -312,7 +310,8 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
             // overlap of their required region with each producer piece;
             // identical requests from one source multicast. Producer
             // pieces form a workRegionOf grid, so inverting chunkOf gives
-            // each consumer the index box of the pieces it overlaps; the
+            // each consumer the index box of the pieces it overlaps
+            // (computed once per consumer, read by both CSR passes); the
             // consumers are bucketed per producer piece (CSR, ascending
             // consumer order) instead of testing every pair.
             const LayerTiles &theirs =
@@ -325,19 +324,20 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
                               pms.part.count(),
                           "producer tiles do not match its partition");
             required_scratch.clear();
-            for (std::size_t i = 0; i < n_pieces; ++i)
+            const std::span<PieceBox> boxes =
+                arena_.allocSpan<PieceBox>(n_pieces);
+            for (std::size_t i = 0; i < n_pieces; ++i) {
+                const WorkRegion &cp = mine.regions[i];
                 required_scratch.push_back(
-                    layer.requiredInput(j, mine.regions[i].region));
-            auto box_of = [&](std::size_t i) {
-                return overlapBox(player, pms.part, group.batchUnit,
-                                  required_scratch[i], mine.regions[i].b0,
-                                  mine.regions[i].b1);
-            };
+                    layer.requiredInput(j, cp.region));
+                boxes[i] = overlapBox(player, pms.part, group.batchUnit,
+                                      required_scratch[i], cp.b0, cp.b1);
+            }
             const std::span<std::uint32_t> bucket_end =
                 arena_.allocSpan<std::uint32_t>(n_theirs + 1);
             std::fill(bucket_end.begin(), bucket_end.end(), 0u);
             for (std::size_t i = 0; i < n_pieces; ++i)
-                forEachPiece(box_of(i), pms.part,
+                forEachPiece(boxes[i], pms.part,
                              [&](std::size_t a) { ++bucket_end[a + 1]; });
             for (std::size_t a = 0; a < n_theirs; ++a)
                 bucket_end[a + 1] += bucket_end[a];
@@ -346,7 +346,7 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
             // Fill pass: bucket_end[a] walks from piece a's start to its
             // end, which is where piece a + 1 starts.
             for (std::size_t i = 0; i < n_pieces; ++i)
-                forEachPiece(box_of(i), pms.part, [&](std::size_t a) {
+                forEachPiece(boxes[i], pms.part, [&](std::size_t a) {
                     bucket[bucket_end[a]++] = static_cast<std::uint32_t>(i);
                 });
             std::uint32_t first = 0;
@@ -498,8 +498,8 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
 
     // Emit the merged links in first-touch order (deterministic).
     flows.links.reserve(merge_.touchedCount());
-    merge_.drain([&](noc::NodeId from, noc::NodeId to, double bytes) {
-        flows.links.emplace_back(noc::makeLink(from, to), bytes);
+    merge_.drain([&](noc::LinkId id, double bytes) {
+        flows.links.emplace_back(id, bytes);
     });
     return flows;
 }

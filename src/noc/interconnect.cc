@@ -1,7 +1,9 @@
 #include "src/noc/interconnect.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <variant>
 
@@ -12,29 +14,54 @@ namespace gemini::noc {
 
 template <typename Backend>
 void
-InterconnectModel::buildRoutes(const Backend &backend)
+InterconnectModel::buildRoutes(const Backend &backend,
+                               std::vector<std::uint64_t> &used)
 {
     const std::size_t n = static_cast<std::size_t>(nodeCount());
     routes_.resize(n * n);
     for (std::size_t a = 0; a < n; ++a) {
         for (std::size_t b = 0; b < n; ++b) {
             RouteRef &ref = routes_[a * n + b];
-            ref.offset = static_cast<std::uint32_t>(routeLinks_.size());
+            ref.offset = static_cast<std::uint32_t>(routeIds_.size());
             if (isDramNode(static_cast<NodeId>(a)) &&
                 isDramNode(static_cast<NodeId>(b)))
                 continue; // no meaningful route; empty span
-            backend.walkHops(cfg_, static_cast<NodeId>(a),
-                             static_cast<NodeId>(b),
-                             [this](NodeId from, NodeId to) {
-                                 routeLinks_.push_back(makeLink(from, to));
-                                 routeSlots_.push_back(
-                                     static_cast<std::uint32_t>(
-                                         linkSlot(from, to)));
-                             });
-            ref.length = static_cast<std::uint32_t>(routeLinks_.size()) -
+            backend.walkHops(
+                cfg_, static_cast<NodeId>(a), static_cast<NodeId>(b),
+                [&](NodeId from, NodeId to) {
+                    const auto slot = static_cast<std::uint32_t>(
+                        static_cast<std::size_t>(from) * n +
+                        static_cast<std::size_t>(to));
+                    routeIds_.push_back(slot);
+                    used[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+                });
+            ref.length = static_cast<std::uint32_t>(routeIds_.size()) -
                          ref.offset;
         }
     }
+}
+
+void
+InterconnectModel::numberLinks(const std::vector<std::uint64_t> &used)
+{
+    const std::size_t n = static_cast<std::size_t>(nodeCount());
+    // Slot -> id, written and read only at used slots: the rest of the
+    // table stays uninitialized (and mostly never faulted in).
+    const auto id_of = std::make_unique_for_overwrite<LinkId[]>(n * n);
+    for (std::size_t w = 0; w < used.size(); ++w) {
+        for (std::uint64_t bits = used[w]; bits != 0; bits &= bits - 1) {
+            const std::size_t slot =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            const auto from = static_cast<NodeId>(slot / n);
+            const auto to = static_cast<NodeId>(slot % n);
+            id_of[slot] = static_cast<LinkId>(linkKeys_.size());
+            linkKeys_.push_back(makeLink(from, to));
+            linkKinds_.push_back(
+                static_cast<std::uint8_t>(linkKind(from, to)));
+        }
+    }
+    for (LinkId &hop : routeIds_)
+        hop = id_of[hop];
 }
 
 InterconnectModel::InterconnectModel(const arch::ArchConfig &cfg) : cfg_(cfg)
@@ -45,19 +72,15 @@ InterconnectModel::InterconnectModel(const arch::ArchConfig &cfg) : cfg_(cfg)
     const std::size_t n = static_cast<std::size_t>(nodeCount());
     GEMINI_ASSERT(n * n <= std::numeric_limits<std::uint32_t>::max(),
                   "InterconnectModel: ", n, " nodes overflow 32-bit slots");
-    kindTable_.resize(n * n);
-    for (std::size_t a = 0; a < n; ++a)
-        for (std::size_t b = 0; b < n; ++b)
-            kindTable_[a * n + b] = static_cast<std::uint8_t>(
-                computeLinkKind(static_cast<NodeId>(a),
-                                static_cast<NodeId>(b)));
     nocBps_ = cfg_.nocBwGBps * 1.0e9;
     d2dBps_ = cfg_.d2dBwGBps * 1.0e9;
 
     // The only backend dispatch of the model's lifetime: build the dense
     // route arena once; every later query replays spans.
-    std::visit([this](const auto &backend) { buildRoutes(backend); },
+    std::vector<std::uint64_t> used((n * n + 63) / 64, 0);
+    std::visit([&](const auto &backend) { buildRoutes(backend, used); },
                topo::makeBackend(cfg_));
+    numberLinks(used);
 }
 
 NodeId
@@ -85,8 +108,8 @@ void
 InterconnectModel::unicast(TrafficMap &map, NodeId src, NodeId dst,
                            double bytes) const
 {
-    unicastLinks(src, dst, bytes, [&](std::uint32_t slot) {
-        map.addLink(linkAt(slot), bytes);
+    unicastLinks(src, dst, bytes, [&](LinkId id) {
+        map.addLink(linkAt(id), bytes);
     });
 }
 
@@ -98,13 +121,13 @@ InterconnectModel::multicast(TrafficMap &map, NodeId src,
     // Union of the backend's unicast paths: shared prefixes (the trunk,
     // the DRAM injection link, the NoP gateway funnel) are charged exactly
     // once, which models a multicast-capable router tree.
-    multicastLinks(src, dsts, bytes, [&](std::uint32_t slot) {
-        map.addLink(linkAt(slot), bytes);
+    multicastLinks(src, dsts, bytes, [&](LinkId id) {
+        map.addLink(linkAt(id), bytes);
     });
 }
 
 LinkKind
-InterconnectModel::computeLinkKind(NodeId a, NodeId b) const
+InterconnectModel::linkKind(NodeId a, NodeId b) const
 {
     if (isDramNode(a) || isDramNode(b)) {
         // IO chiplets are separate dies, so their fabric attach links are
@@ -123,13 +146,10 @@ InterconnectModel::summarize(const TrafficMap &map) const
 {
     TrafficStats stats;
     for (const auto &[key, bytes] : map.links()) {
-        const NodeId a = linkFrom(key);
-        const NodeId b = linkTo(key);
-        if (linkKind(a, b) == LinkKind::D2D)
-            stats.d2dBytes += bytes;
-        else
-            stats.onChipBytes += bytes;
-        const double secs = bytes / linkBandwidthBps(a, b);
+        const bool d2d =
+            linkKind(linkFrom(key), linkTo(key)) == LinkKind::D2D;
+        (d2d ? stats.d2dBytes : stats.onChipBytes) += bytes;
+        const double secs = bytes / (d2d ? d2dBps_ : nocBps_);
         if (secs > stats.maxLinkSeconds) {
             stats.maxLinkSeconds = secs;
             stats.maxLink = key;

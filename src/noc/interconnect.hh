@@ -26,6 +26,12 @@
 
 namespace gemini::noc {
 
+/**
+ * Dense id of a directed link that some route uses (see
+ * InterconnectModel::linkCount).
+ */
+using LinkId = std::uint32_t;
+
 /** Classification of a directed link for bandwidth/energy purposes. */
 enum class LinkKind
 {
@@ -73,8 +79,8 @@ class InterconnectModel
     void
     forEachHop(NodeId src, NodeId dst, Fn &&fn) const
     {
-        for (LinkKey key : route(src, dst))
-            fn(linkFrom(key), linkTo(key));
+        for (LinkId id : route(src, dst))
+            fn(linkFrom(linkAt(id)), linkTo(linkAt(id)));
     }
 
     /** Number of hops (links) on the route src -> dst. */
@@ -96,9 +102,9 @@ class InterconnectModel
                    const std::vector<NodeId> &dsts, double bytes) const;
 
     /**
-     * Hand the flat slot (linkSlot) of every link of the route src -> dst
-     * to `emit(std::uint32_t)`, in hop order. Nothing is emitted for a
-     * non-positive volume.
+     * Hand the link id of every link of the route src -> dst to
+     * `emit(LinkId)`, in hop order. Nothing is emitted for a non-positive
+     * volume.
      */
     template <typename Emit>
     void
@@ -106,19 +112,19 @@ class InterconnectModel
     {
         if (bytes <= 0.0)
             return;
-        for (std::uint32_t slot : routeSlots(src, dst))
-            emit(slot);
+        for (LinkId id : route(src, dst))
+            emit(id);
     }
 
     /**
-     * Hand the flat slot of every link of the route union src -> each dst
-     * to `emit(std::uint32_t)` exactly once, in first-touch (dst-major,
-     * hop) order. Links are deduplicated through a generation-stamped
-     * dense table (one stamp per flat link slot) instead of a per-call
-     * sort or hash set: route unions of a wide multicast reach hundreds
-     * of links. Every instantiation shares the calling thread's stamp
-     * table, so concurrent SA chains never contend and a generation bump
-     * makes reset free.
+     * Hand the link id of every link of the route union src -> each dst
+     * to `emit(LinkId)` exactly once, in first-touch (dst-major, hop)
+     * order. Links are deduplicated through a generation-stamped dense
+     * table (one stamp per link id) instead of a per-call sort or hash
+     * set: route unions of a wide multicast reach hundreds of links.
+     * Every instantiation shares the calling thread's stamp table, so
+     * concurrent SA chains never contend and a generation bump makes
+     * reset free.
      */
     template <typename Emit>
     void
@@ -128,53 +134,39 @@ class InterconnectModel
         if (bytes <= 0.0 || dsts.empty())
             return;
         if (dsts.size() == 1) { // single destination: the route IS the union
-            for (std::uint32_t slot : routeSlots(src, dsts[0]))
-                emit(slot);
+            for (LinkId id : route(src, dsts[0]))
+                emit(id);
             return;
         }
         RouteUnionStamps &stamps = routeUnionStamps();
-        const std::uint32_t gen =
-            stamps.begin(static_cast<std::size_t>(nodeCount()) *
-                         static_cast<std::size_t>(nodeCount()));
+        const std::uint32_t gen = stamps.begin(linkCount());
         for (NodeId dst : dsts) {
-            for (std::uint32_t slot : routeSlots(src, dst)) {
-                if (stamps.stamp[slot] != gen) {
-                    stamps.stamp[slot] = gen;
-                    emit(slot);
+            for (LinkId id : route(src, dst)) {
+                if (stamps.stamp[id] != gen) {
+                    stamps.stamp[id] = gen;
+                    emit(id);
                 }
             }
         }
     }
 
-    /** Precomputed backend route src -> dst as packed link keys. */
-    std::span<const LinkKey>
+    /**
+     * Precomputed backend route src -> dst as link ids, in hop order
+     * (linkAt decodes a hop): the form the emission helpers replay, so
+     * the hot path indexes compact per-link tables without decoding.
+     */
+    std::span<const LinkId>
     route(NodeId src, NodeId dst) const
     {
         const RouteRef &ref = routeRef(src, dst);
-        return {routeLinks_.data() + ref.offset, ref.length};
+        return {routeIds_.data() + ref.offset, ref.length};
     }
 
     /**
-     * The same route as flat link slots (linkSlot(from, to)): the form
-     * the emission helpers replay, so the hot path indexes dense per-link
-     * tables without decoding and re-multiplying every hop.
+     * Kind of the directed link (a, b), classified from the geometry.
+     * Hot paths hold link ids and read linkKindAt instead.
      */
-    std::span<const std::uint32_t>
-    routeSlots(NodeId src, NodeId dst) const
-    {
-        const RouteRef &ref = routeRef(src, dst);
-        return {routeSlots_.data() + ref.offset, ref.length};
-    }
-
-    /** Kind of the directed link (a, b); a/b must be route neighbours. */
-    LinkKind
-    linkKind(NodeId a, NodeId b) const
-    {
-        return static_cast<LinkKind>(
-            kindTable_[static_cast<std::size_t>(a) *
-                           static_cast<std::size_t>(nodeCount()) +
-                       static_cast<std::size_t>(b)]);
-    }
+    LinkKind linkKind(NodeId a, NodeId b) const;
 
     /** Peak bandwidth of the directed link in bytes/second. */
     double
@@ -184,39 +176,27 @@ class InterconnectModel
     }
 
     /**
-     * Flat index of the directed link (a, b) in the dense nodeCount^2
-     * tables — the slot space the delta-evaluated group state and the
-     * dense merge scratch share.
+     * Number of distinct directed links on any route: link ids are
+     * 0..linkCount()-1, numbered in ascending (from * nodeCount() + to)
+     * order, so ascending id order is ascending link-key order.
      */
-    std::size_t
-    linkSlot(NodeId a, NodeId b) const
-    {
-        return static_cast<std::size_t>(a) *
-                   static_cast<std::size_t>(nodeCount()) +
-               static_cast<std::size_t>(b);
-    }
+    std::size_t linkCount() const { return linkKeys_.size(); }
 
-    /** Packed link key of a flat slot (inverse of linkSlot). */
-    LinkKey
-    linkAt(std::size_t slot) const
-    {
-        const auto n = static_cast<std::size_t>(nodeCount());
-        return makeLink(static_cast<NodeId>(slot / n),
-                        static_cast<NodeId>(slot % n));
-    }
+    /** Packed link key of a link id. */
+    LinkKey linkAt(LinkId id) const { return linkKeys_[id]; }
 
-    /** linkKind by flat slot (same dense table, no div/mod round trip). */
+    /** linkKind by link id (one byte per link, built once). */
     LinkKind
-    linkKindAt(std::size_t slot) const
+    linkKindAt(LinkId id) const
     {
-        return static_cast<LinkKind>(kindTable_[slot]);
+        return static_cast<LinkKind>(linkKinds_[id]);
     }
 
-    /** linkBandwidthBps by flat slot. */
+    /** linkBandwidthBps by link id. */
     double
-    linkBandwidthAt(std::size_t slot) const
+    linkBandwidthAt(LinkId id) const
     {
-        return linkKindAt(slot) == LinkKind::D2D ? d2dBps_ : nocBps_;
+        return linkKindAt(id) == LinkKind::D2D ? d2dBps_ : nocBps_;
     }
 
     /**
@@ -247,12 +227,12 @@ class InterconnectModel
         std::vector<std::uint32_t> stamp;
         std::uint32_t gen = 0;
 
-        /** Open a new union over `slots` link slots; returns its stamp. */
+        /** Open a new union over `links` link ids; returns its stamp. */
         std::uint32_t
-        begin(std::size_t slots)
+        begin(std::size_t links)
         {
-            if (stamp.size() < slots) {
-                stamp.assign(slots, 0);
+            if (stamp.size() < links) {
+                stamp.assign(links, 0);
                 gen = 0;
             }
             if (++gen == 0) { // stamp wrap: start a fresh epoch
@@ -266,7 +246,7 @@ class InterconnectModel
     /** The calling thread's stamp table (one per thread, not per model). */
     static RouteUnionStamps &routeUnionStamps();
 
-    /** Span of the route src -> dst in both route arenas. */
+    /** Span of the route src -> dst in the route arena. */
     const RouteRef &
     routeRef(NodeId src, NodeId dst) const
     {
@@ -278,35 +258,43 @@ class InterconnectModel
                        static_cast<std::size_t>(dst)];
     }
 
-    /** Uncached link classification (used to build the dense table). */
-    LinkKind computeLinkKind(NodeId a, NodeId b) const;
-
-    /** Fill routes_ and both arenas by walking every pair via `backend`. */
+    /**
+     * Fill routes_ and the route arena by walking every pair via
+     * `backend`; routeIds_ holds flat slots (from * nodeCount() + to)
+     * until numberLinks rewrites them. Marks every slot a route uses in
+     * `used`.
+     */
     template <typename Backend>
-    void buildRoutes(const Backend &backend);
-
-    arch::ArchConfig cfg_;
+    void buildRoutes(const Backend &backend, std::vector<std::uint64_t> &used);
 
     /**
-     * Dense per-(from, to) link classification, built once: summarize()
-     * touches every link of every analysis, so the integer div/mod chain
-     * behind computeLinkKind must not run per link per call.
+     * Give every used slot its link id, the slot's rank among used slots
+     * (one ascending bitmap scan, no sort), and rewrite routeIds_ from
+     * slots to ids in one pass.
      */
-    std::vector<std::uint8_t> kindTable_;
+    void numberLinks(const std::vector<std::uint64_t> &used);
+
+    arch::ArchConfig cfg_;
     double nocBps_ = 0.0;
     double d2dBps_ = 0.0;
 
     /**
-     * Dense route table: every (src, dst) pair's hop sequence, flattened
-     * into two parallel arenas (packed keys and flat slots) that share
-     * one RouteRef. Traffic accumulation replays the slot spans instead
-     * of re-deriving routes hop by hop (the single hottest loop of the SA
-     * mapper). DRAM-to-DRAM pairs, which have no meaningful route, hold
-     * an empty span.
+     * Dense route table: every (src, dst) pair's hop sequence as link
+     * ids, flattened into one arena. Traffic accumulation replays the id
+     * spans instead of re-deriving routes hop by hop (the single hottest
+     * loop of the SA mapper). DRAM-to-DRAM pairs, which have no
+     * meaningful route, hold an empty span.
      */
     std::vector<RouteRef> routes_;
-    std::vector<LinkKey> routeLinks_;
-    std::vector<std::uint32_t> routeSlots_; ///< routeLinks_ as linkSlot
+    std::vector<LinkId> routeIds_;
+
+    /**
+     * Per-link-id tables. Only links some route uses get an id — a few
+     * thousand even on the 264-node grid, against nodeCount^2 slots — so
+     * every per-link structure indexed by id stays cache-resident.
+     */
+    std::vector<LinkKey> linkKeys_;
+    std::vector<std::uint8_t> linkKinds_; ///< LinkKind per id
 };
 
 } // namespace gemini::noc

@@ -6,12 +6,15 @@
  * the delta-evaluated group costs are bit-identical to a full-merge
  * reference Analyzer that re-merges every fragment from scratch. Also
  * covers the rebuild fallback (diffs spanning most of a group), resident-
- * state LRU eviction, and the DenseLinkAccumulator overflow guard.
+ * state LRU eviction, and the DenseLinkAccumulator's drain orders and
+ * overflow guard.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <tuple>
 #include <vector>
@@ -380,31 +383,106 @@ TEST(DeltaEvalStats, DeltaPathDominatesSteadyWalk)
               3.0 * static_cast<double>(delta.deltaApplies()));
 }
 
-TEST(DenseLinkAccumulatorGuard, RejectsAbsurdNodeCounts)
+TEST(DenseLinkAccumulatorDrain, MatchesOrderedMapReference)
+{
+    // Random add sequences with repeated ids; each round ends in a
+    // first-touch drain, an ascending drain or a reset that discards a
+    // partial merge, all on one accumulator. Sums accumulate in add
+    // order on both sides, so emission order and bytes are bit-equal.
+    Rng rng(0xD7A1Dull);
+    mapping::DenseLinkAccumulator acc;
+    for (const std::size_t links :
+         {1u, 2u, 63u, 64u, 65u, 127u, 129u, 700u, 1024u, 2011u}) {
+        acc.reset(links);
+        for (int round = 0; round < 24; ++round) {
+            std::map<noc::LinkId, double> sums;
+            std::vector<noc::LinkId> first_touch;
+            const std::int64_t adds = rng.nextRange(
+                0, 3 * static_cast<std::int64_t>(links));
+            for (std::int64_t a = 0; a < adds; ++a) {
+                // Few distinct ids per round in some rounds, so repeats
+                // and sparse bitmap words both occur.
+                const std::int64_t span =
+                    round % 2 ? static_cast<std::int64_t>(links)
+                              : std::min<std::int64_t>(
+                                    static_cast<std::int64_t>(links), 5);
+                const auto id = static_cast<noc::LinkId>(
+                    (rng.nextInt(span) * 37) %
+                    static_cast<std::int64_t>(links));
+                const double bytes = 0.5 + rng.nextDouble() * 1.0e6;
+                if (sums.find(id) == sums.end())
+                    first_touch.push_back(id);
+                sums[id] += bytes;
+                acc.add(id, bytes);
+            }
+            ASSERT_EQ(acc.touchedCount(), sums.size());
+            std::vector<std::pair<noc::LinkId, double>> got;
+            const auto collect = [&](noc::LinkId id, double bytes) {
+                got.emplace_back(id, bytes);
+            };
+            switch (round % 3) {
+            case 0: {
+                acc.drainSlots(collect);
+                ASSERT_EQ(got.size(), sums.size()) << links;
+                std::size_t e = 0;
+                for (const auto &[id, bytes] : sums) {
+                    ASSERT_EQ(got[e].first, id) << links << " #" << e;
+                    ASSERT_EQ(got[e].second, bytes) << links << " #" << e;
+                    ++e;
+                }
+                break;
+            }
+            case 1:
+                acc.drain(collect);
+                ASSERT_EQ(got.size(), first_touch.size()) << links;
+                for (std::size_t e = 0; e < got.size(); ++e) {
+                    ASSERT_EQ(got[e].first, first_touch[e])
+                        << links << " #" << e;
+                    ASSERT_EQ(got[e].second, sums.at(first_touch[e]))
+                        << links << " #" << e;
+                }
+                break;
+            default:
+                acc.reset(links); // discard the partial merge
+                break;
+            }
+            // Whatever ended the round, the scratch is empty again.
+            got.clear();
+            ASSERT_EQ(acc.touchedCount(), 0u);
+            acc.drainSlots(collect);
+            acc.drain(collect);
+            ASSERT_TRUE(got.empty()) << links;
+        }
+    }
+}
+
+TEST(DenseLinkAccumulatorGuard, RejectsLinkCountsBeyondTheIdSpace)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     mapping::DenseLinkAccumulator acc;
     EXPECT_DEATH(
-        acc.reset(mapping::DenseLinkAccumulator::kMaxNodes + 1),
+        acc.reset(mapping::DenseLinkAccumulator::kMaxLinks + 1),
         "dense-table limit");
 }
 
-TEST(DenseLinkAccumulatorGuard, IndexTypeCoversBeyondInt32)
+TEST(DenseLinkAccumulatorGuard, TableIsSizedByLinkCount)
 {
-    // 46341^2 wraps a signed 32-bit flat index; the widened accumulator
-    // must keep every representable dense table addressable. (Allocating
-    // such a table is tens of terabytes, so this checks the limit and the
-    // index type rather than a live round trip.)
-    static_assert(mapping::DenseLinkAccumulator::kMaxNodes > 46340u,
-                  "node limit must exceed the old int32 wrap point");
+    // Every 32-bit link id must be addressable, and the table of the
+    // largest preset grid is its link count, not nodeCount^2.
+    static_assert(mapping::DenseLinkAccumulator::kMaxLinks ==
+                      std::size_t{1} << 32,
+                  "link ids are 32-bit");
+    const noc::InterconnectModel noc(arch::largeGridArch());
+    const std::size_t n = static_cast<std::size_t>(noc.nodeCount());
+    ASSERT_LT(noc.linkCount(), n * n / 16);
     mapping::DenseLinkAccumulator acc;
-    acc.reset(512); // comfortably past any current interconnect
-    acc.add(noc::makeLink(510, 511), 123.0);
+    acc.reset(noc.linkCount());
+    const auto last = static_cast<noc::LinkId>(noc.linkCount() - 1);
+    acc.add(last, 123.0);
     bool seen = false;
-    acc.drain([&](noc::NodeId from, noc::NodeId to, double bytes) {
+    acc.drain([&](noc::LinkId id, double bytes) {
         seen = true;
-        EXPECT_EQ(from, 510);
-        EXPECT_EQ(to, 511);
+        EXPECT_EQ(id, last);
         EXPECT_EQ(bytes, 123.0);
     });
     EXPECT_TRUE(seen);

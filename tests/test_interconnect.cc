@@ -3,7 +3,7 @@
  * Tests for the pluggable interconnect seam: differential routing checks
  * across mesh / folded torus / concentrated ring / NoP+NoC hierarchy
  * (hop counts, route-path contiguity, multicast-union byte conservation,
- * DRAM attach symmetry), bit-exactness of mesh results against goldens
+ * DRAM attach symmetry, the link-id table), bit-exactness of mesh results against goldens
  * captured from the pre-refactor monolithic analyzer, CostStack layering
  * invariants, and the topology axis end-to-end through runDse.
  */
@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <set>
+#include <variant>
 #include <vector>
 
 #include "src/arch/presets.hh"
@@ -20,6 +21,7 @@
 #include "src/dse/dse.hh"
 #include "src/mapping/engine.hh"
 #include "src/noc/interconnect.hh"
+#include "src/noc/topologies.hh"
 
 namespace gemini {
 namespace {
@@ -61,11 +63,11 @@ expectRoutesContiguous(const InterconnectModel &icn)
             ASSERT_FALSE(span.empty())
                 << "no route " << icn.nodeLabel(s) << " -> "
                 << icn.nodeLabel(d);
-            EXPECT_EQ(noc::linkFrom(span.front()), s);
-            EXPECT_EQ(noc::linkTo(span.back()), d);
+            EXPECT_EQ(noc::linkFrom(icn.linkAt(span.front())), s);
+            EXPECT_EQ(noc::linkTo(icn.linkAt(span.back())), d);
             for (std::size_t i = 1; i < span.size(); ++i)
-                EXPECT_EQ(noc::linkTo(span[i - 1]),
-                          noc::linkFrom(span[i]));
+                EXPECT_EQ(noc::linkTo(icn.linkAt(span[i - 1])),
+                          noc::linkFrom(icn.linkAt(span[i])));
         }
     }
 }
@@ -195,8 +197,8 @@ TEST(InterconnectSeam, DramAttachSymmetry)
                 const auto in = icn.route(dram, c);
                 const auto out = icn.route(c, dram);
                 ASSERT_FALSE(in.empty());
-                EXPECT_EQ(noc::linkFrom(in.front()), dram);
-                EXPECT_EQ(noc::linkTo(out.back()), dram);
+                EXPECT_EQ(noc::linkFrom(icn.linkAt(in.front())), dram);
+                EXPECT_EQ(noc::linkTo(icn.linkAt(out.back())), dram);
             }
         }
     }
@@ -213,8 +215,87 @@ TEST(InterconnectSeam, TemplateForEachHopMatchesRouteSpan)
     const auto span = icn.route(src, dst);
     ASSERT_EQ(walked.size(), span.size());
     for (std::size_t i = 0; i < walked.size(); ++i)
-        EXPECT_EQ(walked[i], span[i]);
+        EXPECT_EQ(walked[i], icn.linkAt(span[i]));
     EXPECT_EQ(icn.hopCount(src, dst), static_cast<int>(span.size()));
+}
+
+/**
+ * The link-id table: ids rise strictly with from * nodeCount() + to,
+ * every route's id span decodes to the hops the backend walks, kinds
+ * match the geometric classification, and exactly the links some route
+ * uses get an id.
+ */
+void
+expectLinkIdTable(const InterconnectModel &icn)
+{
+    const auto n = static_cast<std::size_t>(icn.nodeCount());
+    const auto slotOf = [n](noc::LinkKey key) {
+        return static_cast<std::size_t>(noc::linkFrom(key)) * n +
+               static_cast<std::size_t>(noc::linkTo(key));
+    };
+    for (noc::LinkId id = 0; id < icn.linkCount(); ++id) {
+        const noc::LinkKey key = icn.linkAt(id);
+        if (id > 0)
+            ASSERT_LT(slotOf(icn.linkAt(id - 1)), slotOf(key))
+                << icn.config().name << " id " << id;
+        ASSERT_EQ(icn.linkKindAt(id),
+                  icn.linkKind(noc::linkFrom(key), noc::linkTo(key)))
+            << icn.config().name << " id " << id;
+    }
+    const auto backend = noc::topo::makeBackend(icn.config());
+    std::vector<bool> used(n * n, false);
+    std::size_t distinct = 0;
+    std::vector<noc::LinkKey> walked;
+    for (NodeId s = 0; s < icn.nodeCount(); ++s) {
+        for (NodeId d = 0; d < icn.nodeCount(); ++d) {
+            if (icn.isDramNode(s) && icn.isDramNode(d))
+                continue;
+            walked.clear();
+            std::visit(
+                [&](const auto &b) {
+                    b.walkHops(icn.config(), s, d, [&](NodeId a, NodeId z) {
+                        walked.push_back(noc::makeLink(a, z));
+                    });
+                },
+                backend);
+            const auto ids = icn.route(s, d);
+            ASSERT_EQ(ids.size(), walked.size());
+            for (std::size_t h = 0; h < walked.size(); ++h) {
+                ASSERT_LT(ids[h], icn.linkCount());
+                ASSERT_EQ(icn.linkAt(ids[h]), walked[h])
+                    << icn.config().name << " " << s << "->" << d
+                    << " hop " << h;
+                if (!used[slotOf(walked[h])]) {
+                    used[slotOf(walked[h])] = true;
+                    ++distinct;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(icn.linkCount(), distinct) << icn.config().name;
+}
+
+TEST(InterconnectSeam, LinkIdsNumberRouteLinksInKeyOrder)
+{
+    const arch::Topology topologies[] = {
+        arch::Topology::Mesh, arch::Topology::FoldedTorus,
+        arch::Topology::ConcentratedRing, arch::Topology::HierarchicalNop};
+    for (arch::Topology topo : topologies) {
+        arch::ArchConfig g72 = arch::gArch72();
+        g72.topology = topo;
+        arch::ArchConfig mono = g72;
+        mono.name = "monolithic";
+        mono.xCut = 1;
+        mono.yCut = 1;
+        arch::ArchConfig dram3 = g72;
+        dram3.name = "dram3";
+        dram3.dramCount = 3;
+        for (const arch::ArchConfig &cfg :
+             {g72, mono, dram3, arch::largeGridArch(topo)}) {
+            SCOPED_TRACE(cfg.name + " " + arch::topologyName(topo));
+            expectLinkIdTable(InterconnectModel(cfg));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -143,34 +143,6 @@ TEST_F(KernelDifferential, PairMaxBitIdentical)
     }
 }
 
-TEST_F(KernelDifferential, LinkSlotsBitIdentical)
-{
-    Rng rng(0x11A5ull);
-    const std::uint64_t nodes = 1u << 24; // the accumulator's kMaxNodes
-    for (std::size_t n : kSizes) {
-        std::vector<std::pair<noc::LinkKey, double>> links(n);
-        for (auto &[key, bytes] : links) {
-            const auto from = static_cast<noc::NodeId>(
-                rng.nextInt(static_cast<std::int64_t>(nodes)));
-            const auto to = static_cast<noc::NodeId>(
-                rng.nextInt(static_cast<std::int64_t>(nodes)));
-            key = noc::makeLink(from, to);
-            bytes = rng.nextDouble();
-        }
-        std::vector<std::uint64_t> a(n, 1), b(n, 2);
-        scalar_.linkSlots(a.data(), links.data(), nodes, n);
-        avx2_.linkSlots(b.data(), links.data(), nodes, n);
-        for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(a[i], b[i]) << "n=" << n << " i=" << i;
-            const std::uint64_t expect =
-                static_cast<std::uint64_t>(noc::linkFrom(links[i].first)) *
-                    nodes +
-                static_cast<std::uint64_t>(noc::linkTo(links[i].first));
-            ASSERT_EQ(a[i], expect) << "n=" << n << " i=" << i;
-        }
-    }
-}
-
 TEST(SimdDispatch, NamesAndForceRoundTrip)
 {
     EXPECT_STREQ(common::simdLevelName(SimdLevel::Scalar), "scalar");

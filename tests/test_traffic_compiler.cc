@@ -7,9 +7,11 @@
  * InterconnectModel::unicast / multicast into a TrafficMap, while a
  * separate walk of the same routes records the first-touch link order.
  * Random schemes over conv-style and transformer graphs, every topology
- * backend plus the 256-core large grid, uneven splits, batch-split
- * partitions and interleaved/pinned DRAM selectors must give bit-equal
- * per-link bytes, link order, DRAM bytes and GLB overflow.
+ * backend, a monolithic hierarchy, three DRAM stacks and the 256-core
+ * large grid, uneven splits, batch-split partitions and
+ * interleaved/pinned DRAM selectors must give bit-equal per-link bytes,
+ * link order (link ids decoded through linkAt), DRAM bytes and GLB
+ * overflow.
  */
 
 #include <gtest/gtest.h>
@@ -226,9 +228,11 @@ class Reference
     void
     touch(RefFlows &out, NodeId src, NodeId dst)
     {
-        for (LinkKey key : noc_.route(src, dst))
+        noc_.forEachHop(src, dst, [&](NodeId a, NodeId b) {
+            const LinkKey key = noc::makeLink(a, b);
             if (out.seen.insert(key).second)
                 out.order.push_back(key);
+        });
     }
 
     /** One multicast tree; destinations in ascending node order. */
@@ -385,7 +389,7 @@ diffAgainstReference(const dnn::Graph &graph, const arch::ArchConfig &arch,
                                       graph.layer(group.layers[li]).name;
             ASSERT_EQ(got.links.size(), want.order.size()) << where;
             for (std::size_t e = 0; e < want.order.size(); ++e) {
-                ASSERT_EQ(got.links[e].first, want.order[e])
+                ASSERT_EQ(noc.linkAt(got.links[e].first), want.order[e])
                     << where << " link #" << e;
                 ASSERT_EQ(got.links[e].second, want.map.links().at(
                                                    want.order[e]))
@@ -445,6 +449,32 @@ TEST(TrafficCompilerDiff, TransformerEveryTopology)
     std::uint64_t seed = 0x7F0u;
     for (arch::Topology topology : kTopologies)
         diffAgainstReference(graph, smallArch(topology), 36, 40, ++seed);
+}
+
+TEST(TrafficCompilerDiff, MonolithicHierarchyFallsBackToMesh)
+{
+    arch::ArchConfig arch = smallArch(arch::Topology::HierarchicalNop);
+    arch.name = "mono_nop";
+    arch.xCut = 1;
+    arch.yCut = 1;
+    diffAgainstReference(convGraph(), arch, 36, 40, 0x404Eu);
+    diffAgainstReference(dnn::zoo::tinyTransformer(24, 32, 4, 1), arch, 36,
+                         40, 0x404Fu);
+}
+
+TEST(TrafficCompilerDiff, ThreeDramsEveryTopology)
+{
+    // Interleaved shares of a third are not dyadic, so every per-link
+    // sum is sensitive to its fold order.
+    std::uint64_t seed = 0xD3A0u;
+    for (arch::Topology topology : kTopologies) {
+        arch::ArchConfig arch = smallArch(topology);
+        arch.name = "dram3";
+        arch.dramCount = 3;
+        diffAgainstReference(convGraph(), arch, 36, 40, ++seed);
+        diffAgainstReference(dnn::zoo::tinyTransformer(24, 32, 4, 1), arch,
+                             36, 40, ++seed);
+    }
 }
 
 TEST(TrafficCompilerDiff, LargeGrid)
