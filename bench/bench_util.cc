@@ -6,8 +6,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "src/dnn/zoo.hh"
-
 namespace gemini::benchutil {
 
 int
@@ -41,42 +39,6 @@ printHeader(const std::string &title, const std::string &paper_ref)
                 paper_ref.c_str(), effortLevel());
     std::printf("=============================================================="
                 "==================\n");
-}
-
-mapping::MappingOptions
-mappingOptions(std::int64_t batch, bool run_sa)
-{
-    mapping::MappingOptions o;
-    o.batch = batch;
-    o.runSa = run_sa;
-    o.sa.iterations = scaled(300, 4000, 20000);
-    o.sa.tStart = 0.1;
-    o.maxGroupLayers = scaled(6, 10, 12);
-    return o;
-}
-
-std::vector<std::pair<std::string, dnn::Graph>>
-paperWorkloads()
-{
-    std::vector<std::pair<std::string, dnn::Graph>> out;
-    if (effortLevel() == 0) {
-        out.emplace_back("tiny-res", dnn::zoo::tinyResidual());
-        out.emplace_back("tiny-tf", dnn::zoo::tinyTransformer(32, 64, 4, 1));
-        return out;
-    }
-    out.emplace_back("RN-50", dnn::zoo::resnet50());
-    out.emplace_back("RNX", dnn::zoo::resnext50());
-    out.emplace_back("IRes", dnn::zoo::inceptionResnetV1());
-    out.emplace_back("PNas",
-                     dnn::zoo::pnasnet(effortLevel() >= 2 ? 3 : 1));
-    out.emplace_back("TF", dnn::zoo::transformerBase());
-    // Paper-scale stress DNN (not in the paper's suite): a GPT-2-medium
-    // class transformer whose 100+-layer groups exercise the
-    // delta-evaluated SA path at scale. Only at full effort — it is an
-    // order of magnitude more work than the Fig. 5 networks.
-    if (effortLevel() >= 2)
-        out.emplace_back("GPT2-M", dnn::zoo::gpt2Medium());
-    return out;
 }
 
 ConsoleTable::ConsoleTable(std::vector<std::string> headers)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the experiment harnesses: effort scaling (so every
- * bench runs on a laptop by default yet can reproduce paper-scale runs),
- * console table formatting, and the standard workload sets.
+ * bench runs on a laptop by default yet can reproduce paper-scale runs)
+ * and console table formatting.
  */
 
 #ifndef GEMINI_BENCH_BENCH_UTIL_HH
@@ -10,9 +10,6 @@
 
 #include <string>
 #include <vector>
-
-#include "src/dnn/graph.hh"
-#include "src/mapping/engine.hh"
 
 namespace gemini::benchutil {
 
@@ -27,16 +24,6 @@ int scaled(int smoke, int standard, int paper);
 
 /** Banner printed at the top of each experiment. */
 void printHeader(const std::string &title, const std::string &paper_ref);
-
-/** Mapping options tuned per effort level. */
-mapping::MappingOptions mappingOptions(std::int64_t batch, bool run_sa);
-
-/**
- * The Fig. 5 workload list (name, graph) at the current effort level:
- * effort 0 uses the tiny zoo, 1+ the five paper DNNs with PNASNet scaled
- * to keep runtimes sane (see DESIGN.md).
- */
-std::vector<std::pair<std::string, dnn::Graph>> paperWorkloads();
 
 /** Fixed-width console table. */
 class ConsoleTable

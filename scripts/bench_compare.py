@@ -2,8 +2,7 @@
 """Benchmark regression gate.
 
 Compares a freshly-emitted benchmark JSON against a committed baseline and
-fails (exit 1) on a throughput regression beyond the tolerance. Two file
-formats are understood:
+fails (exit 1) on a regression. Three file formats are understood:
 
 * google-benchmark JSON (``BENCH_sa_throughput.json``): every benchmark
   present in both files is compared on ``items_per_second``. Because CI
@@ -25,13 +24,26 @@ formats are understood:
   bench writes, and ``best_arch`` as written. Both drivers are seeded, so
   a different winner is a correctness bug, not noise.
 
+* the paper-numbers JSON (``BENCH_paper.json``): one row per checkable
+  paper number, each with a ``kind`` (``real``, ``count`` or ``bool``),
+  a ``value`` and the paper's value or null. ``bench_paper`` is
+  deterministic, so every baseline row must be present with the same
+  kind, value and paper value, and the current file may add no row.
+  Booleans and counts match exactly; reals match at the 4 significant
+  digits the bench writes, as ``best_objective`` does at ``%.10g``.
+
 Usage:
     bench_compare.py BASELINE CURRENT [--tolerance 0.10]
                      [--anchor BM_SaThroughputSeed]
+    bench_compare.py --selftest
 """
 
 import argparse
+import copy
+import contextlib
+import io
 import json
+import os
 import sys
 
 
@@ -183,23 +195,101 @@ def compare_dse_winners(base_doc, cur_doc):
     return ok
 
 
+def compare_paper(base_doc, cur_doc):
+    """Every paper row must reproduce the baseline's row exactly."""
+    if base_doc["effort"] != cur_doc["effort"]:
+        print(f"FAIL: baseline is effort {base_doc['effort']}, current is "
+              f"effort {cur_doc['effort']}")
+        return False
+    base = {r["name"]: r for r in base_doc["rows"]}
+    cur = {r["name"]: r for r in cur_doc["rows"]}
+    show = json.dumps
+    failures = []
+    for name, row in base.items():
+        if name not in cur:
+            failures.append(name)
+            print(f"MISSING {name}: baseline {show(row['value'])}")
+        elif cur[name] != row:
+            failures.append(name)
+            print(f"CHANGED {name}: baseline {show(row['value'])} "
+                  f"(paper {show(row['paper'])}), current "
+                  f"{show(cur[name]['value'])} "
+                  f"(paper {show(cur[name]['paper'])})")
+    for name in sorted(cur.keys() - base.keys()):
+        failures.append(name)
+        print(f"NEW {name}: {show(cur[name]['value'])} has no baseline row")
+    if failures:
+        print(f"\nFAIL: {len(failures)} of {len(base)} paper row(s) differ "
+              "from the baseline: " + ", ".join(failures))
+        return False
+    print(f"OK: all {len(base)} paper rows match the baseline")
+    return True
+
+
+def compare(base_doc, cur_doc, tolerance, anchor):
+    if "rows" in base_doc:
+        return compare_paper(base_doc, cur_doc)
+    if "cpu_speedup" in base_doc:
+        return compare_dse(base_doc, cur_doc, tolerance)
+    return compare_google(base_doc, cur_doc, tolerance, anchor)
+
+
+def selftest():
+    """The paper gate against the committed BENCH_paper.json: an
+    identical copy passes; a changed real, a flipped boolean and a missing
+    row each fail, and the failure names the row."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    base = load(os.path.join(root, "BENCH_paper.json"))
+
+    def run(cur):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            ok = compare(base, cur, 0.10, "BM_SaThroughputSeed")
+        return ok, out.getvalue()
+
+    def mutated(kind, change):
+        cur = copy.deepcopy(base)
+        row = next(r for r in cur["rows"] if r["kind"] == kind)
+        change(cur, row)
+        return cur, row["name"]
+
+    ok, _ = run(copy.deepcopy(base))
+    if not ok:
+        raise AssertionError("an identical copy must pass")
+    cases = {
+        "changed real": mutated(
+            "real", lambda doc, r: r.update(value=r["value"] + 0.001)),
+        "flipped bool": mutated(
+            "bool", lambda doc, r: r.update(value=not r["value"])),
+        "missing row": mutated(
+            "count", lambda doc, r: doc["rows"].remove(r)),
+    }
+    for what, (cur, name) in cases.items():
+        ok, text = run(cur)
+        if ok or name not in text:
+            raise AssertionError(f"a {what} ({name}) must fail, naming it")
+    print(f"bench_compare selftest: ok ({len(cases) + 1} cases)")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("baseline")
-    ap.add_argument("current")
+    ap.add_argument("baseline", nargs="?")
+    ap.add_argument("current", nargs="?")
+    ap.add_argument("--selftest", action="store_true",
+                    help="check the paper gate against BENCH_paper.json")
     ap.add_argument("--tolerance", type=float, default=0.10,
                     help="allowed fractional regression (default 0.10)")
     ap.add_argument("--anchor", default="BM_SaThroughputSeed",
                     help="machine-speed anchor benchmark name")
     args = ap.parse_args()
+    if args.selftest:
+        sys.exit(selftest())
+    if not args.baseline or not args.current:
+        ap.error("BASELINE and CURRENT are required")
 
-    base_doc = load(args.baseline)
-    cur_doc = load(args.current)
-
-    if "cpu_speedup" in base_doc:
-        ok = compare_dse(base_doc, cur_doc, args.tolerance)
-    else:
-        ok = compare_google(base_doc, cur_doc, args.tolerance, args.anchor)
+    ok = compare(load(args.baseline), load(args.current), args.tolerance,
+                 args.anchor)
     sys.exit(0 if ok else 1)
 
 
