@@ -870,6 +870,30 @@ BM_NocMulticast(benchmark::State &state)
 }
 BENCHMARK(BM_NocMulticast);
 
+/**
+ * The weight broadcast that dominates map_sa_gpt2: each of large_grid's 8
+ * DRAMs multicasts to all 256 cores, emitting link ids into a dense
+ * per-link sum the way the traffic compiler does.
+ */
+void
+BM_NocMulticastWide(benchmark::State &state)
+{
+    const arch::ArchConfig a = arch::largeGridArch();
+    noc::InterconnectModel noc(a);
+    std::vector<noc::NodeId> dsts;
+    for (CoreId c = 0; c < a.coreCount(); ++c)
+        dsts.push_back(noc.coreNode(c));
+    std::vector<double> link_bytes(noc.linkCount(), 0.0);
+    for (auto _ : state) {
+        for (int d = 0; d < a.dramCount; ++d)
+            noc.multicastLinks(noc.dramNode(d), dsts, 128.0,
+                               [&](noc::LinkId id) { link_bytes[id] += 128.0; });
+        benchmark::DoNotOptimize(link_bytes.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_NocMulticastWide);
+
 void
 BM_McEvaluate(benchmark::State &state)
 {

@@ -13,8 +13,9 @@ simbaArch()
     a.yCut = 6;
     a.topology = Topology::Mesh;
     // Simba's GRS package links provide noticeably less bandwidth than the
-    // on-chip network; the paper's explored G-Arch doubles both relative to
-    // this baseline and doubles the 1 MB/core GLB of the Simba-series
+    // on-chip network; the paper's published G-Arch (gArch72, hard-coded,
+    // not what this repository's paper72 DSE picks) doubles both relative
+    // to this baseline and doubles the 1 MB/core GLB of the Simba-series
     // papers ([58] allocates 1024 KB per core).
     a.nocBwGBps = 16.0;
     a.d2dBwGBps = 8.0;

@@ -22,8 +22,9 @@ namespace gemini::arch {
 ArchConfig simbaArch();
 
 /**
- * G-Arch (72 TOPs): the architecture Gemini's DSE finds —
- * (2, 36, 144GB/s, 32GB/s, 16GB/s, 2MB, 1024).
+ * G-Arch (72 TOPs): the paper's published G-Arch, hard-coded —
+ * (2, 36, 144GB/s, 32GB/s, 16GB/s, 2MB, 1024). This repository's own
+ * paper72 DSE picks a different arch (DESIGN.md "Paper numbers").
  */
 ArchConfig gArch72();
 

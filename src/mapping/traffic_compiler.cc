@@ -102,9 +102,8 @@ forEachPiece(const PieceBox &box, const Partition &part, const Fn &fn)
 
 /**
  * Sort requests by key and emit once per distinct key, in ascending key
- * order (the order the std::map-based original used). Ties break on the
- * destination node, which is unique per request within one grouping, so
- * the order is total and deterministic. Singleton groups — the common
+ * order (the order the std::map-based original used), each multicast's
+ * destinations in ascending node order. Singleton groups — the common
  * case, since partition pieces mostly request distinct regions — take
  * emit_one, which skips the destination-vector machinery entirely.
  */
@@ -121,11 +120,12 @@ emitGrouped(std::vector<FlowRequest> &requests,
         return;
     }
     const auto by_key = [](const FlowRequest &a, const FlowRequest &b) {
-        return std::tie(a.key, a.node) < std::tie(b.key, b.node);
+        return a.key < b.key;
     };
     // Most request lists already arrive in key order (pieces enumerate
-    // the partition grid in ascending region order); the order is total,
-    // so skipping the sort then changes nothing.
+    // the partition grid in ascending region order), but equal keys need
+    // not list their destinations in node order: the nodes of each
+    // multicast are sorted on their own instead.
     if (!std::is_sorted(requests.begin(), requests.end(), by_key))
         std::sort(requests.begin(), requests.end(), by_key);
     std::size_t i = 0;
@@ -139,6 +139,7 @@ emitGrouped(std::vector<FlowRequest> &requests,
             dsts_scratch.clear();
             for (std::size_t k = i; k < j; ++k)
                 dsts_scratch.push_back(requests[k].node);
+            std::sort(dsts_scratch.begin(), dsts_scratch.end());
             emit_many(requests[i].bytes, dsts_scratch);
         }
         i = j;
@@ -256,16 +257,22 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
             flows.dramBytes[sel - 1] += bytes;
         }
     };
+    // An interleaved single-endpoint access walks the one arena span that
+    // concatenates its per-DRAM routes in DRAM order: the hop sequence of
+    // a per-DRAM loop of unicasts, without a route lookup per DRAM.
+    auto interleaved = [&](std::span<const noc::LinkId> hops, double bytes) {
+        const double share = bytes / arch_.dramCount;
+        for (noc::LinkId id : hops)
+            merge_.add(id, share);
+        for (double &dram_bytes : flows.dramBytes)
+            dram_bytes += share;
+    };
     // Single-destination DRAM read: the route span IS the multicast tree.
     auto dram_read_one = [&](DramSel sel, double bytes, noc::NodeId dst) {
         if (bytes <= 0.0)
             return;
         if (sel == kDramInterleaved) {
-            const double share = bytes / arch_.dramCount;
-            for (int d = 0; d < arch_.dramCount; ++d) {
-                unicast(noc_.dramNode(d), dst, share);
-                flows.dramBytes[d] += share;
-            }
+            interleaved(noc_.routesFromAllDrams(dst), bytes);
         } else {
             GEMINI_ASSERT(sel >= 1 && sel <= arch_.dramCount,
                           "bad DRAM selector ", sel);
@@ -277,11 +284,7 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
         if (bytes <= 0.0)
             return;
         if (sel == kDramInterleaved) {
-            const double share = bytes / arch_.dramCount;
-            for (int d = 0; d < arch_.dramCount; ++d) {
-                unicast(noc_.coreNode(src), noc_.dramNode(d), share);
-                flows.dramBytes[d] += share;
-            }
+            interleaved(noc_.routesToAllDrams(src), bytes);
         } else {
             GEMINI_ASSERT(sel >= 1 && sel <= arch_.dramCount,
                           "bad DRAM selector ", sel);

@@ -18,27 +18,31 @@ InterconnectModel::buildRoutes(const Backend &backend,
                                std::vector<std::uint64_t> &used)
 {
     const std::size_t n = static_cast<std::size_t>(nodeCount());
+    const std::size_t cores = static_cast<std::size_t>(cfg_.coreCount());
     routes_.resize(n * n);
-    for (std::size_t a = 0; a < n; ++a) {
-        for (std::size_t b = 0; b < n; ++b) {
-            RouteRef &ref = routes_[a * n + b];
-            ref.offset = static_cast<std::uint32_t>(routeIds_.size());
-            if (isDramNode(static_cast<NodeId>(a)) &&
-                isDramNode(static_cast<NodeId>(b)))
-                continue; // no meaningful route; empty span
-            backend.walkHops(
-                cfg_, static_cast<NodeId>(a), static_cast<NodeId>(b),
-                [&](NodeId from, NodeId to) {
-                    const auto slot = static_cast<std::uint32_t>(
-                        static_cast<std::size_t>(from) * n +
-                        static_cast<std::size_t>(to));
-                    routeIds_.push_back(slot);
-                    used[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-                });
-            ref.length = static_cast<std::uint32_t>(routeIds_.size()) -
-                         ref.offset;
-        }
-    }
+    auto build = [&](std::size_t a, std::size_t b) {
+        RouteRef &ref = routes_[a * n + b];
+        ref.offset = static_cast<std::uint32_t>(routeIds_.size());
+        if (a >= cores && b >= cores)
+            return; // no meaningful route; empty span
+        backend.walkHops(
+            cfg_, static_cast<NodeId>(a), static_cast<NodeId>(b),
+            [&](NodeId from, NodeId to) {
+                const auto slot = static_cast<std::uint32_t>(
+                    static_cast<std::size_t>(from) * n +
+                    static_cast<std::size_t>(to));
+                routeIds_.push_back(slot);
+                used[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+            });
+        ref.length =
+            static_cast<std::uint32_t>(routeIds_.size()) - ref.offset;
+    };
+    for (std::size_t a = 0; a < cores; ++a)
+        for (std::size_t b = 0; b < n; ++b)
+            build(a, b);
+    for (std::size_t b = 0; b < n; ++b)
+        for (std::size_t a = cores; a < n; ++a)
+            build(a, b);
 }
 
 void
@@ -81,13 +85,6 @@ InterconnectModel::InterconnectModel(const arch::ArchConfig &cfg) : cfg_(cfg)
     std::visit([&](const auto &backend) { buildRoutes(backend, used); },
                topo::makeBackend(cfg_));
     numberLinks(used);
-}
-
-NodeId
-InterconnectModel::dramNode(int dram) const
-{
-    GEMINI_ASSERT(dram >= 0 && dram < cfg_.dramCount, "bad dram id ", dram);
-    return cfg_.coreCount() + dram;
 }
 
 int

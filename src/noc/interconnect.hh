@@ -63,7 +63,15 @@ class InterconnectModel
     const arch::ArchConfig &config() const { return cfg_; }
 
     NodeId coreNode(CoreId core) const { return core; }
-    NodeId dramNode(int dram) const;
+
+    NodeId
+    dramNode(int dram) const
+    {
+        GEMINI_ASSERT(dram >= 0 && dram < cfg_.dramCount, "bad dram id ",
+                      dram);
+        return cfg_.coreCount() + dram;
+    }
+
     bool isDramNode(NodeId n) const { return n >= cfg_.coreCount(); }
     int dramOf(NodeId n) const;
 
@@ -125,6 +133,13 @@ class InterconnectModel
      * Every instantiation shares the calling thread's stamp table, so
      * concurrent SA chains never contend and a generation bump makes
      * reset free.
+     *
+     * Routes are prefix-closed (for every node v on route(s, d),
+     * route(s, v) is that route's prefix up to v; tests/test_interconnect.cc
+     * holds every backend to it), so the already-stamped links of a
+     * destination's route always form a prefix: each route is scanned
+     * backward to its last stamped link and only the new suffix is
+     * stamped and emitted, in hop order.
      */
     template <typename Emit>
     void
@@ -133,21 +148,45 @@ class InterconnectModel
     {
         if (bytes <= 0.0 || dsts.empty())
             return;
-        if (dsts.size() == 1) { // single destination: the route IS the union
-            for (LinkId id : route(src, dsts[0]))
-                emit(id);
-            return;
-        }
         RouteUnionStamps &stamps = routeUnionStamps();
         const std::uint32_t gen = stamps.begin(linkCount());
         for (NodeId dst : dsts) {
-            for (LinkId id : route(src, dst)) {
-                if (stamps.stamp[id] != gen) {
-                    stamps.stamp[id] = gen;
-                    emit(id);
-                }
+            const std::span<const LinkId> hops = route(src, dst);
+            std::size_t first_new = hops.size();
+            while (first_new > 0 && stamps.stamp[hops[first_new - 1]] != gen)
+                --first_new;
+            for (LinkId id : hops.subspan(first_new)) {
+                stamps.stamp[id] = gen;
+                emit(id);
             }
         }
+    }
+
+    /**
+     * The routes dramNode(0) -> core, ..., dramNode(D-1) -> core
+     * concatenated in DRAM order (D = dramCount): the hop sequence of one
+     * DRAM-interleaved read. The route arena lays these routes out
+     * back to back, so this is one span of it, not a copy.
+     */
+    std::span<const LinkId>
+    routesFromAllDrams(CoreId core) const
+    {
+        const NodeId dram0 = cfg_.coreCount();
+        return arenaRun(routeRef(dram0, core),
+                        routeRef(dram0 + cfg_.dramCount - 1, core));
+    }
+
+    /**
+     * The routes core -> dramNode(0), ..., core -> dramNode(D-1)
+     * concatenated in DRAM order: the hop sequence of one
+     * DRAM-interleaved write, likewise one span of the route arena.
+     */
+    std::span<const LinkId>
+    routesToAllDrams(CoreId core) const
+    {
+        const NodeId dram0 = cfg_.coreCount();
+        return arenaRun(routeRef(core, dram0),
+                        routeRef(core, dram0 + cfg_.dramCount - 1));
     }
 
     /**
@@ -246,6 +285,14 @@ class InterconnectModel
     /** The calling thread's stamp table (one per thread, not per model). */
     static RouteUnionStamps &routeUnionStamps();
 
+    /** The arena from `first`'s span through `last`'s, which follows it. */
+    std::span<const LinkId>
+    arenaRun(const RouteRef &first, const RouteRef &last) const
+    {
+        return {routeIds_.data() + first.offset,
+                last.offset + last.length - first.offset};
+    }
+
     /** Span of the route src -> dst in the route arena. */
     const RouteRef &
     routeRef(NodeId src, NodeId dst) const
@@ -259,10 +306,10 @@ class InterconnectModel
     }
 
     /**
-     * Fill routes_ and the route arena by walking every pair via
-     * `backend`; routeIds_ holds flat slots (from * nodeCount() + to)
-     * until numberLinks rewrites them. Marks every slot a route uses in
-     * `used`.
+     * Fill routes_ and the route arena (in the order described at
+     * routes_) by walking every pair via `backend`; routeIds_ holds flat
+     * slots (from * nodeCount() + to) until numberLinks rewrites them.
+     * Marks every slot a route uses in `used`.
      */
     template <typename Backend>
     void buildRoutes(const Backend &backend, std::vector<std::uint64_t> &used);
@@ -283,7 +330,12 @@ class InterconnectModel
      * ids, flattened into one arena. Traffic accumulation replays the id
      * spans instead of re-deriving routes hop by hop (the single hottest
      * loop of the SA mapper). DRAM-to-DRAM pairs, which have no
-     * meaningful route, hold an empty span.
+     * meaningful route, hold an empty span. routes_ is indexed
+     * src * nodeCount() + dst; the arena holds the core-sourced routes
+     * in that order (so core -> DRAM 0..D-1 sit back to back) and then
+     * the DRAM-sourced ones destination-major (DRAM 0..D-1 -> core back
+     * to back), which is what makes routesFromAllDrams and
+     * routesToAllDrams single spans.
      */
     std::vector<RouteRef> routes_;
     std::vector<LinkId> routeIds_;

@@ -2,20 +2,25 @@
  * @file
  * Tests for the pluggable interconnect seam: differential routing checks
  * across mesh / folded torus / concentrated ring / NoP+NoC hierarchy
- * (hop counts, route-path contiguity, multicast-union byte conservation,
- * DRAM attach symmetry, the link-id table), bit-exactness of mesh results against goldens
+ * (hop counts, route-path contiguity, prefix-closed routes,
+ * multicast-union byte conservation and emission order against a naive
+ * route walk, the interleaved DRAM spans, DRAM attach symmetry, the
+ * link-id table), bit-exactness of mesh results against goldens
  * captured from the pre-refactor monolithic analyzer, CostStack layering
  * invariants, and the topology axis end-to-end through runDse.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <variant>
 #include <vector>
 
 #include "src/arch/presets.hh"
+#include "src/common/rng.hh"
 #include "src/cost/cost_stack.hh"
 #include "src/dnn/zoo.hh"
 #include "src/dse/dse.hh"
@@ -294,6 +299,161 @@ TEST(InterconnectSeam, LinkIdsNumberRouteLinksInKeyOrder)
              {g72, mono, dram3, arch::largeGridArch(topo)}) {
             SCOPED_TRACE(cfg.name + " " + arch::topologyName(topo));
             expectLinkIdTable(InterconnectModel(cfg));
+        }
+    }
+}
+
+/**
+ * Every route is prefix-closed: for every node v a route s -> d passes
+ * through, route(s, v) is exactly that route's prefix up to v. This is
+ * what lets multicastLinks stamp and emit only a destination's new route
+ * suffix; a backend that breaks it must fail here. (It also makes every
+ * route a simple path that never returns to its source.)
+ */
+void
+expectRoutesPrefixClosed(const InterconnectModel &icn)
+{
+    for (NodeId s = 0; s < icn.nodeCount(); ++s) {
+        for (NodeId d = 0; d < icn.nodeCount(); ++d) {
+            if (icn.isDramNode(s) && icn.isDramNode(d))
+                continue;
+            const auto span = icn.route(s, d);
+            for (std::size_t h = 0; h < span.size(); ++h) {
+                const NodeId v = noc::linkTo(icn.linkAt(span[h]));
+                ASSERT_FALSE(icn.isDramNode(s) && icn.isDramNode(v))
+                    << icn.config().name << " " << s << "->" << d
+                    << " passes DRAM node " << v;
+                const auto prefix = icn.route(s, v);
+                ASSERT_TRUE(prefix.size() == h + 1 &&
+                            std::equal(prefix.begin(), prefix.end(),
+                                       span.begin()))
+                    << icn.config().name << " " << s << "->" << d
+                    << " is not prefix-closed at hop " << h << " (node "
+                    << v << ")";
+            }
+        }
+    }
+}
+
+TEST(InterconnectSeam, RoutesArePrefixClosed)
+{
+    struct Grid
+    {
+        int x, y;
+    };
+    const Grid grids[] = {{1, 6}, {6, 1}, {4, 4}, {6, 6}, {8, 4}};
+    const int dram_counts[] = {1, 2, 3, 8};
+    for (arch::Topology t : arch::kAllTopologies) {
+        SCOPED_TRACE(arch::topologyName(t));
+        expectRoutesPrefixClosed(InterconnectModel(arch::largeGridArch(t)));
+        for (const Grid &g : grids) {
+            // Monolithic, a two-way cut where it divides, and one core
+            // per chiplet.
+            const Grid cuts[] = {{1, 1},
+                                 {g.x % 2 == 0 ? 2 : 1, g.y % 2 == 0 ? 2 : 1},
+                                 {g.x, g.y}};
+            for (const Grid &cut : cuts) {
+                for (int drams : dram_counts) {
+                    arch::ArchConfig cfg = grid4x4(t, cut.x, cut.y);
+                    cfg.xCores = g.x;
+                    cfg.yCores = g.y;
+                    cfg.dramCount = drams;
+                    cfg.name = std::to_string(g.x) + "x" +
+                               std::to_string(g.y) + "/" +
+                               std::to_string(cut.x) + "x" +
+                               std::to_string(cut.y) + "/dram" +
+                               std::to_string(drams);
+                    ASSERT_EQ(cfg.validate(), "") << cfg.name;
+                    expectRoutesPrefixClosed(InterconnectModel(cfg));
+                }
+            }
+        }
+    }
+}
+
+/**
+ * multicastLinks emits exactly the naive union walk: every destination's
+ * whole route in hop order, each link the first time it is met. The
+ * destination lists are random, with duplicates and the source itself.
+ */
+void
+expectMulticastMatchesNaiveUnion(const InterconnectModel &icn,
+                                 std::uint64_t seed)
+{
+    Rng rng(seed);
+    const int cores = icn.config().coreCount();
+    for (int trial = 0; trial < 200; ++trial) {
+        const bool from_dram = rng.nextBool(0.5);
+        const NodeId src =
+            from_dram ? icn.dramNode(static_cast<int>(
+                            rng.nextRange(0, icn.config().dramCount - 1)))
+                      : static_cast<NodeId>(rng.nextRange(0, cores - 1));
+        std::vector<NodeId> dsts(
+            static_cast<std::size_t>(rng.nextRange(1, 2 * cores)));
+        for (NodeId &dst : dsts)
+            dst = static_cast<NodeId>(rng.nextRange(0, cores - 1));
+        if (!from_dram)
+            dsts[static_cast<std::size_t>(rng.nextRange(
+                0, static_cast<std::int64_t>(dsts.size()) - 1))] = src;
+        if (rng.nextBool(0.5))
+            std::sort(dsts.begin(), dsts.end());
+
+        std::vector<noc::LinkId> want;
+        std::vector<bool> seen(icn.linkCount(), false);
+        for (NodeId dst : dsts) {
+            for (noc::LinkId id : icn.route(src, dst)) {
+                if (!seen[id]) {
+                    seen[id] = true;
+                    want.push_back(id);
+                }
+            }
+        }
+        std::vector<noc::LinkId> got;
+        icn.multicastLinks(src, dsts, 1.0,
+                           [&](noc::LinkId id) { got.push_back(id); });
+        ASSERT_EQ(got, want) << icn.config().name << " trial " << trial;
+    }
+}
+
+/** The interleaved spans are the per-DRAM routes concatenated in order. */
+void
+expectInterleavedSpansConcatenateRoutes(const InterconnectModel &icn)
+{
+    for (CoreId c = 0; c < icn.config().coreCount(); ++c) {
+        std::vector<noc::LinkId> reads, writes;
+        for (int d = 0; d < icn.config().dramCount; ++d) {
+            for (noc::LinkId id : icn.route(icn.dramNode(d), c))
+                reads.push_back(id);
+            for (noc::LinkId id : icn.route(c, icn.dramNode(d)))
+                writes.push_back(id);
+        }
+        const auto from = icn.routesFromAllDrams(c);
+        const auto to = icn.routesToAllDrams(c);
+        ASSERT_EQ(std::vector<noc::LinkId>(from.begin(), from.end()), reads)
+            << icn.config().name << " core " << c;
+        ASSERT_EQ(std::vector<noc::LinkId>(to.begin(), to.end()), writes)
+            << icn.config().name << " core " << c;
+    }
+}
+
+TEST(InterconnectSeam, EmissionMatchesNaiveRouteWalk)
+{
+    std::uint64_t seed = 0x5AF1Fu;
+    for (arch::Topology t : arch::kAllTopologies) {
+        SCOPED_TRACE(arch::topologyName(t));
+        arch::ArchConfig g72 = arch::gArch72();
+        g72.topology = t;
+        arch::ArchConfig dram3 = g72;
+        dram3.name = "dram3";
+        dram3.dramCount = 3;
+        arch::ArchConfig single = grid4x4(t, 4, 4);
+        single.name = "one_core_per_chiplet";
+        single.dramCount = 1;
+        for (const arch::ArchConfig &cfg :
+             {g72, dram3, single, arch::largeGridArch(t)}) {
+            const InterconnectModel icn(cfg);
+            expectMulticastMatchesNaiveUnion(icn, ++seed);
+            expectInterleavedSpansConcatenateRoutes(icn);
         }
     }
 }

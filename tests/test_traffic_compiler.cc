@@ -3,9 +3,12 @@
  * Differential test of the traffic compiler against a reference written
  * here from the model's definition: every producer piece is tested
  * against every consumer piece (no index lookup), identical requests
- * group through an ordered map, and flows are routed through
- * InterconnectModel::unicast / multicast into a TrafficMap, while a
- * separate walk of the same routes records the first-touch link order.
+ * group through an ordered map, and every flow walks its routes hop by
+ * hop (forEachHop), dedupes its multicast union with its own set, loops
+ * over the DRAM stacks of an interleaved access itself and adds into a
+ * TrafficMap while recording the first-touch link order: none of the
+ * compiler's emission helpers (multicastLinks, the interleaved spans)
+ * takes part.
  * Random schemes over conv-style and transformer graphs, every topology
  * backend, a monolithic hierarchy, three DRAM stacks and the 256-core
  * large grid, uneven splits, batch-split partitions and
@@ -225,17 +228,12 @@ class Reference
         return {r.c0, r.c1, r.h0, r.h1, r.w0, r.w1, b0, b1};
     }
 
-    void
-    touch(RefFlows &out, NodeId src, NodeId dst)
-    {
-        noc_.forEachHop(src, dst, [&](NodeId a, NodeId b) {
-            const LinkKey key = noc::makeLink(a, b);
-            if (out.seen.insert(key).second)
-                out.order.push_back(key);
-        });
-    }
-
-    /** One multicast tree; destinations in ascending node order. */
+    /**
+     * One multicast tree, destinations in ascending node order: walks
+     * every destination's route hop by hop and charges each link of the
+     * union once, in first-touch order. A single destination is the
+     * unicast route.
+     */
     void
     multicast(RefFlows &out, NodeId src, std::vector<NodeId> dsts,
               double bytes)
@@ -243,46 +241,52 @@ class Reference
         if (bytes <= 0.0 || dsts.empty())
             return;
         std::sort(dsts.begin(), dsts.end());
-        if (dsts.size() == 1)
-            noc_.unicast(out.map, src, dsts[0], bytes);
-        else
-            noc_.multicast(out.map, src, dsts, bytes);
-        for (NodeId dst : dsts)
-            touch(out, src, dst);
+        std::unordered_set<LinkKey> tree;
+        for (NodeId dst : dsts) {
+            noc_.forEachHop(src, dst, [&](NodeId a, NodeId b) {
+                const LinkKey key = noc::makeLink(a, b);
+                if (!tree.insert(key).second)
+                    return;
+                out.map.addLink(key, bytes);
+                if (out.seen.insert(key).second)
+                    out.order.push_back(key);
+            });
+        }
+    }
+
+    /** One DRAM-side flow per stack a selector covers, in DRAM order. */
+    template <typename Fn>
+    void
+    forEachDram(RefFlows &out, DramSel sel, double bytes, const Fn &fn)
+    {
+        if (bytes <= 0.0)
+            return;
+        const bool all = sel == kDramInterleaved;
+        const double share = all ? bytes / arch_.dramCount : bytes;
+        for (int d = all ? 0 : sel - 1; d < (all ? arch_.dramCount : sel);
+             ++d) {
+            fn(noc_.dramNode(d), share);
+            out.dramBytes[static_cast<std::size_t>(d)] += share;
+        }
     }
 
     void
     dramRead(RefFlows &out, DramSel sel, double bytes,
              const std::vector<NodeId> &dsts)
     {
-        if (bytes <= 0.0)
+        if (dsts.empty())
             return;
-        if (sel == kDramInterleaved) {
-            const double share = bytes / arch_.dramCount;
-            for (int d = 0; d < arch_.dramCount; ++d) {
-                multicast(out, noc_.dramNode(d), dsts, share);
-                out.dramBytes[static_cast<std::size_t>(d)] += share;
-            }
-        } else {
-            multicast(out, noc_.dramNode(sel - 1), dsts, bytes);
-            out.dramBytes[static_cast<std::size_t>(sel - 1)] += bytes;
-        }
+        forEachDram(out, sel, bytes, [&](NodeId dram, double share) {
+            multicast(out, dram, dsts, share);
+        });
     }
 
     void
     dramWrite(RefFlows &out, DramSel sel, double bytes, NodeId src)
     {
-        if (bytes <= 0.0)
-            return;
-        const int first = sel == kDramInterleaved ? 0 : sel - 1;
-        const int last = sel == kDramInterleaved ? arch_.dramCount : sel;
-        const double share =
-            sel == kDramInterleaved ? bytes / arch_.dramCount : bytes;
-        for (int d = first; d < last; ++d) {
-            noc_.unicast(out.map, src, noc_.dramNode(d), share);
-            touch(out, src, noc_.dramNode(d));
-            out.dramBytes[static_cast<std::size_t>(d)] += share;
-        }
+        forEachDram(out, sel, bytes, [&](NodeId dram, double share) {
+            multicast(out, src, {dram}, share);
+        });
     }
 
     const dnn::Graph &graph_;
