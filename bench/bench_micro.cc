@@ -864,7 +864,10 @@ BM_NocMulticast(benchmark::State &state)
         dsts.push_back(noc.coreNode(c));
     for (auto _ : state) {
         noc::TrafficMap map;
-        noc.multicast(map, noc.dramNode(0), dsts, 1024.0);
+        noc.multicastLinks(noc.dramNode(0), dsts, 1024.0,
+                           [&](noc::LinkId id) {
+                               map.addLink(noc.linkAt(id), 1024.0);
+                           });
         benchmark::DoNotOptimize(map.totalBytes());
     }
 }

@@ -128,7 +128,7 @@ namespace {
 
 /**
  * Evaluate one candidate exactly as the in-process DSE ladder would (see
- * runRung in dse.cc): throwaway engines per model, serial chains, the
+ * runTask in dse.cc): throwaway engines per model, serial chains, the
  * request's SA budget (no SA at 0 iterations), started cold or — for
  * rungs >= 1 — from the request's warm starts.
  */

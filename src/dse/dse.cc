@@ -18,6 +18,7 @@
 #include "src/common/thread_pool.hh"
 #include "src/cost/cost_stack.hh"
 #include "src/dse/journal.hh"
+#include "src/noc/interconnect.hh"
 
 namespace gemini::dse {
 
@@ -140,12 +141,14 @@ priceRecord(DseRecord &rec, const DseOptions &options)
  * — search identical tile spaces, so the scheduled rungs pool their
  * Explorer caches: the screen seeds from and merges back into the pool,
  * later rungs only seed. A seed copies the shared memo into a throwaway
- * engine, so each copy lives for one model evaluation. Entries are exact,
- * which keeps results independent of sharing (and therefore of thread
- * scheduling). One pool-wide mutex guards both directions; on many-core
- * hosts with huge memos the seed-side full-map copy can contend — per-key
- * locks or an immutable snapshot handoff are the known next steps if the
- * screen rung ever stops scaling.
+ * explorer that lives for one model evaluation of one task; a screen
+ * cohort shares that explorer, so it seeds and merges once per model,
+ * not once per candidate. Entries are exact, which keeps results
+ * independent of sharing (and therefore of thread scheduling). One
+ * pool-wide mutex guards both directions; on many-core hosts with huge
+ * memos the seed-side full-map copy can contend — per-key locks or an
+ * immutable snapshot handoff are the known next steps if the screen rung
+ * ever stops scaling.
  */
 class ExplorerPool
 {
@@ -153,29 +156,30 @@ class ExplorerPool
     explicit ExplorerPool(const arch::TechParams &tech) : tech_(tech) {}
 
     /**
-     * Pre-warm `engine`'s explorer from the pool.
+     * Pre-warm `explorer`, the core of `cfg`, from the pool.
      * @return the explorer's entry count after seeding (pass to collect).
      */
     std::size_t
-    seed(mapping::MappingEngine &engine)
+    seed(intracore::Explorer &explorer, const arch::ArchConfig &cfg)
     {
         std::lock_guard lock(mu_);
-        engine.explorer().absorb(sharedOf(engine.arch()));
-        return engine.explorer().cacheSize();
+        explorer.absorb(sharedOf(cfg));
+        return explorer.cacheSize();
     }
 
     /**
-     * Merge `engine`'s explorer memo back into the pool. Skipped when the
-     * engine discovered nothing beyond its seed, so fully-warmed pools
+     * Merge `explorer`'s memo back into the pool. Skipped when the
+     * explorer discovered nothing beyond its seed, so fully-warmed pools
      * stop paying the merge (the memo only ever grows).
      */
     void
-    collect(mapping::MappingEngine &engine, std::size_t seeded_size)
+    collect(const intracore::Explorer &explorer, const arch::ArchConfig &cfg,
+            std::size_t seeded_size)
     {
-        if (engine.explorer().cacheSize() == seeded_size)
+        if (explorer.cacheSize() == seeded_size)
             return;
         std::lock_guard lock(mu_);
-        sharedOf(engine.arch()).absorb(engine.explorer());
+        sharedOf(cfg).absorb(explorer);
     }
 
   private:
@@ -198,37 +202,61 @@ class ExplorerPool
 };
 
 /**
- * Evaluate every model of `options` with `mo`'s SA budget, filling
- * rec.perModel and returning each model's mapping. One throwaway engine
- * per model, destroyed before the next model's is built, keeps memory
- * flat in the candidate count. Without `warm` each model starts cold from
- * the partitioner; with it, model m resumes from (*warm)[m]. With
- * `explorers` each engine's tile memo is seeded from the pool, and a cold
- * evaluation also merges its memo back.
+ * Evaluate every model of `options` with `mo`'s SA budget for each record
+ * of `cohort` (fragment-identical candidates, see fragmentIdentical, or
+ * just one), filling each record's perModel and returning each member's
+ * per-model mappings. Per model, the cohort shares one explorer and runs
+ * as one MappingEngine::runCohort, whose engines live one at a time,
+ * which keeps memory flat in the candidate and cohort counts.
+ * Without `warm` every member starts cold from the partitioner; with it
+ * (a cohort of one), model m resumes from (*warm)[m]. With `explorers`
+ * the explorer is seeded from the pool, and a cold evaluation also
+ * merges its memo back.
  */
-std::vector<mapping::LpMapping>
-evaluateModels(DseRecord &rec, const DseOptions &options,
-               const mapping::MappingOptions &mo, ExplorerPool *explorers,
+std::vector<std::vector<mapping::LpMapping>>
+evaluateModels(const std::vector<DseRecord *> &cohort,
+               const DseOptions &options, const mapping::MappingOptions &mo,
+               ExplorerPool *explorers,
                const std::vector<mapping::LpMapping> *warm)
 {
-    std::vector<mapping::LpMapping> mappings;
-    mappings.reserve(options.models.size());
-    rec.perModel.clear();
-    rec.perModel.reserve(options.models.size());
+    GEMINI_ASSERT(!warm || cohort.size() == 1,
+                  "warm starts run one candidate per task");
+    const arch::ArchConfig &lead = cohort.front()->arch;
+    std::vector<arch::ArchConfig> archs;
+    std::vector<std::vector<mapping::LpMapping>> mappings(cohort.size());
+    for (std::size_t k = 0; k < cohort.size(); ++k) {
+        archs.push_back(cohort[k]->arch);
+        mappings[k].reserve(options.models.size());
+        cohort[k]->perModel.clear();
+        cohort[k]->perModel.reserve(options.models.size());
+    }
     for (std::size_t m = 0; m < options.models.size(); ++m) {
-        mapping::MappingEngine engine(*options.models[m], rec.arch, mo);
-        const std::size_t seeded = explorers ? explorers->seed(engine) : 0;
-        mapping::MappingResult res =
-            warm ? engine.runFrom((*warm)[m]) : engine.run();
+        intracore::Explorer explorer(lead.macsPerCore, lead.glbBytes(),
+                                     lead.freqGHz, mo.tech);
+        const std::size_t seeded =
+            explorers ? explorers->seed(explorer, lead) : 0;
+        std::vector<mapping::MappingResult> results;
+        if (warm) {
+            mapping::MappingEngine engine(*options.models[m], lead, mo,
+                                          explorer);
+            results.push_back(engine.runFrom((*warm)[m]));
+        } else {
+            results = mapping::MappingEngine::runCohort(
+                *options.models[m], archs, mo, explorer);
+        }
         if (explorers && !warm)
-            explorers->collect(engine, seeded);
-        rec.perModel.push_back(res.total);
-        rec.seededAnalytic = rec.seededAnalytic || res.seededAnalytic;
-        // Actual executed iterations (all chains; 0 without SA): with
-        // plateau termination this undercuts the budget, and it is still
-        // deterministic for any thread count.
-        rec.saIters += res.saStats.itersRun;
-        mappings.push_back(std::move(res.mapping));
+            explorers->collect(explorer, lead, seeded);
+        for (std::size_t k = 0; k < cohort.size(); ++k) {
+            DseRecord &rec = *cohort[k];
+            mapping::MappingResult &res = results[k];
+            rec.perModel.push_back(res.total);
+            rec.seededAnalytic = rec.seededAnalytic || res.seededAnalytic;
+            // Actual executed iterations (all chains; 0 without SA): with
+            // plateau termination this undercuts the budget, and it is
+            // still deterministic for any thread count.
+            rec.saIters += res.saStats.itersRun;
+            mappings[k].push_back(std::move(res.mapping));
+        }
     }
     return mappings;
 }
@@ -375,8 +403,10 @@ class MultiFidelityScheduler
         entered.bestObjective = bestSoFar_;
         emit(entered);
 
-        for (std::size_t i : cohort)
-            enqueue([this, start, i] { runRung(start, i); });
+        for (std::vector<std::size_t> &task : tasksOf(start, cohort))
+            enqueue([this, start, task = std::move(task)] {
+                runTask(start, task);
+            });
 
         // Wait on the run's own task latch, not pool_.waitIdle(): a shared
         // pool carries other jobs' tasks, which are not ours to wait for.
@@ -585,9 +615,64 @@ class MultiFidelityScheduler
         return next;
     }
 
-    /** Evaluate candidate `i` at rung `r` (one pool task). */
+    /**
+     * The pool tasks of rung `r`'s members. A cold rung without SA run
+     * in-process (the screen, or an exhaustive rung without SA) groups
+     * its members into fragment cohorts (see mapping::fragmentIdentical),
+     * one task each, largest first; the largest cohorts are halved until
+     * every pool thread has a task. Every other rung runs one candidate
+     * per task.
+     */
+    std::vector<std::vector<std::size_t>>
+    tasksOf(int r, const std::vector<std::size_t> &members) const
+    {
+        std::vector<std::vector<std::size_t>> tasks;
+        if (r != 0 || ladder_.front().iters > 0 || remote_) {
+            for (std::size_t i : members)
+                tasks.push_back({i});
+            return tasks;
+        }
+        std::vector<noc::InterconnectModel> identities; // one per cohort
+        for (std::size_t i : members) {
+            noc::InterconnectModel noc(candidates_[i]);
+            std::size_t c = 0;
+            while (c < identities.size() &&
+                   !mapping::fragmentIdentical(identities[c], noc))
+                ++c;
+            if (c == identities.size()) {
+                identities.push_back(std::move(noc));
+                tasks.emplace_back();
+            }
+            tasks[c].push_back(i);
+        }
+        const auto by_size = [](const std::vector<std::size_t> &a,
+                                const std::vector<std::size_t> &b) {
+            return a.size() < b.size();
+        };
+        while (tasks.size() < pool_.threadCount()) {
+            std::vector<std::size_t> &largest =
+                *std::max_element(tasks.begin(), tasks.end(), by_size);
+            if (largest.size() < 2)
+                break;
+            const auto half = static_cast<std::ptrdiff_t>(largest.size() / 2);
+            std::vector<std::size_t> tail(largest.begin() + half,
+                                          largest.end());
+            largest.resize(static_cast<std::size_t>(half));
+            tasks.push_back(std::move(tail));
+        }
+        std::stable_sort(tasks.begin(), tasks.end(),
+                         [&](const auto &a, const auto &b) {
+                             return by_size(b, a);
+                         });
+        return tasks;
+    }
+
+    /**
+     * Evaluate candidates `members` at rung `r` (one pool task): a
+     * fragment cohort at a cold rung without SA, one candidate otherwise.
+     */
     void
-    runRung(int r, std::size_t i)
+    runTask(int r, const std::vector<std::size_t> &members)
     {
         const auto t0 = std::chrono::steady_clock::now();
         const Rung &rung = ladder_[static_cast<std::size_t>(r)];
@@ -598,26 +683,34 @@ class MultiFidelityScheduler
         // the candidate count (pooling its memos cost +15% peak RSS).
         const bool feeds = r < lastRung();
         const bool pooled = ladder_.size() > 1;
-        DseRecord &rec = result_.records[i];
-        if (cold)
-            rec.arch = candidates_[i];
+        std::vector<DseRecord *> recs;
+        for (std::size_t i : members) {
+            recs.push_back(&result_.records[i]);
+            if (cold)
+                recs.back()->arch = candidates_[i];
+        }
         if (opts_.stop.stopRequested() || abortRequested()) {
             // Cancelled: a warm record keeps its deepest completed
             // evaluation (still valid and comparable); a cold one was
             // never evaluated and must never look like a winner. Either
             // way the cohort still resolves normally.
             if (cold) {
-                rec.feasible = false;
-                rec.objective = kInf;
+                for (DseRecord *rec : recs) {
+                    rec->feasible = false;
+                    rec->objective = kInf;
+                }
             }
-            finishTask(r, i, secondsSince(t0));
+            finishTask(r, members, secondsSince(t0));
             return;
         }
         if (cold)
-            priceRecord(rec, opts_);
+            for (DseRecord *rec : recs)
+                priceRecord(*rec, opts_);
 
-        std::vector<mapping::LpMapping> mappings;
+        std::vector<std::vector<mapping::LpMapping>> mappings;
         if (remote_) {
+            const std::size_t i = members.front();
+            DseRecord &rec = *recs.front();
             RemoteEvalRequest rq;
             rq.index = i;
             rq.arch = &candidates_[i];
@@ -629,10 +722,10 @@ class MultiFidelityScheduler
             RemoteEvalOutcome out = opts_.remoteEval(rq);
             if (out.poisoned) {
                 markPoisoned(rec, r, std::move(out.poisonReason));
-                finishTask(r, i, secondsSince(t0));
+                finishTask(r, members, secondsSince(t0));
                 return;
             }
-            mappings = std::move(out.mappings);
+            mappings.push_back(std::move(out.mappings));
             rec.perModel = std::move(out.perModel);
             // The worker protocol does not ship SaStats back, so remote
             // records charge the budgeted (upper-bound) iterations.
@@ -644,15 +737,18 @@ class MultiFidelityScheduler
             mo.sa.iterations = rung.iters;
             mo.sa.chains = rung.chains;
             mo.sa.seed = rung.seed;
-            mappings = evaluateModels(rec, opts_, mo,
-                                      pooled ? &explorers_ : nullptr,
-                                      cold ? nullptr : &warmStarts_[i]);
+            mappings = evaluateModels(
+                recs, opts_, mo, pooled ? &explorers_ : nullptr,
+                cold ? nullptr : &warmStarts_[members.front()]);
         }
-        warmStarts_[i] = feeds ? std::move(mappings)
-                               : std::vector<mapping::LpMapping>{};
-        finishRecord(rec, opts_);
-        rec.rungReached = rung.id;
-        finishTask(r, i, secondsSince(t0));
+        for (std::size_t k = 0; k < members.size(); ++k) {
+            warmStarts_[members[k]] =
+                feeds ? std::move(mappings[k])
+                      : std::vector<mapping::LpMapping>{};
+            finishRecord(*recs[k], opts_);
+            recs[k]->rungReached = rung.id;
+        }
+        finishTask(r, members, secondsSince(t0));
     }
 
     bool
@@ -682,16 +778,24 @@ class MultiFidelityScheduler
         ++result_.stats.rungs[static_cast<std::size_t>(rung)].poisoned;
     }
 
+    /**
+     * Close a task of `rung`. A cohort's gathers serve every member, so
+     * the task's seconds are split evenly over its candidates; the rung's
+     * cpuSeconds still sums whole tasks.
+     */
     void
-    finishTask(int rung, std::size_t i, double seconds)
+    finishTask(int rung, const std::vector<std::size_t> &members,
+               double seconds)
     {
+        const double share = seconds / static_cast<double>(members.size());
         std::lock_guard lock(mu_);
-        result_.stats.rungs[static_cast<std::size_t>(rung)].cpuSeconds +=
-            seconds;
-        result_.records[i].evalSeconds += seconds;
-        if (++done_[static_cast<std::size_t>(rung)] ==
-            cohorts_[static_cast<std::size_t>(rung)].size())
-            resolveLocked(rung);
+        const auto r = static_cast<std::size_t>(rung);
+        for (std::size_t i : members) {
+            result_.stats.rungs[r].cpuSeconds += share;
+            result_.records[i].evalSeconds += share;
+            if (++done_[r] == cohorts_[r].size())
+                resolveLocked(rung);
+        }
     }
 
     /**
@@ -815,7 +919,7 @@ class MultiFidelityScheduler
         emit(entered);
 
         for (std::size_t i : survivors)
-            enqueue([this, next, i] { runRung(next, i); });
+            enqueue([this, next, i] { runTask(next, {i}); });
     }
 
     DseOptions opts_;
@@ -872,7 +976,7 @@ evaluateCandidate(const arch::ArchConfig &cfg, const DseOptions &options)
     DseRecord rec;
     rec.arch = cfg;
     priceRecord(rec, options);
-    evaluateModels(rec, options, options.mapping, nullptr, nullptr);
+    evaluateModels({&rec}, options, options.mapping, nullptr, nullptr);
     finishRecord(rec, options);
     return rec;
 }

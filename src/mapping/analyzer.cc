@@ -13,7 +13,102 @@ namespace {
 constexpr std::size_t kTileKeyWords = 8;
 constexpr std::size_t kFlowKeyWords = 24;
 
+/** Price a folded link/scalar state: the shared tail of every fused path. */
+eval::EvalBreakdown
+assembleBreakdown(int pipeline_depth, double core_energy, double max_stage,
+                  double glb_overflow,
+                  const std::vector<double> &dram_per_unit, double on_chip,
+                  double d2d, double max_link_seconds,
+                  std::int64_t num_units, const cost::CostStack &costs)
+{
+    double dram_seconds = 0.0;
+    double dram_bytes = 0.0;
+    for (double bytes : dram_per_unit) {
+        dram_seconds =
+            std::max(dram_seconds, bytes / costs.dramStackBps());
+        dram_bytes += bytes;
+    }
+
+    eval::EvalBreakdown r;
+    const double bottleneck =
+        std::max({max_stage, max_link_seconds, dram_seconds});
+    const double units = static_cast<double>(num_units);
+    r.delay = (units + pipeline_depth - 1) * bottleneck;
+    r.intraTileEnergy = core_energy * units;
+    r.nocEnergy = costs.onChipJ(on_chip) * units;
+    r.d2dEnergy = costs.d2dJ(d2d) * units;
+    r.dramEnergy = costs.dramJ(dram_bytes) * units;
+    r.dramBytes = dram_bytes * units;
+    r.hopBytes = (on_chip + d2d) * units;
+    r.d2dHopBytes = d2d * units;
+    r.glbOverflow = glb_overflow;
+    return r;
+}
+
+/**
+ * Price a gathered group with one architecture's link kinds (`kind_of`
+ * maps a link id to its LinkKind), bandwidths and cost stack. The
+ * on-chip/D2D sums are order-dependent and fold in link-id order; the
+ * bottleneck max batches through the fused SIMD kernel over the packed
+ * (bytes, kind) arrays, with `kinds` as scratch.
+ */
+template <typename KindOf>
+eval::EvalBreakdown
+priceGathered(const GatheredGroup &g, KindOf &&kind_of, double noc_bps,
+              double d2d_bps, const cost::CostStack &costs,
+              std::vector<std::uint8_t> &kinds)
+{
+    double on_chip = 0.0;
+    double d2d = 0.0;
+    kinds.resize(g.linkIds.size());
+    for (std::size_t k = 0; k < g.linkIds.size(); ++k) {
+        const noc::LinkKind kind = kind_of(g.linkIds[k]);
+        if (kind == noc::LinkKind::D2D)
+            d2d += g.linkBytes[k];
+        else
+            on_chip += g.linkBytes[k];
+        kinds[k] = static_cast<std::uint8_t>(kind);
+    }
+    const double max_link_seconds = kernels::active().maxSeconds(
+        g.linkBytes.data(), kinds.data(), noc_bps, d2d_bps,
+        g.linkBytes.size());
+
+    return assembleBreakdown(g.pipelineDepth, g.coreEnergy, g.maxStage,
+                             g.glbOverflow, g.dramPerUnit, on_chip, d2d,
+                             max_link_seconds, g.numUnits, costs);
+}
+
 } // namespace
+
+bool
+fragmentIdentical(const noc::InterconnectModel &a,
+                  const noc::InterconnectModel &b)
+{
+    const arch::ArchConfig &x = a.config();
+    const arch::ArchConfig &y = b.config();
+    return x.macsPerCore == y.macsPerCore && x.glbKiB == y.glbKiB &&
+           x.freqGHz == y.freqGHz && x.dramCount == y.dramCount &&
+           x.xCores == y.xCores && x.yCores == y.yCores &&
+           a.sameRoutes(b);
+}
+
+GroupPricer::GroupPricer(const noc::InterconnectModel &noc,
+                         const cost::CostStack &costs)
+    : nocBps_(noc.nocBandwidthBps()), d2dBps_(noc.d2dBandwidthBps()),
+      costs_(costs)
+{
+    kinds_.reserve(noc.linkCount());
+    for (noc::LinkId id = 0; id < noc.linkCount(); ++id)
+        kinds_.push_back(noc.linkKindAt(id));
+}
+
+eval::EvalBreakdown
+GroupPricer::price(const GatheredGroup &gathered) const
+{
+    return priceGathered(
+        gathered, [this](noc::LinkId id) { return kinds_[id]; }, nocBps_,
+        d2dBps_, costs_, scratch_);
+}
 
 Analyzer::Analyzer(const dnn::Graph &graph, const arch::ArchConfig &arch,
                    const noc::InterconnectModel &noc,
@@ -251,36 +346,45 @@ Analyzer::pipelineDepthOf(const LayerGroupMapping &group) const
     return out;
 }
 
-eval::EvalBreakdown
-Analyzer::assembleBreakdown(int pipeline_depth, double core_energy,
-                            double max_stage, double glb_overflow,
-                            const std::vector<double> &dram_per_unit,
-                            double on_chip, double d2d,
-                            double max_link_seconds, std::int64_t num_units,
-                            const cost::CostStack &costs) const
+void
+Analyzer::gatherGroup(const LayerGroupMapping &group, std::int64_t batch,
+                      const OfmapDramLookup &ofmap_dram_of,
+                      GatheredGroup &out) const
 {
-    double dram_seconds = 0.0;
-    double dram_bytes = 0.0;
-    for (double bytes : dram_per_unit) {
-        dram_seconds =
-            std::max(dram_seconds, bytes / costs.dramStackBps());
-        dram_bytes += bytes;
+    gatherFragments(group, batch, ofmap_dram_of, fragScratch_);
+    const FragmentSet &fs = fragScratch_;
+    out.numUnits = fs.numUnits;
+    out.pipelineDepth = pipelineDepthOf(group);
+
+    out.coreEnergy = 0.0;
+    out.maxStage = 0.0;
+    for (const LayerTiles *tiles : fs.tiles) {
+        out.coreEnergy += tiles->energyPerUnit;
+        out.maxStage = std::max(out.maxStage, tiles->stageSeconds);
     }
 
-    eval::EvalBreakdown r;
-    const double bottleneck =
-        std::max({max_stage, max_link_seconds, dram_seconds});
-    const double units = static_cast<double>(num_units);
-    r.delay = (units + pipeline_depth - 1) * bottleneck;
-    r.intraTileEnergy = core_energy * units;
-    r.nocEnergy = costs.onChipJ(on_chip) * units;
-    r.d2dEnergy = costs.d2dJ(d2d) * units;
-    r.dramEnergy = costs.dramJ(dram_bytes) * units;
-    r.dramBytes = dram_bytes * units;
-    r.hopBytes = (on_chip + d2d) * units;
-    r.d2dHopBytes = d2d * units;
-    r.glbOverflow = glb_overflow;
-    return r;
+    out.dramPerUnit.assign(static_cast<std::size_t>(arch_.dramCount), 0.0);
+    out.glbOverflow = 0.0;
+    for (const LayerFlows *flows : fs.flows) {
+        for (int d = 0; d < arch_.dramCount; ++d)
+            out.dramPerUnit[static_cast<std::size_t>(d)] +=
+                flows->dramBytes[d];
+        out.glbOverflow = std::max(out.glbOverflow, flows->glbOverflow);
+    }
+    out.glbOverflow = std::max(out.glbOverflow, 0.0);
+
+    // Merge the fragments' link loads through the dense scratch: per-link
+    // totals sum in layer order (identical to the map assembly) and drain
+    // in ascending link-id order, the canonical order the delta-evaluated
+    // state reproduces. No TrafficMap is materialized.
+    for (const LayerFlows *flows : fs.flows)
+        merge_.addMany(flows->links.data(), flows->links.size());
+    out.linkIds.clear();
+    out.linkBytes.clear();
+    merge_.drainSlots([&](noc::LinkId id, double bytes) {
+        out.linkIds.push_back(id);
+        out.linkBytes.push_back(bytes);
+    });
 }
 
 eval::EvalBreakdown
@@ -289,58 +393,10 @@ Analyzer::evaluateGroupFullMerge(const LayerGroupMapping &group,
                                  const OfmapDramLookup &ofmap_dram_of,
                                  const cost::CostStack &costs) const
 {
-    gatherFragments(group, batch, ofmap_dram_of, fragScratch_);
-    const FragmentSet &fs = fragScratch_;
-    const std::size_t n_layers = group.layers.size();
-
-    double core_energy = 0.0;
-    double max_stage = 0.0;
-    for (const LayerTiles *tiles : fs.tiles) {
-        core_energy += tiles->energyPerUnit;
-        max_stage = std::max(max_stage, tiles->stageSeconds);
-    }
-
-    static thread_local std::vector<double> dram_per_unit;
-    dram_per_unit.assign(static_cast<std::size_t>(arch_.dramCount), 0.0);
-    double glb_overflow = 0.0;
-    for (const LayerFlows *flows : fs.flows) {
-        for (int d = 0; d < arch_.dramCount; ++d)
-            dram_per_unit[static_cast<std::size_t>(d)] +=
-                flows->dramBytes[d];
-        glb_overflow = std::max(glb_overflow, flows->glbOverflow);
-    }
-    glb_overflow = std::max(glb_overflow, 0.0);
-
-    // Cost accumulation: merge the fragments' link loads through the dense
-    // scratch — per-link totals sum in layer order (identical to the map
-    // assembly) and the per-link sums fold in ascending link-id order,
-    // the canonical order the delta-evaluated state reproduces. No TrafficMap
-    // is materialized. The on-chip/D2D sums are order-dependent and stay
-    // sequential; the bottleneck max batches through the fused SIMD
-    // kernel over the packed (bytes, kind) arrays the drain fills.
-    double on_chip = 0.0;
-    double d2d = 0.0;
-    for (std::size_t li = 0; li < n_layers; ++li)
-        merge_.addMany(fs.flows[li]->links.data(),
-                       fs.flows[li]->links.size());
-    linkBytes_.clear();
-    linkKinds_.clear();
-    merge_.drainSlots([&](noc::LinkId id, double bytes) {
-        const noc::LinkKind kind = noc_.linkKindAt(id);
-        if (kind == noc::LinkKind::D2D)
-            d2d += bytes;
-        else
-            on_chip += bytes;
-        linkBytes_.push_back(bytes);
-        linkKinds_.push_back(static_cast<std::uint8_t>(kind));
-    });
-    const double max_link_seconds = kernels::active().maxSeconds(
-        linkBytes_.data(), linkKinds_.data(), noc_.nocBandwidthBps(),
-        noc_.d2dBandwidthBps(), linkBytes_.size());
-
-    return assembleBreakdown(pipelineDepthOf(group), core_energy, max_stage,
-                             glb_overflow, dram_per_unit, on_chip, d2d,
-                             max_link_seconds, fs.numUnits, costs);
+    gatherGroup(group, batch, ofmap_dram_of, gathered_);
+    return priceGathered(
+        gathered_, [this](noc::LinkId id) { return noc_.linkKindAt(id); },
+        noc_.nocBandwidthBps(), noc_.d2dBandwidthBps(), costs, linkKinds_);
 }
 
 GroupState &

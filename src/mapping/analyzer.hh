@@ -62,6 +62,60 @@ struct GroupAnalysis
 };
 
 /**
+ * One group's fragments, gathered and merged but not yet priced:
+ * everything evaluateGroup reads that a fragment-identical analyzer (see
+ * fragmentIdentical) would derive bit for bit. Pricing adds what differs
+ * between such analyzers: link kinds, bandwidths and the cost stack.
+ */
+struct GatheredGroup
+{
+    std::int64_t numUnits = 1;
+    int pipelineDepth = 1;
+    double coreEnergy = 0.0; ///< per unit
+    double maxStage = 0.0;   ///< slowest layer stage, seconds per unit
+    double glbOverflow = 0.0;
+    std::vector<double> dramPerUnit;
+
+    /** Merged per-link bytes per unit, in ascending link-id order. */
+    std::vector<noc::LinkId> linkIds;
+    std::vector<double> linkBytes;
+};
+
+/**
+ * Whether two interconnects' architectures derive bit-identical tile and
+ * flow fragments for every group of one graph (under one TechParams):
+ * the same MACs/core, GLB, frequency, DRAM count and core grid, and
+ * byte-identical route and link-id tables. Chiplet cuts that move only
+ * link kinds (mesh, torus, ring) and every bandwidth may differ; a
+ * hierarchical-NoP cut changes routes and splits.
+ */
+bool fragmentIdentical(const noc::InterconnectModel &a,
+                       const noc::InterconnectModel &b);
+
+/**
+ * What pricing a gathered group reads of one architecture: its link kinds
+ * and bandwidths, and its cost stack. Copied out of the interconnect, so
+ * a cohort member is priced without keeping its route tables alive.
+ * price(gathered) is bit-identical to the full-merge evaluateGroup of the
+ * gathered group on that architecture.
+ */
+class GroupPricer
+{
+  public:
+    GroupPricer(const noc::InterconnectModel &noc,
+                const cost::CostStack &costs);
+
+    eval::EvalBreakdown price(const GatheredGroup &gathered) const;
+
+  private:
+    std::vector<noc::LinkKind> kinds_; ///< by link id
+    double nocBps_ = 0.0;
+    double d2dBps_ = 0.0;
+    cost::CostStack costs_;
+    mutable std::vector<std::uint8_t> scratch_;
+};
+
+/**
  * Stateless-per-call analyzer bound to one (graph, arch) pair. The
  * intra-core explorer it holds memoizes tile costs across calls, and the
  * analyzer itself memoizes per-layer fragments (see setCacheCapacity),
@@ -102,6 +156,16 @@ class Analyzer
                                       std::int64_t batch,
                                       const OfmapDramLookup &ofmap_dram_of,
                                       const cost::CostStack &costs) const;
+
+    /**
+     * The first half of the full-merge evaluateGroup: resolve the group's
+     * fragments (through this analyzer's caches) and merge them into
+     * `out`. A GroupPricer of any fragment-identical architecture prices
+     * the result as that architecture's own evaluateGroup would.
+     */
+    void gatherGroup(const LayerGroupMapping &group, std::int64_t batch,
+                     const OfmapDramLookup &ofmap_dram_of,
+                     GatheredGroup &out) const;
 
     const noc::InterconnectModel &noc() const { return noc_; }
 
@@ -236,13 +300,6 @@ class Analyzer
 
     int pipelineDepthOf(const LayerGroupMapping &group) const;
 
-    /** Shared tail of the fused paths: price a folded link/scalar state. */
-    eval::EvalBreakdown assembleBreakdown(
-        int pipeline_depth, double core_energy, double max_stage,
-        double glb_overflow, const std::vector<double> &dram_per_unit,
-        double on_chip, double d2d, double max_link_seconds,
-        std::int64_t num_units, const cost::CostStack &costs) const;
-
     /** Full-merge fused evaluation (the golden reference path). */
     eval::EvalBreakdown evaluateGroupFullMerge(
         const LayerGroupMapping &group, std::int64_t batch,
@@ -306,8 +363,9 @@ class Analyzer
 
     /** Dense merge scratch of the fused cost-accumulation path. */
     mutable DenseLinkAccumulator merge_;
-    /** Packed (bytes, kind) of the drained merge, for the SIMD max. */
-    mutable std::vector<double> linkBytes_;
+    /** The full merge's gathered group. */
+    mutable GatheredGroup gathered_;
+    /** Packed kinds of a priced group's links, for the SIMD max. */
     mutable std::vector<std::uint8_t> linkKinds_;
     mutable std::uint64_t tileHits_ = 0;
     mutable std::uint64_t tileMisses_ = 0;

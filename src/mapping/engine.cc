@@ -11,9 +11,31 @@ namespace gemini::mapping {
 MappingEngine::MappingEngine(const dnn::Graph &graph,
                              const arch::ArchConfig &arch,
                              MappingOptions options)
+    : MappingEngine(graph, arch, std::move(options), nullptr)
+{
+}
+
+MappingEngine::MappingEngine(const dnn::Graph &graph,
+                             const arch::ArchConfig &arch,
+                             MappingOptions options,
+                             intracore::Explorer &explorer)
+    : MappingEngine(graph, arch, std::move(options), &explorer)
+{
+    GEMINI_ASSERT(explorer.macsPerCore() == arch.macsPerCore &&
+                      explorer.glbBytes() == arch.glbBytes(),
+                  "shared explorer describes another core");
+}
+
+MappingEngine::MappingEngine(const dnn::Graph &graph,
+                             const arch::ArchConfig &arch,
+                             MappingOptions options,
+                             intracore::Explorer *shared)
     : graph_(graph), arch_(arch), options_(std::move(options)), noc_(arch),
-      explorer_(arch.macsPerCore, arch.glbBytes(), arch.freqGHz,
-                options_.tech),
+      ownedExplorer_(shared ? nullptr
+                            : std::make_unique<intracore::Explorer>(
+                                  arch.macsPerCore, arch.glbBytes(),
+                                  arch.freqGHz, options_.tech)),
+      explorer_(shared ? *shared : *ownedExplorer_),
       costs_(arch, options_.tech),
       analyzer_(graph, arch, noc_, explorer_),
       sa_(graph, arch, analyzer_, costs_)
@@ -28,8 +50,8 @@ MappingEngine::MappingEngine(const dnn::Graph &graph,
     analyzer_.setDeltaEval(options_.deltaEval);
 }
 
-MappingResult
-MappingEngine::run()
+PartitionOptions
+MappingEngine::partitionOptions() const
 {
     PartitionOptions popt;
     popt.batch = options_.batch;
@@ -37,10 +59,59 @@ MappingEngine::run()
     popt.batchUnits = options_.batchUnits;
     popt.beta = options_.beta;
     popt.gamma = options_.gamma;
+    return popt;
+}
 
+MappingResult
+MappingEngine::run()
+{
+    const std::vector<SegmentTable> tables =
+        partitionTables(graph_, arch_, analyzer_,
+                        {GroupPricer(noc_, costs_)}, partitionOptions());
+    return runFromTable(tables.front());
+}
+
+std::vector<MappingResult>
+MappingEngine::runCohort(const dnn::Graph &graph,
+                         const std::vector<arch::ArchConfig> &cohort,
+                         const MappingOptions &options,
+                         intracore::Explorer &explorer)
+{
+    GEMINI_ASSERT(!cohort.empty(), "a mapping cohort needs a member");
+    auto lead =
+        std::make_unique<MappingEngine>(graph, cohort.front(), options,
+                                        explorer);
+    std::vector<GroupPricer> pricers;
+    pricers.reserve(cohort.size());
+    pricers.emplace_back(lead->noc_, lead->costs_);
+    for (std::size_t k = 1; k < cohort.size(); ++k) {
+        const noc::InterconnectModel noc(cohort[k]);
+        GEMINI_ASSERT(fragmentIdentical(lead->noc_, noc),
+                      "cohort architectures must be fragment-identical");
+        pricers.emplace_back(noc, cost::CostStack(cohort[k], options.tech));
+    }
+    const std::vector<SegmentTable> tables =
+        partitionTables(graph, lead->arch_, lead->analyzer_, pricers,
+                        lead->partitionOptions());
+    pricers.clear();
+
+    std::vector<MappingResult> results;
+    results.reserve(cohort.size());
+    results.push_back(lead->runFromTable(tables.front()));
+    lead.reset();
+    for (std::size_t k = 1; k < cohort.size(); ++k) {
+        MappingEngine engine(graph, cohort[k], options, explorer);
+        results.push_back(engine.runFromTable(tables[k]));
+    }
+    return results;
+}
+
+MappingResult
+MappingEngine::runFromTable(const SegmentTable &table)
+{
     MappingResult result;
-    result.mapping = partitionGraph(graph_, arch_, analyzer_, costs_, popt);
-
+    result.mapping = partitionFromTable(graph_, arch_, analyzer_, costs_,
+                                        table, partitionOptions());
     const std::string err =
         checkMappingValid(graph_, arch_, result.mapping);
     GEMINI_ASSERT(err.empty(), "partitioner produced invalid mapping: ",

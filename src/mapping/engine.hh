@@ -125,8 +125,31 @@ class MappingEngine
     MappingEngine(const dnn::Graph &graph, const arch::ArchConfig &arch,
                   MappingOptions options = {});
 
+    /**
+     * An engine whose tile searches go through `explorer`, which must
+     * describe this architecture's core (MACs, GLB, frequency and tech)
+     * and outlive the engine. Engines of one cohort share one explorer.
+     */
+    MappingEngine(const dnn::Graph &graph, const arch::ArchConfig &arch,
+                  MappingOptions options, intracore::Explorer &explorer);
+
     /** Partition, build the initial LMS, optionally run SA, evaluate. */
     MappingResult run();
+
+    /**
+     * run() for every architecture of a cohort of fragment-identical ones
+     * (see fragmentIdentical), mapping `graph` with `options` and tile
+     * searches through `explorer`. The segment tables are built together
+     * (see buildSegmentTables), through the first architecture's engine;
+     * then each architecture's own engine runs the DP, seeds, optimizes
+     * and evaluates, built and destroyed in turn, so one engine is alive
+     * at a time. Result k is bit-identical to the run() of an engine on
+     * cohort[k].
+     */
+    static std::vector<MappingResult>
+    runCohort(const dnn::Graph &graph,
+              const std::vector<arch::ArchConfig> &cohort,
+              const MappingOptions &options, intracore::Explorer &explorer);
 
     /**
      * Resume optimization from a caller-supplied mapping instead of the
@@ -165,6 +188,17 @@ class MappingEngine
     MappingOptions &mutableOptions() { return options_; }
 
   private:
+    /** Shares `shared` when set, else owns an explorer of its own. */
+    MappingEngine(const dnn::Graph &graph, const arch::ArchConfig &arch,
+                  MappingOptions options, intracore::Explorer *shared);
+
+    /** The partitioner's knobs, taken from options_. */
+    PartitionOptions partitionOptions() const;
+    /**
+     * The rest of run() once the segment table is built: the DP and its
+     * stripe LMS, the analytic seed, optional SA and evaluation.
+     */
+    MappingResult runFromTable(const SegmentTable &table);
     /** Shared tail of run()/runFrom(): optional SA + final evaluation. */
     void optimizeInto(MappingResult &result);
     /**
@@ -186,7 +220,8 @@ class MappingEngine
     arch::ArchConfig arch_;
     MappingOptions options_;
     noc::InterconnectModel noc_;
-    mutable intracore::Explorer explorer_;
+    std::unique_ptr<intracore::Explorer> ownedExplorer_; ///< null if shared
+    intracore::Explorer &explorer_;
     cost::CostStack costs_;
     mutable Analyzer analyzer_;
     SaEngine sa_;

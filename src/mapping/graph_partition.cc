@@ -26,30 +26,25 @@ defaultBatchUnits(std::int64_t batch)
 namespace {
 
 /**
- * Evaluate one contiguous segment [first, first+len) with one batch unit:
- * build the stripe mapping and run the analyzer. Cross-group DRAM sources
- * are approximated as interleaved during partitioning (the stripe
- * heuristic's own default), which is exact for T-Map and a sound starting
- * point for the SA refinement.
+ * The stripe mapping of segment [first, first + len) with one batch unit.
+ * Every cross-group DRAM source is read interleaved during partitioning
+ * (the stripe heuristic's own default, see interleavedRead), which is exact
+ * for T-Map and a sound starting point for the SA refinement.
  */
-eval::EvalBreakdown
-segmentEval(const dnn::Graph &graph, const arch::ArchConfig &arch,
-            Analyzer &analyzer, const cost::CostStack &costs,
-            std::size_t first, std::size_t len, std::int64_t batch,
-            std::int64_t batch_unit, LayerGroupMapping *out_group)
+LayerGroupMapping
+stripeSegment(const dnn::Graph &graph, const arch::ArchConfig &arch,
+              std::size_t first, std::size_t len, std::int64_t batch_unit)
 {
     std::vector<LayerId> layers(len);
     for (std::size_t i = 0; i < len; ++i)
         layers[i] = static_cast<LayerId>(first + i);
-    LayerGroupMapping group =
-        stripeMapping(graph, arch, layers, batch_unit);
+    return stripeMapping(graph, arch, layers, batch_unit);
+}
 
-    auto lookup = [](LayerId) { return kDramInterleaved; };
-    const eval::EvalBreakdown bd =
-        analyzer.evaluateGroup(group, batch, lookup, costs);
-    if (out_group)
-        *out_group = std::move(group);
-    return bd;
+DramSel
+interleavedRead(LayerId)
+{
+    return kDramInterleaved;
 }
 
 SegmentCost
@@ -76,7 +71,7 @@ segmentScore(const SegmentCost &c, double e_ref, double d_ref, double beta,
 }
 
 /**
- * Write into `sig` everything segmentEval reads of segment
+ * Write into `sig` everything the stripe evaluation reads of segment
  * [first, first + len) beyond the batch and its batch unit. Per layer, in
  * order: the geometry stripeMapping and the analyzer stages read, isOutput
  * and whether a consumer lies outside the segment (together FD.OF, see
@@ -122,68 +117,102 @@ segmentSignature(const dnn::Graph &graph, std::size_t first, std::size_t len,
 
 } // namespace
 
-SegmentTable
-buildSegmentTable(const dnn::Graph &graph, const arch::ArchConfig &arch,
-                  Analyzer &analyzer, const cost::CostStack &costs,
-                  std::int64_t batch, const std::vector<std::int64_t> &units,
-                  std::size_t max_len)
+std::vector<SegmentTable>
+buildSegmentTables(const dnn::Graph &graph, const arch::ArchConfig &arch,
+                   const Analyzer &analyzer,
+                   const std::vector<GroupPricer> &pricers,
+                   std::int64_t batch, const std::vector<std::int64_t> &units,
+                   std::size_t max_len)
 {
     const std::size_t n = graph.size();
-    SegmentTable table;
-    table.maxLen = max_len;
-    table.unitCount = units.size();
-    table.refs.resize(n);
-    table.segs.resize(n * max_len * units.size());
-    table.firstOf.resize(n * max_len);
+    std::vector<SegmentTable> tables(pricers.size());
+    for (SegmentTable &table : tables) {
+        table.maxLen = max_len;
+        table.units = units;
+        table.refs.resize(n);
+        table.segs.resize(n * max_len * units.size());
+        table.firstOf.resize(n * max_len);
+    }
+
+    // Segment-major: each distinct (signature, batch unit) stripe group is
+    // built and gathered once, then priced for every member, so only one
+    // gathered group is live at a time.
+    const OfmapDramLookup lookup = interleavedRead;
+    GatheredGroup gathered;
+    const auto gather = [&](std::size_t first, std::size_t len,
+                            std::int64_t unit) {
+        analyzer.gatherGroup(stripeSegment(graph, arch, first, len, unit),
+                             batch, lookup, gathered);
+    };
 
     std::unordered_map<FragmentKey, std::size_t, FragmentKeyHash> classes;
     FragmentKey sig;
     for (std::size_t end = 1; end <= n; ++end) {
         for (std::size_t len = 1; len <= std::min(max_len, end); ++len) {
-            const std::size_t seg = table.index(end, len);
-            SegmentCost *slots = &table.segs[seg * units.size()];
+            const std::size_t seg = tables.front().index(end, len);
             segmentSignature(graph, end - len, len, sig);
             const auto [it, fresh] = classes.try_emplace(sig, seg);
-            const std::size_t src = table.firstOf[seg] = it->second;
-            if (!fresh) {
+            const std::size_t src = it->second;
+            for (SegmentTable &table : tables) {
+                table.firstOf[seg] = src;
+                if (fresh)
+                    continue;
                 std::copy_n(&table.segs[src * units.size()], units.size(),
-                            slots);
+                            &table.segs[seg * units.size()]);
                 if (len == 1)
                     table.refs[end - 1] = table.refs[src / max_len];
-                continue;
             }
-            if (len == 1)
-                table.refs[end - 1] = costOf(
-                    segmentEval(graph, arch, analyzer, costs, end - 1, 1,
-                                batch, units.front(), nullptr));
+            if (!fresh)
+                continue;
+            // A layer's reference is its len-1 segment with the first
+            // batch unit: one gather fills both.
+            if (len == 1) {
+                gather(end - 1, 1, units.front());
+                for (std::size_t k = 0; k < pricers.size(); ++k)
+                    tables[k].refs[end - 1] =
+                        costOf(pricers[k].price(gathered));
+            }
             for (std::size_t u = 0; u < units.size(); ++u) {
-                if (batch % units[u] == 0)
-                    slots[u] = costOf(segmentEval(graph, arch, analyzer,
-                                                  costs, end - len, len,
-                                                  batch, units[u], nullptr));
+                if (batch % units[u] != 0)
+                    continue;
+                const bool is_ref = len == 1 && units[u] == units.front();
+                if (!is_ref)
+                    gather(end - len, len, units[u]);
+                for (std::size_t k = 0; k < pricers.size(); ++k)
+                    tables[k].segs[seg * units.size() + u] =
+                        is_ref ? tables[k].refs[end - 1]
+                               : costOf(pricers[k].price(gathered));
             }
         }
     }
-    return table;
+    return tables;
 }
 
-LpMapping
-partitionGraph(const dnn::Graph &graph, const arch::ArchConfig &arch,
-               Analyzer &analyzer, const cost::CostStack &costs,
-               const PartitionOptions &options)
+std::vector<SegmentTable>
+partitionTables(const dnn::Graph &graph, const arch::ArchConfig &arch,
+                const Analyzer &analyzer,
+                const std::vector<GroupPricer> &pricers,
+                const PartitionOptions &options)
 {
     GEMINI_ASSERT(graph.finalized(), "graph must be finalized");
     GEMINI_ASSERT(options.batch >= 1, "batch must be positive");
-
-    const std::size_t n = graph.size();
     const std::size_t max_len = static_cast<std::size_t>(
         std::max(1, std::min(options.maxGroupLayers, arch.coreCount())));
-    const std::vector<std::int64_t> units =
-        options.batchUnits.empty() ? defaultBatchUnits(options.batch)
-                                   : options.batchUnits;
+    return buildSegmentTables(graph, arch, analyzer, pricers, options.batch,
+                              options.batchUnits.empty()
+                                  ? defaultBatchUnits(options.batch)
+                                  : options.batchUnits,
+                              max_len);
+}
 
-    const SegmentTable table = buildSegmentTable(
-        graph, arch, analyzer, costs, options.batch, units, max_len);
+LpMapping
+partitionFromTable(const dnn::Graph &graph, const arch::ArchConfig &arch,
+                   const Analyzer &analyzer, const cost::CostStack &costs,
+                   const SegmentTable &table, const PartitionOptions &options)
+{
+    const std::size_t n = graph.size();
+    const std::size_t max_len = table.maxLen;
+    const std::vector<std::int64_t> &units = table.units;
 
     // Layer-sequential reference totals that normalize the additive DP
     // surrogate (see segmentScore), summed in layer order.
@@ -239,13 +268,25 @@ partitionGraph(const dnn::Graph &graph, const arch::ArchConfig &arch,
     LpMapping mapping;
     mapping.batch = options.batch;
     for (std::size_t s = 0; s < segments.size(); ++s) {
-        LayerGroupMapping group;
-        segmentEval(graph, arch, analyzer, costs, segments[s].first,
-                    segments[s].second - segments[s].first, options.batch,
-                    seg_units[s], &group);
+        LayerGroupMapping group = stripeSegment(
+            graph, arch, segments[s].first,
+            segments[s].second - segments[s].first, seg_units[s]);
+        analyzer.evaluateGroup(group, options.batch, interleavedRead, costs);
         mapping.groups.push_back(std::move(group));
     }
     return mapping;
+}
+
+LpMapping
+partitionGraph(const dnn::Graph &graph, const arch::ArchConfig &arch,
+               Analyzer &analyzer, const cost::CostStack &costs,
+               const PartitionOptions &options)
+{
+    const std::vector<SegmentTable> tables = partitionTables(
+        graph, arch, analyzer, {GroupPricer(analyzer.noc(), costs)},
+        options);
+    return partitionFromTable(graph, arch, analyzer, costs, tables.front(),
+                              options);
 }
 
 } // namespace gemini::mapping

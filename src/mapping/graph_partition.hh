@@ -10,6 +10,10 @@
  * and GLB overflow) and the serial DP that reads it. Real DNNs repeat
  * their blocks, so the table is filled once per distinct segment shape
  * and copied to every segment with the same structural signature.
+ *
+ * A cohort of fragment-identical architectures (see fragmentIdentical)
+ * fills its tables together: each distinct segment is gathered once and
+ * priced by every member. partitionGraph is the cohort of one.
  */
 
 #ifndef GEMINI_MAPPING_GRAPH_PARTITION_HH
@@ -71,7 +75,7 @@ struct SegmentCost
 struct SegmentTable
 {
     std::size_t maxLen = 0;
-    std::size_t unitCount = 0;
+    std::vector<std::int64_t> units; ///< batch-unit candidates, in order
     std::vector<SegmentCost> refs;
     std::vector<SegmentCost> segs;
 
@@ -92,27 +96,54 @@ struct SegmentTable
     const SegmentCost &
     at(std::size_t end, std::size_t len, std::size_t unit) const
     {
-        return segs[index(end, len) * unitCount + unit];
+        return segs[index(end, len) * units.size() + unit];
     }
 };
 
 /**
- * Fill the segment table partitionGraph's DP reads (exposed for tests).
- * Each segment is scored by stripeMapping + Analyzer::evaluateGroup with
+ * Fill the segment table partitionGraph's DP reads (exposed for tests)
+ * for every member of a cohort of fragment-identical architectures (see
+ * fragmentIdentical); one pricer is the cohort of one. Each segment is
+ * scored as stripeMapping + Analyzer::evaluateGroup would score it with
  * every cross-group source read interleaved, which depends only on the
  * segment's structural signature: per layer, its geometry, isOutput,
  * whether a consumer lies outside the segment, and per input its position
  * in the segment, the outside producer's shape or the external input. So
  * only the first segment of every signature is evaluated; the rest copy
- * its bits.
+ * its bits. The walk is segment-major: each distinct (signature, batch
+ * unit) stripe group is built on `arch` and its fragments gathered once,
+ * through `analyzer`, and every pricer prices them. A fragment is an
+ * exact function of its key once the identity is fixed, so table k is
+ * bit-identical to the table of pricer k's architecture alone.
  */
-SegmentTable buildSegmentTable(const dnn::Graph &graph,
-                               const arch::ArchConfig &arch,
-                               Analyzer &analyzer,
-                               const cost::CostStack &costs,
-                               std::int64_t batch,
-                               const std::vector<std::int64_t> &units,
-                               std::size_t max_len);
+std::vector<SegmentTable>
+buildSegmentTables(const dnn::Graph &graph, const arch::ArchConfig &arch,
+                   const Analyzer &analyzer,
+                   const std::vector<GroupPricer> &pricers,
+                   std::int64_t batch, const std::vector<std::int64_t> &units,
+                   std::size_t max_len);
+
+/**
+ * The segment tables partitionGraph's DP reads under `options`, one per
+ * pricer (buildSegmentTables with the options' segment cap and batch
+ * units). With partitionFromTable, the two halves of partitionGraph.
+ */
+std::vector<SegmentTable>
+partitionTables(const dnn::Graph &graph, const arch::ArchConfig &arch,
+                const Analyzer &analyzer,
+                const std::vector<GroupPricer> &pricers,
+                const PartitionOptions &options);
+
+/**
+ * partitionGraph's DP over one architecture's segment table, then the
+ * stripe LMS of every chosen segment, evaluated by its analyzer.
+ */
+LpMapping partitionFromTable(const dnn::Graph &graph,
+                             const arch::ArchConfig &arch,
+                             const Analyzer &analyzer,
+                             const cost::CostStack &costs,
+                             const SegmentTable &table,
+                             const PartitionOptions &options);
 
 /** Default batch-unit candidate list: divisors of `batch`, capped. */
 std::vector<std::int64_t> defaultBatchUnits(std::int64_t batch);

@@ -101,26 +101,17 @@ InterconnectModel::routeUnionStamps()
     return stamps;
 }
 
-void
-InterconnectModel::unicast(TrafficMap &map, NodeId src, NodeId dst,
-                           double bytes) const
+bool
+InterconnectModel::sameRoutes(const InterconnectModel &other) const
 {
-    unicastLinks(src, dst, bytes, [&](LinkId id) {
-        map.addLink(linkAt(id), bytes);
-    });
-}
-
-void
-InterconnectModel::multicast(TrafficMap &map, NodeId src,
-                             const std::vector<NodeId> &dsts,
-                             double bytes) const
-{
-    // Union of the backend's unicast paths: shared prefixes (the trunk,
-    // the DRAM injection link, the NoP gateway funnel) are charged exactly
-    // once, which models a multicast-capable router tree.
-    multicastLinks(src, dsts, bytes, [&](LinkId id) {
-        map.addLink(linkAt(id), bytes);
-    });
+    return nodeCount() == other.nodeCount() &&
+           std::equal(routes_.begin(), routes_.end(), other.routes_.begin(),
+                      other.routes_.end(),
+                      [](const RouteRef &a, const RouteRef &b) {
+                          return a.offset == b.offset &&
+                                 a.length == b.length;
+                      }) &&
+           routeIds_ == other.routeIds_ && linkKeys_ == other.linkKeys_;
 }
 
 LinkKind

@@ -98,17 +98,6 @@ class InterconnectModel
         return static_cast<int>(route(src, dst).size());
     }
 
-    /** Accumulate `bytes` on every link of the route. */
-    void unicast(TrafficMap &map, NodeId src, NodeId dst,
-                 double bytes) const;
-
-    /**
-     * Accumulate `bytes` on the union of the routes src -> each dst (a
-     * dimension-order multicast tree: shared prefixes are charged once).
-     */
-    void multicast(TrafficMap &map, NodeId src,
-                   const std::vector<NodeId> &dsts, double bytes) const;
-
     /**
      * Hand the link id of every link of the route src -> dst to
      * `emit(LinkId)`, in hop order. Nothing is emitted for a non-positive
@@ -245,6 +234,14 @@ class InterconnectModel
      */
     double nocBandwidthBps() const { return nocBps_; }
     double d2dBandwidthBps() const { return d2dBps_; }
+
+    /**
+     * Whether `other` has byte-identical route and link-id tables: every
+     * route replays the same link ids and every id names the same link.
+     * Link kinds and bandwidths may still differ (a mesh cut moves only
+     * the kinds).
+     */
+    bool sameRoutes(const InterconnectModel &other) const;
 
     /** Aggregate per-kind bytes and the bottleneck link time. */
     TrafficStats summarize(const TrafficMap &map) const;

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
 
 #include "src/api/results.hh"
 #include "src/arch/presets.hh"
+#include "src/common/fault_injection.hh"
 #include "src/common/thread_pool.hh"
 #include "src/cost/cost_stack.hh"
 #include "src/dnn/zoo.hh"
@@ -20,6 +22,8 @@
 #include "src/dse/dse.hh"
 #include "src/dse/joint_reuse.hh"
 #include "src/dse/records.hh"
+#include "src/mapping/analyzer.hh"
+#include "src/noc/interconnect.hh"
 
 namespace gemini::dse {
 namespace {
@@ -381,6 +385,163 @@ TEST_F(SchedulerTest, LowerBoundIsSoundOnEveryEvaluatedCandidate)
         EXPECT_GE(rec.objective * cost::kBoundSlack,
                   rec.objectiveLowerBound * (1.0 - 1e-12))
             << rec.arch.toString();
+    }
+}
+
+// ------------------------------------------------------ cohort screen ---
+
+/**
+ * A scheduled DSE whose screen groups its candidates into fragment
+ * cohorts of several members: mesh cuts and NoC bandwidths join, NoP cuts
+ * and GLB sizes split.
+ */
+class CohortScreen : public ::testing::Test
+{
+  protected:
+    CohortScreen()
+        : first_(dnn::zoo::tinyConvChain(3)),
+          second_(dnn::zoo::tinyResidual())
+    {
+        options_.axes.topsTarget = 2.0; // 4 cores x 256 MACs
+        options_.axes.xCuts = {1, 2};
+        options_.axes.yCuts = {1, 2};
+        options_.axes.dramGBpsPerTops = {2.0};
+        options_.axes.nocGBps = {16, 32};
+        options_.axes.d2dRatio = {0.5};
+        options_.axes.glbKiB = {256, 512};
+        options_.axes.macsPerCore = {256};
+        options_.axes.topologies = {arch::Topology::Mesh,
+                                    arch::Topology::HierarchicalNop};
+        options_.models = {&first_, &second_};
+        options_.mapping.batch = 2;
+        options_.mapping.sa.iterations = 40;
+        options_.mapping.maxGroupLayers = 4;
+        options_.mapping.analyticSeed = true;
+        options_.schedule.enabled = true;
+        options_.schedule.rungs = 1;
+        options_.schedule.baseIters = 16;
+        options_.schedule.minKeep = 2;
+    }
+
+    /** Every rung resolved and every record is evaluated or skipped. */
+    static void
+    expectResolved(const DseResult &r)
+    {
+        ASSERT_EQ(r.stats.rungs.size(), 3u); // screen, race1, polish
+        EXPECT_EQ(r.stats.rungs[0].entered,
+                  static_cast<int>(r.records.size()));
+        for (std::size_t i = 0; i + 1 < r.stats.rungs.size(); ++i) {
+            const DseRungStats &rs = r.stats.rungs[i];
+            EXPECT_EQ(rs.entered - rs.advanced,
+                      rs.prunedBound + rs.prunedRank);
+            EXPECT_EQ(r.stats.rungs[i + 1].entered, rs.advanced);
+        }
+        for (const DseRecord &rec : r.records) {
+            if (rec.rungReached < 0) {
+                EXPECT_FALSE(rec.feasible);
+                EXPECT_TRUE(std::isinf(rec.objective));
+            } else {
+                EXPECT_EQ(rec.perModel.size(), 2u);
+                EXPECT_TRUE(!rec.feasible || std::isfinite(rec.objective));
+            }
+        }
+        if (r.bestIndex >= 0)
+            EXPECT_TRUE(r.best().feasible);
+    }
+
+    dnn::Graph first_;
+    dnn::Graph second_;
+    DseOptions options_;
+};
+
+TEST_F(CohortScreen, ResultIsThreadAndPoolInvariant)
+{
+    // The screen really forms multi-member cohorts here.
+    const std::vector<arch::ArchConfig> cands =
+        enumerateCandidates(options_.axes);
+    std::vector<std::vector<arch::ArchConfig>> cohorts;
+    for (const arch::ArchConfig &c : cands) {
+        auto it = std::find_if(cohorts.begin(), cohorts.end(),
+                               [&](const auto &co) {
+                                   return mapping::fragmentIdentical(
+                                       noc::InterconnectModel(co.front()),
+                                       noc::InterconnectModel(c));
+                               });
+        if (it == cohorts.end())
+            cohorts.push_back({c});
+        else
+            it->push_back(c);
+    }
+    std::size_t largest = 0;
+    for (const auto &co : cohorts)
+        largest = std::max(largest, co.size());
+    EXPECT_GE(largest, 4u);
+    EXPECT_LT(2 * cohorts.size(), cands.size());
+
+    const auto untimed = [](DseResult r) {
+        for (DseRecord &rec : r.records)
+            rec.evalSeconds = 0.0;
+        for (DseRungStats &rs : r.stats.rungs)
+            rs.cpuSeconds = 0.0;
+        return api::dseResultToJson(r).dump();
+    };
+    // One thread runs whole cohorts; four split the largest ones.
+    options_.threads = 1;
+    const DseResult ref = runDse(options_);
+    ASSERT_GE(ref.bestIndex, 0);
+    expectResolved(ref);
+    options_.threads = 4;
+    EXPECT_EQ(untimed(runDse(options_)), untimed(ref));
+    ThreadPool pool(3);
+    options_.pool = &pool;
+    EXPECT_EQ(untimed(runDse(options_)), untimed(ref));
+
+    // Without SA the ladder is one exhaustive rung, also screened in
+    // cohorts: every record equals its candidate evaluated on its own.
+    options_.mapping.runSa = false;
+    const DseResult flat = runDse(options_);
+    ASSERT_EQ(flat.records.size(), cands.size());
+    for (const DseRecord &rec : flat.records) {
+        const DseRecord alone = evaluateCandidate(rec.arch, options_);
+        ASSERT_EQ(alone.perModel.size(), rec.perModel.size());
+        for (std::size_t m = 0; m < rec.perModel.size(); ++m) {
+            EXPECT_EQ(alone.perModel[m].delay, rec.perModel[m].delay);
+            EXPECT_EQ(alone.perModel[m].totalEnergy(),
+                      rec.perModel[m].totalEnergy());
+        }
+        EXPECT_EQ(alone.objective, rec.objective);
+    }
+}
+
+TEST_F(CohortScreen, StoppedRunsResolveEveryRung)
+{
+    options_.threads = 1;
+    {
+        // Stopped before the first cohort task starts.
+        common::StopSource source;
+        source.requestStop();
+        options_.stop = source.token();
+        const DseResult r = runDse(options_);
+        EXPECT_TRUE(r.stats.cancelled);
+        expectResolved(r);
+        EXPECT_EQ(r.bestIndex, -1);
+        options_.stop = {};
+    }
+    {
+        // Stopped mid-screen: the second cohort task observes the
+        // (injected) deadline, so one cohort is screened and the rest
+        // are skipped.
+        options_.deadlineSeconds = 3600.0;
+        common::fault::configure("deadline=2");
+        const DseResult r = runDse(options_);
+        common::fault::reset();
+        EXPECT_TRUE(r.stats.truncated);
+        expectResolved(r);
+        int screened = 0;
+        for (const DseRecord &rec : r.records)
+            screened += rec.rungReached >= 0;
+        EXPECT_GE(screened, 2) << "a whole cohort is screened";
+        EXPECT_LT(screened, static_cast<int>(r.records.size()));
     }
 }
 

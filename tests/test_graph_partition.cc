@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 #include <set>
 
+#include "src/api/results.hh"
 #include "src/api/service.hh"
 #include "src/arch/presets.hh"
 #include "src/dnn/zoo.hh"
@@ -208,50 +211,92 @@ directCost(const dnn::Graph &g, const arch::ArchConfig &a,
 }
 
 /**
- * Build the table with a caching analyzer, then score every slot and
- * reference again with an uncached analyzer over its own explorer and
- * require the same bits.
+ * `a` and fragment-identical variants of it: other NoC, D2D and DRAM
+ * bandwidths and, off the NoP hierarchy (whose routes follow the cut),
+ * other chiplet cuts.
+ */
+std::vector<arch::ArchConfig>
+cohortOf(const arch::ArchConfig &a)
+{
+    std::vector<arch::ArchConfig> cohort{a};
+    arch::ArchConfig fast = a;
+    fast.nocBwGBps *= 4.0;
+    fast.d2dBwGBps *= 0.5;
+    fast.dramBwGBps *= 2.0;
+    cohort.push_back(fast);
+    if (a.topology != arch::Topology::HierarchicalNop) {
+        arch::ArchConfig recut = a;
+        recut.xCut = 2;
+        recut.yCut = 2;
+        recut.nocBwGBps = 8.0;
+        cohort.push_back(recut);
+    }
+    return cohort;
+}
+
+/**
+ * Build the tables of a cohort (see buildSegmentTables) through a caching
+ * analyzer of its first architecture, then score every slot and reference
+ * of every member again with an uncached analyzer of that member over its
+ * own explorer and require the same bits. Returns the first table.
  */
 SegmentTable
-expectTableExact(const dnn::Graph &g, const arch::ArchConfig &a,
+expectTableExact(const dnn::Graph &g,
+                 const std::vector<arch::ArchConfig> &cohort,
                  std::int64_t batch, std::size_t max_len)
 {
+    const arch::ArchConfig &a = cohort.front();
     const noc::InterconnectModel noc(a);
-    const cost::CostStack costs(a);
     intracore::Explorer ex(a.macsPerCore, a.glbBytes(), a.freqGHz);
     Analyzer an(g, a, noc, ex);
     an.setCacheCapacity(4096);
+    std::vector<GroupPricer> pricers;
+    for (const arch::ArchConfig &m : cohort)
+        pricers.emplace_back(noc::InterconnectModel(m), cost::CostStack(m));
     const std::vector<std::int64_t> units = defaultBatchUnits(batch);
-    const SegmentTable table =
-        buildSegmentTable(g, a, an, costs, batch, units, max_len);
+    const std::vector<SegmentTable> tables =
+        buildSegmentTables(g, a, an, pricers, batch, units, max_len);
 
-    intracore::Explorer direct_ex(a.macsPerCore, a.glbBytes(), a.freqGHz);
-    const Analyzer direct(g, a, noc, direct_ex);
     std::size_t mismatches = 0;
-    for (std::size_t end = 1; end <= g.size(); ++end) {
-        if (!sameBits(table.refs[end - 1],
-                      directCost(g, a, direct, costs, end - 1, 1, batch,
-                                 units.front())) &&
-            mismatches++ == 0)
-            ADD_FAILURE() << "reference of layer " << end - 1;
-        for (std::size_t len = 1; len <= std::min(max_len, end); ++len) {
-            for (std::size_t u = 0; u < units.size(); ++u) {
-                const SegmentCost want =
-                    directCost(g, a, direct, costs, end - len, len, batch,
-                               units[u]);
-                if (!sameBits(table.at(end, len, u), want) &&
-                    mismatches++ == 0)
-                    ADD_FAILURE() << "segment end " << end << " len " << len
-                                  << " unit " << units[u];
+    for (std::size_t k = 0; k < cohort.size(); ++k) {
+        const arch::ArchConfig &m = cohort[k];
+        const SegmentTable &table = tables[k];
+        const noc::InterconnectModel direct_noc(m);
+        const cost::CostStack costs(m);
+        intracore::Explorer direct_ex(m.macsPerCore, m.glbBytes(),
+                                      m.freqGHz);
+        const Analyzer direct(g, m, direct_noc, direct_ex);
+        for (std::size_t end = 1; end <= g.size(); ++end) {
+            if (!sameBits(table.refs[end - 1],
+                          directCost(g, m, direct, costs, end - 1, 1, batch,
+                                     units.front())) &&
+                mismatches++ == 0)
+                ADD_FAILURE() << "member " << k << " reference of layer "
+                              << end - 1;
+            for (std::size_t len = 1; len <= std::min(max_len, end);
+                 ++len) {
+                for (std::size_t u = 0; u < units.size(); ++u) {
+                    const SegmentCost want =
+                        directCost(g, m, direct, costs, end - len, len,
+                                   batch, units[u]);
+                    if (!sameBits(table.at(end, len, u), want) &&
+                        mismatches++ == 0)
+                        ADD_FAILURE()
+                            << "member " << k << " segment end " << end
+                            << " len " << len << " unit " << units[u];
+                }
             }
         }
     }
     EXPECT_EQ(mismatches, 0u);
-    return table;
+    return tables.front();
 }
 
 TEST(PartitionTable, EverySlotMatchesDirectEvaluation)
 {
+    // Every backend, alone and as a cohort whose members differ in
+    // bandwidths and cuts; the batch-12 cohort has three DRAMs and a GLB
+    // small enough to overflow.
     for (const char *model :
          {"tiny_conv", "tiny_residual", "tiny_inception", "tiny_transformer",
           "mobilenet_v2", "resnet50", "transformer"}) {
@@ -262,10 +307,133 @@ TEST(PartitionTable, EverySlotMatchesDirectEvaluation)
                              << model << ", topology "
                              << static_cast<int>(topo) << ", batch "
                              << batch);
-                expectTableExact(g, grid4x4(topo), batch, 6);
+                expectTableExact(g, {grid4x4(topo)}, batch, 6);
+                arch::ArchConfig lead = grid4x4(topo);
+                if (batch == 12) {
+                    lead.dramCount = 3;
+                    lead.glbKiB = 16;
+                }
+                const SegmentTable t =
+                    expectTableExact(g, cohortOf(lead), batch, 6);
+                if (batch == 12)
+                    EXPECT_TRUE(std::any_of(t.segs.begin(), t.segs.end(),
+                                            [](const SegmentCost &c) {
+                                                return c.glbOverflow > 0;
+                                            }))
+                        << "the small GLB must overflow somewhere";
             }
         }
     }
+}
+
+bool
+sameBreakdown(const eval::EvalBreakdown &a, const eval::EvalBreakdown &b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(CohortRun, EveryMemberMatchesItsSoloRunBitForBit)
+{
+    // Mapping, per-group breakdowns and total of every member of a
+    // cohort run equal a solo engine's run(), on every backend, with two
+    // and three DRAMs, an overflowing GLB and several batch units, with
+    // and without SA.
+    const dnn::Graph g = dnn::zoo::byName("tiny_inception");
+    for (arch::Topology topo : kTopologies) {
+        for (int drams : {2, 3}) {
+            arch::ArchConfig a = grid4x4(topo);
+            a.dramCount = drams;
+            a.glbKiB = drams == 3 ? 16 : a.glbKiB;
+            for (bool sa : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << arch::topologyName(topo) << ", " << drams
+                             << " DRAMs, sa " << sa);
+                MappingOptions mo;
+                mo.batch = 12;
+                mo.maxGroupLayers = 5;
+                mo.analyticSeed = true;
+                mo.runSa = sa;
+                mo.sa.iterations = 60;
+                const std::vector<arch::ArchConfig> cohort = cohortOf(a);
+                intracore::Explorer ex(a.macsPerCore, a.glbBytes(),
+                                       a.freqGHz, mo.tech);
+                const std::vector<MappingResult> together =
+                    MappingEngine::runCohort(g, cohort, mo, ex);
+                ASSERT_EQ(together.size(), cohort.size());
+                for (std::size_t k = 0; k < cohort.size(); ++k) {
+                    const MappingResult solo =
+                        MappingEngine(g, cohort[k], mo).run();
+                    const MappingResult &got = together[k];
+                    EXPECT_EQ(api::lpMappingToJson(got.mapping).dump(),
+                              api::lpMappingToJson(solo.mapping).dump())
+                        << "member " << k;
+                    ASSERT_EQ(got.groups.size(), solo.groups.size());
+                    for (std::size_t i = 0; i < got.groups.size(); ++i)
+                        EXPECT_TRUE(
+                            sameBreakdown(got.groups[i], solo.groups[i]))
+                            << "member " << k << " group " << i;
+                    EXPECT_TRUE(sameBreakdown(got.total, solo.total))
+                        << "member " << k;
+                    EXPECT_EQ(got.seededAnalytic, solo.seededAnalytic);
+                }
+                if (drams == 3 && !sa)
+                    EXPECT_GT(together.front().total.glbOverflow, 0.0);
+            }
+        }
+    }
+}
+
+TEST(CohortIdentity, SplitsWhatFragmentsReadAndJoinsTheRest)
+{
+    const auto same = [](const arch::ArchConfig &a,
+                         const arch::ArchConfig &b) {
+        return fragmentIdentical(noc::InterconnectModel(a),
+                                 noc::InterconnectModel(b));
+    };
+    for (arch::Topology topo : kTopologies) {
+        SCOPED_TRACE(arch::topologyName(topo));
+        const arch::ArchConfig a = grid4x4(topo);
+        // Bandwidths never reach a fragment.
+        for (const arch::ArchConfig &m : cohortOf(a))
+            EXPECT_TRUE(same(a, m));
+        arch::ArchConfig b = a;
+        b.glbKiB /= 2;
+        EXPECT_FALSE(same(a, b)) << "GLB";
+        b = a;
+        b.macsPerCore *= 2;
+        EXPECT_FALSE(same(a, b)) << "MACs";
+        b = a;
+        b.freqGHz = 1.5;
+        EXPECT_FALSE(same(a, b)) << "frequency";
+        b = a;
+        b.dramCount = 3;
+        EXPECT_FALSE(same(a, b)) << "DRAM count";
+        b = a;
+        b.xCores = 8;
+        b.yCores = 2;
+        EXPECT_FALSE(same(a, b)) << "grid";
+    }
+    // Mesh, torus and ring cuts move only link kinds; a NoP cut moves
+    // routes, as does the backend itself.
+    for (arch::Topology topo :
+         {arch::Topology::Mesh, arch::Topology::FoldedTorus,
+          arch::Topology::ConcentratedRing}) {
+        arch::ArchConfig b = grid4x4(topo);
+        b.xCut = 4;
+        b.yCut = 2;
+        EXPECT_TRUE(same(grid4x4(topo), b)) << arch::topologyName(topo);
+    }
+    arch::ArchConfig nop = grid4x4(arch::Topology::HierarchicalNop);
+    nop.xCut = 2;
+    nop.yCut = 2;
+    EXPECT_FALSE(same(grid4x4(arch::Topology::HierarchicalNop), nop))
+        << "NoP cut";
+    nop.xCut = 1;
+    nop.yCut = 2;
+    EXPECT_FALSE(same(grid4x4(arch::Topology::HierarchicalNop), nop))
+        << "NoP cut";
+    EXPECT_FALSE(same(grid4x4(arch::Topology::Mesh),
+                      grid4x4(arch::Topology::FoldedTorus)));
 }
 
 TEST(PartitionTable, RepeatedBlocksAreEvaluatedOnce)
@@ -274,7 +442,7 @@ TEST(PartitionTable, RepeatedBlocksAreEvaluatedOnce)
     const dnn::Graph g = dnn::zoo::tinyTransformer(64, 64, 4, 6);
     const arch::ArchConfig a = grid4x4(arch::Topology::Mesh);
     const std::size_t max_len = 4;
-    const SegmentTable t = expectTableExact(g, a, 8, max_len);
+    const SegmentTable t = expectTableExact(g, {a}, 8, max_len);
     std::size_t segments = 0;
     std::set<std::size_t> classes;
     for (std::size_t end = 1; end <= g.size(); ++end) {
@@ -338,7 +506,7 @@ TEST(PartitionTable, SignatureSeparatesLookalikeSegments)
     ASSERT_TRUE(g.layer(12).isOutput);
     ASSERT_FALSE(g.layer(14).isOutput);
     const SegmentTable t =
-        expectTableExact(g, grid4x4(arch::Topology::Mesh), 8, 4);
+        expectTableExact(g, {grid4x4(arch::Topology::Mesh)}, 8, 4);
     auto cls = [&t](std::size_t first, std::size_t len = 2) {
         return t.firstOf[t.index(first + len, len)];
     };

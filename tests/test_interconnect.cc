@@ -26,6 +26,7 @@
 #include "src/dse/dse.hh"
 #include "src/mapping/engine.hh"
 #include "src/noc/interconnect.hh"
+#include "tests/link_traffic.hh"
 #include "src/noc/topologies.hh"
 
 namespace gemini {
@@ -169,10 +170,12 @@ TEST(InterconnectSeam, MulticastUnionByteConservation)
         const std::vector<NodeId> dsts{cfg.coreAt(3, 3), cfg.coreAt(3, 0),
                                        cfg.coreAt(1, 2)};
         TrafficMap mc;
-        icn.multicast(mc, cfg.coreAt(0, 1), dsts, 1.0);
+        icn.multicastLinks(cfg.coreAt(0, 1), dsts, 1.0,
+                           noc::addTo(mc, icn, 1.0));
         TrafficMap uni;
         for (NodeId d : dsts)
-            icn.unicast(uni, cfg.coreAt(0, 1), d, 1.0);
+            icn.unicastLinks(cfg.coreAt(0, 1), d, 1.0,
+                             noc::addTo(uni, icn, 1.0));
         ASSERT_FALSE(mc.empty());
         for (const auto &[key, bytes] : mc.links()) {
             EXPECT_DOUBLE_EQ(bytes, 1.0);
@@ -181,8 +184,10 @@ TEST(InterconnectSeam, MulticastUnionByteConservation)
         EXPECT_LE(mc.totalBytes(), uni.totalBytes());
 
         TrafficMap one_mc, one_uni;
-        icn.multicast(one_mc, cfg.coreAt(0, 1), {cfg.coreAt(3, 3)}, 2.0);
-        icn.unicast(one_uni, cfg.coreAt(0, 1), cfg.coreAt(3, 3), 2.0);
+        icn.multicastLinks(cfg.coreAt(0, 1), {cfg.coreAt(3, 3)}, 2.0,
+                           noc::addTo(one_mc, icn, 2.0));
+        icn.unicastLinks(cfg.coreAt(0, 1), cfg.coreAt(3, 3), 2.0,
+                         noc::addTo(one_uni, icn, 2.0));
         EXPECT_DOUBLE_EQ(one_mc.totalBytes(), one_uni.totalBytes());
     }
 }

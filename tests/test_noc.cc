@@ -12,6 +12,7 @@
 #include "src/arch/arch_config.hh"
 #include "src/arch/presets.hh"
 #include "src/noc/interconnect.hh"
+#include "tests/link_traffic.hh"
 #include "src/noc/traffic_map.hh"
 
 namespace gemini::noc {
@@ -176,7 +177,8 @@ TEST(NocModel, UnicastAccumulatesAlongPath)
     InterconnectModel noc(mesh4x4());
     const auto &cfg = noc.config();
     TrafficMap map;
-    noc.unicast(map, cfg.coreAt(0, 0), cfg.coreAt(2, 0), 100.0);
+    noc.unicastLinks(cfg.coreAt(0, 0), cfg.coreAt(2, 0), 100.0,
+                     addTo(map, noc, 100.0));
     EXPECT_DOUBLE_EQ(map.at(cfg.coreAt(0, 0), cfg.coreAt(1, 0)), 100.0);
     EXPECT_DOUBLE_EQ(map.at(cfg.coreAt(1, 0), cfg.coreAt(2, 0)), 100.0);
     EXPECT_EQ(map.linkCount(), 2u);
@@ -188,8 +190,8 @@ TEST(NocModel, MulticastChargesSharedTrunkOnce)
     const auto &cfg = noc.config();
     TrafficMap map;
     // Destinations share the horizontal trunk (0,0)->(2,0).
-    noc.multicast(map, cfg.coreAt(0, 0),
-                  {cfg.coreAt(2, 1), cfg.coreAt(2, 2)}, 10.0);
+    noc.multicastLinks(cfg.coreAt(0, 0), {cfg.coreAt(2, 1), cfg.coreAt(2, 2)},
+                       10.0, addTo(map, noc, 10.0));
     EXPECT_DOUBLE_EQ(map.at(cfg.coreAt(0, 0), cfg.coreAt(1, 0)), 10.0);
     EXPECT_DOUBLE_EQ(map.at(cfg.coreAt(1, 0), cfg.coreAt(2, 0)), 10.0);
     EXPECT_DOUBLE_EQ(map.at(cfg.coreAt(2, 0), cfg.coreAt(2, 1)), 10.0);
@@ -205,10 +207,10 @@ TEST(NocModel, MulticastEqualsUnionOfUnicastLinks)
     const std::vector<NodeId> dsts{cfg.coreAt(3, 3), cfg.coreAt(3, 0),
                                    cfg.coreAt(1, 2)};
     TrafficMap mc;
-    noc.multicast(mc, cfg.coreAt(0, 1), dsts, 1.0);
+    noc.multicastLinks(cfg.coreAt(0, 1), dsts, 1.0, addTo(mc, noc, 1.0));
     TrafficMap uni;
     for (NodeId d : dsts)
-        noc.unicast(uni, cfg.coreAt(0, 1), d, 1.0);
+        noc.unicastLinks(cfg.coreAt(0, 1), d, 1.0, addTo(uni, noc, 1.0));
     // Every multicast link appears in the unicast union with load 1.
     for (const auto &[key, bytes] : mc.links()) {
         EXPECT_DOUBLE_EQ(bytes, 1.0);
@@ -222,7 +224,8 @@ TEST(NocModel, SummarizeSplitsD2dBytes)
     InterconnectModel noc(mesh4x4(2, 1));
     const auto &cfg = noc.config();
     TrafficMap map;
-    noc.unicast(map, cfg.coreAt(0, 0), cfg.coreAt(3, 0), 8.0); // 1 D2D hop
+    noc.unicastLinks(cfg.coreAt(0, 0), cfg.coreAt(3, 0), 8.0,
+                     addTo(map, noc, 8.0)); // 1 D2D hop
     const TrafficStats stats = noc.summarize(map);
     EXPECT_DOUBLE_EQ(stats.d2dBytes, 8.0);
     EXPECT_DOUBLE_EQ(stats.onChipBytes, 16.0);

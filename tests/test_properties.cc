@@ -23,6 +23,7 @@
 #include "src/mapping/operators.hh"
 #include "src/mapping/stripe.hh"
 #include "src/noc/interconnect.hh"
+#include "tests/link_traffic.hh"
 
 namespace gemini {
 namespace {
@@ -172,7 +173,7 @@ TEST_P(RoutingP, FlowConservationAtIntermediateNodes)
         if (s == d)
             continue;
         const double bytes = 1.0 + static_cast<double>(rng.nextInt(1000));
-        noc.unicast(map, s, d, bytes);
+        noc.unicastLinks(s, d, bytes, noc::addTo(map, noc, bytes));
         injected[static_cast<std::size_t>(s)] += bytes;
         absorbed[static_cast<std::size_t>(d)] += bytes;
     }
@@ -213,9 +214,9 @@ TEST_P(RoutingP, MulticastNeverExceedsUnicastUnion)
         if (dsts.empty())
             continue;
         noc::TrafficMap mc, uni;
-        noc.multicast(mc, src, dsts, 7.0);
+        noc.multicastLinks(src, dsts, 7.0, noc::addTo(mc, noc, 7.0));
         for (auto d : dsts)
-            noc.unicast(uni, src, d, 7.0);
+            noc.unicastLinks(src, d, 7.0, noc::addTo(uni, noc, 7.0));
         EXPECT_LE(mc.totalBytes(), uni.totalBytes() + 1e-9);
         // And multicast still reaches every destination: each dst has
         // some inbound link.
