@@ -66,8 +66,8 @@ MappingResult
 MappingEngine::run()
 {
     const std::vector<SegmentTable> tables =
-        partitionTables(graph_, arch_, analyzer_,
-                        {GroupPricer(noc_, costs_)}, partitionOptions());
+        buildSegmentTables(graph_, arch_, analyzer_,
+                           {GroupPricer(noc_, costs_)}, partitionOptions());
     return runFromTable(tables.front());
 }
 
@@ -91,8 +91,8 @@ MappingEngine::runCohort(const dnn::Graph &graph,
         pricers.emplace_back(noc, cost::CostStack(cohort[k], options.tech));
     }
     const std::vector<SegmentTable> tables =
-        partitionTables(graph, lead->arch_, lead->analyzer_, pricers,
-                        lead->partitionOptions());
+        buildSegmentTables(graph, lead->arch_, lead->analyzer_, pricers,
+                           lead->partitionOptions());
     pricers.clear();
 
     std::vector<MappingResult> results;

@@ -121,9 +121,16 @@ std::vector<SegmentTable>
 buildSegmentTables(const dnn::Graph &graph, const arch::ArchConfig &arch,
                    const Analyzer &analyzer,
                    const std::vector<GroupPricer> &pricers,
-                   std::int64_t batch, const std::vector<std::int64_t> &units,
-                   std::size_t max_len)
+                   const PartitionOptions &options)
 {
+    GEMINI_ASSERT(graph.finalized(), "graph must be finalized");
+    GEMINI_ASSERT(options.batch >= 1, "batch must be positive");
+    const std::int64_t batch = options.batch;
+    const std::size_t max_len = static_cast<std::size_t>(
+        std::max(1, std::min(options.maxGroupLayers, arch.coreCount())));
+    const std::vector<std::int64_t> units =
+        options.batchUnits.empty() ? defaultBatchUnits(batch)
+                                   : options.batchUnits;
     const std::size_t n = graph.size();
     std::vector<SegmentTable> tables(pricers.size());
     for (SegmentTable &table : tables) {
@@ -186,23 +193,6 @@ buildSegmentTables(const dnn::Graph &graph, const arch::ArchConfig &arch,
         }
     }
     return tables;
-}
-
-std::vector<SegmentTable>
-partitionTables(const dnn::Graph &graph, const arch::ArchConfig &arch,
-                const Analyzer &analyzer,
-                const std::vector<GroupPricer> &pricers,
-                const PartitionOptions &options)
-{
-    GEMINI_ASSERT(graph.finalized(), "graph must be finalized");
-    GEMINI_ASSERT(options.batch >= 1, "batch must be positive");
-    const std::size_t max_len = static_cast<std::size_t>(
-        std::max(1, std::min(options.maxGroupLayers, arch.coreCount())));
-    return buildSegmentTables(graph, arch, analyzer, pricers, options.batch,
-                              options.batchUnits.empty()
-                                  ? defaultBatchUnits(options.batch)
-                                  : options.batchUnits,
-                              max_len);
 }
 
 LpMapping
@@ -282,7 +272,7 @@ partitionGraph(const dnn::Graph &graph, const arch::ArchConfig &arch,
                Analyzer &analyzer, const cost::CostStack &costs,
                const PartitionOptions &options)
 {
-    const std::vector<SegmentTable> tables = partitionTables(
+    const std::vector<SegmentTable> tables = buildSegmentTables(
         graph, arch, analyzer, {GroupPricer(analyzer.noc(), costs)},
         options);
     return partitionFromTable(graph, arch, analyzer, costs, tables.front(),

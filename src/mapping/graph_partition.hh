@@ -101,8 +101,8 @@ struct SegmentTable
 };
 
 /**
- * Fill the segment table partitionGraph's DP reads (exposed for tests)
- * for every member of a cohort of fragment-identical architectures (see
+ * Fill the segment table partitionGraph's DP reads under `options`, for
+ * every member of a cohort of fragment-identical architectures (see
  * fragmentIdentical); one pricer is the cohort of one. Each segment is
  * scored as stripeMapping + Analyzer::evaluateGroup would score it with
  * every cross-group source read interleaved, which depends only on the
@@ -120,23 +120,12 @@ std::vector<SegmentTable>
 buildSegmentTables(const dnn::Graph &graph, const arch::ArchConfig &arch,
                    const Analyzer &analyzer,
                    const std::vector<GroupPricer> &pricers,
-                   std::int64_t batch, const std::vector<std::int64_t> &units,
-                   std::size_t max_len);
-
-/**
- * The segment tables partitionGraph's DP reads under `options`, one per
- * pricer (buildSegmentTables with the options' segment cap and batch
- * units). With partitionFromTable, the two halves of partitionGraph.
- */
-std::vector<SegmentTable>
-partitionTables(const dnn::Graph &graph, const arch::ArchConfig &arch,
-                const Analyzer &analyzer,
-                const std::vector<GroupPricer> &pricers,
-                const PartitionOptions &options);
+                   const PartitionOptions &options);
 
 /**
  * partitionGraph's DP over one architecture's segment table, then the
- * stripe LMS of every chosen segment, evaluated by its analyzer.
+ * stripe LMS of every chosen segment, evaluated by its analyzer. With
+ * buildSegmentTables, the two halves of partitionGraph.
  */
 LpMapping partitionFromTable(const dnn::Graph &graph,
                              const arch::ArchConfig &arch,

@@ -253,9 +253,14 @@ expectTableExact(const dnn::Graph &g,
     std::vector<GroupPricer> pricers;
     for (const arch::ArchConfig &m : cohort)
         pricers.emplace_back(noc::InterconnectModel(m), cost::CostStack(m));
-    const std::vector<std::int64_t> units = defaultBatchUnits(batch);
+    PartitionOptions options;
+    options.batch = batch;
+    options.maxGroupLayers = static_cast<int>(max_len);
     const std::vector<SegmentTable> tables =
-        buildSegmentTables(g, a, an, pricers, batch, units, max_len);
+        buildSegmentTables(g, a, an, pricers, options);
+    const std::vector<std::int64_t> &units = tables.front().units;
+    EXPECT_EQ(units, defaultBatchUnits(batch));
+    EXPECT_EQ(tables.front().maxLen, max_len);
 
     std::size_t mismatches = 0;
     for (std::size_t k = 0; k < cohort.size(); ++k) {
