@@ -280,10 +280,11 @@ struct DseOptions
     DseSchedule schedule;
 
     /**
-     * Cooperative cancellation, checked once per candidate task (never
-     * on the SA inner loop). A cancelled run terminates quickly and still
-     * returns a structurally valid DseResult: already-evaluated records
-     * keep their deepest completed evaluation, skipped records are marked
+     * Cooperative cancellation, checked once per pool task (one
+     * candidate, or one screen cohort of them) and never on the SA inner
+     * loop. A cancelled run terminates quickly and still returns a
+     * structurally valid DseResult: already-evaluated records keep their
+     * deepest completed evaluation, skipped records are marked
      * infeasible, and the per-rung stats ledger is complete with
      * stats.cancelled set. Default-constructed = never cancelled.
      */
@@ -415,7 +416,10 @@ struct DseRecord
      */
     int saIters = 0;
 
-    /** CPU-seconds spent evaluating this candidate. */
+    /**
+     * CPU-seconds spent evaluating this candidate; a screen cohort's task
+     * is split evenly over its members.
+     */
     double evalSeconds = 0.0;
 
     double edp() const { return energyGeo * delayGeo; }

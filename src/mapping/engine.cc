@@ -65,10 +65,10 @@ MappingEngine::partitionOptions() const
 MappingResult
 MappingEngine::run()
 {
-    const std::vector<SegmentTable> tables =
+    return runFromTable(std::move(
         buildSegmentTables(graph_, arch_, analyzer_,
-                           {GroupPricer(noc_, costs_)}, partitionOptions());
-    return runFromTable(tables.front());
+                           {GroupPricer(noc_, costs_)}, partitionOptions())
+            .front()));
 }
 
 std::vector<MappingResult>
@@ -90,28 +90,31 @@ MappingEngine::runCohort(const dnn::Graph &graph,
                       "cohort architectures must be fragment-identical");
         pricers.emplace_back(noc, cost::CostStack(cohort[k], options.tech));
     }
-    const std::vector<SegmentTable> tables =
+    std::vector<SegmentTable> tables =
         buildSegmentTables(graph, lead->arch_, lead->analyzer_, pricers,
                            lead->partitionOptions());
     pricers.clear();
 
     std::vector<MappingResult> results;
     results.reserve(cohort.size());
-    results.push_back(lead->runFromTable(tables.front()));
+    results.push_back(lead->runFromTable(std::move(tables.front())));
     lead.reset();
     for (std::size_t k = 1; k < cohort.size(); ++k) {
         MappingEngine engine(graph, cohort[k], options, explorer);
-        results.push_back(engine.runFromTable(tables[k]));
+        results.push_back(engine.runFromTable(std::move(tables[k])));
     }
     return results;
 }
 
 MappingResult
-MappingEngine::runFromTable(const SegmentTable &table)
+MappingEngine::runFromTable(SegmentTable table)
 {
     MappingResult result;
     result.mapping = partitionFromTable(graph_, arch_, analyzer_, costs_,
                                         table, partitionOptions());
+    // Nothing after the DP reads the table: free it before the SA walk
+    // (gpt2_medium's is about 0.5 MiB).
+    table = {};
     const std::string err =
         checkMappingValid(graph_, arch_, result.mapping);
     GEMINI_ASSERT(err.empty(), "partitioner produced invalid mapping: ",

@@ -198,7 +198,7 @@ class MappingEngine
      * The rest of run() once the segment table is built: the DP and its
      * stripe LMS, the analytic seed, optional SA and evaluation.
      */
-    MappingResult runFromTable(const SegmentTable &table);
+    MappingResult runFromTable(SegmentTable table);
     /** Shared tail of run()/runFrom(): optional SA + final evaluation. */
     void optimizeInto(MappingResult &result);
     /**
