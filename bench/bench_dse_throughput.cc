@@ -9,10 +9,13 @@
  * is >= 3x lower CPU time at an equal-or-better final objective.
  */
 
+#include <sched.h>
+
 #include <chrono>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -96,6 +99,15 @@ printPruneJson(FILE *json, const char *name,
     std::fprintf(json, "}%s\n", tail);
 }
 
+/** CPUs this process may run on (a taskset narrows it below online). */
+int
+affinityCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    return sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 0;
+}
+
 } // namespace
 
 int
@@ -124,7 +136,8 @@ main(int argc, char **argv)
         static_cast<std::size_t>(benchutil::scaled(24, 96, 384));
 
     // Exhaustive: every candidate gets the full SA budget (the paper's
-    // driver). Serial chains per candidate so cpu_seconds ~= wall * threads.
+    // driver). Serial chains per candidate; cpu_seconds sums each task's
+    // thread CPU, so it reads ~= wall * busy CPUs.
     dse::DseOptions exhaustive = options;
     exhaustive.schedule.enabled = false;
     const RunOutcome flat = runOnce(exhaustive);
@@ -218,6 +231,13 @@ main(int argc, char **argv)
         "w");
     if (json) {
         std::fprintf(json, "{\n");
+        // Host context, not gated: both drivers run one pool worker per
+        // online CPU, and a taskset shares those workers among fewer CPUs.
+        std::fprintf(json,
+                     "  \"context\": {\"num_cpus\": %u, "
+                     "\"affinity_cpus\": %d, \"build_type\": \"%s\"},\n",
+                     std::thread::hardware_concurrency(), affinityCpus(),
+                     GEMINI_BUILD_TYPE);
         std::fprintf(json, "  \"axes\": \"paper72\",\n");
         std::fprintf(json, "  \"model\": \"%s\",\n", model.name().c_str());
         std::fprintf(json, "  \"candidates\": %zu,\n",

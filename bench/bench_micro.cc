@@ -10,13 +10,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cmath>
+#include <cstdio>
 #include <map>
-#include <tuple>
-#include <unordered_set>
 
 #include "src/arch/presets.hh"
-#include "src/common/rng.hh"
 #include "src/common/simd.hh"
 #include "src/cost/mc_evaluator.hh"
 #include "src/dnn/zoo.hh"
@@ -24,9 +21,7 @@
 #include "src/intracore/explorer.hh"
 #include "src/mapping/analyzer.hh"
 #include "src/mapping/engine.hh"
-#include "src/mapping/operators.hh"
 #include "src/mapping/sa.hh"
-#include "src/mapping/space.hh"
 #include "src/mapping/stripe.hh"
 #include "src/noc/interconnect.hh"
 
@@ -123,19 +118,16 @@ BM_SaIteration(benchmark::State &state)
 BENCHMARK(BM_SaIteration);
 
 /**
- * Multi-group SA throughput: the headline metric of the incremental hot
- * path, measured three ways on the same multi-group workload:
+ * Multi-group SA throughput on one small multi-group workload, measured
+ * two ways:
  *
- *  - Seed: a verbatim port of the original (seed commit) hot path — the
- *    monolithic per-call group analyzer with std::map request grouping,
- *    hash-set multicast dedup over std::function hop walking, O(groups)
- *    cost re-sum per iteration and whole-mapping copies on improvement.
- *  - Baseline: the restructured engine with every new mechanism switched
- *    off (no caches, no incremental accumulator, no basin hopping).
- *  - Optimized: incremental cost accumulator + fragment/eval caches + 4
+ *  - Baseline: the restructured engine with every mechanism switched off
+ *    (no caches, no incremental accumulator, no basin hopping).
+ *  - Optimized: incremental cost accumulator + fragment caches + 4
  *    deterministic chains at the same total iteration budget.
  *
- * items_per_second == SA iterations/sec in all three.
+ * items_per_second == SA iterations/sec in both. The SA gate holds
+ * Optimized / Baseline, a ratio of two rows from the same run.
  */
 struct SaWorkload
 {
@@ -192,8 +184,8 @@ runSaChains(const SaWorkload &w, int chains, int iters_per_chain,
         mapping::SaOptions so;
         so.iterations = iters_per_chain;
         so.incrementalCost = incremental;
-        // The seed-faithful baseline keeps the seed's plain Metropolis
-        // schedule; the optimized config adds basin hopping.
+        // The baseline keeps the plain Metropolis schedule; the
+        // optimized config adds basin hopping.
         if (!incremental && cache_entries == 0)
             so.reheatInterval = 0;
         so.seed = mapping::SaEngine::chainSeed(kSaSeed, c);
@@ -219,437 +211,6 @@ rateOf(std::uint64_t hits, std::uint64_t misses)
                      static_cast<double>(hits + misses)
                : 0.0;
 }
-
-/**
- * Verbatim port of the seed-commit hot path (mapping/analyzer.cc and
- * mapping/sa.cc at d672c74), kept here so bench_micro can report the
- * speedup of the incremental engine against the original implementation
- * in one binary. Only mechanical adaptations: free functions instead of
- * members, and the NoC multicast/unicast helpers inlined the way the
- * seed NocModel implemented them (hash-set dedup over std::function hop
- * callbacks).
- */
-namespace seedpath {
-
-using mapping::GroupAnalysis;
-using mapping::LayerGroupMapping;
-using mapping::LpMapping;
-using mapping::MappingScheme;
-using mapping::WorkRegion;
-
-struct Piece
-{
-    CoreId core;
-    WorkRegion wr;
-    double inputBytes = 0.0;
-    double outputBytes = 0.0;
-};
-
-using RegionKey =
-    std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t,
-               std::int64_t, std::int64_t, std::int64_t, std::int64_t>;
-
-RegionKey
-keyOf(const dnn::Region &r, std::int64_t b0, std::int64_t b1)
-{
-    return {r.c0, r.c1, r.h0, r.h1, r.w0, r.w1, b0, b1};
-}
-
-void
-seedUnicast(const noc::InterconnectModel &noc, noc::TrafficMap &map, noc::NodeId src,
-            noc::NodeId dst, double bytes)
-{
-    if (bytes <= 0.0)
-        return;
-    noc.forEachHop(src, dst, [&](noc::NodeId a, noc::NodeId b) {
-        map.add(a, b, bytes);
-    });
-}
-
-void
-seedMulticast(const noc::InterconnectModel &noc, noc::TrafficMap &map,
-              noc::NodeId src, const std::vector<noc::NodeId> &dsts,
-              double bytes)
-{
-    if (bytes <= 0.0 || dsts.empty())
-        return;
-    std::unordered_set<noc::LinkKey> seen;
-    for (noc::NodeId dst : dsts) {
-        noc.forEachHop(src, dst, [&](noc::NodeId a, noc::NodeId b) {
-            if (seen.insert(noc::makeLink(a, b)).second)
-                map.add(a, b, bytes);
-        });
-    }
-}
-
-GroupAnalysis
-seedAnalyzeGroup(const dnn::Graph &graph, const arch::ArchConfig &arch,
-                 const noc::InterconnectModel &noc, intracore::Explorer &explorer,
-                 const LayerGroupMapping &group, std::int64_t batch,
-                 const mapping::OfmapDramLookup &ofmap_dram_of)
-{
-    GroupAnalysis out;
-    out.dramBytesPerUnit.assign(arch.dramCount, 0.0);
-    out.numUnits = batch / group.batchUnit;
-
-    const std::size_t n_layers = group.layers.size();
-
-    std::vector<std::vector<Piece>> pieces(n_layers);
-    for (std::size_t li = 0; li < n_layers; ++li) {
-        const dnn::Layer &layer = graph.layer(group.layers[li]);
-        const MappingScheme &ms = group.schemes[li];
-        double stage_seconds = 0.0;
-        pieces[li].reserve(ms.coreGroup.size());
-        for (std::size_t i = 0; i < ms.coreGroup.size(); ++i) {
-            Piece p;
-            p.core = ms.coreGroup[i];
-            p.wr = workRegionOf(layer, ms.part, group.batchUnit,
-                                workIndexOf(ms.part,
-                                            static_cast<std::int64_t>(i)));
-            p.outputBytes = static_cast<double>(p.wr.volume());
-
-            intracore::Tile tile;
-            tile.b = p.wr.b1 - p.wr.b0;
-            tile.k = p.wr.region.channels();
-            tile.h = p.wr.region.height();
-            tile.w = p.wr.region.width();
-            tile.vecOpFactor =
-                static_cast<double>(layer.vectorOpsPerSample()) /
-                static_cast<double>(layer.ofmapVolume());
-            switch (layer.kind) {
-              case dnn::LayerKind::Conv:
-              case dnn::LayerKind::FC:
-                tile.macWork = true;
-                tile.cPerGroup = layer.c / layer.groups;
-                tile.r = layer.r;
-                tile.s = layer.s;
-                tile.strideH = layer.strideH;
-                tile.strideW = layer.strideW;
-                break;
-              case dnn::LayerKind::Matmul:
-                tile.macWork = true;
-                tile.cPerGroup = layer.transposedInner();
-                break;
-              default:
-                tile.macWork = false;
-                break;
-            }
-            const intracore::CoreCost &cost = explorer.evaluate(tile);
-            out.coreEnergyPerUnit += cost.energyJ;
-            stage_seconds =
-                std::max(stage_seconds, explorer.seconds(cost.cycles));
-            pieces[li].push_back(p);
-        }
-        out.maxStageSeconds = std::max(out.maxStageSeconds, stage_seconds);
-    }
-
-    auto dram_read = [&](DramSel sel, double bytes,
-                         const std::vector<noc::NodeId> &dsts) {
-        if (bytes <= 0.0 || dsts.empty())
-            return;
-        if (sel == kDramInterleaved) {
-            const double share = bytes / arch.dramCount;
-            for (int d = 0; d < arch.dramCount; ++d) {
-                seedMulticast(noc, out.traffic, noc.dramNode(d), dsts,
-                              share);
-                out.dramBytesPerUnit[d] += share;
-            }
-        } else {
-            seedMulticast(noc, out.traffic, noc.dramNode(sel - 1), dsts,
-                          bytes);
-            out.dramBytesPerUnit[sel - 1] += bytes;
-        }
-    };
-    auto dram_write = [&](DramSel sel, double bytes, CoreId src) {
-        if (bytes <= 0.0)
-            return;
-        if (sel == kDramInterleaved) {
-            const double share = bytes / arch.dramCount;
-            for (int d = 0; d < arch.dramCount; ++d) {
-                seedUnicast(noc, out.traffic, noc.coreNode(src),
-                            noc.dramNode(d), share);
-                out.dramBytesPerUnit[d] += share;
-            }
-        } else {
-            seedUnicast(noc, out.traffic, noc.coreNode(src),
-                        noc.dramNode(sel - 1), bytes);
-            out.dramBytesPerUnit[sel - 1] += bytes;
-        }
-    };
-
-    for (std::size_t li = 0; li < n_layers; ++li) {
-        const LayerId layer_id = group.layers[li];
-        const dnn::Layer &layer = graph.layer(layer_id);
-        const MappingScheme &ms = group.schemes[li];
-
-        const std::size_t n_inputs =
-            std::max<std::size_t>(layer.inputs.size(), 1);
-        for (std::size_t j = 0; j < n_inputs; ++j) {
-            const bool external = layer.inputs.empty();
-            const LayerId producer = external ? -1 : layer.inputs[j];
-            const int pi = external ? -1 : group.indexOf(producer);
-
-            if (pi >= 0) {
-                for (const Piece &pp : pieces[pi]) {
-                    std::map<RegionKey, std::pair<double,
-                                                  std::vector<noc::NodeId>>>
-                        mcast;
-                    for (const Piece &cp : pieces[li]) {
-                        const dnn::Region rq =
-                            layer.requiredInput(j, cp.wr.region);
-                        const dnn::Region ov = rq.intersect(pp.wr.region);
-                        const std::int64_t b0 =
-                            std::max(cp.wr.b0, pp.wr.b0);
-                        const std::int64_t b1 =
-                            std::min(cp.wr.b1, pp.wr.b1);
-                        if (ov.empty() || b1 <= b0)
-                            continue;
-                        const double bytes =
-                            static_cast<double>(ov.volume() * (b1 - b0));
-                        if (cp.core == pp.core)
-                            continue;
-                        auto &entry = mcast[keyOf(ov, b0, b1)];
-                        entry.first = bytes;
-                        entry.second.push_back(noc.coreNode(cp.core));
-                    }
-                    for (const auto &[key, flow] : mcast)
-                        seedMulticast(noc, out.traffic,
-                                      noc.coreNode(pp.core), flow.second,
-                                      flow.first);
-                }
-                for (Piece &cp : pieces[li]) {
-                    const dnn::Region rq =
-                        layer.requiredInput(j, cp.wr.region);
-                    const dnn::Region ov =
-                        rq.intersect(dnn::Region::full(
-                            graph.layer(producer).k,
-                            graph.layer(producer).h,
-                            graph.layer(producer).w));
-                    cp.inputBytes += static_cast<double>(
-                        ov.volume() * (cp.wr.b1 - cp.wr.b0));
-                }
-            } else {
-                const DramSel src = external
-                                        ? ms.fd.ifmap
-                                        : ofmap_dram_of(producer);
-                std::int64_t pc, ph, pw;
-                graph.producerShape(producer, pc, ph, pw);
-                std::map<RegionKey,
-                         std::pair<double, std::vector<noc::NodeId>>>
-                    mcast;
-                for (Piece &cp : pieces[li]) {
-                    dnn::Region rq = layer.requiredInput(j, cp.wr.region);
-                    rq = rq.clampTo(pc, ph, pw);
-                    if (rq.empty())
-                        continue;
-                    const double bytes = static_cast<double>(
-                        rq.volume() * (cp.wr.b1 - cp.wr.b0));
-                    cp.inputBytes += bytes;
-                    auto &entry = mcast[keyOf(rq, cp.wr.b0, cp.wr.b1)];
-                    entry.first = bytes;
-                    entry.second.push_back(noc.coreNode(cp.core));
-                }
-                for (const auto &[key, flow] : mcast)
-                    dram_read(src, flow.first, flow.second);
-            }
-        }
-    }
-
-    for (std::size_t li = 0; li < n_layers; ++li) {
-        const dnn::Layer &layer = graph.layer(group.layers[li]);
-        if (!layer.hasWeights())
-            continue;
-        const MappingScheme &ms = group.schemes[li];
-
-        std::map<std::int64_t, std::pair<double, std::vector<noc::NodeId>>>
-            by_k;
-        std::vector<double> weight_bytes_of(pieces[li].size(), 0.0);
-        for (std::size_t i = 0; i < pieces[li].size(); ++i) {
-            const Piece &p = pieces[li][i];
-            const std::int64_t klen = p.wr.region.channels();
-            const double wbytes =
-                static_cast<double>(klen * (layer.c / layer.groups) *
-                                    layer.r * layer.s) +
-                4.0 * klen;
-            weight_bytes_of[i] = wbytes;
-            auto &entry = by_k[p.wr.region.c0];
-            entry.first = wbytes;
-            entry.second.push_back(noc.coreNode(p.core));
-        }
-
-        bool resident = true;
-        for (std::size_t i = 0; i < pieces[li].size(); ++i) {
-            const Piece &p = pieces[li][i];
-            const double need = weight_bytes_of[i] +
-                                2.0 * (p.inputBytes + p.outputBytes);
-            if (need > static_cast<double>(arch.glbBytes()))
-                resident = false;
-        }
-        const double factor =
-            resident ? 1.0 / static_cast<double>(out.numUnits) : 1.0;
-        for (const auto &[k0, flow] : by_k)
-            dram_read(ms.fd.weight, flow.first * factor, flow.second);
-    }
-
-    for (std::size_t li = 0; li < n_layers; ++li) {
-        const MappingScheme &ms = group.schemes[li];
-        if (ms.fd.ofmap == kDramUnmanaged)
-            continue;
-        for (const Piece &p : pieces[li])
-            dram_write(ms.fd.ofmap, static_cast<double>(p.wr.volume()),
-                       p.core);
-    }
-
-    for (std::size_t li = 0; li < n_layers; ++li) {
-        const dnn::Layer &layer = graph.layer(group.layers[li]);
-        for (const Piece &p : pieces[li]) {
-            double need = 2.0 * (p.inputBytes + p.outputBytes);
-            if (layer.hasWeights()) {
-                const std::int64_t klen = p.wr.region.channels();
-                const double wbytes = static_cast<double>(
-                    klen * (layer.c / layer.groups) * layer.r * layer.s);
-                need += std::min(wbytes,
-                                 static_cast<double>(arch.glbBytes()) / 4);
-            }
-            const double ratio =
-                need / static_cast<double>(arch.glbBytes()) - 1.0;
-            out.glbOverflow = std::max(out.glbOverflow, ratio);
-        }
-    }
-    out.glbOverflow = std::max(out.glbOverflow, 0.0);
-
-    std::vector<int> depth(n_layers, 1);
-    for (std::size_t li = 0; li < n_layers; ++li) {
-        for (LayerId in : graph.layer(group.layers[li]).inputs) {
-            const int pi = group.indexOf(in);
-            if (pi >= 0)
-                depth[li] = std::max(depth[li], depth[pi] + 1);
-        }
-        out.pipelineDepth = std::max(out.pipelineDepth, depth[li]);
-    }
-    return out;
-}
-
-double
-seedOptimize(const dnn::Graph &graph, const arch::ArchConfig &arch,
-             const noc::InterconnectModel &noc, intracore::Explorer &explorer,
-             const cost::CostStack &energy, const mapping::Analyzer &an,
-             LpMapping &mapping, int iterations, std::uint64_t seed)
-{
-    Rng rng(seed);
-    auto analyze_one = [&](const LpMapping &m, std::size_t g) {
-        auto lookup = [&m](LayerId layer) { return m.ofmapDramOf(layer); };
-        const GroupAnalysis analysis = seedAnalyzeGroup(
-            graph, arch, noc, explorer, m.groups[g], m.batch, lookup);
-        return an.evaluate(analysis, energy);
-    };
-
-    std::vector<eval::EvalBreakdown> evals;
-    for (std::size_t g = 0; g < mapping.groups.size(); ++g)
-        evals.push_back(analyze_one(mapping, g));
-    double current_cost = mapping::SaEngine::cost(evals, 1.0, 1.0);
-
-    LpMapping best_mapping = mapping;
-    std::vector<eval::EvalBreakdown> best_evals = evals;
-    double best_cost = current_cost;
-
-    std::vector<double> weights(mapping.groups.size());
-    for (std::size_t g = 0; g < mapping.groups.size(); ++g) {
-        const auto &grp = mapping.groups[g];
-        const double lg = mapping::log10SpaceSize(
-            static_cast<std::int64_t>(grp.totalCores()),
-            static_cast<std::int64_t>(grp.layers.size()));
-        weights[g] = std::isfinite(lg) ? std::max(1.0, lg) : 1.0;
-    }
-
-    auto consumer_groups_of = [&](LayerId layer) {
-        std::vector<std::size_t> out;
-        for (LayerId consumer : graph.consumers(layer)) {
-            const int g = mapping.groupOf(consumer);
-            if (g >= 0)
-                out.push_back(static_cast<std::size_t>(g));
-        }
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
-        return out;
-    };
-
-    const double t_start = 0.2, t_end = 1e-3;
-    const double t_ratio = t_end / t_start;
-    for (int iter = 0; iter < iterations; ++iter) {
-        const double progress =
-            iterations > 1 ? static_cast<double>(iter) / (iterations - 1)
-                           : 1.0;
-        const double temp = t_start * std::pow(t_ratio, progress);
-
-        const std::size_t g = rng.nextWeighted(weights);
-        const auto op = static_cast<mapping::SaOperator>(rng.nextInt(5));
-
-        LayerGroupMapping saved = mapping.groups[g];
-        const mapping::OperatorEffect eff =
-            applyOperator(op, mapping.groups[g], graph, arch, rng);
-        if (!eff.applied)
-            continue;
-
-        std::vector<std::size_t> touched{g};
-        if (eff.ofmapFlowChanged) {
-            for (std::size_t cg : consumer_groups_of(eff.ofmapLayer))
-                if (cg != g)
-                    touched.push_back(cg);
-        }
-        std::vector<eval::EvalBreakdown> saved_evals;
-        saved_evals.reserve(touched.size());
-        for (std::size_t t : touched) {
-            saved_evals.push_back(evals[t]);
-            evals[t] = analyze_one(mapping, t);
-        }
-
-        const double new_cost = mapping::SaEngine::cost(evals, 1.0, 1.0);
-        const double delta = (new_cost - current_cost) /
-                             std::max(current_cost, 1e-300);
-        bool accept = delta < 0.0;
-        if (!accept && temp > 0.0)
-            accept = rng.nextDouble() < std::exp(-delta / temp);
-
-        if (accept) {
-            current_cost = new_cost;
-            if (new_cost < best_cost) {
-                best_cost = new_cost;
-                best_mapping = mapping;
-                best_evals = evals;
-            }
-        } else {
-            mapping.groups[g] = std::move(saved);
-            for (std::size_t t = 0; t < touched.size(); ++t)
-                evals[touched[t]] = saved_evals[t];
-        }
-    }
-
-    mapping = std::move(best_mapping);
-    return best_cost;
-}
-
-} // namespace seedpath
-
-void
-BM_SaThroughputSeed(benchmark::State &state)
-{
-    const SaWorkload &w = saWorkload();
-    double best = 0.0;
-    for (auto _ : state) {
-        noc::InterconnectModel noc(w.arch);
-        intracore::Explorer ex(w.arch.macsPerCore, w.arch.glbBytes(),
-                               w.arch.freqGHz);
-        cost::CostStack em(w.arch);
-        mapping::Analyzer an(w.graph, w.arch, noc, ex);
-        mapping::LpMapping m = w.init;
-        best = seedpath::seedOptimize(w.graph, w.arch, noc, ex, em, an, m,
-                                      kSaBudget, kSaSeed);
-    }
-    state.SetItemsProcessed(state.iterations() * kSaBudget);
-    state.counters["best_cost"] = best;
-}
-BENCHMARK(BM_SaThroughputSeed);
 
 void
 BM_SaThroughputBaseline(benchmark::State &state)
@@ -924,4 +485,16 @@ BENCHMARK(BM_FullMappingTinyNet);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    // The build type of this binary; google-benchmark's own
+    // library_build_type describes the benchmark library instead.
+    benchmark::AddCustomContext("gemini_build_type", GEMINI_BUILD_TYPE);
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

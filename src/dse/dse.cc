@@ -13,6 +13,7 @@
 #include <thread>
 #include <utility>
 
+#include "src/common/cpu_clock.hh"
 #include "src/common/logging.hh"
 #include "src/common/simd.hh"
 #include "src/common/thread_pool.hh"
@@ -674,7 +675,15 @@ class MultiFidelityScheduler
     void
     runTask(int r, const std::vector<std::size_t> &members)
     {
+        // An in-process task is charged the CPU its thread used. A remote
+        // task's CPU is spent in the worker process, so it is charged the
+        // wall time it waited.
         const auto t0 = std::chrono::steady_clock::now();
+        const double cpu0 = common::threadCpuSeconds();
+        const auto task_seconds = [&] {
+            return remote_ ? secondsSince(t0)
+                           : common::threadCpuSeconds() - cpu0;
+        };
         const Rung &rung = ladder_[static_cast<std::size_t>(r)];
         const bool cold = r == 0;
         // Only a rung with a successor keeps warm starts, and only a
@@ -700,7 +709,7 @@ class MultiFidelityScheduler
                     rec->objective = kInf;
                 }
             }
-            finishTask(r, members, secondsSince(t0));
+            finishTask(r, members, task_seconds());
             return;
         }
         if (cold)
@@ -722,7 +731,7 @@ class MultiFidelityScheduler
             RemoteEvalOutcome out = opts_.remoteEval(rq);
             if (out.poisoned) {
                 markPoisoned(rec, r, std::move(out.poisonReason));
-                finishTask(r, members, secondsSince(t0));
+                finishTask(r, members, task_seconds());
                 return;
             }
             mappings.push_back(std::move(out.mappings));
@@ -748,7 +757,7 @@ class MultiFidelityScheduler
             finishRecord(*recs[k], opts_);
             recs[k]->rungReached = rung.id;
         }
-        finishTask(r, members, secondsSince(t0));
+        finishTask(r, members, task_seconds());
     }
 
     bool

@@ -130,7 +130,12 @@ struct DseRungStats
     int prunedRank = 0;  ///< dropped by the keep-fraction ranking
     int poisoned = 0;    ///< quarantined at this rung (worker mode)
     int saIters = 0;     ///< per-candidate per-model SA budget of the rung
-    double cpuSeconds = 0.0;    ///< summed per-candidate eval seconds
+    /**
+     * Summed task seconds of the rung: thread CPU seconds for tasks run
+     * in this process, elapsed wall seconds for worker-mode tasks (their
+     * CPU is spent in the worker process).
+     */
+    double cpuSeconds = 0.0;
     double bestObjective = 0.0; ///< best feasible objective after the rung
 };
 
@@ -417,8 +422,10 @@ struct DseRecord
     int saIters = 0;
 
     /**
-     * CPU-seconds spent evaluating this candidate; a screen cohort's task
-     * is split evenly over its members.
+     * Seconds spent evaluating this candidate: thread CPU seconds in
+     * process, elapsed wall seconds in worker mode (the CPU is spent in
+     * the worker process). A screen cohort's task is split evenly over
+     * its members.
      */
     double evalSeconds = 0.0;
 

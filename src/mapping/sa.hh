@@ -48,8 +48,9 @@ struct SaOptions
     /**
      * Maintain the whole-DNN cost as per-group contributions updated only
      * for the touched groups — O(touched) per iteration instead of
-     * O(groups). false restores the original full re-sum; kept so
-     * bench_micro can measure the seed baseline in the same binary.
+     * O(groups). false recomputes the full sum on each proposal; it is a
+     * spec field (`sa.incremental_cost`), and bench_micro's
+     * BM_SaThroughputBaseline runs with it off.
      */
     bool incrementalCost = true;
 

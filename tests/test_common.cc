@@ -1,15 +1,19 @@
 /**
  * @file
  * Unit tests for the common utilities: math helpers, RNG determinism and
- * distribution sanity, CSV writer, and the thread pool.
+ * distribution sanity, CSV writer, the thread pool and the thread CPU
+ * clock.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <thread>
 
+#include "src/common/cpu_clock.hh"
 #include "src/common/csv.hh"
 #include "src/common/math_util.hh"
 #include "src/common/rng.hh"
@@ -327,6 +331,27 @@ TEST(ThreadPool, ReportsThreadCount)
 {
     ThreadPool pool(5);
     EXPECT_EQ(pool.threadCount(), 5u);
+}
+
+// ------------------------------------------------------ thread cpu clock --
+
+TEST(ThreadCpuClock, CountsWorkButNotSleep)
+{
+    // A DSE task is charged this clock, so time the thread spends off the
+    // CPU (sleeping here, preempted on a crowded host) must not count.
+    const double t0 = common::threadCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const double slept = common::threadCpuSeconds() - t0;
+    EXPECT_GE(slept, 0.0);
+    EXPECT_LT(slept, 0.025);
+
+    const auto wall = std::chrono::steady_clock::now();
+    const double t1 = common::threadCpuSeconds();
+    volatile double sink = 0.0;
+    while (common::threadCpuSeconds() - t1 < 0.01 &&
+           std::chrono::steady_clock::now() - wall < std::chrono::seconds(5))
+        sink = sink + 1.0;
+    EXPECT_GE(common::threadCpuSeconds() - t1, 0.01);
 }
 
 } // namespace
