@@ -5,12 +5,14 @@
  * 72 TOPs Table-I axes. Reports wall-clock, summed candidate-evaluation
  * CPU-seconds, SA iterations spent and the winning objective of both
  * drivers, prints the scheduler's per-rung ledger, and emits
- * BENCH_dse_throughput.json for CI trend tracking. The scheduler's target
+ * BENCH_dse_throughput.json for CI trend tracking. The scheduler runs
+ * five times and reports its median-CPU run. The scheduler's target
  * is >= 3x lower CPU time at an equal-or-better final objective.
  */
 
 #include <sched.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -160,7 +162,35 @@ main(int argc, char **argv)
     // iterations stay far below the exhaustive driver's.
     scheduled.mapping.sa.plateauWindow =
         std::max(256, 3 * options.mapping.sa.iterations / 4);
-    const RunOutcome multi = runOnce(scheduled);
+    // The scheduled run is deterministic but short (under a second of
+    // thread CPU), so one run's CPU time spreads with the host. Repeat it
+    // and report the median-CPU run; every repetition must pick the same
+    // winner with the same SA budget.
+    constexpr std::size_t kScheduledRuns = 5;
+    std::vector<RunOutcome> reps;
+    for (std::size_t i = 0; i < kScheduledRuns; ++i)
+        reps.push_back(runOnce(scheduled));
+    for (const RunOutcome &r : reps) {
+        if (r.result.bestIndex != reps[0].result.bestIndex ||
+            (r.result.bestIndex >= 0 &&
+             r.result.best().objective !=
+                 reps[0].result.best().objective) ||
+            saItersTotal(r.result) != saItersTotal(reps[0].result)) {
+            std::fprintf(stderr, "FAIL: scheduled repetitions disagree\n");
+            return 1;
+        }
+    }
+    std::vector<double> rep_walls;
+    for (const RunOutcome &r : reps)
+        rep_walls.push_back(r.wallSeconds);
+    std::sort(rep_walls.begin(), rep_walls.end());
+    std::sort(reps.begin(), reps.end(),
+              [](const RunOutcome &a, const RunOutcome &b) {
+                  return a.result.stats.cpuSeconds() <
+                         b.result.stats.cpuSeconds();
+              });
+    const RunOutcome &multi = reps[kScheduledRuns / 2];
+    const double multi_wall = rep_walls[kScheduledRuns / 2];
 
     const double flat_obj = flat.result.bestIndex >= 0
                                 ? flat.result.best().objective
@@ -172,7 +202,7 @@ main(int argc, char **argv)
     const double multi_cpu = multi.result.stats.cpuSeconds();
     const double cpu_speedup = multi_cpu > 0.0 ? flat_cpu / multi_cpu : 0.0;
     const double wall_speedup =
-        multi.wallSeconds > 0.0 ? flat.wallSeconds / multi.wallSeconds : 0.0;
+        multi_wall > 0.0 ? flat.wallSeconds / multi_wall : 0.0;
     const double obj_ratio = flat_obj > 0.0 ? multi_obj / flat_obj : 0.0;
 
     benchutil::ConsoleTable t({"driver", "candidates", "sa_iters",
@@ -182,10 +212,14 @@ main(int argc, char **argv)
              flat.wallSeconds, flat_obj);
     t.addRow("scheduled", static_cast<int>(multi.result.records.size()),
              static_cast<double>(saItersTotal(multi.result)), multi_cpu,
-             multi.wallSeconds, multi_obj);
+             multi_wall, multi_obj);
     t.print();
 
-    std::printf("scheduler rung ledger:\n");
+    std::printf("scheduled: median of %zu runs; cpu_s per run:",
+                kScheduledRuns);
+    for (const RunOutcome &r : reps)
+        std::printf(" %.3f", r.result.stats.cpuSeconds());
+    std::printf("\nscheduler rung ledger (median run):\n");
     benchutil::ConsoleTable rt({"rung", "in", "out", "pruned bound",
                                 "pruned rank", "sa_iters", "cpu_s",
                                 "best objective"});
@@ -257,11 +291,17 @@ main(int argc, char **argv)
                      "  \"scheduled\": {\"cpu_seconds\": %.6f, "
                      "\"wall_seconds\": %.6f, \"sa_iters\": %ld, "
                      "\"best_objective\": %.10g, \"best_arch\": \"%s\",\n",
-                     multi_cpu, multi.wallSeconds,
+                     multi_cpu, multi_wall,
                      saItersTotal(multi.result), multi_obj,
                      multi.result.bestIndex >= 0
                          ? multi.result.best().arch.toString().c_str()
                          : "none");
+        std::fprintf(json, "    \"runs\": %zu, \"run_cpu_seconds\": [",
+                     kScheduledRuns);
+        for (std::size_t i = 0; i < reps.size(); ++i)
+            std::fprintf(json, "%s%.6f", i ? ", " : "",
+                         reps[i].result.stats.cpuSeconds());
+        std::fprintf(json, "],\n");
         std::fprintf(json, "    \"rungs\": [\n");
         const auto &rungs = multi.result.stats.rungs;
         for (std::size_t i = 0; i < rungs.size(); ++i) {

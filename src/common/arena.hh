@@ -194,6 +194,30 @@ class BumpArena
         return {static_cast<T *>(p), count};
     }
 
+    /** Bump-allocate a copy of `src`. */
+    template <typename T>
+    std::span<T>
+    copySpan(std::span<const T> src)
+    {
+        const std::span<T> out = allocSpan<T>(src.size());
+        std::uninitialized_copy(src.begin(), src.end(), out.begin());
+        return out;
+    }
+
+    /**
+     * Hold at least `bytes` across the retained chunks. A reservation is
+     * sizing, not growth: allocEvents() does not count it. Chunk memory
+     * is left uninitialized, so reserved pages the arena never hands out
+     * are never written.
+     */
+    void
+    reserve(std::size_t bytes)
+    {
+        const std::size_t held = bytesReserved();
+        if (held < bytes)
+            chunks_.push_back(chunkOf(bytes - held));
+    }
+
     /** Rewind to empty; every chunk (and its pages) is retained. */
     void
     reset()
@@ -228,6 +252,13 @@ class BumpArena
         std::size_t size = 0;
     };
 
+    /** A fresh chunk; its bytes stay unwritten until handed out. */
+    static Chunk
+    chunkOf(std::size_t size)
+    {
+        return {std::make_unique_for_overwrite<std::byte[]>(size), size};
+    }
+
     void *
     bump(std::size_t bytes, std::size_t align)
     {
@@ -250,10 +281,8 @@ class BumpArena
                 cursor_ = 0;
                 continue;
             }
-            const std::size_t size =
-                bytes + align > chunkBytes_ ? bytes + align : chunkBytes_;
-            chunks_.push_back(
-                {std::make_unique<std::byte[]>(size), size});
+            chunks_.push_back(chunkOf(
+                bytes + align > chunkBytes_ ? bytes + align : chunkBytes_));
             ++allocEvents_;
             cursor_ = 0;
         }

@@ -11,17 +11,30 @@
  *    a probe touches two small parallel arrays, not a node per entry.
  *  - Keys are interned into a bump arena of raw words; equality is a
  *    length check plus a word compare. No per-key heap allocation.
- *  - Values live in a deque so references returned by find()/insert()
- *    stay valid across later inserts (fragment gathering holds pointers
- *    to several cached fragments while inserting more).
+ *  - Values live in a ValuePool of fixed-size blocks that never move,
+ *    so references returned by find()/insert() stay valid across later
+ *    inserts (fragment gathering holds pointers to several cached
+ *    fragments while inserting more). reserve() sets aside raw blocks
+ *    for the live bound; a value is constructed on first use.
+ *  - A value's variable-length contents (a fragment's link list or tile
+ *    regions) go in the table's payload arena, a bump arena the owner
+ *    fills through payload(). Memory then follows the bytes live in the
+ *    table, not the largest value each slot ever held.
  *  - clear() is a generational wipe: the generation counter bumps and
- *    every slot goes stale at once — O(live values) for destruction,
- *    zero slot-array traffic, and all capacity (slots, arena, probe
- *    buffers) is retained, so a wipe-and-refill cycle allocates nothing.
+ *    every slot goes stale at once — zero slot-array traffic, no value
+ *    destroyed, the payload arena rewound, and all capacity (slots, key
+ *    arena, value pool, payload chunks) retained. spare() hands a wiped
+ *    value out for the next insert to overwrite in place, so a refill
+ *    allocates nothing unless its payload outgrows every earlier fill.
+ *    The pool holds blocks for the live bound and no more.
  *  - Growth is opt-in (the Explorer memo grows; the Analyzer caches are
- *    bounded and wiped by their owner). Every buffer growth — slots,
- *    arena — bumps an allocation-event counter so benchmarks can assert
- *    the steady state is allocation-free.
+ *    bounded and wiped by their owner). Every buffer growth past what
+ *    reserve() set aside — slots, key arena, value-pool blocks, payload
+ *    chunks — bumps an allocation-event counter, so inserts within the
+ *    bound and its payload hint read zero events, wipes and refills
+ *    included. The counter cannot see heap memory a value allocates for
+ *    itself; the allocation gate test, which counts global operator new,
+ *    covers that.
  */
 
 #ifndef GEMINI_COMMON_FLAT_TABLE_HH
@@ -30,8 +43,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <deque>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/common/arena.hh"
@@ -51,6 +65,73 @@ hashWords(std::span<const std::int64_t> words)
     return h;
 }
 
+/**
+ * Stable storage for a flat table's values: raw blocks of kBlock values
+ * that never move. reserve() sets blocks aside without constructing
+ * anything, so untouched reservations cost no page faults; build()
+ * constructs values in index order on first use. Values outlive wipes:
+ * only the destructor destroys them.
+ */
+template <typename Value>
+class ValuePool
+{
+  public:
+    ValuePool() = default;
+    ValuePool(const ValuePool &) = delete;
+    ValuePool &operator=(const ValuePool &) = delete;
+    ~ValuePool()
+    {
+        for (std::size_t i = 0; i < built_; ++i)
+            at(i)->~Value();
+    }
+
+    std::size_t capacity() const { return blocks_.size() * kBlock; }
+
+    /** Set aside raw storage for `n` values; true if it allocated. */
+    bool
+    reserve(std::size_t n)
+    {
+        const bool grows = capacity() < n;
+        while (capacity() < n)
+            blocks_.emplace_back(std::allocator<Value>().allocate(kBlock));
+        return grows;
+    }
+
+    /** Value `i` (i < capacity()), default-constructed on first use. */
+    Value &
+    build(std::size_t i)
+    {
+        for (; built_ <= i; ++built_)
+            ::new (static_cast<void *>(at(built_))) Value();
+        return *at(i);
+    }
+
+    /** An already-built value. */
+    Value &operator[](std::size_t i) { return *at(i); }
+    const Value &operator[](std::size_t i) const { return *at(i); }
+
+  private:
+    static constexpr std::size_t kBlock = 64;
+
+    struct Free
+    {
+        void
+        operator()(Value *p) const
+        {
+            std::allocator<Value>().deallocate(p, kBlock);
+        }
+    };
+
+    Value *
+    at(std::size_t i) const
+    {
+        return blocks_[i / kBlock].get() + i % kBlock;
+    }
+
+    std::vector<std::unique_ptr<Value, Free>> blocks_;
+    std::size_t built_ = 0; ///< values [0, built_) are constructed
+};
+
 template <typename Value>
 class FlatWordTable
 {
@@ -62,11 +143,13 @@ class FlatWordTable
     /**
      * Bound the table to `entries` live entries and pre-size every buffer
      * so inserts up to the bound never reallocate. `words_per_key` sizes
-     * the key arena (a hint; the arena grows — and counts the event — if
-     * keys run longer). Keeps existing entries.
+     * the key arena and `payload_bytes` the payload arena, per entry
+     * (hints; an arena grows — and counts the event — if entries run
+     * longer). Keeps existing entries.
      */
     void
-    reserve(std::size_t entries, std::size_t words_per_key = 24)
+    reserve(std::size_t entries, std::size_t words_per_key = 24,
+            std::size_t payload_bytes = 0)
     {
         bound_ = entries;
         wordsPerKey_ = words_per_key;
@@ -76,6 +159,8 @@ class FlatWordTable
         if (slots > gens_.size())
             rehash(slots);
         arena_.reserve(bound_ * wordsPerKey_);
+        pool_.reserve(bound_);
+        payload_.reserve(bound_ * payload_bytes);
     }
 
     /** Live entry bound (insertion past it grows or asserts; see grow). */
@@ -100,7 +185,7 @@ class FlatWordTable
         }
         size_ = 0;
         arena_.clear(); // keeps capacity
-        values_.clear();
+        payload_.reset();
     }
 
     /**
@@ -117,7 +202,7 @@ class FlatWordTable
         while (gens_[i] == gen_) {
             if (hashes_[i] == h && keyEquals(i, key)) {
                 slot = i;
-                return &values_[valIdx_[i]];
+                return &pool_[valIdx_[i]];
             }
             i = (i + 1) & mask;
         }
@@ -133,12 +218,29 @@ class FlatWordTable
     }
 
     /**
-     * Insert at the slot a just-failed find() returned. The key is
-     * interned; the returned reference stays valid until clear().
+     * The value storage the next insert takes: a wiped entry's value,
+     * with whatever contents and heap capacity it was left with, or a
+     * freshly default-constructed one. Fill every field, then
+     * commitAt(). The reference stays valid; nothing is inserted until
+     * the commit, so a fill that throws leaves the table as it was.
      */
     Value &
-    insertAt(std::size_t slot, Words key, Value value)
+    spare()
     {
+        if (pool_.reserve(size_ + 1))
+            ++allocEvents_;
+        return pool_.build(size_);
+    }
+
+    /**
+     * Insert `key` at the slot a just-failed find() returned, holding the
+     * value spare() handed out. The key is interned; the returned
+     * reference stays valid until clear().
+     */
+    Value &
+    commitAt(std::size_t slot, Words key)
+    {
+        Value &value = spare();
         if (size_ >= bound_) {
             GEMINI_ASSERT(growable_,
                           "flat table over capacity; owner must wipe");
@@ -151,13 +253,20 @@ class FlatWordTable
         hashes_[slot] = h;
         keyOff_[slot] = static_cast<std::uint32_t>(arena_.size());
         keyLen_[slot] = static_cast<std::uint32_t>(key.size());
-        valIdx_[slot] = static_cast<std::uint32_t>(values_.size());
+        valIdx_[slot] = static_cast<std::uint32_t>(size_);
         if (arena_.size() + key.size() > arena_.capacity())
             ++allocEvents_;
         arena_.insert(arena_.end(), key.begin(), key.end());
-        values_.push_back(std::move(value));
         ++size_;
-        return values_.back();
+        return value;
+    }
+
+    /** Insert `value` at the slot a just-failed find() returned. */
+    Value &
+    insertAt(std::size_t slot, Words key, Value value)
+    {
+        spare() = std::move(value);
+        return commitAt(slot, key);
     }
 
     /** find-or-fail insert for callers that did not keep the slot. */
@@ -181,12 +290,22 @@ class FlatWordTable
             if (gens_[i] != gen_)
                 continue;
             fn(Words{arena_.data() + keyOff_[i], keyLen_[i]},
-               values_[valIdx_[i]]);
+               pool_[valIdx_[i]]);
         }
     }
 
+    /**
+     * Arena for the variable-length contents of the values this table
+     * holds; clear() rewinds it, so contents must not outlive a wipe.
+     */
+    BumpArena &payload() { return payload_; }
+
     /** Buffer-growth events since construction (0 in steady state). */
-    std::uint64_t allocEvents() const { return allocEvents_; }
+    std::uint64_t
+    allocEvents() const
+    {
+        return allocEvents_ + payload_.allocEvents();
+    }
 
   private:
     bool
@@ -249,7 +368,8 @@ class FlatWordTable
     common::ZeroVec<std::uint32_t> valIdx_;
 
     std::vector<std::int64_t> arena_; ///< interned key words
-    std::deque<Value> values_;        ///< stable value storage
+    ValuePool<Value> pool_; ///< value i belongs to the i-th insert
+    BumpArena payload_;     ///< values' variable-length contents
 };
 
 /**
@@ -259,7 +379,9 @@ class FlatWordTable
  * young one. When the young generation fills, the old one is wiped and
  * the roles swap, so the entries used since the last swap survive a
  * wipe instead of all going at once. Entries are exact, so eviction
- * never changes a result, only how often one is recomputed.
+ * never changes a result, only how often one is recomputed. A value that
+ * keeps contents in payload() provides relocate(BumpArena &), which
+ * copies them into the given arena; moving the entry calls it.
  *
  * References returned by find()/insertAt() stay valid until the next
  * makeRoom() or clear(): only those two evict.
@@ -280,16 +402,18 @@ class FlatWordCache
 
     /**
      * Bound the cache to `entries` live entries in total and pre-size
-     * both generations. Keeps existing entries that fit.
+     * both generations (see FlatWordTable::reserve for the hints). Keeps
+     * existing entries that fit.
      */
     void
-    reserve(std::size_t entries, std::size_t words_per_key)
+    reserve(std::size_t entries, std::size_t words_per_key,
+            std::size_t payload_bytes = 0)
     {
         entries_ = entries;
         for (FlatWordTable<Value> &g : gens_) {
             if (g.size() > entries / 2)
                 g.clear();
-            g.reserve(entries / 2, words_per_key);
+            g.reserve(entries / 2, words_per_key, payload_bytes);
         }
     }
 
@@ -327,14 +451,36 @@ class FlatWordCache
         FlatWordTable<Value> &young = gens_[young_];
         if (Value *hit = young.find(key, slot))
             return hit;
-        // The moved-from value stays behind in the old generation, but
-        // the young copy shadows it until the old generation is wiped.
-        if (Value *hit = gens_[young_ ^ 1].find(key))
-            return &young.insertAt(slot, key, std::move(*hit));
+        // Swapping keeps both values' buffers in the pools. The old
+        // generation's entry is left holding the young spare's stale
+        // contents, but the young entry shadows it until the old
+        // generation is wiped. A value with contents in the old
+        // generation's payload arena copies them into the young one's.
+        if (Value *hit = gens_[young_ ^ 1].find(key)) {
+            using std::swap;
+            Value &moved = young.spare();
+            swap(moved, *hit);
+            if constexpr (requires { moved.relocate(young.payload()); })
+                moved.relocate(young.payload());
+            return &young.commitAt(slot, key);
+        }
         return nullptr;
     }
 
-    /** Insert at the slot a just-failed find() returned. */
+    /** Reusable value storage for the next insert (see FlatWordTable). */
+    Value &spare() { return gens_[young_].spare(); }
+
+    /** The payload arena of the generation inserts go to. */
+    BumpArena &payload() { return gens_[young_].payload(); }
+
+    /** Insert at the slot a just-failed find() returned (see spare()). */
+    Value &
+    commitAt(std::size_t slot, Words key)
+    {
+        return gens_[young_].commitAt(slot, key);
+    }
+
+    /** Insert `value` at the slot a just-failed find() returned. */
     Value &
     insertAt(std::size_t slot, Words key, Value value)
     {

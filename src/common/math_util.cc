@@ -12,16 +12,12 @@ std::vector<std::int64_t>
 divisorsOf(std::int64_t n)
 {
     GEMINI_ASSERT(n > 0, "divisorsOf requires n>0, got ", n);
-    std::vector<std::int64_t> small, large;
-    for (std::int64_t d = 1; d * d <= n; ++d) {
-        if (n % d == 0) {
-            small.push_back(d);
-            if (d != n / d)
-                large.push_back(n / d);
-        }
-    }
-    small.insert(small.end(), large.rbegin(), large.rend());
-    return small;
+    std::vector<std::int64_t> out;
+    forEachDivisor(n, [&](std::int64_t d) {
+        out.push_back(d);
+        return true;
+    });
+    return out;
 }
 
 std::vector<Factor4>
@@ -29,47 +25,22 @@ factorizations4(std::int64_t n, const Factor4 &caps)
 {
     GEMINI_ASSERT(n > 0, "factorizations4 requires n>0, got ", n);
     std::vector<Factor4> out;
-    for (std::int64_t h : divisorsOf(n)) {
-        if (h > caps[0])
-            continue;
-        const std::int64_t n1 = n / h;
-        for (std::int64_t w : divisorsOf(n1)) {
-            if (w > caps[1])
-                continue;
-            const std::int64_t n2 = n1 / w;
-            for (std::int64_t b : divisorsOf(n2)) {
-                if (b > caps[2])
-                    continue;
-                const std::int64_t k = n2 / b;
-                if (k > caps[3])
-                    continue;
-                out.push_back({h, w, b, k});
-            }
-        }
-    }
+    forEachFactorization4(n, caps, [&](const Factor4 &f) {
+        out.push_back(f);
+        return true;
+    });
     return out;
 }
 
 std::int64_t
 countFactorizations4(std::int64_t n, const Factor4 &caps)
 {
+    GEMINI_ASSERT(n > 0, "countFactorizations4 requires n>0, got ", n);
     std::int64_t count = 0;
-    for (std::int64_t h : divisorsOf(n)) {
-        if (h > caps[0])
-            continue;
-        const std::int64_t n1 = n / h;
-        for (std::int64_t w : divisorsOf(n1)) {
-            if (w > caps[1])
-                continue;
-            const std::int64_t n2 = n1 / w;
-            for (std::int64_t b : divisorsOf(n2)) {
-                if (b > caps[2])
-                    continue;
-                if (n2 / b <= caps[3])
-                    ++count;
-            }
-        }
-    }
+    forEachFactorization4(n, caps, [&](const Factor4 &) {
+        ++count;
+        return true;
+    });
     return count;
 }
 

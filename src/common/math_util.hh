@@ -31,6 +31,29 @@ roundUp(T x, T m)
     return ceilDiv(x, m) * m;
 }
 
+/**
+ * Visit the positive divisors of n (n > 0) in ascending order, stopping
+ * early when `fn` returns false; returns false iff it stopped early.
+ * Allocation-free: the divisors up to sqrt(n) come from an ascending trial
+ * division, and their cofactors from a descending one.
+ */
+template <typename Fn>
+bool
+forEachDivisor(std::int64_t n, Fn &&fn)
+{
+    std::int64_t root = 1;
+    for (std::int64_t d = 1; d <= n / d; ++d) {
+        root = d;
+        if (n % d == 0 && !fn(d))
+            return false;
+    }
+    for (std::int64_t d = root; d >= 1; --d) {
+        if (n % d == 0 && d != n / d && !fn(n / d))
+            return false;
+    }
+    return true;
+}
+
 /** All positive divisors of n in ascending order. */
 std::vector<std::int64_t> divisorsOf(std::int64_t n);
 
@@ -41,8 +64,44 @@ std::vector<std::int64_t> divisorsOf(std::int64_t n);
 using Factor4 = std::array<std::int64_t, 4>;
 
 /**
- * Enumerate every ordered factorization of n into four positive factors
- * subject to per-dimension upper bounds (caps[i] >= 1).
+ * Visit every ordered factorization of n (n > 0) into four positive
+ * factors under per-dimension upper bounds (caps[i] >= 1), in ascending
+ * lexicographic (h, w, b, k) order, without allocating. Stops early when
+ * `fn` returns false; returns false iff it stopped early.
+ */
+template <typename Fn>
+bool
+forEachFactorization4(std::int64_t n, const Factor4 &caps, Fn &&fn)
+{
+    // Divisors ascend, so the first factor past its cap ends its level.
+    bool stopped = false;
+    forEachDivisor(n, [&](std::int64_t h) {
+        if (h > caps[0])
+            return false;
+        const std::int64_t n1 = n / h;
+        forEachDivisor(n1, [&](std::int64_t w) {
+            if (w > caps[1])
+                return false;
+            const std::int64_t n2 = n1 / w;
+            forEachDivisor(n2, [&](std::int64_t b) {
+                if (b > caps[2])
+                    return false;
+                const std::int64_t k = n2 / b;
+                if (k <= caps[3] && !fn(Factor4{h, w, b, k}))
+                    stopped = true;
+                return !stopped;
+            });
+            return !stopped;
+        });
+        return !stopped;
+    });
+    return !stopped;
+}
+
+/**
+ * Every ordered factorization of n into four positive factors subject to
+ * per-dimension upper bounds (caps[i] >= 1), in forEachFactorization4's
+ * order.
  *
  * @param n     product that the four factors must reach
  * @param caps  inclusive upper bound per dimension (e.g. ofmap dims)

@@ -15,7 +15,6 @@
 
 #include "src/common/cpu_clock.hh"
 #include "src/common/logging.hh"
-#include "src/common/simd.hh"
 #include "src/common/thread_pool.hh"
 #include "src/cost/cost_stack.hh"
 #include "src/dse/journal.hh"
@@ -356,10 +355,6 @@ class MultiFidelityScheduler
         cohorts_.assign(n_rungs, {});
         done_.assign(n_rungs, 0);
         result_.stats.scheduled = n_rungs > 1;
-        result_.stats.simdLevel =
-            common::simdLevelName(common::activeSimdLevel());
-        result_.stats.numaNodes = pool_.numaNodeCount();
-        result_.stats.pinnedWorkers = pool_.pinnedWorkers();
         result_.stats.rungs.resize(n_rungs);
         for (std::size_t r = 0; r < n_rungs; ++r) {
             DseRungStats &rs = result_.stats.rungs[r];

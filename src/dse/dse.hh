@@ -170,19 +170,6 @@ struct DseStats
      */
     int resumedRung = -1;
 
-    /**
-     * Kernel variant the evaluation hot path dispatched to for this run
-     * ("scalar" or "avx2"; see common::activeSimdLevel). Observability
-     * only — results are bit-identical across variants.
-     */
-    const char *simdLevel = "";
-
-    /** NUMA nodes the evaluation pool detected (>= 1 once populated). */
-    std::size_t numaNodes = 0;
-
-    /** Pool workers pinned to their NUMA node's CPU set (0 on one node). */
-    std::size_t pinnedWorkers = 0;
-
     /** Total candidate-evaluation CPU-seconds across all rungs. */
     double cpuSeconds() const;
 

@@ -179,21 +179,23 @@ analyticSeedGroup(const dnn::Graph &graph, const arch::ArchConfig &arch,
         MappingScheme &ms = group.schemes[i];
         alloc[i] =
             largestFeasibleCores(alloc[i], l.h, l.w, batch_unit, l.k);
-        const auto cands = factorizations4(
-            alloc[i], {l.h, l.w, batch_unit, l.k});
-        GEMINI_ASSERT(!cands.empty(),
-                      "largestFeasibleCores returned infeasible count");
+        bool feasible = false;
         double best_score = std::numeric_limits<double>::infinity();
         Partition best_part;
-        for (const auto &cand : cands) {
-            const Partition p{cand[0], cand[1], cand[2], cand[3]};
-            const double s = analyticPartitionScore(
-                graph, layers[i], p, batch_unit, batch, arch, tech);
-            if (s < best_score) {
-                best_score = s;
-                best_part = p;
-            }
-        }
+        forEachFactorization4(
+            alloc[i], {l.h, l.w, batch_unit, l.k}, [&](const Factor4 &f) {
+                feasible = true;
+                const Partition p{f[0], f[1], f[2], f[3]};
+                const double s = analyticPartitionScore(
+                    graph, layers[i], p, batch_unit, batch, arch, tech);
+                if (s < best_score) {
+                    best_score = s;
+                    best_part = p;
+                }
+                return true;
+            });
+        GEMINI_ASSERT(feasible,
+                      "largestFeasibleCores returned infeasible count");
         ms.part = best_part;
         ms.coreGroup.resize(static_cast<std::size_t>(alloc[i]));
         std::iota(ms.coreGroup.begin(), ms.coreGroup.end(),

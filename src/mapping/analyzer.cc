@@ -9,9 +9,16 @@ namespace gemini::mapping {
 
 namespace {
 
-/** Arena pre-size hints (words per key) for the two cache tables. */
+/**
+ * Pre-size hints per entry for the two cache tables: key words, and
+ * payload bytes (four tile regions; 24 links, about the median flow
+ * fragment on the paper72 DSE workloads).
+ */
 constexpr std::size_t kTileKeyWords = 8;
 constexpr std::size_t kFlowKeyWords = 24;
+constexpr std::size_t kTilePayloadBytes = 4 * sizeof(WorkRegion);
+constexpr std::size_t kFlowPayloadBytes =
+    24 * sizeof(std::pair<noc::LinkId, double>);
 
 /** Price a folded link/scalar state: the shared tail of every fused path. */
 eval::EvalBreakdown
@@ -124,8 +131,8 @@ void
 Analyzer::setCacheCapacity(std::size_t entries)
 {
     cacheCapacity_ = entries;
-    tileCache_.reserve(entries, kTileKeyWords);
-    flowCache_.reserve(entries, kFlowKeyWords);
+    tileCache_.reserve(entries, kTileKeyWords, kTilePayloadBytes);
+    flowCache_.reserve(entries, kFlowKeyWords, kFlowPayloadBytes);
 
     // Hoisted probe buffer: sized once so key construction never
     // reallocates mid-walk (growth past this is counted, see
@@ -244,11 +251,10 @@ Analyzer::cachedTiles(const LayerGroupMapping &group, std::size_t li) const
         return *hit;
     }
     ++tileMisses_;
-    auto &out = tileCache_.insertAt(
-        slot, key.words,
-        tiling_.compute(graph_.layer(group.layers[li]), group.schemes[li],
-                        group.batchUnit));
-    return out;
+    tiling_.compute(graph_.layer(group.layers[li]), group.schemes[li],
+                    group.batchUnit, tileCache_.spare(),
+                    tileCache_.payload());
+    return tileCache_.commitAt(slot, key.words);
 }
 
 const LayerFlows &
@@ -268,11 +274,9 @@ Analyzer::cachedFlows(const LayerGroupMapping &group, std::size_t li,
         return *hit;
     }
     ++flowMisses_;
-    auto &out = flowCache_.insertAt(
-        slot, key.words,
-        trafficCompiler_.compile(group, li, tiles, num_units,
-                                 ofmap_dram_of));
-    return out;
+    trafficCompiler_.compile(group, li, tiles, num_units, ofmap_dram_of,
+                             flowCache_.spare(), flowCache_.payload());
+    return flowCache_.commitAt(slot, key.words);
 }
 
 void
@@ -289,18 +293,21 @@ Analyzer::gatherFragments(const LayerGroupMapping &group,
     const bool cached = cacheCapacity_ > 0;
     out.tiles.assign(n_layers, nullptr);
     out.flows.assign(n_layers, nullptr);
-    out.localTiles.clear();
-    out.localFlows.clear();
 
     // References into the fragment caches stay valid while this call
-    // inserts (deque value storage never moves), but an eviction mid-call
-    // would orphan them — make room up front for every insert.
+    // inserts (pooled value storage never moves), but an eviction
+    // mid-call would orphan them — make room up front for every insert.
+    // Uncached fragments fill the local stores in place, sized up front
+    // so the pointers taken below stay valid.
     if (cached) {
         tileCache_.makeRoom(n_layers);
         flowCache_.makeRoom(n_layers);
     } else {
-        out.localTiles.reserve(n_layers);
-        out.localFlows.reserve(n_layers);
+        out.localPayload.reset();
+        if (out.localTiles.size() < n_layers) {
+            out.localTiles.resize(n_layers);
+            out.localFlows.resize(n_layers);
+        }
     }
 
     // ---- Tiling stage (per-layer tile cache) ----------------------------
@@ -308,10 +315,10 @@ Analyzer::gatherFragments(const LayerGroupMapping &group,
         if (cached) {
             out.tiles[li] = &cachedTiles(group, li);
         } else {
-            out.localTiles.push_back(
-                tiling_.compute(graph_.layer(group.layers[li]),
-                                group.schemes[li], group.batchUnit));
-            out.tiles[li] = &out.localTiles.back();
+            tiling_.compute(graph_.layer(group.layers[li]),
+                            group.schemes[li], group.batchUnit,
+                            out.localTiles[li], out.localPayload);
+            out.tiles[li] = &out.localTiles[li];
         }
     }
 
@@ -321,9 +328,10 @@ Analyzer::gatherFragments(const LayerGroupMapping &group,
             out.flows[li] = &cachedFlows(group, li, out.tiles, batch,
                                          out.numUnits, ofmap_dram_of);
         } else {
-            out.localFlows.push_back(trafficCompiler_.compile(
-                group, li, out.tiles, out.numUnits, ofmap_dram_of));
-            out.flows[li] = &out.localFlows.back();
+            trafficCompiler_.compile(group, li, out.tiles, out.numUnits,
+                                     ofmap_dram_of, out.localFlows[li],
+                                     out.localPayload);
+            out.flows[li] = &out.localFlows[li];
         }
     }
 }

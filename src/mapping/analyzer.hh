@@ -189,7 +189,8 @@ class Analyzer
      * of open-addressing flat tables (common::FlatWordCache): when the
      * young half fills, the old half is wiped, so the working set in use
      * survives — cheap bookkeeping over LRU precision. Probing is
-     * allocation-free and every buffer is pre-sized here.
+     * allocation-free, every buffer is pre-sized here, and a wipe keeps
+     * the storage of the fragments it drops for the next ones.
      */
     void setCacheCapacity(std::size_t entries);
     std::size_t cacheCapacity() const { return cacheCapacity_; }
@@ -238,10 +239,12 @@ class Analyzer
     std::uint64_t deltaChangedLayers() const { return deltaChanged_; }
 
     /**
-     * Buffer-growth events across the two cache tables and the hoisted
-     * key probe since construction. Zero in steady state: probing,
-     * key construction and bounded insertion never allocate once
-     * setCacheCapacity has pre-sized everything.
+     * Buffer-growth events across the two cache tables (slots, keys,
+     * value pools, payload arenas) and the hoisted key probe since
+     * construction. Flat in steady state: probing, key construction and
+     * bounded insertion never allocate once setCacheCapacity has
+     * pre-sized everything and the payload arenas have grown to hold a
+     * generation's fragments, and a wipe keeps all of it.
      */
     std::uint64_t cacheAllocEvents() const;
 
@@ -277,8 +280,9 @@ class Analyzer
     {
         std::vector<const LayerTiles *> tiles;
         std::vector<const LayerFlows *> flows;
-        std::vector<LayerTiles> localTiles;
-        std::vector<LayerFlows> localFlows;
+        std::vector<LayerTiles> localTiles; ///< refilled in place
+        std::vector<LayerFlows> localFlows; ///< refilled in place
+        common::BumpArena localPayload;     ///< their contents
         std::int64_t numUnits = 1;
     };
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "src/common/logging.hh"
 #include "src/common/math_util.hh"
+#include "src/common/small_vec.hh"
 
 namespace gemini::mapping {
 
@@ -107,22 +107,28 @@ needsOfmapDram(const dnn::Graph &graph, const LayerGroupMapping &group,
 
 namespace {
 
+/** A validation error message; the stream is built only on failure. */
+template <typename... Parts>
+std::string
+failure(const Parts &...parts)
+{
+    std::ostringstream err;
+    (err << ... << parts);
+    return err.str();
+}
+
 /** Validate one FD entry against its management requirement. */
 std::string
 checkFdEntry(const char *what, DramSel value, bool required, int dram_count,
              const std::string &layer_name)
 {
-    std::ostringstream err;
     if (required) {
-        if (value < 0 || value > dram_count) {
-            err << layer_name << ": FD." << what << " must be in [0, "
-                << dram_count << "], got " << value;
-            return err.str();
-        }
+        if (value < 0 || value > dram_count)
+            return failure(layer_name, ": FD.", what, " must be in [0, ",
+                           dram_count, "], got ", value);
     } else if (value != kDramUnmanaged) {
-        err << layer_name << ": FD." << what
-            << " must be unmanaged (-1), got " << value;
-        return err.str();
+        return failure(layer_name, ": FD.", what,
+                       " must be unmanaged (-1), got ", value);
     }
     return {};
 }
@@ -133,7 +139,6 @@ std::string
 checkGroupValid(const dnn::Graph &graph, const arch::ArchConfig &arch,
                 const LayerGroupMapping &group, std::int64_t batch)
 {
-    std::ostringstream err;
     if (group.layers.empty())
         return "empty layer group";
     if (group.layers.size() != group.schemes.size())
@@ -148,37 +153,35 @@ checkGroupValid(const dnn::Graph &graph, const arch::ArchConfig &arch,
         static_cast<std::size_t>(group.layers.back()) >= graph.size())
         return "layer id out of range";
 
-    std::unordered_set<CoreId> used;
+    // One bit per mesh core; inline up to 2048 cores.
+    common::SmallVec<std::uint64_t, 32> used;
+    used.assign((static_cast<std::size_t>(arch.coreCount()) + 63) / 64, 0);
     for (std::size_t i = 0; i < group.layers.size(); ++i) {
         const dnn::Layer &layer = graph.layer(group.layers[i]);
         const MappingScheme &ms = group.schemes[i];
         if (ms.coreGroup.empty())
             return layer.name + ": empty core group";
         if (ms.part.count() !=
-            static_cast<std::int64_t>(ms.coreGroup.size())) {
-            err << layer.name << ": partition count " << ms.part.count()
-                << " != core group size " << ms.coreGroup.size();
-            return err.str();
-        }
+            static_cast<std::int64_t>(ms.coreGroup.size()))
+            return failure(layer.name, ": partition count ",
+                           ms.part.count(), " != core group size ",
+                           ms.coreGroup.size());
         if (ms.part.h < 1 || ms.part.h > layer.h || ms.part.w < 1 ||
             ms.part.w > layer.w || ms.part.k < 1 || ms.part.k > layer.k ||
-            ms.part.b < 1 || ms.part.b > group.batchUnit) {
-            err << layer.name << ": partition (" << ms.part.h << ","
-                << ms.part.w << "," << ms.part.b << "," << ms.part.k
-                << ") exceeds dims (" << layer.h << "," << layer.w << ","
-                << group.batchUnit << "," << layer.k << ")";
-            return err.str();
-        }
+            ms.part.b < 1 || ms.part.b > group.batchUnit)
+            return failure(layer.name, ": partition (", ms.part.h, ",",
+                           ms.part.w, ",", ms.part.b, ",", ms.part.k,
+                           ") exceeds dims (", layer.h, ",", layer.w, ",",
+                           group.batchUnit, ",", layer.k, ")");
         for (CoreId core : ms.coreGroup) {
-            if (core < 0 || core >= arch.coreCount()) {
-                err << layer.name << ": core " << core << " out of mesh";
-                return err.str();
-            }
-            if (!used.insert(core).second) {
-                err << layer.name << ": core " << core
-                    << " assigned to two layers of the group";
-                return err.str();
-            }
+            if (core < 0 || core >= arch.coreCount())
+                return failure(layer.name, ": core ", core, " out of mesh");
+            std::uint64_t &word = used[static_cast<std::size_t>(core) / 64];
+            const std::uint64_t bit = std::uint64_t{1} << (core % 64);
+            if (word & bit)
+                return failure(layer.name, ": core ", core,
+                               " assigned to two layers of the group");
+            word |= bit;
         }
 
         const bool wants_if = graph.readsExternalInput(group.layers[i]);
@@ -198,8 +201,6 @@ checkGroupValid(const dnn::Graph &graph, const arch::ArchConfig &arch,
         if (!e.empty())
             return e;
     }
-    if (used.size() > static_cast<std::size_t>(arch.coreCount()))
-        return "group uses more cores than the mesh has";
     return {};
 }
 
@@ -207,44 +208,34 @@ std::string
 checkMappingValid(const dnn::Graph &graph, const arch::ArchConfig &arch,
                   const LpMapping &mapping)
 {
-    std::ostringstream err;
     if (mapping.batch < 1)
         return "batch must be positive";
     std::vector<int> group_of(graph.size(), -1);
     for (std::size_t g = 0; g < mapping.groups.size(); ++g) {
         const std::string e =
             checkGroupValid(graph, arch, mapping.groups[g], mapping.batch);
-        if (!e.empty()) {
-            err << "group " << g << ": " << e;
-            return err.str();
-        }
-        if (mapping.batch % mapping.groups[g].batchUnit != 0) {
-            err << "group " << g << ": batch unit "
-                << mapping.groups[g].batchUnit << " does not divide batch "
-                << mapping.batch;
-            return err.str();
-        }
+        if (!e.empty())
+            return failure("group ", g, ": ", e);
+        if (mapping.batch % mapping.groups[g].batchUnit != 0)
+            return failure("group ", g, ": batch unit ",
+                           mapping.groups[g].batchUnit,
+                           " does not divide batch ", mapping.batch);
         for (LayerId layer : mapping.groups[g].layers) {
-            if (group_of[layer] != -1) {
-                err << "layer " << layer << " mapped twice";
-                return err.str();
-            }
+            if (group_of[layer] != -1)
+                return failure("layer ", layer, " mapped twice");
             group_of[layer] = static_cast<int>(g);
         }
     }
     for (std::size_t l = 0; l < graph.size(); ++l) {
-        if (group_of[l] == -1) {
-            err << "layer " << l << " (" << graph.layer(
-                static_cast<LayerId>(l)).name << ") is unmapped";
-            return err.str();
-        }
+        if (group_of[l] == -1)
+            return failure("layer ", l, " (",
+                           graph.layer(static_cast<LayerId>(l)).name,
+                           ") is unmapped");
         // Producers must execute no later than their consumers.
         for (LayerId in : graph.layer(static_cast<LayerId>(l)).inputs) {
-            if (group_of[in] > group_of[l]) {
-                err << "layer " << l << " consumes layer " << in
-                    << " from a later group";
-                return err.str();
-            }
+            if (group_of[in] > group_of[l])
+                return failure("layer ", l, " consumes layer ", in,
+                               " from a later group");
         }
     }
     return {};

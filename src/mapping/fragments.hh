@@ -19,6 +19,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -65,32 +66,50 @@ struct FragmentKeyHash
     }
 };
 
-/** Tiling-stage product of one layer: piece regions and intra-core cost. */
+/**
+ * Tiling-stage product of one layer: piece regions and intra-core cost.
+ * The regions live in the bump arena the stage was handed (a fragment
+ * cache generation's payload arena, or the analyzer's uncached scratch),
+ * and stay valid until that arena is reset.
+ */
 struct LayerTiles
 {
-    std::vector<WorkRegion> regions; ///< per-piece ofmap slices
-    double stageSeconds = 0.0;       ///< slowest piece compute time
-    double energyPerUnit = 0.0;      ///< summed intra-core energy
+    std::span<const WorkRegion> regions; ///< per-piece ofmap slices
+    double stageSeconds = 0.0;           ///< slowest piece compute time
+    double energyPerUnit = 0.0;          ///< summed intra-core energy
+
+    /** Copy the regions into `payload` (see common::FlatWordCache). */
+    void
+    relocate(common::BumpArena &payload)
+    {
+        regions = payload.copySpan(regions);
+    }
 };
 
 /**
  * Traffic-compiler product of one layer: every flow charged to it (inbound
  * activations, weight loads, managed ofmap stores) plus its GLB pressure.
  * The group analysis is the sum of its layers' fragments. Link loads are
- * stored as a flat vector with one (link id, bytes) entry per link, in
+ * stored as a flat list with one (link id, bytes) entry per link, in
  * first-touch order (deterministic): assembly walks it linearly, so a
- * cached fragment reproduces the uncached result bit for bit.
+ * cached fragment reproduces the uncached result bit for bit. The list
+ * lives in the bump arena the compiler was handed, like LayerTiles's
+ * regions: link lists average 58 entries on the dse_screen workload and
+ * about 517 on map_sa_gpt2 (256 cores), so an arena a cache wipe rewinds
+ * holds them without a heap buffer each.
  */
 struct LayerFlows
 {
-    // Small-buffer storage: the DRAM tally is one slot per stack. Link
-    // lists run longer than the inline slots: they average 58 links per
-    // fragment on the dse_screen workload and about 517 on map_sa_gpt2
-    // (256 cores), and about 70% of fragments spill past the 24 inline
-    // slots to the heap.
-    common::SmallVec<std::pair<noc::LinkId, double>, 24> links;
+    std::span<const std::pair<noc::LinkId, double>> links;
     common::SmallVec<double, 8> dramBytes; ///< per-stack bytes per unit
     double glbOverflow = 0.0;              ///< worst piece pressure ratio
+
+    /** Copy the link list into `payload` (see common::FlatWordCache). */
+    void
+    relocate(common::BumpArena &payload)
+    {
+        links = payload.copySpan(links);
+    }
 };
 
 /**

@@ -25,16 +25,29 @@ randomPartition(std::int64_t count, std::int64_t cap_h, std::int64_t cap_w,
                 std::int64_t cap_b, std::int64_t cap_k,
                 const Partition &current, Rng &rng)
 {
-    auto cands = factorizations4(count, {cap_h, cap_w, cap_b, cap_k});
-    if (cands.empty())
+    // Draw the k-th candidate of the enumeration with `current` left out
+    // (when it is not the only one): one count pass, one select pass, no
+    // candidate list.
+    const Factor4 caps = {cap_h, cap_w, cap_b, cap_k};
+    const Factor4 cur = {current.h, current.w, current.b, current.k};
+    std::int64_t total = 0;
+    bool has_cur = false;
+    forEachFactorization4(count, caps, [&](const Factor4 &f) {
+        ++total;
+        has_cur = has_cur || f == cur;
+        return true;
+    });
+    if (total == 0)
         return {.h = 0, .w = 0, .b = 0, .k = 0};
-    if (cands.size() > 1) {
-        const Factor4 cur = {current.h, current.w, current.b, current.k};
-        std::erase(cands, cur);
-    }
-    const auto &pick =
-        cands[static_cast<std::size_t>(rng.nextInt(
-            static_cast<std::int64_t>(cands.size())))];
+    const bool skip_cur = total > 1 && has_cur;
+    std::int64_t k = rng.nextInt(total - (skip_cur ? 1 : 0));
+    Factor4 pick{};
+    forEachFactorization4(count, caps, [&](const Factor4 &f) {
+        if (skip_cur && f == cur)
+            return true;
+        pick = f;
+        return k-- > 0;
+    });
     return {pick[0], pick[1], pick[2], pick[3]};
 }
 
@@ -74,19 +87,33 @@ opChangePartition(LayerGroupMapping &g, const dnn::Graph &graph, Rng &rng,
     return {.applied = true};
 }
 
+/**
+ * The `rank`-th (0-based) index i of `schemes` whose core group holds at
+ * least two cores, or the count of such indices when rank is negative.
+ */
+std::size_t
+multiCoreLayer(const std::vector<MappingScheme> &schemes, std::int64_t rank)
+{
+    std::size_t seen = 0;
+    for (std::size_t i = 0; i < schemes.size(); ++i) {
+        if (schemes[i].coreGroup.size() < 2)
+            continue;
+        if (static_cast<std::int64_t>(seen) == rank)
+            return i;
+        ++seen;
+    }
+    return seen;
+}
+
 OperatorEffect
 opSwapWithinLayer(LayerGroupMapping &g, Rng &rng, SchemeUndoLog *undo)
 {
-    // Collect layers with at least two cores.
-    std::vector<std::size_t> eligible;
-    for (std::size_t i = 0; i < g.schemes.size(); ++i)
-        if (g.schemes[i].coreGroup.size() >= 2)
-            eligible.push_back(i);
-    if (eligible.empty())
+    // Draw among the layers with at least two cores.
+    const std::size_t eligible = multiCoreLayer(g.schemes, -1);
+    if (eligible == 0)
         return {};
-    const std::size_t li =
-        eligible[static_cast<std::size_t>(rng.nextInt(
-            static_cast<std::int64_t>(eligible.size())))];
+    const std::size_t li = multiCoreLayer(
+        g.schemes, rng.nextInt(static_cast<std::int64_t>(eligible)));
     auto &cg = g.schemes[li].coreGroup;
     const auto i = static_cast<std::size_t>(
         rng.nextInt(static_cast<std::int64_t>(cg.size())));
@@ -131,15 +158,11 @@ opMoveCore(LayerGroupMapping &g, const dnn::Graph &graph, Rng &rng,
 {
     if (g.layers.size() < 2)
         return {};
-    std::vector<std::size_t> donors;
-    for (std::size_t i = 0; i < g.schemes.size(); ++i)
-        if (g.schemes[i].coreGroup.size() >= 2)
-            donors.push_back(i);
-    if (donors.empty())
+    const std::size_t donors = multiCoreLayer(g.schemes, -1);
+    if (donors == 0)
         return {};
-    const std::size_t donor =
-        donors[static_cast<std::size_t>(rng.nextInt(
-            static_cast<std::int64_t>(donors.size())))];
+    const std::size_t donor = multiCoreLayer(
+        g.schemes, rng.nextInt(static_cast<std::int64_t>(donors)));
     auto recipient = static_cast<std::size_t>(
         rng.nextInt(static_cast<std::int64_t>(g.layers.size() - 1)));
     if (recipient >= donor)
@@ -181,30 +204,30 @@ OperatorEffect
 opChangeFlow(LayerGroupMapping &g, const arch::ArchConfig &arch, Rng &rng,
              SchemeUndoLog *undo)
 {
-    // Collect the managed FD entries of the group.
-    struct Slot
-    {
-        std::size_t layer;
-        int field; // 0 = ifmap, 1 = weight, 2 = ofmap
-    };
-    std::vector<Slot> slots;
+    // Draw among the managed FD entries of the group, in (layer, field)
+    // order: count them, then walk to the drawn one.
+    std::int64_t managed = 0;
+    for (const MappingScheme &ms : g.schemes)
+        managed += (ms.fd.ifmap >= 0) + (ms.fd.weight >= 0) +
+                   (ms.fd.ofmap >= 0);
+    if (managed == 0)
+        return {};
+    std::int64_t rank = rng.nextInt(managed);
+    std::size_t layer = 0;
+    int field = 0; // 0 = ifmap, 1 = weight, 2 = ofmap
     for (std::size_t i = 0; i < g.schemes.size(); ++i) {
         const FlowOfData &fd = g.schemes[i].fd;
-        if (fd.ifmap >= 0)
-            slots.push_back({i, 0});
-        if (fd.weight >= 0)
-            slots.push_back({i, 1});
-        if (fd.ofmap >= 0)
-            slots.push_back({i, 2});
+        const DramSel fields[3] = {fd.ifmap, fd.weight, fd.ofmap};
+        for (int f = 0; f < 3; ++f) {
+            if (fields[f] >= 0 && rank-- == 0) {
+                layer = i;
+                field = f;
+            }
+        }
     }
-    if (slots.empty())
-        return {};
-    const Slot slot = slots[static_cast<std::size_t>(rng.nextInt(
-        static_cast<std::int64_t>(slots.size())))];
-    FlowOfData &fd = g.schemes[slot.layer].fd;
-    DramSel &target = slot.field == 0
-                          ? fd.ifmap
-                          : (slot.field == 1 ? fd.weight : fd.ofmap);
+    FlowOfData &fd = g.schemes[layer].fd;
+    DramSel &target =
+        field == 0 ? fd.ifmap : (field == 1 ? fd.weight : fd.ofmap);
     // New value in [0, D] different from the current one.
     auto fresh = static_cast<DramSel>(rng.nextInt(arch.dramCount));
     if (fresh >= target)
@@ -212,12 +235,12 @@ opChangeFlow(LayerGroupMapping &g, const arch::ArchConfig &arch, Rng &rng,
     GEMINI_ASSERT(fresh >= 0 && fresh <= arch.dramCount,
                   "flow redraw out of range");
     if (undo != nullptr)
-        undo->snapshot(slot.layer, g.schemes[slot.layer]);
+        undo->snapshot(layer, g.schemes[layer]);
     target = fresh;
     OperatorEffect eff{.applied = true};
-    if (slot.field == 2) {
+    if (field == 2) {
         eff.ofmapFlowChanged = true;
-        eff.ofmapLayer = g.layers[slot.layer];
+        eff.ofmapLayer = g.layers[layer];
     }
     return eff;
 }

@@ -125,21 +125,28 @@ SaEngine::optimize(LpMapping &mapping, const SaOptions &options,
         weights[g] = std::isfinite(lg) ? std::max(1.0, lg) : 1.0;
     }
 
-    // Which groups read a given layer's ofmap from DRAM (OP5 coupling).
-    // SA operators never change group membership, so this map is computed
-    // once per run; it would only need invalidation if an operator ever
-    // moved a layer across groups.
-    std::vector<std::vector<std::size_t>> consumer_groups(graph_.size());
+    // Which groups read a given layer's ofmap from DRAM (OP5 coupling):
+    // layer l's sorted, distinct consumer groups are consumer_groups
+    // [consumer_begin[l], consumer_begin[l + 1]). SA operators never
+    // change group membership, so this table is computed once per run;
+    // it would only need invalidation if an operator ever moved a layer
+    // across groups.
+    std::vector<std::size_t> consumer_begin(graph_.size() + 1, 0);
+    std::vector<std::size_t> consumer_groups;
     for (std::size_t l = 0; l < graph_.size(); ++l) {
-        auto &out = consumer_groups[l];
+        const auto first =
+            static_cast<std::ptrdiff_t>(consumer_groups.size());
         for (LayerId consumer :
              graph_.consumers(static_cast<LayerId>(l))) {
             const int cg = mapping.groupOf(consumer);
             if (cg >= 0)
-                out.push_back(static_cast<std::size_t>(cg));
+                consumer_groups.push_back(static_cast<std::size_t>(cg));
         }
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
+        std::sort(consumer_groups.begin() + first, consumer_groups.end());
+        consumer_groups.erase(std::unique(consumer_groups.begin() + first,
+                                          consumer_groups.end()),
+                              consumer_groups.end());
+        consumer_begin[l + 1] = consumer_groups.size();
     }
 
     // Enabled-operator list (ablation support).
@@ -228,10 +235,11 @@ SaEngine::optimize(LpMapping &mapping, const SaOptions &options,
         touched.clear();
         touched.push_back(g);
         if (eff.ofmapFlowChanged) {
-            for (std::size_t cg :
-                 consumer_groups[static_cast<std::size_t>(eff.ofmapLayer)])
-                if (cg != g)
-                    touched.push_back(cg);
+            const auto l = static_cast<std::size_t>(eff.ofmapLayer);
+            for (std::size_t k = consumer_begin[l]; k < consumer_begin[l + 1];
+                 ++k)
+                if (consumer_groups[k] != g)
+                    touched.push_back(consumer_groups[k]);
         }
         saved_evals.clear();
         for (std::size_t t : touched) {

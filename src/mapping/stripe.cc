@@ -13,14 +13,10 @@ Partition
 stripePartition(std::int64_t cores, std::int64_t cap_h, std::int64_t cap_w,
                 std::int64_t cap_b, std::int64_t cap_k)
 {
-    const auto cands =
-        factorizations4(cores, {cap_h, cap_w, cap_b, cap_k});
-    if (cands.empty())
-        return {};
     // Stripe preference: split spatially as much as possible (height
     // first), then channels, then batch — spatial tiles are what
     // Tangram-style heuristics assign to their rectangular core regions.
-    const Factor4 *best = nullptr;
+    // The first candidate in enumeration order wins ties.
     auto better = [](const Factor4 &a, const Factor4 &b) {
         const std::int64_t spatial_a = a[0] * a[1];
         const std::int64_t spatial_b = b[0] * b[1];
@@ -32,10 +28,18 @@ stripePartition(std::int64_t cores, std::int64_t cap_h, std::int64_t cap_w,
             return a[3] > b[3];
         return a[2] > b[2];
     };
-    for (const auto &cand : cands)
-        if (!best || better(cand, *best))
-            best = &cand;
-    return {best->at(0), best->at(1), best->at(2), best->at(3)};
+    bool found = false;
+    Factor4 best{};
+    forEachFactorization4(cores, {cap_h, cap_w, cap_b, cap_k},
+                          [&](const Factor4 &cand) {
+                              if (!found || better(cand, best))
+                                  best = cand;
+                              found = true;
+                              return true;
+                          });
+    if (!found)
+        return {};
+    return {best[0], best[1], best[2], best[3]};
 }
 
 std::int64_t
@@ -44,7 +48,9 @@ largestFeasibleCores(std::int64_t want, std::int64_t cap_h,
                      std::int64_t cap_k)
 {
     for (std::int64_t n = want; n > 1; --n) {
-        if (countFactorizations4(n, {cap_h, cap_w, cap_b, cap_k}) > 0)
+        // The visitor stops at the first factorization: n is feasible.
+        if (!forEachFactorization4(n, {cap_h, cap_w, cap_b, cap_k},
+                                   [](const Factor4 &) { return false; }))
             return n;
     }
     return 1;
@@ -166,6 +172,7 @@ rectPartition(const dnn::Layer &l, std::int64_t batch_unit, Rect &rect,
 {
     auto rect_cores = [&](int n) {
         cores.clear();
+        cores.reserve(static_cast<std::size_t>(n));
         for (int y = rect.y0; y < rect.y1 && static_cast<int>(cores.size())
                                                  < n; ++y)
             for (int x = rect.x0;

@@ -12,12 +12,16 @@ TilingStage::appendKey(FragmentKey &key, LayerId layer,
                                        ms.part.b, ms.part.k, batch_unit});
 }
 
-LayerTiles
+void
 TilingStage::compute(const dnn::Layer &layer, const MappingScheme &ms,
-                     std::int64_t batch_unit) const
+                     std::int64_t batch_unit, LayerTiles &out,
+                     common::BumpArena &payload) const
 {
-    LayerTiles out;
-    out.regions.reserve(ms.coreGroup.size());
+    const std::span<WorkRegion> regions =
+        payload.allocSpan<WorkRegion>(ms.coreGroup.size());
+    out.regions = regions;
+    out.stageSeconds = 0.0;
+    out.energyPerUnit = 0.0;
     for (std::size_t i = 0; i < ms.coreGroup.size(); ++i) {
         const WorkRegion wr =
             workRegionOf(layer, ms.part, batch_unit,
@@ -52,9 +56,8 @@ TilingStage::compute(const dnn::Layer &layer, const MappingScheme &ms,
         out.energyPerUnit += cost.energyJ;
         out.stageSeconds =
             std::max(out.stageSeconds, explorer_.seconds(cost.cycles));
-        out.regions.push_back(wr);
+        regions[i] = wr;
     }
-    return out;
 }
 
 } // namespace gemini::mapping

@@ -31,12 +31,14 @@ class TilingStage
     }
 
     /**
-     * Tile `layer` under scheme `ms` for one pipeline batch unit. Core
-     * placement does not change tile shapes, so results are cacheable
-     * under (layer, Part, batch unit) alone.
+     * Tile `layer` under scheme `ms` for one pipeline batch unit into
+     * `out`, overwriting every field; the regions are allocated from
+     * `payload`. Core placement does not change tile shapes, so results
+     * are cacheable under (layer, Part, batch unit) alone.
      */
-    LayerTiles compute(const dnn::Layer &layer, const MappingScheme &ms,
-                       std::int64_t batch_unit) const;
+    void compute(const dnn::Layer &layer, const MappingScheme &ms,
+                 std::int64_t batch_unit, LayerTiles &out,
+                 common::BumpArena &payload) const;
 
     /**
      * Append this stage's exact memoization key for one layer — every

@@ -1,6 +1,7 @@
 #include "src/mapping/traffic_compiler.hh"
 
 #include <algorithm>
+#include <memory>
 #include <tuple>
 
 #include "src/common/logging.hh"
@@ -50,40 +51,76 @@ struct PieceBox
 };
 
 /**
- * Chunk indices [first, last) of a `parts`-way chunkOf split of `total`
- * that intersect [lo, hi). Chunks tile [0, total), so positions outside
- * it (padding halos) meet no chunk.
+ * A chunkOf split of `total` into `parts` (total >= parts > 0), inverted:
+ * which chunks meet a position range. Built once per producer dimension,
+ * so each consumer's lookup costs a division per range end.
  */
-std::pair<std::int64_t, std::int64_t>
-chunkSpan(std::int64_t total, std::int64_t parts, std::int64_t lo,
-          std::int64_t hi)
+struct ChunkGrid
 {
-    lo = std::max<std::int64_t>(lo, 0);
-    hi = std::min(hi, total);
-    if (hi <= lo)
-        return {0, 0};
-    return {chunkIndexOf(total, parts, lo),
-            chunkIndexOf(total, parts, hi - 1) + 1};
-}
+    std::int64_t total, base, extra, longSpan;
+
+    ChunkGrid(std::int64_t total_, std::int64_t parts)
+        : total(total_), base(total_ / parts), extra(total_ % parts),
+          longSpan(extra * (base + 1))
+    {
+        GEMINI_ASSERT(parts > 0 && total >= parts,
+                      "bad chunk grid total/parts: ", total, "/", parts);
+    }
+
+    /** chunkIndexOf(total, parts, pos) for 0 <= pos < total. */
+    std::int64_t
+    indexOf(std::int64_t pos) const
+    {
+        return pos < longSpan ? pos / (base + 1)
+                              : extra + (pos - longSpan) / base;
+    }
+
+    /**
+     * Chunk indices [first, last) that intersect [lo, hi). Chunks tile
+     * [0, total), so positions outside it (padding halos) meet no chunk.
+     */
+    std::pair<std::int64_t, std::int64_t>
+    span(std::int64_t lo, std::int64_t hi) const
+    {
+        lo = std::max<std::int64_t>(lo, 0);
+        hi = std::min(hi, total);
+        if (hi <= lo)
+            return {0, 0};
+        return {indexOf(lo), indexOf(hi - 1) + 1};
+    }
+};
 
 /**
- * The producer pieces of a workRegionOf grid (`producer` split by `part`,
- * `batch_unit` samples) that can overlap a consumer requesting region
- * `rq` over samples [b0, b1). Region overlap is per-dimension interval
- * overlap, so the box holds exactly the overlapping pieces.
+ * The chunk grids of one producer's workRegionOf pieces (`producer` split
+ * by `part`, `batch_unit` samples), one per partition dimension.
  */
-PieceBox
-overlapBox(const dnn::Layer &producer, const Partition &part,
-           std::int64_t batch_unit, const dnn::Region &rq, std::int64_t b0,
-           std::int64_t b1)
+struct PieceGrid
 {
-    PieceBox box;
-    std::tie(box.h0, box.h1) = chunkSpan(producer.h, part.h, rq.h0, rq.h1);
-    std::tie(box.w0, box.w1) = chunkSpan(producer.w, part.w, rq.w0, rq.w1);
-    std::tie(box.b0, box.b1) = chunkSpan(batch_unit, part.b, b0, b1);
-    std::tie(box.k0, box.k1) = chunkSpan(producer.k, part.k, rq.c0, rq.c1);
-    return box;
-}
+    ChunkGrid h, w, b, k;
+
+    PieceGrid(const dnn::Layer &producer, const Partition &part,
+              std::int64_t batch_unit)
+        : h(producer.h, part.h), w(producer.w, part.w),
+          b(batch_unit, part.b), k(producer.k, part.k)
+    {
+    }
+
+    /**
+     * The pieces that can overlap a consumer requesting region `rq` over
+     * samples [b0, b1). Region overlap is per-dimension interval overlap,
+     * so the box holds exactly the overlapping pieces.
+     */
+    PieceBox
+    overlapBox(const dnn::Region &rq, std::int64_t b0, std::int64_t b1) const
+    {
+        PieceBox box;
+        std::tie(box.h0, box.h1) = h.span(rq.h0, rq.h1);
+        std::tie(box.w0, box.w1) = w.span(rq.w0, rq.w1);
+        std::tie(box.b0, box.b1) = b.span(b0, b1);
+        std::tie(box.k0, box.k1) = k.span(rq.c0, rq.c1);
+        return box;
+    }
+};
 
 /** Visit the piece ids (correspondence-rule nids) of `box`. */
 template <typename Fn>
@@ -207,14 +244,15 @@ TrafficCompiler::allocEvents() const
     return arena_.allocEvents();
 }
 
-LayerFlows
+void
 TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
                          const std::vector<const LayerTiles *> &tiles,
                          std::int64_t num_units,
-                         const OfmapDramLookup &ofmap_dram_of) const
+                         const OfmapDramLookup &ofmap_dram_of,
+                         LayerFlows &flows, common::BumpArena &payload) const
 {
-    LayerFlows flows;
     flows.dramBytes.assign(arch_.dramCount, 0.0);
+    flows.glbOverflow = 0.0;
 
     // Every route hop adds straight into the dense per-link scratch, in
     // emission order: per-link sums and first-touch link order are those
@@ -329,12 +367,13 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
             required_scratch.clear();
             const std::span<PieceBox> boxes =
                 arena_.allocSpan<PieceBox>(n_pieces);
+            const PieceGrid grid(player, pms.part, group.batchUnit);
             for (std::size_t i = 0; i < n_pieces; ++i) {
                 const WorkRegion &cp = mine.regions[i];
                 required_scratch.push_back(
                     layer.requiredInput(j, cp.region));
-                boxes[i] = overlapBox(player, pms.part, group.batchUnit,
-                                      required_scratch[i], cp.b0, cp.b1);
+                boxes[i] = grid.overlapBox(required_scratch[i], cp.b0,
+                                           cp.b1);
             }
             const std::span<std::uint32_t> bucket_end =
                 arena_.allocSpan<std::uint32_t>(n_theirs + 1);
@@ -500,11 +539,14 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
     }
 
     // Emit the merged links in first-touch order (deterministic).
-    flows.links.reserve(merge_.touchedCount());
+    const std::span<std::pair<noc::LinkId, double>> links =
+        payload.allocSpan<std::pair<noc::LinkId, double>>(
+            merge_.touchedCount());
+    std::size_t n = 0;
     merge_.drain([&](noc::LinkId id, double bytes) {
-        flows.links.emplace_back(id, bytes);
+        std::construct_at(&links[n++], id, bytes);
     });
-    return flows;
+    flows.links = links;
 }
 
 } // namespace gemini::mapping

@@ -37,14 +37,17 @@ class TrafficCompiler
                     const noc::InterconnectModel &noc);
 
     /**
-     * Compile layer `li`'s fragment. `tiles` holds the tiling-stage output
-     * of every layer of the group (producer regions are read through it);
-     * `num_units` is batch / batchUnit (weight-residency amortization).
+     * Compile layer `li`'s fragment into `flows`, overwriting every
+     * field; the link list is allocated from `payload`. `tiles` holds the
+     * tiling-stage output of every layer of the group (producer regions
+     * are read through it); `num_units` is batch / batchUnit
+     * (weight-residency amortization).
      */
-    LayerFlows compile(const LayerGroupMapping &group, std::size_t li,
-                       const std::vector<const LayerTiles *> &tiles,
-                       std::int64_t num_units,
-                       const OfmapDramLookup &ofmap_dram_of) const;
+    void compile(const LayerGroupMapping &group, std::size_t li,
+                 const std::vector<const LayerTiles *> &tiles,
+                 std::int64_t num_units,
+                 const OfmapDramLookup &ofmap_dram_of, LayerFlows &flows,
+                 common::BumpArena &payload) const;
 
     /**
      * Append this stage's exact memoization key for layer `li`: its own

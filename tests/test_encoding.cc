@@ -152,6 +152,37 @@ TEST_F(ValidityTest, CoreOutOfMeshRejected)
     EXPECT_NE(checkGroupValid(graph_, arch_, g, 4), "");
 }
 
+TEST_F(ValidityTest, CoreErrorMessagesArePinned)
+{
+    LayerGroupMapping g = makeGroup();
+    const std::string name2 = graph_.layer(g.layers[2]).name;
+    g.schemes[2].coreGroup = {99};
+    EXPECT_EQ(checkGroupValid(graph_, arch_, g, 4),
+              name2 + ": core 99 out of mesh");
+    g.schemes[2].coreGroup = {-1};
+    EXPECT_EQ(checkGroupValid(graph_, arch_, g, 4),
+              name2 + ": core -1 out of mesh");
+
+    g = makeGroup();
+    const std::string name1 = graph_.layer(g.layers[1]).name;
+    g.schemes[1].coreGroup = {0};
+    EXPECT_EQ(checkGroupValid(graph_, arch_, g, 4),
+              name1 + ": core 0 assigned to two layers of the group");
+
+    g = makeGroup();
+    const std::string name0 = graph_.layer(g.layers[0]).name;
+    g.schemes[0].part.k = 2;
+    EXPECT_EQ(checkGroupValid(graph_, arch_, g, 4),
+              name0 + ": partition count 2 != core group size 1");
+
+    g = makeGroup();
+    g.schemes[0].fd.weight = static_cast<DramSel>(arch_.dramCount + 1);
+    EXPECT_EQ(checkGroupValid(graph_, arch_, g, 4),
+              name0 + ": FD.weight must be in [0, " +
+                  std::to_string(arch_.dramCount) + "], got " +
+                  std::to_string(arch_.dramCount + 1));
+}
+
 TEST_F(ValidityTest, PartitionBeyondDimsRejected)
 {
     LayerGroupMapping g = makeGroup();

@@ -10,6 +10,7 @@
 #include <set>
 
 #include "src/arch/presets.hh"
+#include "src/common/math_util.hh"
 #include "src/dnn/zoo.hh"
 #include "src/mapping/operators.hh"
 #include "src/mapping/stripe.hh"
@@ -247,6 +248,146 @@ TEST_F(OperatorTest, SingleLayerGroupLimitsOperators)
     EXPECT_TRUE(applyOperator(SaOperator::SwapWithinLayer, solo, graph_,
                               arch_, rng)
                     .applied);
+}
+
+/**
+ * The vector-building divisor and factorization enumeration the
+ * allocation-free visitors replaced, kept as their oracle.
+ */
+std::vector<std::int64_t>
+oracleDivisors(std::int64_t n)
+{
+    std::vector<std::int64_t> small, large;
+    for (std::int64_t d = 1; d * d <= n; ++d) {
+        if (n % d == 0) {
+            small.push_back(d);
+            if (d != n / d)
+                large.push_back(n / d);
+        }
+    }
+    small.insert(small.end(), large.rbegin(), large.rend());
+    return small;
+}
+
+std::vector<Factor4>
+oracleFactorizations4(std::int64_t n, const Factor4 &caps)
+{
+    std::vector<Factor4> out;
+    for (std::int64_t h : oracleDivisors(n)) {
+        if (h > caps[0])
+            continue;
+        const std::int64_t n1 = n / h;
+        for (std::int64_t w : oracleDivisors(n1)) {
+            if (w > caps[1])
+                continue;
+            const std::int64_t n2 = n1 / w;
+            for (std::int64_t b : oracleDivisors(n2)) {
+                if (b > caps[2])
+                    continue;
+                const std::int64_t k = n2 / b;
+                if (k > caps[3])
+                    continue;
+                out.push_back({h, w, b, k});
+            }
+        }
+    }
+    return out;
+}
+
+/** The erase-based randomPartition the count-and-select draw replaced. */
+Partition
+oracleRandomPartition(std::int64_t count, const Factor4 &caps,
+                      const Partition &current, Rng &rng)
+{
+    auto cands = oracleFactorizations4(count, caps);
+    if (cands.empty())
+        return {.h = 0, .w = 0, .b = 0, .k = 0};
+    if (cands.size() > 1) {
+        const Factor4 cur = {current.h, current.w, current.b, current.k};
+        std::erase(cands, cur);
+    }
+    const auto &pick =
+        cands[static_cast<std::size_t>(rng.nextInt(
+            static_cast<std::int64_t>(cands.size())))];
+    return {pick[0], pick[1], pick[2], pick[3]};
+}
+
+/** Layer-shaped caps (h, w, batch unit, k) the sweeps draw partitions under. */
+const std::vector<Factor4> kSweepCaps = {
+    {256, 256, 256, 256}, {7, 7, 2, 512}, {1, 1, 1, 1024},
+    {14, 14, 4, 64},      {3, 5, 2, 7},   {56, 56, 1, 3},
+};
+
+TEST(PartitionEnumeration, VisitorMatchesVectorOracleOrder)
+{
+    for (std::int64_t n = 1; n <= 256; ++n) {
+        std::vector<std::int64_t> divs;
+        forEachDivisor(n, [&](std::int64_t d) {
+            divs.push_back(d);
+            return true;
+        });
+        ASSERT_EQ(divs, oracleDivisors(n)) << "n=" << n;
+        for (const Factor4 &caps : kSweepCaps) {
+            const std::vector<Factor4> want = oracleFactorizations4(n, caps);
+            std::vector<Factor4> got;
+            forEachFactorization4(n, caps, [&](const Factor4 &f) {
+                got.push_back(f);
+                return true;
+            });
+            ASSERT_EQ(got, want) << "n=" << n;
+            ASSERT_EQ(factorizations4(n, caps), want) << "n=" << n;
+            ASSERT_EQ(countFactorizations4(n, caps),
+                      static_cast<std::int64_t>(want.size()))
+                << "n=" << n;
+        }
+    }
+}
+
+TEST(PartitionEnumeration, VisitorStopsWhenAsked)
+{
+    int seen = 0;
+    EXPECT_FALSE(forEachFactorization4(12, {12, 12, 12, 12},
+                                       [&](const Factor4 &) {
+                                           return ++seen < 3;
+                                       }));
+    EXPECT_EQ(seen, 3);
+    EXPECT_TRUE(forEachFactorization4(7, {4, 4, 4, 4},
+                                      [](const Factor4 &) { return false; }));
+}
+
+TEST(PartitionEnumeration, RandomPartitionMatchesEraseOracle)
+{
+    // Same partition and same RNG state after every draw, for currents
+    // that are absent, the only candidate, or at either end or the
+    // middle of the enumeration.
+    for (std::int64_t n = 1; n <= 256; ++n) {
+        for (const Factor4 &caps : kSweepCaps) {
+            const std::vector<Factor4> cands = oracleFactorizations4(n, caps);
+            std::vector<Partition> currents = {{}, {.h = n, .w = 1,
+                                                    .b = 1, .k = 1}};
+            for (std::size_t i : {std::size_t{0}, cands.size() / 2,
+                                  cands.size() - 1}) {
+                if (i < cands.size())
+                    currents.push_back({cands[i][0], cands[i][1],
+                                        cands[i][2], cands[i][3]});
+            }
+            for (const Partition &cur : currents) {
+                for (std::uint64_t seed : {1ull, 2ull, 99ull}) {
+                    Rng got_rng(seed * 1000003 + static_cast<std::uint64_t>(n));
+                    Rng want_rng(seed * 1000003 +
+                                 static_cast<std::uint64_t>(n));
+                    const Partition got = randomPartition(
+                        n, caps[0], caps[1], caps[2], caps[3], cur, got_rng);
+                    const Partition want =
+                        oracleRandomPartition(n, caps, cur, want_rng);
+                    ASSERT_EQ(got, want)
+                        << "n=" << n << " seed=" << seed;
+                    ASSERT_EQ(got_rng.next(), want_rng.next())
+                        << "RNG diverged: n=" << n << " seed=" << seed;
+                }
+            }
+        }
+    }
 }
 
 TEST(OperatorNames, AllDistinct)

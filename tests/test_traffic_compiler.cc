@@ -97,7 +97,7 @@ class Reference
         out.dramBytes.assign(static_cast<std::size_t>(arch_.dramCount), 0.0);
         const dnn::Layer &layer = graph_.layer(group.layers[li]);
         const MappingScheme &ms = group.schemes[li];
-        const std::vector<WorkRegion> &mine = tiles[li]->regions;
+        const std::span<const WorkRegion> mine = tiles[li]->regions;
         const std::size_t n = mine.size();
         std::vector<double> input_bytes(n, 0.0);
         auto node_of = [&](std::size_t i) {
@@ -112,7 +112,7 @@ class Reference
             const int pi = external ? -1 : group.indexOf(producer);
             if (pi >= 0) {
                 const auto ps = static_cast<std::size_t>(pi);
-                const std::vector<WorkRegion> &theirs = tiles[ps]->regions;
+                const std::span<const WorkRegion> theirs = tiles[ps]->regions;
                 const MappingScheme &pms = group.schemes[ps];
                 for (std::size_t a = 0; a < theirs.size(); ++a) {
                     const WorkRegion &pp = theirs[a];
@@ -343,12 +343,15 @@ randomGroup(const dnn::Graph &graph, const arch::ArchConfig &arch,
 /** Tiles as the tiling stage lays them out (regions only). */
 LayerTiles
 tilesOf(const dnn::Layer &layer, const MappingScheme &ms,
-        std::int64_t batch_unit)
+        std::int64_t batch_unit, common::BumpArena &payload)
 {
-    LayerTiles out;
+    const auto regions = payload.allocSpan<WorkRegion>(
+        static_cast<std::size_t>(ms.part.count()));
     for (std::int64_t nid = 0; nid < ms.part.count(); ++nid)
-        out.regions.push_back(mapping::workRegionOf(
-            layer, ms.part, batch_unit, mapping::workIndexOf(ms.part, nid)));
+        regions[static_cast<std::size_t>(nid)] = mapping::workRegionOf(
+            layer, ms.part, batch_unit, mapping::workIndexOf(ms.part, nid));
+    LayerTiles out;
+    out.regions = regions;
     return out;
 }
 
@@ -365,10 +368,12 @@ diffAgainstReference(const dnn::Graph &graph, const arch::ArchConfig &arch,
     for (int trial = 0; trial < trials; ++trial) {
         const LayerGroupMapping group =
             randomGroup(graph, arch, max_pieces, rng);
+        common::BumpArena payload;
         std::vector<LayerTiles> tiles;
         for (std::size_t li = 0; li < group.layers.size(); ++li)
             tiles.push_back(tilesOf(graph.layer(group.layers[li]),
-                                    group.schemes[li], group.batchUnit));
+                                    group.schemes[li], group.batchUnit,
+                                    payload));
         std::vector<const LayerTiles *> tile_ptrs;
         for (const LayerTiles &t : tiles)
             tile_ptrs.push_back(&t);
@@ -381,11 +386,14 @@ diffAgainstReference(const dnn::Graph &graph, const arch::ArchConfig &arch,
         };
         const std::int64_t num_units = rng.nextRange(1, 4);
 
+        // One fragment refilled for every layer: a compile must overwrite
+        // whatever the previous one left in it.
+        mapping::LayerFlows got;
         for (std::size_t li = 0; li < group.layers.size(); ++li) {
             for (LayerId in : graph.layer(group.layers[li]).inputs)
                 in_group_inputs += group.indexOf(in) >= 0 ? 1 : 0;
-            const mapping::LayerFlows got =
-                compiler.compile(group, li, tile_ptrs, num_units, lookup);
+            compiler.compile(group, li, tile_ptrs, num_units, lookup, got,
+                             payload);
             const RefFlows want =
                 reference.compile(group, li, tile_ptrs, num_units, lookup);
             const std::string where = arch.name + " trial " +
