@@ -71,6 +71,14 @@ hashWords(std::span<const std::int64_t> words)
  * anything, so untouched reservations cost no page faults; build()
  * constructs values in index order on first use. Values outlive wipes:
  * only the destructor destroys them.
+ *
+ * A std::deque kept across wipes also never moves its values, but it
+ * cannot reserve: it allocates a node per ~480 B fragment until the
+ * table first reaches each size. Measured with a retained deque in
+ * place of this pool, DeltaEvalSteadyState's warmed walk (cache bound
+ * 2^14, not yet full) counts 690 allocation events instead of 0, and a
+ * single-thread dse_screen run makes 1.27M heap allocations instead of
+ * 1.08M.
  */
 template <typename Value>
 class ValuePool
@@ -82,27 +90,25 @@ class ValuePool
     ~ValuePool()
     {
         for (std::size_t i = 0; i < built_; ++i)
-            at(i)->~Value();
+            std::destroy_at(at(i));
     }
-
-    std::size_t capacity() const { return blocks_.size() * kBlock; }
 
     /** Set aside raw storage for `n` values; true if it allocated. */
     bool
     reserve(std::size_t n)
     {
-        const bool grows = capacity() < n;
-        while (capacity() < n)
+        const bool grows = blocks_.size() * kBlock < n;
+        while (blocks_.size() * kBlock < n)
             blocks_.emplace_back(std::allocator<Value>().allocate(kBlock));
         return grows;
     }
 
-    /** Value `i` (i < capacity()), default-constructed on first use. */
+    /** Value `i` (within the reservation), built on first use. */
     Value &
     build(std::size_t i)
     {
         for (; built_ <= i; ++built_)
-            ::new (static_cast<void *>(at(built_))) Value();
+            std::construct_at(at(built_));
         return *at(i);
     }
 
@@ -190,8 +196,9 @@ class FlatWordTable
 
     /**
      * Probe for `key`. Returns the value or nullptr; either way `slot`
-     * receives the probe's resting position, which insertAt() may reuse
-     * *provided no insert or wipe happened in between*.
+     * receives the probe's resting position, which insertAt() or
+     * commitAt() may reuse *provided no insert or wipe happened in
+     * between*.
      */
     Value *
     find(Words key, std::size_t &slot)
@@ -383,7 +390,7 @@ class FlatWordTable
  * keeps contents in payload() provides relocate(BumpArena &), which
  * copies them into the given arena; moving the entry calls it.
  *
- * References returned by find()/insertAt() stay valid until the next
+ * References returned by find()/commitAt() stay valid until the next
  * makeRoom() or clear(): only those two evict.
  */
 template <typename Value>
@@ -443,7 +450,7 @@ class FlatWordCache
     /**
      * Probe for `key`; on a hit in the old generation, move the entry
      * into the young one. Returns the value or nullptr; on a miss `slot`
-     * receives the position insertAt() takes.
+     * receives the position commitAt() takes.
      */
     Value *
     find(Words key, std::size_t &slot)
@@ -478,13 +485,6 @@ class FlatWordCache
     commitAt(std::size_t slot, Words key)
     {
         return gens_[young_].commitAt(slot, key);
-    }
-
-    /** Insert `value` at the slot a just-failed find() returned. */
-    Value &
-    insertAt(std::size_t slot, Words key, Value value)
-    {
-        return gens_[young_].insertAt(slot, key, std::move(value));
     }
 
     /** Buffer-growth events of both generations. */

@@ -20,30 +20,6 @@ divisorsOf(std::int64_t n)
     return out;
 }
 
-std::vector<Factor4>
-factorizations4(std::int64_t n, const Factor4 &caps)
-{
-    GEMINI_ASSERT(n > 0, "factorizations4 requires n>0, got ", n);
-    std::vector<Factor4> out;
-    forEachFactorization4(n, caps, [&](const Factor4 &f) {
-        out.push_back(f);
-        return true;
-    });
-    return out;
-}
-
-std::int64_t
-countFactorizations4(std::int64_t n, const Factor4 &caps)
-{
-    GEMINI_ASSERT(n > 0, "countFactorizations4 requires n>0, got ", n);
-    std::int64_t count = 0;
-    forEachFactorization4(n, caps, [&](const Factor4 &) {
-        ++count;
-        return true;
-    });
-    return count;
-}
-
 double
 log10Factorial(std::int64_t n)
 {
@@ -104,18 +80,14 @@ chunkOf(std::int64_t total, std::int64_t parts, std::int64_t idx)
     return {extra * (base + 1) + (idx - extra) * base, base};
 }
 
-std::int64_t
-chunkIndexOf(std::int64_t total, std::int64_t parts, std::int64_t pos)
+ChunkGrid::ChunkGrid(std::int64_t total_, std::int64_t parts)
+    : total(total_)
 {
-    GEMINI_ASSERT(parts > 0 && total >= parts && pos >= 0 && pos < total,
-                  "chunkIndexOf bad total/parts/pos: ", total, "/", parts,
-                  "/", pos);
-    const std::int64_t base = total / parts;
-    const std::int64_t extra = total % parts;
-    const std::int64_t long_span = extra * (base + 1);
-    if (pos < long_span)
-        return pos / (base + 1);
-    return extra + (pos - long_span) / base;
+    GEMINI_ASSERT(parts > 0 && total >= parts,
+                  "bad chunk grid total/parts: ", total, "/", parts);
+    base = total / parts;
+    extra = total % parts;
+    longSpan = extra * (base + 1);
 }
 
 } // namespace gemini

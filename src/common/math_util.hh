@@ -2,15 +2,18 @@
  * @file
  * Integer and combinatorial math helpers used throughout the framework:
  * divisor enumeration, 4-way factorizations for ofmap partitions, ceil-div,
- * log-domain binomials for the optimization-space size, and the integer
- * partition function used for the Tangram-space comparison.
+ * log-domain binomials for the optimization-space size, the integer
+ * partition function used for the Tangram-space comparison, and the
+ * near-equal chunk splits of the Partition attribute.
  */
 
 #ifndef GEMINI_COMMON_MATH_UTIL_HH
 #define GEMINI_COMMON_MATH_UTIL_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace gemini {
@@ -98,23 +101,6 @@ forEachFactorization4(std::int64_t n, const Factor4 &caps, Fn &&fn)
     return !stopped;
 }
 
-/**
- * Every ordered factorization of n into four positive factors subject to
- * per-dimension upper bounds (caps[i] >= 1), in forEachFactorization4's
- * order.
- *
- * @param n     product that the four factors must reach
- * @param caps  inclusive upper bound per dimension (e.g. ofmap dims)
- * @return      all valid factorizations; empty if none satisfy the caps
- */
-std::vector<Factor4> factorizations4(std::int64_t n, const Factor4 &caps);
-
-/**
- * Count (without materializing) the valid 4-way factorizations of n
- * under the given caps.
- */
-std::int64_t countFactorizations4(std::int64_t n, const Factor4 &caps);
-
 /** log10 of n! via lgamma. */
 double log10Factorial(std::int64_t n);
 
@@ -147,11 +133,42 @@ struct ChunkRange
 ChunkRange chunkOf(std::int64_t total, std::int64_t parts, std::int64_t idx);
 
 /**
- * Inverse of chunkOf: the index of the chunk of a `parts`-way split of
- * `total` that holds position `pos` (0 <= pos < total).
+ * A chunkOf split of `total` into `parts` (total >= parts > 0), inverted:
+ * which chunk holds a position, and which chunks meet a position range.
+ * Building one asserts the split and precomputes it, so each lookup costs
+ * one division.
  */
-std::int64_t chunkIndexOf(std::int64_t total, std::int64_t parts,
-                          std::int64_t pos);
+struct ChunkGrid
+{
+    ChunkGrid(std::int64_t total, std::int64_t parts);
+
+    /** Index of the chunk that holds `pos` (0 <= pos < total). */
+    std::int64_t
+    indexOf(std::int64_t pos) const
+    {
+        return pos < longSpan ? pos / (base + 1)
+                              : extra + (pos - longSpan) / base;
+    }
+
+    /**
+     * Chunk indices [first, last) that intersect [lo, hi). Chunks tile
+     * [0, total), so positions outside it meet no chunk.
+     */
+    std::pair<std::int64_t, std::int64_t>
+    span(std::int64_t lo, std::int64_t hi) const
+    {
+        lo = std::max<std::int64_t>(lo, 0);
+        hi = std::min(hi, total);
+        if (hi <= lo)
+            return {0, 0};
+        return {indexOf(lo), indexOf(hi - 1) + 1};
+    }
+
+    std::int64_t total;
+    std::int64_t base = 0;     ///< length of a short chunk
+    std::int64_t extra = 0;    ///< number of long (base + 1) chunks
+    std::int64_t longSpan = 0; ///< positions the long chunks cover
+};
 
 } // namespace gemini
 

@@ -51,46 +51,6 @@ struct PieceBox
 };
 
 /**
- * A chunkOf split of `total` into `parts` (total >= parts > 0), inverted:
- * which chunks meet a position range. Built once per producer dimension,
- * so each consumer's lookup costs a division per range end.
- */
-struct ChunkGrid
-{
-    std::int64_t total, base, extra, longSpan;
-
-    ChunkGrid(std::int64_t total_, std::int64_t parts)
-        : total(total_), base(total_ / parts), extra(total_ % parts),
-          longSpan(extra * (base + 1))
-    {
-        GEMINI_ASSERT(parts > 0 && total >= parts,
-                      "bad chunk grid total/parts: ", total, "/", parts);
-    }
-
-    /** chunkIndexOf(total, parts, pos) for 0 <= pos < total. */
-    std::int64_t
-    indexOf(std::int64_t pos) const
-    {
-        return pos < longSpan ? pos / (base + 1)
-                              : extra + (pos - longSpan) / base;
-    }
-
-    /**
-     * Chunk indices [first, last) that intersect [lo, hi). Chunks tile
-     * [0, total), so positions outside it (padding halos) meet no chunk.
-     */
-    std::pair<std::int64_t, std::int64_t>
-    span(std::int64_t lo, std::int64_t hi) const
-    {
-        lo = std::max<std::int64_t>(lo, 0);
-        hi = std::min(hi, total);
-        if (hi <= lo)
-            return {0, 0};
-        return {indexOf(lo), indexOf(hi - 1) + 1};
-    }
-};
-
-/**
  * The chunk grids of one producer's workRegionOf pieces (`producer` split
  * by `part`, `batch_unit` samples), one per partition dimension.
  */

@@ -61,26 +61,46 @@ TEST(MathUtil, DivisorsAreSortedAndDivide)
         EXPECT_EQ(360 % d, 0);
 }
 
+/** The factorizations forEachFactorization4 visits, in visit order. */
+std::vector<Factor4>
+visitedFactorizations4(std::int64_t n, const Factor4 &caps)
+{
+    std::vector<Factor4> out;
+    forEachFactorization4(n, caps, [&](const Factor4 &f) {
+        out.push_back(f);
+        return true;
+    });
+    return out;
+}
+
+/** Brute-force count of the 4-tuples within `caps` whose product is n. */
+std::int64_t
+bruteFactorizations4(std::int64_t n, const Factor4 &caps)
+{
+    std::int64_t count = 0;
+    for (std::int64_t a = 1; a <= caps[0]; ++a)
+        for (std::int64_t b = 1; b <= caps[1]; ++b)
+            for (std::int64_t c = 1; c <= caps[2]; ++c)
+                for (std::int64_t d = 1; d <= caps[3]; ++d)
+                    if (a * b * c * d == n)
+                        ++count;
+    return count;
+}
+
 TEST(MathUtil, Factorizations4Complete)
 {
     // All ordered factorizations of 6 with no caps: 4 slots for each
     // divisor chain. Verify against a brute-force count.
-    const auto f = factorizations4(6, {6, 6, 6, 6});
-    std::int64_t brute = 0;
-    for (std::int64_t a = 1; a <= 6; ++a)
-        for (std::int64_t b = 1; b <= 6; ++b)
-            for (std::int64_t c = 1; c <= 6; ++c)
-                for (std::int64_t d = 1; d <= 6; ++d)
-                    if (a * b * c * d == 6)
-                        ++brute;
-    EXPECT_EQ(static_cast<std::int64_t>(f.size()), brute);
+    const auto f = visitedFactorizations4(6, {6, 6, 6, 6});
+    EXPECT_EQ(static_cast<std::int64_t>(f.size()),
+              bruteFactorizations4(6, {6, 6, 6, 6}));
     for (const auto &x : f)
         EXPECT_EQ(x[0] * x[1] * x[2] * x[3], 6);
 }
 
 TEST(MathUtil, Factorizations4RespectsCaps)
 {
-    const auto f = factorizations4(8, {2, 2, 1, 4});
+    const auto f = visitedFactorizations4(8, {2, 2, 1, 4});
     for (const auto &x : f) {
         EXPECT_LE(x[0], 2);
         EXPECT_LE(x[1], 2);
@@ -94,17 +114,20 @@ TEST(MathUtil, Factorizations4RespectsCaps)
 
 TEST(MathUtil, Factorizations4ImpossiblePrime)
 {
-    // 7 cannot split into factors all <= 4.
-    EXPECT_TRUE(factorizations4(7, {4, 4, 4, 4}).empty());
-    EXPECT_EQ(countFactorizations4(7, {4, 4, 4, 4}), 0);
+    // 7 cannot split into factors all <= 4: nothing is visited, and a
+    // visit that ran to the end reports so.
+    EXPECT_TRUE(forEachFactorization4(7, {4, 4, 4, 4},
+                                      [](const Factor4 &) { return false; }));
+    EXPECT_TRUE(visitedFactorizations4(7, {4, 4, 4, 4}).empty());
 }
 
 TEST(MathUtil, CountMatchesEnumeration)
 {
     for (std::int64_t n : {1, 2, 12, 36, 60}) {
         const Factor4 caps{10, 10, 4, 20};
-        EXPECT_EQ(countFactorizations4(n, caps),
-                  static_cast<std::int64_t>(factorizations4(n, caps).size()))
+        EXPECT_EQ(static_cast<std::int64_t>(
+                      visitedFactorizations4(n, caps).size()),
+                  bruteFactorizations4(n, caps))
             << "n=" << n;
     }
 }

@@ -183,6 +183,14 @@ TEST(FlatWordTable, HashMatchesFragmentKeyFnv)
     EXPECT_EQ(hashWords(k), h);
 }
 
+/** Insert `value` under `k` at the slot a just-failed find() returned. */
+int &
+insertAt(FlatWordCache<int> &c, std::size_t slot, std::int64_t k, int value)
+{
+    c.spare() = value;
+    return c.commitAt(slot, key({k}));
+}
+
 /** find-or-insert through a FlatWordCache; counts misses. */
 int
 lookup(FlatWordCache<int> &c, std::int64_t k, int &misses)
@@ -191,7 +199,7 @@ lookup(FlatWordCache<int> &c, std::int64_t k, int &misses)
     if (int *hit = c.find(key({k}), slot))
         return *hit;
     ++misses;
-    return c.insertAt(slot, key({k}), static_cast<int>(k) * 10);
+    return insertAt(c, slot, k, static_cast<int>(k) * 10);
 }
 
 TEST(FlatWordCache, WorkingSetSurvivesAGenerationSwap)
@@ -237,7 +245,7 @@ TEST(FlatWordCache, BatchLargerThanAGenerationOvershoots)
     for (std::int64_t k = 0; k < 5; ++k) {
         std::size_t slot = 0;
         ASSERT_EQ(c.find(key({k}), slot), nullptr);
-        held.push_back(&c.insertAt(slot, key({k}), static_cast<int>(k)));
+        held.push_back(&insertAt(c, slot, k, static_cast<int>(k)));
     }
     for (std::int64_t k = 0; k < 5; ++k)
         EXPECT_EQ(*held[static_cast<std::size_t>(k)], k); // still valid

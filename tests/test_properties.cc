@@ -81,8 +81,12 @@ TEST_P(PartitionCoverageP, EveryFactorizationTilesExactly)
     l.k = c.k;
     l.h = c.h;
     l.w = c.w;
-    const auto cands =
-        factorizations4(c.cores, {c.h, c.w, c.bu, c.k});
+    std::vector<Factor4> cands;
+    forEachFactorization4(c.cores, {c.h, c.w, c.bu, c.k},
+                          [&](const Factor4 &f) {
+                              cands.push_back(f);
+                              return true;
+                          });
     for (const auto &f : cands) {
         const mapping::Partition p{f[0], f[1], f[2], f[3]};
         std::int64_t vol = 0;

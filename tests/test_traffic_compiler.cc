@@ -434,14 +434,44 @@ const arch::Topology kTopologies[] = {
 
 TEST(ChunkIndexOf, InvertsChunkOf)
 {
+    // The ChunkGrid lookups the compiler's overlap boxes use, against
+    // chunkOf: every position maps to its chunk, and every range (halo
+    // overhang included) spans exactly the chunks it intersects.
     for (std::int64_t total = 1; total <= 40; ++total) {
         for (std::int64_t parts = 1; parts <= total; ++parts) {
+            const ChunkGrid grid(total, parts);
             for (std::int64_t idx = 0; idx < parts; ++idx) {
                 const ChunkRange r = chunkOf(total, parts, idx);
                 for (std::int64_t pos = r.offset; pos < r.offset + r.length;
                      ++pos)
-                    ASSERT_EQ(chunkIndexOf(total, parts, pos), idx)
+                    ASSERT_EQ(grid.indexOf(pos), idx)
                         << total << "/" << parts << " @" << pos;
+            }
+            for (std::int64_t lo = -2; lo <= total + 1; ++lo) {
+                for (std::int64_t hi = lo; hi <= total + 2; ++hi) {
+                    std::int64_t first = parts, last = 0;
+                    for (std::int64_t idx = 0; idx < parts; ++idx) {
+                        const ChunkRange r = chunkOf(total, parts, idx);
+                        if (lo < hi && r.offset < hi &&
+                            lo < r.offset + r.length) {
+                            first = std::min(first, idx);
+                            last = idx + 1;
+                        }
+                    }
+                    const auto [got_first, got_last] = grid.span(lo, hi);
+                    if (last == 0) { // no chunk meets [lo, hi)
+                        ASSERT_GE(got_first, got_last)
+                            << total << "/" << parts << " [" << lo << ","
+                            << hi << ")";
+                        continue;
+                    }
+                    ASSERT_EQ(got_first, first)
+                        << total << "/" << parts << " [" << lo << "," << hi
+                        << ")";
+                    ASSERT_EQ(got_last, last)
+                        << total << "/" << parts << " [" << lo << "," << hi
+                        << ")";
+                }
             }
         }
     }
