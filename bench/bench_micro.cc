@@ -14,7 +14,6 @@
 #include <map>
 
 #include "src/arch/presets.hh"
-#include "src/common/simd.hh"
 #include "src/cost/mc_evaluator.hh"
 #include "src/dnn/zoo.hh"
 #include "src/cost/cost_stack.hh"
@@ -350,7 +349,6 @@ runLargeSa(benchmark::State &state, arch::Topology topology, bool delta,
         compiler_allocs = an.compilerAllocEvents();
     }
     state.SetItemsProcessed(state.iterations() * kLargeSaBudget);
-    state.SetLabel(common::simdLevelName(common::activeSimdLevel()));
     state.counters["best_cost"] = best;
     state.counters["groups"] =
         static_cast<double>(w.init.groups.size());

@@ -514,6 +514,10 @@ ExperimentSpec::validate() const
         complain("mapping.max_group_layers: must be >= 1");
     if (mapping.saThreads < 0)
         complain("mapping.sa_threads: must be >= 0");
+    if (mapping.analyzerCacheEntries > mapping::kMaxAnalyzerCacheEntries)
+        complain("mapping.analyzer_cache_entries: must be <= " +
+                 std::to_string(mapping::kMaxAnalyzerCacheEntries) +
+                 " (0 = uncached)");
     if (threads < 0)
         complain("threads: must be >= 0 (0 = hardware concurrency)");
     if (!(deadlineSeconds >= 0.0) || !std::isfinite(deadlineSeconds))

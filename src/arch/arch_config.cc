@@ -28,6 +28,11 @@ ArchConfig::validate() const
     std::ostringstream err;
     if (xCores <= 0 || yCores <= 0)
         return "core grid dims must be positive";
+    if (static_cast<std::int64_t>(xCores) * yCores > kMaxCoreCount) {
+        err << "core grid " << xCores << "x" << yCores << " exceeds "
+            << kMaxCoreCount << " cores";
+        return err.str();
+    }
     if (xCut <= 0 || yCut <= 0)
         return "cut counts must be positive";
     if (xCores % xCut != 0) {
@@ -44,6 +49,10 @@ ArchConfig::validate() const
         return "D2D bandwidth must be positive on multi-chiplet designs";
     if (dramCount < 1)
         return "need at least one DRAM";
+    if (dramCount > kMaxDramCount) {
+        err << "dram_count " << dramCount << " exceeds " << kMaxDramCount;
+        return err.str();
+    }
     if (macsPerCore <= 0 || glbKiB <= 0)
         return "core resources must be positive";
     if (freqGHz <= 0)

@@ -52,6 +52,21 @@ inline constexpr std::pair<Topology, const char *> kTopologyNames[] = {
 const char *topologyName(Topology t);
 
 /**
+ * Largest core grid validate() accepts: far above every preset (the
+ * largest is 256 cores) and above the biggest grid the DSE enumerates
+ * (dse::kMaxExactCores plus its 15% search window), and small enough that
+ * coreCount() and every core id stay well inside `int`.
+ */
+inline constexpr int kMaxCoreCount = 1 << 16;
+
+/**
+ * Largest DRAM-stack count validate() accepts (presets use at most 8).
+ * DRAM selectors are 16-bit (DramSel), and every core keeps a route to
+ * every stack.
+ */
+inline constexpr int kMaxDramCount = 1 << 10;
+
+/**
  * Architecture parameters (Sec. III "Configurable Parameters").
  *
  * A configuration is usually written as the paper's tuple
@@ -150,7 +165,8 @@ struct ArchConfig
 
     /**
      * Validate parameter consistency (cuts divide the core grid, positive
-     * bandwidths...). Returns an error message or empty when valid — the
+     * bandwidths, core and DRAM counts within kMaxCoreCount and
+     * kMaxDramCount...). Returns an error message or empty when valid — the
      * DSE uses this to discard invalid candidates exactly as the paper
      * does ("XCut and YCut must be a factor of the number of cores on
      * edge; otherwise, the candidate is deemed invalid").

@@ -52,6 +52,9 @@ struct DseAxes
  */
 inline constexpr double kMinExactCores = 0.85;
 inline constexpr double kMaxExactCores = 16384.0;
+static_assert(kMaxExactCores * 1.15 + 1.0 < arch::kMaxCoreCount,
+              "every grid chooseCoreGrid can pick must pass "
+              "ArchConfig::validate");
 
 /**
  * Choose the core grid for a MAC count under a TOPS target: the candidate

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/logging.hh"
-#include "src/mapping/kernels.hh"
 
 namespace gemini::mapping {
 
@@ -56,29 +55,28 @@ assembleBreakdown(int pipeline_depth, double core_energy, double max_stage,
  * Price a gathered group with one architecture's link kinds (`kind_of`
  * maps a link id to its LinkKind), bandwidths and cost stack. The
  * on-chip/D2D sums are order-dependent and fold in link-id order; the
- * bottleneck max batches through the fused SIMD kernel over the packed
- * (bytes, kind) arrays, with `kinds` as scratch.
+ * bottleneck is an order-free max of per-link seconds seeded at +0.0,
+ * folded in the same pass.
  */
 template <typename KindOf>
 eval::EvalBreakdown
 priceGathered(const GatheredGroup &g, KindOf &&kind_of, double noc_bps,
-              double d2d_bps, const cost::CostStack &costs,
-              std::vector<std::uint8_t> &kinds)
+              double d2d_bps, const cost::CostStack &costs)
 {
     double on_chip = 0.0;
     double d2d = 0.0;
-    kinds.resize(g.linkIds.size());
+    double max_link_seconds = 0.0;
     for (std::size_t k = 0; k < g.linkIds.size(); ++k) {
         const noc::LinkKind kind = kind_of(g.linkIds[k]);
         if (kind == noc::LinkKind::D2D)
             d2d += g.linkBytes[k];
         else
             on_chip += g.linkBytes[k];
-        kinds[k] = static_cast<std::uint8_t>(kind);
+        const double secs =
+            g.linkBytes[k] / (kind == noc::LinkKind::D2D ? d2d_bps : noc_bps);
+        if (secs > max_link_seconds)
+            max_link_seconds = secs;
     }
-    const double max_link_seconds = kernels::active().maxSeconds(
-        g.linkBytes.data(), kinds.data(), noc_bps, d2d_bps,
-        g.linkBytes.size());
 
     return assembleBreakdown(g.pipelineDepth, g.coreEnergy, g.maxStage,
                              g.glbOverflow, g.dramPerUnit, on_chip, d2d,
@@ -114,7 +112,7 @@ GroupPricer::price(const GatheredGroup &gathered) const
 {
     return priceGathered(
         gathered, [this](noc::LinkId id) { return kinds_[id]; }, nocBps_,
-        d2dBps_, costs_, scratch_);
+        d2dBps_, costs_);
 }
 
 Analyzer::Analyzer(const dnn::Graph &graph, const arch::ArchConfig &arch,
@@ -404,7 +402,7 @@ Analyzer::evaluateGroupFullMerge(const LayerGroupMapping &group,
     gatherGroup(group, batch, ofmap_dram_of, gathered_);
     return priceGathered(
         gathered_, [this](noc::LinkId id) { return noc_.linkKindAt(id); },
-        noc_.nocBandwidthBps(), noc_.d2dBandwidthBps(), costs, linkKinds_);
+        noc_.nocBandwidthBps(), noc_.d2dBandwidthBps(), costs);
 }
 
 GroupState &

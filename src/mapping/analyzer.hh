@@ -112,7 +112,6 @@ class GroupPricer
     double nocBps_ = 0.0;
     double d2dBps_ = 0.0;
     cost::CostStack costs_;
-    mutable std::vector<std::uint8_t> scratch_;
 };
 
 /**
@@ -369,8 +368,6 @@ class Analyzer
     mutable DenseLinkAccumulator merge_;
     /** The full merge's gathered group. */
     mutable GatheredGroup gathered_;
-    /** Packed kinds of a priced group's links, for the SIMD max. */
-    mutable std::vector<std::uint8_t> linkKinds_;
     mutable std::uint64_t tileHits_ = 0;
     mutable std::uint64_t tileMisses_ = 0;
     mutable std::uint64_t flowHits_ = 0;

@@ -28,6 +28,15 @@
 
 namespace gemini::mapping {
 
+/**
+ * Largest analyzerCacheEntries a spec may ask for. Both fragment caches
+ * reserve their slot arrays and arenas up front at this size, and their
+ * tables index keys and values in 32 bits; the cap stays far above the
+ * 2048 default.
+ */
+inline constexpr std::size_t kMaxAnalyzerCacheEntries = std::size_t{1}
+                                                        << 20;
+
 /** All knobs of one mapping run. */
 struct MappingOptions
 {
@@ -54,7 +63,7 @@ struct MappingOptions
      * Entry bound of each of the analyzer's two fragment caches, tile and
      * flow (0 disables both). Every SA chain gets its own caches of this
      * size. Eviction never changes a result, only how often a fragment
-     * is recomputed.
+     * is recomputed. Specs cap it at kMaxAnalyzerCacheEntries.
      */
     std::size_t analyzerCacheEntries = 2048;
 

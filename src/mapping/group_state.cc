@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "src/common/logging.hh"
-#include "src/mapping/kernels.hh"
 
 namespace gemini::mapping {
 
@@ -18,21 +17,21 @@ MaxSegTree::resizePreserve(std::size_t leaves)
         fresh[m + i] = tree_[n_ + i];
     tree_ = std::move(fresh);
     n_ = m;
-    const kernels::KernelTable &k = kernels::active();
-    for (std::size_t lvl = n_ >> 1; lvl >= 1; lvl >>= 1)
-        k.pairMax(tree_.data() + lvl, tree_.data() + 2 * lvl, lvl);
+    build();
 }
 
 void
-MaxSegTree::assign(const double *values, std::size_t count)
+MaxSegTree::build()
 {
-    GEMINI_ASSERT(count <= n_, "MaxSegTree::assign beyond leaf space");
-    std::memcpy(tree_.data() + n_, values, count * sizeof(double));
-    std::fill(tree_.begin() + static_cast<std::ptrdiff_t>(n_ + count),
-              tree_.end(), 0.0);
-    const kernels::KernelTable &k = kernels::active();
-    for (std::size_t lvl = n_ >> 1; lvl >= 1; lvl >>= 1)
-        k.pairMax(tree_.data() + lvl, tree_.data() + 2 * lvl, lvl);
+    for (std::size_t lvl = n_ >> 1; lvl >= 1; lvl >>= 1) {
+        double *parent = tree_.data() + lvl;
+        const double *children = tree_.data() + 2 * lvl;
+        for (std::size_t i = 0; i < lvl; ++i) {
+            const double a = children[2 * i];
+            const double b = children[2 * i + 1];
+            parent[i] = a < b ? b : a;
+        }
+    }
 }
 
 std::uint32_t
@@ -81,9 +80,8 @@ GroupState::noteCapacities()
         layerStage_.capacity() * 8 + layerGlb_.capacity() * 8 +
         layerDram_.capacity() * 8 + affected_.capacity() * 4 +
         activeAdds_.capacity() * 4 + activeDels_.capacity() * 4 +
-        activeScratch_.capacity() * 4 + bytesScratch_.capacity() * 8 +
-        kindScratch_.capacity() + secondsScratch_.capacity() * 8 +
-        depthScratch_.capacity() * 4 + cachedDram_.capacity() * 8;
+        activeScratch_.capacity() * 4 + depthScratch_.capacity() * 4 +
+        cachedDram_.capacity() * 8;
     if (sum > capWatermark_) {
         if (capWatermark_ != 0)
             ++growthEvents_;
@@ -108,8 +106,6 @@ GroupState::rebuild(const dnn::Graph &graph, const LayerGroupMapping &group,
     const std::size_t n_layers = group.layers.size();
     GEMINI_ASSERT(tiles.size() == n_layers && flows.size() == n_layers,
                   "rebuild needs every layer's fragments");
-    const kernels::KernelTable &k = kernels::active();
-
     membership.clear();
     membership.push_back(batch);
     membership.push_back(group.batchUnit);
@@ -198,27 +194,22 @@ GroupState::rebuild(const dnn::Graph &graph, const LayerGroupMapping &group,
     }
 
     // Tournament tree: leaf id == dense index (first-touch order; max is
-    // order-free, so leaf numbering cannot affect the result), leaf
-    // seconds batched through the exact-division kernel, one bottom-up
-    // build. The same pass stamps each entry's link kind (a property of
-    // the slot, fixed for the life of the interconnect) so the cached
-    // fold never needs an interconnect lookup.
+    // order-free, so leaf numbering cannot affect the result), each leaf
+    // the link's serialization seconds, one bottom-up build. The same
+    // pass stamps each entry's link kind (a property of the slot, fixed
+    // for the life of the interconnect) so the cached fold never needs
+    // an interconnect lookup.
     const std::size_t n_active = dense_.size();
+    const double noc_bps = noc.nocBandwidthBps();
+    const double d2d_bps = noc.d2dBandwidthBps();
     tree_.reset(std::max<std::size_t>(64, 2 * n_active));
-    bytesScratch_.resize(n_active);
-    kindScratch_.resize(n_active);
     for (std::size_t i = 0; i < n_active; ++i) {
         DenseSlot &d = dense_[i];
         const auto kind = static_cast<std::uint8_t>(noc.linkKindAt(d.link));
         d.kindPlus1 = static_cast<std::uint8_t>(kind + 1);
-        bytesScratch_[i] = d.bytes;
-        kindScratch_[i] = kind;
+        tree_.leaf(i) = d.bytes / (kind != 0 ? d2d_bps : noc_bps);
     }
-    secondsScratch_.resize(n_active);
-    k.secondsFromKinds(secondsScratch_.data(), bytesScratch_.data(),
-                       kindScratch_.data(), noc.nocBandwidthBps(),
-                       noc.d2dBandwidthBps(), n_active);
-    tree_.assign(secondsScratch_.data(), n_active);
+    tree_.build();
 
     // Pipeline depth is membership-invariant: compute once per rebuild.
     depthScratch_.assign(n_layers, 1);
@@ -250,7 +241,6 @@ GroupState::applyDelta(const LayerGroupMapping &group,
                        const noc::InterconnectModel &noc)
 {
     GEMINI_ASSERT(valid, "applyDelta on an unbuilt state");
-    const kernels::KernelTable &k = kernels::active();
     affected_.clear();
 
     // First touch records whether the slot was active *before* this
@@ -366,15 +356,16 @@ GroupState::applyDelta(const LayerGroupMapping &group,
 
     // Re-derive every affected slot from scratch: totals re-sum over the
     // (ascending-layer) contribution slab, exactly as the reference
-    // accumulates them. Tournament leaves batch below; activity
+    // accumulates them, and each tournament leaf takes an O(log) point
+    // set with ancestor early-exit (leaf id == dense index). Activity
     // transitions collect into add/remove sets so the sorted active list
     // is repaired in ONE merge pass — per-slot insert/erase would make a
     // wide delta O(affected * active).
     activeAdds_.clear();
     activeDels_.clear();
+    const double noc_bps = noc.nocBandwidthBps();
+    const double d2d_bps = noc.d2dBandwidthBps();
     const std::size_t n_affected = affected_.size();
-    bytesScratch_.resize(n_affected);
-    kindScratch_.resize(n_affected);
     for (std::size_t i = 0; i < n_affected; ++i) {
         if (i + 2 < n_affected)
             __builtin_prefetch(dense_[affected_[i + 2]].contrib);
@@ -398,18 +389,10 @@ GroupState::applyDelta(const LayerGroupMapping &group,
         if (d.kindPlus1 == 0)
             d.kindPlus1 = static_cast<std::uint8_t>(
                 static_cast<std::uint8_t>(noc.linkKindAt(d.link)) + 1);
-        bytesScratch_[i] = d.bytes; // 0.0 / bw == +0.0 for inactive
-        kindScratch_[i] = static_cast<std::uint8_t>(d.kindPlus1 - 1);
+        // 0.0 / bw == +0.0 for an inactive slot.
+        tree_.set(affected_[i],
+                  d.bytes / (d.kindPlus1 > 1 ? d2d_bps : noc_bps));
     }
-
-    // Tournament updates: one batched exact-division kernel, then
-    // O(log) point sets with ancestor early-exit. Leaf id == dense index.
-    secondsScratch_.resize(n_affected);
-    k.secondsFromKinds(secondsScratch_.data(), bytesScratch_.data(),
-                       kindScratch_.data(), noc.nocBandwidthBps(),
-                       noc.d2dBandwidthBps(), n_affected);
-    for (std::size_t i = 0; i < n_affected; ++i)
-        tree_.set(affected_[i], secondsScratch_[i]);
 
     if (!activeAdds_.empty() || !activeDels_.empty()) {
         std::sort(activeAdds_.begin(), activeAdds_.end());
@@ -439,12 +422,10 @@ GroupState::refreshFolds() const
 {
     if (foldsValid_)
         return;
-    const kernels::KernelTable &k = kernels::active();
 
     // Sequential adds in ascending link-id order (the canonical fold the
-    // reference drains in) — order-dependent, so no SIMD here. The
-    // linkMap_ reads walk an ascending stride (prefetch-friendly) and
-    // the dense reads stay L1-resident.
+    // reference drains in). The linkMap_ reads walk an ascending stride
+    // (prefetch-friendly) and the dense reads stay L1-resident.
     LinkFold link;
     for (noc::LinkId id : active_) {
         const DenseSlot &d = dense_[linkMap_[id] - 1];
@@ -456,20 +437,25 @@ GroupState::refreshFolds() const
     link.maxLinkSeconds = tree_.max();
     cachedLink_ = link;
 
-    // Energy sums in ascending layer order (order-dependent: sequential);
-    // the maxima are order-free and take the SIMD fold.
+    // Energy sums in ascending layer order (order-dependent); the maxima
+    // are order-free folds seeded at +0.0.
     ScalarFold scalar;
     const std::size_t n_layers = layerEnergy_.size();
-    for (std::size_t li = 0; li < n_layers; ++li)
+    for (std::size_t li = 0; li < n_layers; ++li) {
         scalar.coreEnergy += layerEnergy_[li];
-    scalar.maxStage = k.maxOf(layerStage_.data(), n_layers);
-    scalar.glbOverflow = k.maxOf(layerGlb_.data(), n_layers);
+        if (layerStage_[li] > scalar.maxStage)
+            scalar.maxStage = layerStage_[li];
+        if (layerGlb_[li] > scalar.glbOverflow)
+            scalar.glbOverflow = layerGlb_[li];
+    }
     cachedScalar_ = scalar;
 
     cachedDram_.assign(dramStride_, 0.0);
-    for (std::size_t li = 0; li < n_layers; ++li)
-        k.accumulate(cachedDram_.data(),
-                     layerDram_.data() + li * dramStride_, dramStride_);
+    for (std::size_t li = 0; li < n_layers; ++li) {
+        const double *row = layerDram_.data() + li * dramStride_;
+        for (std::size_t d = 0; d < dramStride_; ++d)
+            cachedDram_[d] += row[d];
+    }
 
     foldsValid_ = true;
 }
@@ -494,7 +480,8 @@ GroupState::accumulateDram(double *acc, std::size_t dram_count) const
     GEMINI_ASSERT(dram_count == dramStride_,
                   "DRAM stack count mismatch against resident state");
     refreshFolds();
-    kernels::active().accumulate(acc, cachedDram_.data(), dramStride_);
+    for (std::size_t d = 0; d < dramStride_; ++d)
+        acc[d] += cachedDram_[d];
 }
 
 } // namespace gemini::mapping

@@ -29,9 +29,9 @@
  * so steady-state delta application performs zero heap allocations
  * (allocEvents() proves it).
  * The canonical folds are cached per delta (pure functions of the
- * resident fragment set), and order-free reductions (tournament leaves,
- * maxima) batch through the runtime-dispatched SIMD kernels
- * (mapping/kernels.hh), bit-identical to scalar.
+ * resident fragment set). Every fold is a plain scalar loop; the
+ * order-free ones (tournament levels, maxima) compare exactly as the
+ * full-merge reference does, so no lane grouping can change a bit.
  */
 
 #ifndef GEMINI_MAPPING_GROUP_STATE_HH
@@ -51,7 +51,7 @@ namespace gemini::mapping {
 
 /**
  * Iterative max segment tree over a fixed dense leaf space (rounded up
- * to a power of two so bulk rebuilds vectorize level by level). Point
+ * to a power of two so bulk rebuilds run level by level). Point
  * updates are O(log leaves) with an early exit once an ancestor is
  * unchanged; the root read is O(1). Max is order-independent, so the
  * tree is bit-exact against any linear scan of the same leaves.
@@ -88,13 +88,15 @@ class MaxSegTree
         }
     }
 
+    /** Leaf slot for a bulk write; build() must follow before max(). */
+    double &leaf(std::size_t i) { return tree_[n_ + i]; }
+
     /**
-     * Bulk rebuild: leaves [0, count) take `values`, the rest zero, and
-     * every internal level recomputes bottom-up (pairwise max through
-     * the SIMD kernels — O(leaves) total, vs O(count log leaves) point
-     * sets). Requires count <= leaves().
+     * Bulk rebuild: every internal level recomputes bottom-up from the
+     * leaves with std::max's (a < b) ? b : a — O(leaves) total, vs
+     * O(count log leaves) point sets.
      */
-    void assign(const double *values, std::size_t count);
+    void build();
 
     /** Max over all leaves (0 when nothing was ever set). */
     double max() const { return tree_[1]; }
@@ -193,15 +195,14 @@ class GroupState
     struct ScalarFold
     {
         double coreEnergy = 0.0;  ///< sum in ascending layer order
-        double maxStage = 0.0;    ///< order-free max (SIMD)
-        double glbOverflow = 0.0; ///< order-free max (SIMD), >= 0
+        double maxStage = 0.0;    ///< order-free max, seeded at +0.0
+        double glbOverflow = 0.0; ///< order-free max, >= 0
     };
     ScalarFold foldScalars() const;
 
     /**
      * acc[d] += sum over layers of the layer's per-DRAM bytes, folding
-     * layers in ascending order per stack (the reference order) with the
-     * elementwise-accumulate kernel across stacks.
+     * layers in ascending order per stack (the reference order).
      *
      * All three folds are pure functions of the resident fragment set,
      * so their results are cached and recomputed only after a rebuild
@@ -327,9 +328,6 @@ class GroupState
     std::vector<std::uint32_t> activeAdds_;
     std::vector<std::uint32_t> activeDels_;
     std::vector<std::uint32_t> activeScratch_;
-    std::vector<double> bytesScratch_;
-    std::vector<std::uint8_t> kindScratch_;
-    std::vector<double> secondsScratch_;
     std::vector<int> depthScratch_; ///< per-layer pipeline depth
 
     /** Allocation accounting: arena events + buffer-capacity growth. */

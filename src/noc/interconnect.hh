@@ -228,9 +228,9 @@ class InterconnectModel
     }
 
     /**
-     * The two bandwidth constants behind linkBandwidthAt, for batched
-     * (SIMD) seconds computation over packed kind bytes: every link's
-     * bandwidth is one of exactly these two values.
+     * The two bandwidth constants behind linkBandwidthAt, for callers
+     * that already hold a link's kind: every link's bandwidth is one of
+     * exactly these two values.
      */
     double nocBandwidthBps() const { return nocBps_; }
     double d2dBandwidthBps() const { return d2dBps_; }

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -288,6 +290,32 @@ TEST(SpecValidate, ZeroDramDieBandwidthIsRejected)
               "cost.dram_unit_bw_gbps: must be a finite number > 0");
 }
 
+TEST(SpecValidate, AnalyzerCacheEntriesAboveTheCapAreRejected)
+{
+    // The caches reserve their storage by this count up front, so an
+    // unbounded value would let one spec reserve unbounded memory.
+    EXPECT_EQ(problemsWith([](ExperimentSpec &s) {
+                  s.mapping.analyzerCacheEntries = 9007199254740991ull;
+              }),
+              "mapping.analyzer_cache_entries: must be <= 1048576 "
+              "(0 = uncached)");
+    EXPECT_EQ(problemsWith([](ExperimentSpec &s) {
+                  s.mapping.analyzerCacheEntries =
+                      mapping::kMaxAnalyzerCacheEntries + 1;
+              }),
+              "mapping.analyzer_cache_entries: must be <= 1048576 "
+              "(0 = uncached)");
+    EXPECT_EQ(problemsWith([](ExperimentSpec &s) {
+                  s.mapping.analyzerCacheEntries =
+                      mapping::kMaxAnalyzerCacheEntries;
+              }),
+              "");
+    EXPECT_EQ(problemsWith([](ExperimentSpec &s) {
+                  s.mapping.analyzerCacheEntries = 0;
+              }),
+              "");
+}
+
 TEST(SpecValidate, CostTiersMustBePresentAndAscend)
 {
     EXPECT_EQ(problemsWith([](ExperimentSpec &s) {
@@ -515,6 +543,43 @@ TEST(Service, MapModeMatchesDirectEngineRun)
     EXPECT_EQ(result.mappings[0].total.delay, direct.total.delay);
     EXPECT_EQ(result.mappings[0].total.totalEnergy(),
               direct.total.totalEnergy());
+}
+
+TEST(Service, AnalyzerCacheEntriesNeverChangeAMapResult)
+{
+    // The cache size is a speed knob: a seeded SA walk must land on the
+    // same cost bits and the same mapping whether every fragment is
+    // recomputed (0), the caches thrash (2, 16) or they hold the whole
+    // walk (the 2048 default).
+    ExperimentSpec spec;
+    spec.mode = ExperimentSpec::Mode::Map;
+    spec.models = {{.zoo = "tiny_transformer", .file = ""}};
+    spec.arch.preset = "tiny";
+    spec.mapping.batch = 2;
+    spec.mapping.sa.iterations = 300;
+    spec.mapping.sa.seed = 7;
+
+    std::string reference_mapping;
+    double reference_cost = 0.0;
+    for (const std::size_t entries : {0u, 2u, 16u, 2048u}) {
+        spec.mapping.analyzerCacheEntries = entries;
+        ExplorationService service(1);
+        const ExperimentResult &result = service.submit(spec).wait();
+        ASSERT_FALSE(result.failed()) << result.error;
+        ASSERT_EQ(result.mappings.size(), 1u);
+        const mapping::MappingResult &m = result.mappings[0];
+        const std::string text = lpMappingToJson(m.mapping).canonical();
+        if (entries == 0) {
+            reference_mapping = text;
+            reference_cost = m.saStats.finalCost;
+            EXPECT_GT(m.saStats.accepted, 0) << "the walk must move";
+            continue;
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(m.saStats.finalCost),
+                  std::bit_cast<std::uint64_t>(reference_cost))
+            << entries << " entries";
+        EXPECT_EQ(text, reference_mapping) << entries << " entries";
+    }
 }
 
 // -------------------------------------------------------- cancellation --

@@ -103,6 +103,35 @@ TEST(ArchConfig, ValidateRejectsNonPositive)
     EXPECT_FALSE(a.validate().empty());
 }
 
+TEST(ArchConfig, ValidateRejectsGridsAndDramCountsAboveTheCaps)
+{
+    // 46341^2 overflows a 32-bit int: the check must not compute it
+    // there.
+    ArchConfig a;
+    a.xCores = a.yCores = 46341;
+    a.xCut = a.yCut = 1;
+    EXPECT_EQ(a.validate(), "core grid 46341x46341 exceeds 65536 cores");
+    a.xCores = kMaxCoreCount;
+    a.yCores = 1;
+    EXPECT_TRUE(a.validate().empty()) << a.validate();
+    a.yCores = 2;
+    EXPECT_FALSE(a.validate().empty());
+
+    a = ArchConfig{};
+    a.dramCount = kMaxDramCount;
+    EXPECT_TRUE(a.validate().empty()) << a.validate();
+    a.dramCount = kMaxDramCount + 1;
+    EXPECT_EQ(a.validate(), "dram_count 1025 exceeds 1024");
+
+    // Every preset sits well inside both caps.
+    for (const std::string &name : presets::names()) {
+        const ArchConfig p = *presets::byName(name);
+        EXPECT_TRUE(p.validate().empty()) << name;
+        EXPECT_LE(p.coreCount(), kMaxCoreCount / 64) << name;
+        EXPECT_LE(p.dramCount, kMaxDramCount / 64) << name;
+    }
+}
+
 TEST(ArchConfig, ToStringMatchesPaperTuple)
 {
     const ArchConfig g = gArch72();

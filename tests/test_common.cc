@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the common utilities: math helpers, RNG determinism and
- * distribution sanity, CSV writer, the thread pool and the thread CPU
- * clock.
+ * distribution sanity, CSV writer, the thread pool (cpulist parsing,
+ * NUMA topology detection and worker arenas included), the thread CPU
+ * clock, the bump arena and the SmallVec small-buffer container.
  */
 
 #include <gtest/gtest.h>
@@ -10,13 +11,18 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "src/common/arena.hh"
 #include "src/common/cpu_clock.hh"
 #include "src/common/csv.hh"
 #include "src/common/math_util.hh"
 #include "src/common/rng.hh"
+#include "src/common/small_vec.hh"
 #include "src/common/thread_pool.hh"
 
 namespace gemini {
@@ -356,6 +362,79 @@ TEST(ThreadPool, ReportsThreadCount)
     EXPECT_EQ(pool.threadCount(), 5u);
 }
 
+TEST(ParseCpuList, CoversRangesSinglesAndJunk)
+{
+    using V = std::vector<int>;
+    EXPECT_EQ(parseCpuList("0-3,8,10-11"), (V{0, 1, 2, 3, 8, 10, 11}));
+    EXPECT_EQ(parseCpuList("4\n"), (V{4}));
+    EXPECT_EQ(parseCpuList(""), V{});
+    EXPECT_EQ(parseCpuList("garbage"), V{});
+    EXPECT_EQ(parseCpuList("3,1,2"), (V{1, 2, 3}));   // sorted
+    EXPECT_EQ(parseCpuList("1,1,1-2"), (V{1, 2}));    // deduplicated
+    EXPECT_EQ(parseCpuList("5-3"), V{});              // empty range skipped
+    EXPECT_EQ(parseCpuList(" 0-1 , 7 \n"), (V{0, 1, 7}));
+}
+
+TEST(NumaTopology, DetectionNeverReportsZeroNodes)
+{
+    const NumaTopology topo = detectNumaTopology();
+    ASSERT_GE(topo.nodeCount(), 1u);
+    EXPECT_GE(topo.cpuCount(), 1u);
+    for (const auto &node : topo.nodeCpus)
+        EXPECT_FALSE(node.empty());
+}
+
+TEST(ThreadPoolNuma, WorkerArenasAreNodeLocalAndUsable)
+{
+    // Off-pool threads (this one) have no worker arena.
+    EXPECT_EQ(ThreadPool::workerArena(), nullptr);
+
+    ThreadPool::Options opts;
+    opts.threads = 3;
+    ThreadPool pool(opts);
+    EXPECT_EQ(pool.threadCount(), 3u);
+    ASSERT_GE(pool.numaNodeCount(), 1u);
+    EXPECT_LE(pool.pinnedWorkers(), pool.threadCount());
+    if (pool.numaNodeCount() == 1) {
+        // Single-node hosts must skip pinning entirely.
+        EXPECT_EQ(pool.pinnedWorkers(), 0u);
+    }
+    for (std::size_t w = 0; w < pool.threadCount(); ++w)
+        EXPECT_LT(pool.workerNode(w), pool.numaNodeCount());
+
+    // Every task sees a usable arena; distinct workers see distinct ones.
+    std::mutex mu;
+    std::set<common::BumpArena *> arenas;
+    std::atomic<int> failures{0};
+    pool.parallelFor(64, [&](std::size_t i) {
+        common::BumpArena *arena = ThreadPool::workerArena();
+        if (arena == nullptr) {
+            ++failures;
+            return;
+        }
+        auto span = arena->allocSpan<double>(16);
+        span[0] = static_cast<double>(i);
+        if (span.size() != 16)
+            ++failures;
+        std::lock_guard lock(mu);
+        arenas.insert(arena);
+    });
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_GE(arenas.size(), 1u);
+    EXPECT_LE(arenas.size(), pool.threadCount());
+}
+
+TEST(ThreadPoolNuma, SizeTCompatConstructorStillWorks)
+{
+    ThreadPool pool(2);
+    EXPECT_EQ(pool.threadCount(), 2u);
+    std::atomic<int> sum{0};
+    pool.parallelFor(10, [&](std::size_t i) {
+        sum += static_cast<int>(i);
+    });
+    EXPECT_EQ(sum.load(), 45);
+}
+
 // ------------------------------------------------------ thread cpu clock --
 
 TEST(ThreadCpuClock, CountsWorkButNotSleep)
@@ -375,6 +454,52 @@ TEST(ThreadCpuClock, CountsWorkButNotSleep)
            std::chrono::steady_clock::now() - wall < std::chrono::seconds(5))
         sink = sink + 1.0;
     EXPECT_GE(common::threadCpuSeconds() - t1, 0.01);
+}
+
+// ---------------------------------------------------------- containers --
+
+TEST(BumpArenaTest, ResetRetainsChunksAndCountsEvents)
+{
+    common::BumpArena arena(4096);
+    EXPECT_EQ(arena.allocEvents(), 0u);
+    auto s1 = arena.allocSpan<std::uint64_t>(64);
+    s1[0] = 42;
+    const std::uint64_t events = arena.allocEvents();
+    EXPECT_GE(events, 1u);
+    arena.reset();
+    // Same-size reallocation after reset reuses the retained chunk: no
+    // new allocation events — the zero-steady-state-alloc invariant the
+    // delta-evaluation hot path depends on.
+    auto s2 = arena.allocSpan<std::uint64_t>(64);
+    EXPECT_EQ(s2.data(), s1.data());
+    EXPECT_EQ(arena.allocEvents(), events);
+}
+
+TEST(SmallVecTest, InlineThenSpillKeepsContents)
+{
+    common::SmallVec<std::pair<std::uint64_t, double>, 4> v;
+    EXPECT_TRUE(v.empty());
+    for (std::uint64_t i = 0; i < 12; ++i)
+        v.push_back({i, static_cast<double>(i) * 0.5});
+    ASSERT_EQ(v.size(), 12u);
+    for (std::uint64_t i = 0; i < 12; ++i) {
+        EXPECT_EQ(v[i].first, i);
+        EXPECT_EQ(v[i].second, static_cast<double>(i) * 0.5);
+    }
+
+    // Copy, move, and equality across the inline/heap boundary.
+    common::SmallVec<std::pair<std::uint64_t, double>, 4> copy = v;
+    EXPECT_TRUE(copy == v);
+    common::SmallVec<std::pair<std::uint64_t, double>, 4> moved =
+        std::move(copy);
+    EXPECT_TRUE(moved == v);
+
+    v.clear();
+    EXPECT_TRUE(v.empty());
+    v.assign(3, {7, 7.5});
+    ASSERT_EQ(v.size(), 3u);
+    EXPECT_EQ(v[2].first, 7u);
+    EXPECT_FALSE(moved == v);
 }
 
 } // namespace

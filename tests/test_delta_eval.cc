@@ -15,14 +15,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <optional>
-#include <tuple>
+#include <string>
 #include <vector>
 
 #include "src/arch/arch_config.hh"
 #include "src/arch/presets.hh"
 #include "src/common/rng.hh"
-#include "src/common/simd.hh"
 #include "src/cost/cost_stack.hh"
 #include "src/dnn/zoo.hh"
 #include "src/intracore/explorer.hh"
@@ -73,23 +71,6 @@ expectBitIdentical(const eval::EvalBreakdown &a, const eval::EvalBreakdown &b,
     EXPECT_EQ(a.d2dHopBytes, b.d2dHopBytes) << what << " step " << step;
     EXPECT_EQ(a.glbOverflow, b.glbOverflow) << what << " step " << step;
 }
-
-/** Force a SIMD dispatch level for one scope, restoring the prior one. */
-class ScopedSimdLevel
-{
-  public:
-    explicit ScopedSimdLevel(common::SimdLevel level)
-        : prior_(common::activeSimdLevel()),
-          ok_(common::forceSimdLevel(level))
-    {
-    }
-    ~ScopedSimdLevel() { common::forceSimdLevel(prior_); }
-    bool ok() const { return ok_; }
-
-  private:
-    common::SimdLevel prior_;
-    bool ok_;
-};
 
 /**
  * Drive a random operator walk and compare delta vs full-merge for every
@@ -162,30 +143,11 @@ runDifferentialWalk(arch::Topology topology, int steps, int ops_per_step,
     EXPECT_GT(delta.deltaApplies() + delta.deltaRebuilds(), 0u);
 }
 
-/**
- * Every random-walk case runs under both forced-scalar and the detected
- * vectorized dispatch: the walk must be bit-identical to the full-merge
- * reference under either kernel variant (vectorized cases skip on hosts
- * without AVX2, where scalar is the only variant).
- */
-class DeltaEvalTopology
-    : public testing::TestWithParam<
-          std::tuple<arch::Topology, common::SimdLevel>>
+/** Every random-walk case runs on each of the four topology backends. */
+class DeltaEvalTopology : public testing::TestWithParam<arch::Topology>
 {
   protected:
-    arch::Topology topology() const { return std::get<0>(GetParam()); }
-
-    /** Force the case's dispatch level, or skip if unsupported. */
-    void
-    SetUp() override
-    {
-        forced_.emplace(std::get<1>(GetParam()));
-        if (!forced_->ok())
-            GTEST_SKIP() << "host cannot execute "
-                         << common::simdLevelName(std::get<1>(GetParam()));
-    }
-
-    std::optional<ScopedSimdLevel> forced_;
+    arch::Topology topology() const { return GetParam(); }
 };
 
 TEST_P(DeltaEvalTopology, RandomWalkMatchesFullMergeBitExact)
@@ -212,76 +174,16 @@ TEST_P(DeltaEvalTopology, StateLruEvictionStaysSound)
 
 INSTANTIATE_TEST_SUITE_P(
     AllTopologies, DeltaEvalTopology,
-    testing::Combine(
-        testing::Values(arch::Topology::Mesh, arch::Topology::FoldedTorus,
-                        arch::Topology::ConcentratedRing,
-                        arch::Topology::HierarchicalNop),
-        testing::Values(common::SimdLevel::Scalar,
-                        common::SimdLevel::Avx2)),
-    [](const testing::TestParamInfo<
-        std::tuple<arch::Topology, common::SimdLevel>> &info) {
-        std::string name = arch::topologyName(std::get<0>(info.param));
+    testing::Values(arch::Topology::Mesh, arch::Topology::FoldedTorus,
+                    arch::Topology::ConcentratedRing,
+                    arch::Topology::HierarchicalNop),
+    [](const testing::TestParamInfo<arch::Topology> &info) {
+        std::string name = arch::topologyName(info.param);
         for (char &c : name)
             if (c == '-')
                 c = '_';
-        name += '_';
-        name += common::simdLevelName(std::get<1>(info.param));
         return name;
     });
-
-/**
- * Whole-SA-trajectory dispatch differential: the same SA run (all
- * operators, Metropolis accept/reject, basin hops) must visit bit-
- * identical costs whether the kernels dispatch scalar or AVX2 — the
- * acceptance test behind the "vectorization changes nothing" claim.
- */
-TEST(DeltaEvalSimd, SaTrajectoryBitIdenticalAcrossDispatch)
-{
-    if (common::detectedSimdLevel() < common::SimdLevel::Avx2)
-        GTEST_SKIP() << "host has no AVX2; scalar is the only variant";
-
-    for (arch::Topology topology :
-         {arch::Topology::Mesh, arch::Topology::FoldedTorus,
-          arch::Topology::ConcentratedRing,
-          arch::Topology::HierarchicalNop}) {
-        const arch::ArchConfig cfg = fuzzArch(topology);
-        const dnn::Graph graph = dnn::zoo::tinyTransformer(32, 64, 4, 1);
-        const noc::InterconnectModel noc(cfg);
-        const cost::CostStack costs(cfg);
-
-        auto run = [&](common::SimdLevel level, mapping::SaStats *st) {
-            ScopedSimdLevel forced(level);
-            EXPECT_TRUE(forced.ok());
-            intracore::Explorer explorer(cfg.macsPerCore, cfg.glbBytes(),
-                                         cfg.freqGHz);
-            Analyzer an(graph, cfg, noc, explorer);
-            an.setCacheCapacity(2048);
-            an.setDeltaEval(true);
-            an.setDeltaMinLayers(1);
-            mapping::SaEngine sa(graph, cfg, an, costs);
-            LpMapping m = initialMapping(graph, cfg);
-            mapping::SaOptions so;
-            so.iterations = 400;
-            so.seed = 0xD15BA7C4ull;
-            sa.optimize(m, so, st);
-        };
-
-        mapping::SaStats scalar_stats, avx2_stats;
-        run(common::SimdLevel::Scalar, &scalar_stats);
-        run(common::SimdLevel::Avx2, &avx2_stats);
-
-        // Costs bit-identical, and with them every Metropolis decision:
-        // the two trajectories are the same walk.
-        EXPECT_EQ(scalar_stats.initialCost, avx2_stats.initialCost)
-            << arch::topologyName(topology);
-        EXPECT_EQ(scalar_stats.finalCost, avx2_stats.finalCost)
-            << arch::topologyName(topology);
-        EXPECT_EQ(scalar_stats.accepted, avx2_stats.accepted)
-            << arch::topologyName(topology);
-        EXPECT_EQ(scalar_stats.improved, avx2_stats.improved)
-            << arch::topologyName(topology);
-    }
-}
 
 /**
  * The zero-steady-state-allocation contract: once a delta-evaluation

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the five SA operators: validity preservation, the exact
  * transformations the paper describes, and reachability (OP4 sequences can
- * take a CG to any size, per the Sec. V-B1 argument).
+ * take a CG to any size, per the Sec. V-B1 argument). Also the
+ * SchemeUndoLog that rewinds a rejected proposal.
  */
 
 #include <gtest/gtest.h>
@@ -392,6 +393,43 @@ TEST(OperatorNames, AllDistinct)
     for (int i = 0; i < kNumSaOperators; ++i)
         names.insert(saOperatorName(static_cast<SaOperator>(i)));
     EXPECT_EQ(names.size(), 5u);
+}
+
+TEST(SchemeUndoLogTest, RestoresReverseOrderAcrossRepeatSnapshots)
+{
+    mapping::LayerGroupMapping group;
+    group.schemes.resize(2);
+    group.schemes[0].part = {2, 1, 1, 2};
+    group.schemes[0].coreGroup = {0, 1, 2, 3};
+    group.schemes[1].part = {1, 1, 1, 1};
+    group.schemes[1].coreGroup = {4};
+
+    mapping::SchemeUndoLog undo;
+    EXPECT_EQ(undo.size(), 0u);
+
+    // Two mutations of the same layer: restore must rewind to the value
+    // of the *first* snapshot (reverse-order replay).
+    undo.snapshot(0, group.schemes[0]);
+    group.schemes[0].part = {4, 1, 1, 1};
+    undo.snapshot(0, group.schemes[0]);
+    group.schemes[0].part = {1, 4, 1, 1};
+    group.schemes[0].coreGroup = {9};
+    undo.snapshot(1, group.schemes[1]);
+    group.schemes[1].coreGroup = {5, 6};
+    EXPECT_EQ(undo.size(), 3u);
+
+    undo.restore(group);
+    EXPECT_EQ(group.schemes[0].part, (mapping::Partition{2, 1, 1, 2}));
+    EXPECT_EQ(group.schemes[0].coreGroup,
+              (std::vector<CoreId>{0, 1, 2, 3}));
+    EXPECT_EQ(group.schemes[1].coreGroup, (std::vector<CoreId>{4}));
+
+    // reset() forgets the snapshots but keeps the entry storage.
+    undo.reset();
+    EXPECT_EQ(undo.size(), 0u);
+    group.schemes[1].part = {1, 1, 1, 1};
+    undo.restore(group); // no-op on an empty log
+    EXPECT_EQ(group.schemes[1].part, (mapping::Partition{1, 1, 1, 1}));
 }
 
 } // namespace
