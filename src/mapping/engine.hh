@@ -34,8 +34,7 @@ namespace gemini::mapping {
  * tables index keys and values in 32 bits; the cap stays far above the
  * 2048 default.
  */
-inline constexpr std::size_t kMaxAnalyzerCacheEntries = std::size_t{1}
-                                                        << 20;
+inline constexpr std::size_t kMaxAnalyzerCacheEntries = 1 << 20;
 
 /** All knobs of one mapping run. */
 struct MappingOptions

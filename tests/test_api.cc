@@ -295,11 +295,6 @@ TEST(SpecValidate, AnalyzerCacheEntriesAboveTheCapAreRejected)
     // The caches reserve their storage by this count up front, so an
     // unbounded value would let one spec reserve unbounded memory.
     EXPECT_EQ(problemsWith([](ExperimentSpec &s) {
-                  s.mapping.analyzerCacheEntries = 9007199254740991ull;
-              }),
-              "mapping.analyzer_cache_entries: must be <= 1048576 "
-              "(0 = uncached)");
-    EXPECT_EQ(problemsWith([](ExperimentSpec &s) {
                   s.mapping.analyzerCacheEntries =
                       mapping::kMaxAnalyzerCacheEntries + 1;
               }),

@@ -123,13 +123,9 @@ TEST(ArchConfig, ValidateRejectsGridsAndDramCountsAboveTheCaps)
     a.dramCount = kMaxDramCount + 1;
     EXPECT_EQ(a.validate(), "dram_count 1025 exceeds 1024");
 
-    // Every preset sits well inside both caps.
-    for (const std::string &name : presets::names()) {
-        const ArchConfig p = *presets::byName(name);
-        EXPECT_TRUE(p.validate().empty()) << name;
-        EXPECT_LE(p.coreCount(), kMaxCoreCount / 64) << name;
-        EXPECT_LE(p.dramCount, kMaxDramCount / 64) << name;
-    }
+    // Every preset sits inside both caps.
+    for (const std::string &name : presets::names())
+        EXPECT_TRUE(presets::byName(name)->validate().empty()) << name;
 }
 
 TEST(ArchConfig, ToStringMatchesPaperTuple)
