@@ -247,12 +247,9 @@ BENCHMARK(BM_SaThroughputOptimized);
  * Paper-scale SA throughput: a GPT-2-medium-class transformer (314
  * layers) on the 256-core 16-chiplet grid, mapped as two 157-layer
  * groups — the regime where per-proposal cost is dominated by group
- * size. Measured with delta evaluation (resident GroupStates,
- * tournament-tree bottleneck) and with the full-merge engine, on every
- * topology backend; a scaling variant sweeps the group size to show the
- * delta win *growing* with it (the full merge is O(group) per proposal,
- * the delta path O(changed fragments)). Acceptance target: >= 2x
- * iters/s over the pre-PR engine on the 157-layer-group scenario.
+ * size — on every topology backend; a scaling variant sweeps the group
+ * size on the mesh. Every proposal re-merges the touched group's
+ * cached fragments.
  *
  * The initial LMS stripe-maps contiguous chunks directly: the
  * partitioner DP would evaluate tens of thousands of candidate segments
@@ -315,7 +312,7 @@ largeExplorer()
 }
 
 void
-runLargeSa(benchmark::State &state, arch::Topology topology, bool delta,
+runLargeSa(benchmark::State &state, arch::Topology topology,
            std::size_t layers_per_group = kLargeLayersPerGroup)
 {
     const LargeSaWorkload &w =
@@ -323,8 +320,7 @@ runLargeSa(benchmark::State &state, arch::Topology topology, bool delta,
     noc::InterconnectModel noc(w.arch);
     cost::CostStack em(w.arch);
     double best = 0.0;
-    std::uint64_t applies = 0, rebuilds = 0, alloc_events = 0;
-    std::uint64_t state_allocs = 0, compiler_allocs = 0;
+    std::uint64_t alloc_events = 0, compiler_allocs = 0;
     for (auto _ : state) {
         // Fresh analyzer per run: the walk must pay its own fragment
         // derivations (an analyzer kept across runs would replay the
@@ -333,7 +329,6 @@ runLargeSa(benchmark::State &state, arch::Topology topology, bool delta,
         // warm the same way.
         mapping::Analyzer an(w.graph, w.arch, noc, largeExplorer());
         an.setCacheCapacity(1 << 15);
-        an.setDeltaEval(delta);
         mapping::SaEngine sa(w.graph, w.arch, an, em);
         mapping::LpMapping m = w.init;
         mapping::SaOptions so;
@@ -342,10 +337,7 @@ runLargeSa(benchmark::State &state, arch::Topology topology, bool delta,
         mapping::SaStats st;
         sa.optimize(m, so, &st);
         best = st.finalCost;
-        applies = an.deltaApplies();
-        rebuilds = an.deltaRebuilds();
         alloc_events = an.cacheAllocEvents();
-        state_allocs = an.stateAllocEvents();
         compiler_allocs = an.compilerAllocEvents();
     }
     state.SetItemsProcessed(state.iterations() * kLargeSaBudget);
@@ -353,12 +345,8 @@ runLargeSa(benchmark::State &state, arch::Topology topology, bool delta,
     state.counters["groups"] =
         static_cast<double>(w.init.groups.size());
     state.counters["layers"] = static_cast<double>(w.graph.size());
-    state.counters["delta_applies"] = static_cast<double>(applies);
-    state.counters["delta_rebuilds"] = static_cast<double>(rebuilds);
     state.counters["cache_alloc_events"] =
         static_cast<double>(alloc_events);
-    state.counters["state_alloc_events"] =
-        static_cast<double>(state_allocs);
     state.counters["compiler_alloc_events"] =
         static_cast<double>(compiler_allocs);
 }
@@ -366,47 +354,20 @@ runLargeSa(benchmark::State &state, arch::Topology topology, bool delta,
 void
 BM_SaThroughputLarge(benchmark::State &state)
 {
-    runLargeSa(state, arch::kAllTopologies[state.range(0)], /*delta=*/true);
+    runLargeSa(state, arch::kAllTopologies[state.range(0)]);
 }
 BENCHMARK(BM_SaThroughputLarge)
     ->DenseRange(0, 3)
     ->Unit(benchmark::kMillisecond);
 
-void
-BM_SaThroughputLargeFullMerge(benchmark::State &state)
-{
-    runLargeSa(state, arch::kAllTopologies[state.range(0)],
-               /*delta=*/false);
-}
-BENCHMARK(BM_SaThroughputLargeFullMerge)
-    ->DenseRange(0, 3)
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * Group-size scaling on the mesh: the delta win must grow with group
- * size (and the size floor must protect small groups, where both
- * variants fall back to the same full merge).
- */
+/** Group-size scaling on the mesh. */
 void
 BM_SaThroughputLargeScaling(benchmark::State &state)
 {
-    runLargeSa(state, arch::Topology::Mesh, /*delta=*/true,
+    runLargeSa(state, arch::Topology::Mesh,
                static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_SaThroughputLargeScaling)
-    ->Arg(25)
-    ->Arg(50)
-    ->Arg(100)
-    ->Arg(157)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_SaThroughputLargeScalingFullMerge(benchmark::State &state)
-{
-    runLargeSa(state, arch::Topology::Mesh, /*delta=*/false,
-               static_cast<std::size_t>(state.range(0)));
-}
-BENCHMARK(BM_SaThroughputLargeScalingFullMerge)
     ->Arg(25)
     ->Arg(50)
     ->Arg(100)

@@ -93,7 +93,6 @@ describe(Io &io, mapping::MappingOptions &x)
     io.field("sa", x.sa);
     io.field("sa_threads", x.saThreads);
     io.field("analyzer_cache_entries", x.analyzerCacheEntries);
-    io.field("delta_eval", x.deltaEval);
     io.field("max_group_layers", x.maxGroupLayers);
     io.field("analytic_seed", x.analyticSeed);
     io.field("batch_units", x.batchUnits);

@@ -43,8 +43,8 @@ ArchConfig gArchTorus();
 /**
  * Paper-scale stress grid: 256 cores (16x16) in 16 chiplets (4x4 cut),
  * 512 TOPs, 8 DRAM stacks sized by the 2 GB/s-per-TOPs rule. The
- * scaling scenario of the delta-evaluation benchmarks — any topology
- * backend (the 16-row grid satisfies every backend's constraints).
+ * scaling scenario of the large SA benchmarks — any topology backend
+ * (the 16-row grid satisfies every backend's constraints).
  */
 ArchConfig largeGridArch(Topology topology = Topology::Mesh);
 

@@ -5,8 +5,8 @@
  * heap again. reset() rewinds to empty but keeps every chunk, and every
  * chunk acquisition bumps an allocation-event counter — the same
  * "counters prove zero steady-state allocations" discipline the flat
- * cache tables use (common/flat_table.hh), asserted by the delta-eval
- * steady-state test.
+ * cache tables use (common/flat_table.hh), asserted by the analyzer's
+ * steady-state walk test (Analyzer::totalAllocEvents).
  *
  * Only trivially-destructible element types make sense here: reset()
  * runs no destructors.

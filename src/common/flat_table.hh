@@ -75,10 +75,10 @@ hashWords(std::span<const std::int64_t> words)
  * A std::deque kept across wipes also never moves its values, but it
  * cannot reserve: it allocates a node per ~480 B fragment until the
  * table first reaches each size. Measured with a retained deque in
- * place of this pool, DeltaEvalSteadyState's warmed walk (cache bound
- * 2^14, not yet full) counts 690 allocation events instead of 0, and a
- * single-thread dse_screen run makes 1.27M heap allocations instead of
- * 1.08M.
+ * place of this pool, a warmed SA-style walk over 12-layer groups (cache
+ * bound 2^14, not yet full) counted 690 allocation events instead of 0,
+ * and a single-thread dse_screen run made 1.27M heap allocations instead
+ * of 1.08M.
  */
 template <typename Value>
 class ValuePool

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <charconv>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -87,30 +88,8 @@ detectNumaTopology()
     return topo;
 }
 
-namespace {
-/** Set by workerLoop for the lifetime of the worker thread. */
-thread_local common::BumpArena *t_workerArena = nullptr;
-} // namespace
-
-common::BumpArena *
-ThreadPool::workerArena()
-{
-    return t_workerArena;
-}
-
 ThreadPool::ThreadPool(std::size_t threads)
 {
-    Options options;
-    options.threads = threads;
-    start(options);
-}
-
-ThreadPool::ThreadPool(const Options &options) { start(options); }
-
-void
-ThreadPool::start(const Options &options)
-{
-    std::size_t threads = options.threads;
     if (threads == 0) {
         threads = std::thread::hardware_concurrency();
         if (threads == 0)
@@ -118,20 +97,14 @@ ThreadPool::start(const Options &options)
     }
     topology_ = detectNumaTopology();
 
-    arenas_.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i)
-        arenas_.push_back(
-            std::make_unique<common::BumpArena>(options.arenaChunkBytes));
-
     workers_.reserve(threads);
     for (std::size_t i = 0; i < threads; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+        workers_.emplace_back([this] { workerLoop(); });
 
 #if defined(__linux__)
     // Pin only across real node boundaries: workers round-robin over the
-    // nodes so each node gets an even share, and every worker's arena
-    // pages first-touch on its own node.
-    if (options.pinWorkers && topology_.nodeCount() > 1) {
+    // nodes so each node gets an even share.
+    if (topology_.nodeCount() > 1) {
         for (std::size_t w = 0; w < workers_.size(); ++w) {
             const std::vector<int> &cpus =
                 topology_.nodeCpus[workerNode(w)];
@@ -208,9 +181,8 @@ ThreadPool::takeTaskError()
 }
 
 void
-ThreadPool::workerLoop(std::size_t worker)
+ThreadPool::workerLoop()
 {
-    t_workerArena = arenas_[worker].get();
     for (;;) {
         std::function<void()> task;
         {

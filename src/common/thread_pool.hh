@@ -6,11 +6,10 @@
  *
  * The pool is NUMA-topology-aware: node boundaries are read from sysfs
  * (/sys/devices/system/node/node<N>/cpulist), workers are assigned to
- * nodes round-robin and, on multi-node hosts, pinned to their node's CPU set,
- * and every worker owns a node-local bump arena (workerArena()) so
- * candidate evaluations allocate scratch on the socket that reads it.
- * Single-node hosts (and non-Linux builds) skip pinning entirely; the
- * arena and topology accessors still work.
+ * nodes round-robin and, on multi-node hosts, pinned to their node's CPU
+ * set, so a candidate's scratch first-touches on the socket that reads
+ * it. Single-node hosts (and non-Linux builds) skip pinning entirely; the
+ * topology accessors still work.
  */
 
 #ifndef GEMINI_COMMON_THREAD_POOL_HH
@@ -20,14 +19,11 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <string_view>
 #include <thread>
 #include <vector>
-
-#include "src/common/arena.hh"
 
 namespace gemini {
 
@@ -76,27 +72,13 @@ NumaTopology detectNumaTopology();
 class ThreadPool
 {
   public:
-    struct Options
-    {
-        /** Worker count; 0 means hardware_concurrency. */
-        std::size_t threads = 0;
-
-        /**
-         * Pin each worker to its NUMA node's CPU set. Only effective on
-         * multi-node hosts — on one node the scheduler already keeps
-         * memory local and pinning would just fight it.
-         */
-        bool pinWorkers = true;
-
-        /** Growth granularity of each worker's node-local arena. */
-        std::size_t arenaChunkBytes = 64 * 1024;
-    };
-
-    /** Start `threads` workers (0 means hardware_concurrency). */
+    /**
+     * Start `threads` workers (0 means hardware_concurrency). On a
+     * multi-node host each worker is pinned to its NUMA node's CPU set;
+     * on one node the scheduler already keeps memory local and pinning
+     * would just fight it.
+     */
     explicit ThreadPool(std::size_t threads = 0);
-
-    /** Start workers per `options` (topology detection + pinning). */
-    explicit ThreadPool(const Options &options);
 
     /** Joins all workers; pending tasks are completed first. */
     ~ThreadPool();
@@ -139,20 +121,10 @@ class ThreadPool
         return w % topology_.nodeCount();
     }
 
-    /**
-     * The calling pool worker's node-local scratch arena, or nullptr on
-     * threads outside any pool. Tasks reset() it between work items;
-     * chunks are first-touched by the pinned worker, so on multi-node
-     * hosts the pages land on that worker's node.
-     */
-    static common::BumpArena *workerArena();
-
   private:
-    void workerLoop(std::size_t worker);
-    void start(const Options &options);
+    void workerLoop();
 
     std::vector<std::thread> workers_;
-    std::vector<std::unique_ptr<common::BumpArena>> arenas_;
     NumaTopology topology_;
     std::size_t pinned_ = 0;
     std::queue<std::function<void()>> tasks_;

@@ -139,7 +139,7 @@ Graph transformerLarge(std::int64_t seq_len = 512);
 /**
  * GPT-2-medium-class transformer (Radford et al.): d=1024, 16 heads,
  * 24 blocks, 4d FFN — 290 layers. The paper-scale stress workload of the
- * delta-evaluation benchmarks (100+-layer groups on the 256-core grid).
+ * large SA benchmarks (100+-layer groups on the 256-core grid).
  */
 Graph gpt2Medium(std::int64_t seq_len = 256);
 

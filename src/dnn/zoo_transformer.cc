@@ -75,7 +75,7 @@ gpt2Medium(std::int64_t seq_len)
     // dense GEMMs, so the decoder's causal masking (which only zeroes
     // half the score matrix) is the same workload shape. At 290 layers
     // this is the paper-scale stress DNN: layer groups reach 100+ layers,
-    // which is exactly the regime the delta-evaluated SA path targets.
+    // where each SA proposal's cost is dominated by group size.
     return buildEncoder("gpt2_medium", seq_len, 1024, 16, 4096, 24);
 }
 

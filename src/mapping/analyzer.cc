@@ -19,38 +19,6 @@ constexpr std::size_t kTilePayloadBytes = 4 * sizeof(WorkRegion);
 constexpr std::size_t kFlowPayloadBytes =
     24 * sizeof(std::pair<noc::LinkId, double>);
 
-/** Price a folded link/scalar state: the shared tail of every fused path. */
-eval::EvalBreakdown
-assembleBreakdown(int pipeline_depth, double core_energy, double max_stage,
-                  double glb_overflow,
-                  const std::vector<double> &dram_per_unit, double on_chip,
-                  double d2d, double max_link_seconds,
-                  std::int64_t num_units, const cost::CostStack &costs)
-{
-    double dram_seconds = 0.0;
-    double dram_bytes = 0.0;
-    for (double bytes : dram_per_unit) {
-        dram_seconds =
-            std::max(dram_seconds, bytes / costs.dramStackBps());
-        dram_bytes += bytes;
-    }
-
-    eval::EvalBreakdown r;
-    const double bottleneck =
-        std::max({max_stage, max_link_seconds, dram_seconds});
-    const double units = static_cast<double>(num_units);
-    r.delay = (units + pipeline_depth - 1) * bottleneck;
-    r.intraTileEnergy = core_energy * units;
-    r.nocEnergy = costs.onChipJ(on_chip) * units;
-    r.d2dEnergy = costs.d2dJ(d2d) * units;
-    r.dramEnergy = costs.dramJ(dram_bytes) * units;
-    r.dramBytes = dram_bytes * units;
-    r.hopBytes = (on_chip + d2d) * units;
-    r.d2dHopBytes = d2d * units;
-    r.glbOverflow = glb_overflow;
-    return r;
-}
-
 /**
  * Price a gathered group with one architecture's link kinds (`kind_of`
  * maps a link id to its LinkKind), bandwidths and cost stack. The
@@ -78,9 +46,28 @@ priceGathered(const GatheredGroup &g, KindOf &&kind_of, double noc_bps,
             max_link_seconds = secs;
     }
 
-    return assembleBreakdown(g.pipelineDepth, g.coreEnergy, g.maxStage,
-                             g.glbOverflow, g.dramPerUnit, on_chip, d2d,
-                             max_link_seconds, g.numUnits, costs);
+    double dram_seconds = 0.0;
+    double dram_bytes = 0.0;
+    for (double bytes : g.dramPerUnit) {
+        dram_seconds =
+            std::max(dram_seconds, bytes / costs.dramStackBps());
+        dram_bytes += bytes;
+    }
+
+    eval::EvalBreakdown r;
+    const double bottleneck =
+        std::max({g.maxStage, max_link_seconds, dram_seconds});
+    const double units = static_cast<double>(g.numUnits);
+    r.delay = (units + g.pipelineDepth - 1) * bottleneck;
+    r.intraTileEnergy = g.coreEnergy * units;
+    r.nocEnergy = costs.onChipJ(on_chip) * units;
+    r.d2dEnergy = costs.d2dJ(d2d) * units;
+    r.dramEnergy = costs.dramJ(dram_bytes) * units;
+    r.dramBytes = dram_bytes * units;
+    r.hopBytes = (on_chip + d2d) * units;
+    r.d2dHopBytes = d2d * units;
+    r.glbOverflow = g.glbOverflow;
+    return r;
 }
 
 } // namespace
@@ -147,27 +134,6 @@ Analyzer::clearCache()
 {
     tileCache_.clear();
     flowCache_.clear();
-    states_.clear();
-}
-
-void
-Analyzer::setDeltaEval(bool enabled)
-{
-    delta_ = enabled;
-}
-
-void
-Analyzer::setResidentStateCapacity(std::size_t states)
-{
-    stateCapacity_ = std::max<std::size_t>(states, 1);
-    while (states_.size() > stateCapacity_) {
-        std::size_t victim = 0;
-        for (std::size_t i = 1; i < states_.size(); ++i)
-            if (states_[i]->lastUse < states_[victim]->lastUse)
-                victim = i;
-        states_.erase(states_.begin() +
-                      static_cast<std::ptrdiff_t>(victim));
-    }
 }
 
 std::uint64_t
@@ -175,15 +141,6 @@ Analyzer::cacheAllocEvents() const
 {
     return tileCache_.allocEvents() + flowCache_.allocEvents() +
            probeAllocs_;
-}
-
-std::uint64_t
-Analyzer::stateAllocEvents() const
-{
-    std::uint64_t total = 0;
-    for (const auto &state : states_)
-        total += state->allocEvents();
-    return total;
 }
 
 std::uint64_t
@@ -381,8 +338,8 @@ Analyzer::gatherGroup(const LayerGroupMapping &group, std::int64_t batch,
 
     // Merge the fragments' link loads through the dense scratch: per-link
     // totals sum in layer order (identical to the map assembly) and drain
-    // in ascending link-id order, the canonical order the delta-evaluated
-    // state reproduces. No TrafficMap is materialized.
+    // in ascending link-id order, the order pricing folds them in. No
+    // TrafficMap is materialized.
     for (const LayerFlows *flows : fs.flows)
         merge_.addMany(flows->links.data(), flows->links.size());
     out.linkIds.clear();
@@ -394,183 +351,15 @@ Analyzer::gatherGroup(const LayerGroupMapping &group, std::int64_t batch,
 }
 
 eval::EvalBreakdown
-Analyzer::evaluateGroupFullMerge(const LayerGroupMapping &group,
-                                 std::int64_t batch,
-                                 const OfmapDramLookup &ofmap_dram_of,
-                                 const cost::CostStack &costs) const
-{
-    gatherGroup(group, batch, ofmap_dram_of, gathered_);
-    return priceGathered(
-        gathered_, [this](noc::LinkId id) { return noc_.linkKindAt(id); },
-        noc_.nocBandwidthBps(), noc_.d2dBandwidthBps(), costs);
-}
-
-GroupState &
-Analyzer::stateFor(const LayerGroupMapping &group, std::int64_t batch) const
-{
-    membershipProbe_.clear();
-    membershipProbe_.push_back(batch);
-    membershipProbe_.push_back(group.batchUnit);
-    for (LayerId id : group.layers)
-        membershipProbe_.push_back(id);
-
-    for (auto &state : states_) {
-        if (state->membership == membershipProbe_) {
-            state->lastUse = ++stateClock_;
-            return *state;
-        }
-    }
-
-    std::unique_ptr<GroupState> fresh = std::make_unique<GroupState>();
-    fresh->membership = membershipProbe_;
-    fresh->lastUse = ++stateClock_;
-    if (states_.size() >= stateCapacity_) {
-        std::size_t victim = 0;
-        for (std::size_t i = 1; i < states_.size(); ++i)
-            if (states_[i]->lastUse < states_[victim]->lastUse)
-                victim = i;
-        states_[victim] = std::move(fresh);
-        return *states_[victim];
-    }
-    states_.push_back(std::move(fresh));
-    return *states_.back();
-}
-
-eval::EvalBreakdown
-Analyzer::evaluateFromState(const GroupState &state, std::int64_t num_units,
-                            const cost::CostStack &costs) const
-{
-    // Everything here folds packed SoA state: scalar aggregates through
-    // the (bit-identical) SIMD folds, DRAM rows through the elementwise
-    // accumulate kernel, links through the packed fold + tournament root.
-    const GroupState::ScalarFold scalars = state.foldScalars();
-    const double glb_overflow = std::max(scalars.glbOverflow, 0.0);
-
-    static thread_local std::vector<double> dram_per_unit;
-    dram_per_unit.assign(static_cast<std::size_t>(arch_.dramCount), 0.0);
-    state.accumulateDram(dram_per_unit.data(), dram_per_unit.size());
-
-    const GroupState::LinkFold fold = state.fold();
-    auto out = assembleBreakdown(state.pipelineDepth, scalars.coreEnergy,
-                                 scalars.maxStage, glb_overflow,
-                                 dram_per_unit, fold.onChipBytes,
-                                 fold.d2dBytes, fold.maxLinkSeconds,
-                                 num_units, costs);
-    return out;
-}
-
-eval::EvalBreakdown
-Analyzer::evaluateGroupDelta(const LayerGroupMapping &group,
-                             std::int64_t batch,
-                             const OfmapDramLookup &ofmap_dram_of,
-                             const cost::CostStack &costs) const
-{
-    GEMINI_ASSERT(batch % group.batchUnit == 0,
-                  "batch unit must divide batch");
-    const std::int64_t num_units = batch / group.batchUnit;
-    const std::size_t n_layers = group.layers.size();
-    GroupState &state = stateFor(group, batch);
-
-    bool rebuild = !state.valid;
-    if (!rebuild) {
-        // Scheme diff: which layers' fragments changed? A fragment
-        // depends on its own scheme, the Part+CG of its in-group
-        // producers and the resolved DRAM of its out-of-group producers.
-        selfChanged_.assign(n_layers, 0);
-        partCgChanged_.assign(n_layers, 0);
-        changed_.clear();
-        for (std::size_t li = 0; li < n_layers; ++li) {
-            const MappingScheme &now = group.schemes[li];
-            const MappingScheme &old = state.layers[li].scheme;
-            const bool part_cg = !(now.part == old.part) ||
-                                 now.coreGroup != old.coreGroup;
-            partCgChanged_[li] = part_cg;
-            selfChanged_[li] = part_cg || !(now.fd == old.fd);
-        }
-        for (std::size_t li = 0; li < n_layers; ++li) {
-            const GroupLayerState &entry = state.layers[li];
-            bool frag = selfChanged_[li];
-            if (!frag) {
-                for (std::int32_t pi : entry.inGroupProducers) {
-                    if (partCgChanged_[static_cast<std::size_t>(pi)]) {
-                        frag = true;
-                        break;
-                    }
-                }
-            }
-            if (!frag) {
-                for (std::size_t k = 0; k < entry.outProducers.size();
-                     ++k) {
-                    if (ofmap_dram_of(entry.outProducers[k]) !=
-                        entry.producerDrams[k]) {
-                        frag = true;
-                        break;
-                    }
-                }
-            }
-            if (frag)
-                changed_.push_back(li);
-        }
-        // A diff spanning most of the group is cheaper as a re-merge.
-        rebuild = 2 * changed_.size() > n_layers;
-    }
-
-    if (rebuild) {
-        gatherFragments(group, batch, ofmap_dram_of, fragScratch_);
-        state.rebuild(graph_, group, batch, fragScratch_.tiles,
-                      fragScratch_.flows, ofmap_dram_of, noc_);
-        ++deltaRebuilds_;
-    } else if (!changed_.empty()) {
-        // Fragments needed: tiles for the changed layers and their
-        // in-group producers (the traffic compiler reads producer piece
-        // geometry), flows for the changed layers only.
-        fragScratch_.tiles.assign(n_layers, nullptr);
-        fragScratch_.flows.assign(n_layers, nullptr);
-        needTiles_.assign(n_layers, 0);
-        std::size_t tile_count = 0;
-        for (std::size_t li : changed_) {
-            if (!needTiles_[li]) {
-                needTiles_[li] = 1;
-                ++tile_count;
-            }
-            for (std::int32_t pi : state.layers[li].inGroupProducers) {
-                if (!needTiles_[static_cast<std::size_t>(pi)]) {
-                    needTiles_[static_cast<std::size_t>(pi)] = 1;
-                    ++tile_count;
-                }
-            }
-        }
-        tileCache_.makeRoom(tile_count);
-        flowCache_.makeRoom(changed_.size());
-        for (std::size_t li = 0; li < n_layers; ++li)
-            if (needTiles_[li])
-                fragScratch_.tiles[li] = &cachedTiles(group, li);
-        for (std::size_t li : changed_)
-            fragScratch_.flows[li] =
-                &cachedFlows(group, li, fragScratch_.tiles, batch,
-                             num_units, ofmap_dram_of);
-        state.applyDelta(group, changed_, fragScratch_.tiles,
-                         fragScratch_.flows, ofmap_dram_of, noc_);
-        ++deltaApplies_;
-        deltaChanged_ += changed_.size();
-    }
-
-    return evaluateFromState(state, num_units, costs);
-}
-
-eval::EvalBreakdown
 Analyzer::evaluateGroup(const LayerGroupMapping &group, std::int64_t batch,
                         const OfmapDramLookup &ofmap_dram_of,
                         const cost::CostStack &costs) const
 {
-    // Delta path: the resident state is the memo — diffing schemes
-    // against it costs O(layers) word compares. Everything else re-merges
-    // the cached fragments.
-    if (cacheCapacity_ > 0 && delta_ &&
-        group.layers.size() >= deltaMinLayers_)
-        return evaluateGroupDelta(group, batch, ofmap_dram_of, costs);
     ++fullMerges_;
-    return evaluateGroupFullMerge(group, batch, ofmap_dram_of, costs);
+    gatherGroup(group, batch, ofmap_dram_of, gathered_);
+    return priceGathered(
+        gathered_, [this](noc::LinkId id) { return noc_.linkKindAt(id); },
+        noc_.nocBandwidthBps(), noc_.d2dBandwidthBps(), costs);
 }
 
 eval::EvalBreakdown

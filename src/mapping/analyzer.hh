@@ -5,16 +5,15 @@
  * intra-core tiling (TilingStage), traffic compilation (TrafficCompiler)
  * and cost accumulation (cost::CostStack) — and memoizes the per-layer
  * fragments the stages exchange so the SA controller's incremental moves
- * re-derive only what they touched. On top of the fragment caches it
- * keeps *resident per-group states* (GroupState) so re-evaluating a group
- * after an SA move costs O(changed fragments), not O(group size).
+ * re-derive only what they touched. Every group evaluation is one full
+ * merge of the group's (mostly cached) fragments, priced in link-id
+ * order.
  */
 
 #ifndef GEMINI_MAPPING_ANALYZER_HH
 #define GEMINI_MAPPING_ANALYZER_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/arch/arch_config.hh"
@@ -25,7 +24,6 @@
 #include "src/intracore/explorer.hh"
 #include "src/mapping/encoding.hh"
 #include "src/mapping/fragments.hh"
-#include "src/mapping/group_state.hh"
 #include "src/mapping/tiling.hh"
 #include "src/mapping/traffic_compiler.hh"
 #include "src/noc/interconnect.hh"
@@ -142,14 +140,10 @@ class Analyzer
                                  const cost::CostStack &costs) const;
 
     /**
-     * Fused analyzeGroup + evaluate for the SA hot path. With delta
-     * evaluation enabled (the default when caching is on) the call diffs
-     * the group against its resident GroupState and applies fragment
-     * deltas — O(changed layers), not O(group) — falling back to a full
-     * re-merge when the membership key misses or the diff spans most of
-     * the group. Results are bit-identical to the full-merge path: both
-     * fold per-link totals in ascending layer order per slot and fold
-     * slots in ascending flat-slot order (see group_state.hh).
+     * Fused analyzeGroup + evaluate for the SA hot path: gatherGroup
+     * through the fragment caches, then price the merged links in
+     * ascending link-id order. Per-link totals sum in layer order, so the
+     * result is the same bit for bit with or without caching.
      */
     eval::EvalBreakdown evaluateGroup(const LayerGroupMapping &group,
                                       std::int64_t batch,
@@ -196,27 +190,10 @@ class Analyzer
     void clearCache();
 
     /**
-     * Enable/disable delta evaluation (resident GroupStates). On by
-     * default; benchmarks and the differential fuzz test switch it off to
-     * measure/verify against the full-merge reference. Requires caching
-     * (capacity > 0) to take effect.
+     * Does nothing. Only benchmark/probe.cc calls it; it stays until the
+     * probe no longer does.
      */
-    void setDeltaEval(bool enabled);
-    bool deltaEval() const { return delta_; }
-
-    /**
-     * Smallest group size that takes the delta path. Below it O(group)
-     * IS O(delta) and the resident state is pure overhead — measured on
-     * the GPT-2-class stress workload the crossover sits near 35-40
-     * layers (25-layer groups lose ~13%, 50-layer groups win 1.4x,
-     * 157-layer groups win 4x) — so smaller groups evaluate via the
-     * plain full merge. Tests lower it to 1 to fuzz the delta path on
-     * tiny groups.
-     */
-    void setDeltaMinLayers(std::size_t layers) { deltaMinLayers_ = layers; }
-
-    /** Bound on resident group states (LRU beyond it). */
-    void setResidentStateCapacity(std::size_t states);
+    void setDeltaEval(bool) {}
 
     /** Per-layer fragment cache statistics. */
     std::uint64_t tileCacheHits() const { return tileHits_; }
@@ -227,15 +204,16 @@ class Analyzer
     /**
      * Former whole-group eval memo statistics, still read by the
      * benchmark probe. There is no eval memo: hits is always 0 and misses
-     * counts evaluateGroup calls that took the full merge.
+     * counts evaluateGroup calls.
      */
     std::uint64_t evalCacheHits() const { return 0; }
     std::uint64_t evalCacheMisses() const { return fullMerges_; }
 
-    /** Delta-evaluation statistics. */
-    std::uint64_t deltaApplies() const { return deltaApplies_; }
-    std::uint64_t deltaRebuilds() const { return deltaRebuilds_; }
-    std::uint64_t deltaChangedLayers() const { return deltaChanged_; }
+    /**
+     * Always 0: there is no delta evaluator. Only benchmark/probe.cc
+     * reads it; it stays until the probe no longer does.
+     */
+    std::uint64_t deltaApplies() const { return 0; }
 
     /**
      * Buffer-growth events across the two cache tables (slots, keys,
@@ -247,26 +225,18 @@ class Analyzer
      */
     std::uint64_t cacheAllocEvents() const;
 
-    /**
-     * Heap-allocation events inside the resident group states (arena
-     * chunk acquisitions + retained-buffer growth). Constant across a
-     * warmed steady-state delta walk.
-     */
-    std::uint64_t stateAllocEvents() const;
-
     /** Heap-allocation events inside the traffic compiler's scratch. */
     std::uint64_t compilerAllocEvents() const;
 
     /**
      * Every allocation-accounting counter at once: caches + probes +
-     * resident states + compiler scratch. The steady-state test asserts
-     * this is flat across a warmed delta-evaluation walk.
+     * compiler scratch. The steady-state test asserts this is flat
+     * across a warmed evaluation walk.
      */
     std::uint64_t
     totalAllocEvents() const
     {
-        return cacheAllocEvents() + stateAllocEvents() +
-               compilerAllocEvents();
+        return cacheAllocEvents() + compilerAllocEvents();
     }
 
   private:
@@ -303,28 +273,6 @@ class Analyzer
 
     int pipelineDepthOf(const LayerGroupMapping &group) const;
 
-    /** Full-merge fused evaluation (the golden reference path). */
-    eval::EvalBreakdown evaluateGroupFullMerge(
-        const LayerGroupMapping &group, std::int64_t batch,
-        const OfmapDramLookup &ofmap_dram_of,
-        const cost::CostStack &costs) const;
-
-    /** Delta evaluation against the group's resident state. */
-    eval::EvalBreakdown evaluateGroupDelta(
-        const LayerGroupMapping &group, std::int64_t batch,
-        const OfmapDramLookup &ofmap_dram_of,
-        const cost::CostStack &costs) const;
-
-    /** Resident state for the group's membership key (LRU; never null). */
-    GroupState &stateFor(const LayerGroupMapping &group,
-                         std::int64_t batch) const;
-
-    /** Fold + price a (current) resident state. */
-    eval::EvalBreakdown evaluateFromState(const GroupState &state,
-                                          std::int64_t num_units,
-                                          const cost::CostStack &costs)
-        const;
-
     /** Note a probe-buffer growth (allocation accounting). */
     void noteProbeGrowth() const;
 
@@ -337,24 +285,10 @@ class Analyzer
     TrafficCompiler trafficCompiler_;
 
     std::size_t cacheCapacity_ = 0;
-    bool delta_ = true;
-    std::size_t deltaMinLayers_ = 40;
-    std::size_t stateCapacity_ = 12;
 
     mutable common::FlatWordCache<LayerTiles> tileCache_;
     mutable common::FlatWordCache<LayerFlows> flowCache_;
     mutable FragmentSet fragScratch_;
-
-    /** Resident per-group delta states (LRU by lastUse). */
-    mutable std::vector<std::unique_ptr<GroupState>> states_;
-    mutable std::uint64_t stateClock_ = 0;
-
-    // Delta scratch (hoisted).
-    mutable std::vector<std::uint8_t> selfChanged_;
-    mutable std::vector<std::uint8_t> partCgChanged_;
-    mutable std::vector<std::uint8_t> needTiles_;
-    mutable std::vector<std::size_t> changed_;
-    mutable std::vector<std::int64_t> membershipProbe_;
 
     /**
      * Reusable probe key: lookups build the key in place (no allocation
@@ -373,9 +307,6 @@ class Analyzer
     mutable std::uint64_t flowHits_ = 0;
     mutable std::uint64_t flowMisses_ = 0;
     mutable std::uint64_t fullMerges_ = 0;
-    mutable std::uint64_t deltaApplies_ = 0;
-    mutable std::uint64_t deltaRebuilds_ = 0;
-    mutable std::uint64_t deltaChanged_ = 0;
 };
 
 } // namespace gemini::mapping

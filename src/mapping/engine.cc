@@ -47,7 +47,6 @@ MappingEngine::MappingEngine(const dnn::Graph &graph,
     options_.sa.beta = options_.beta;
     options_.sa.gamma = options_.gamma;
     analyzer_.setCacheCapacity(options_.analyzerCacheEntries);
-    analyzer_.setDeltaEval(options_.deltaEval);
 }
 
 PartitionOptions
@@ -266,7 +265,6 @@ MappingEngine::runSaChains(MappingResult &result)
                                              arch_.freqGHz, options_.tech);
                 Analyzer analyzer(graph_, arch_, noc_, explorer);
                 analyzer.setCacheCapacity(options_.analyzerCacheEntries);
-                analyzer.setDeltaEval(options_.deltaEval);
                 SaEngine sa(graph_, arch_, analyzer, costs_);
                 const SaOptions chain_options = chain_options_of(i);
                 evals[i] = sa.optimize(maps[i], chain_options, &stats[i]);

@@ -67,11 +67,9 @@ struct MappingOptions
     std::size_t analyzerCacheEntries = 2048;
 
     /**
-     * Delta-evaluate SA proposals against resident per-group states
-     * (O(changed layers) per move instead of O(group size); see
-     * Analyzer::evaluateGroup). Bit-identical to the full-merge path;
-     * off restores the full re-merge per proposal, kept so benchmarks
-     * can measure the pre-delta engine in the same binary.
+     * Does nothing: every group evaluates through the one full merge.
+     * Only benchmark/probe.cc reads it; it stays until the probe no
+     * longer does.
      */
     bool deltaEval = true;
 

@@ -189,10 +189,10 @@ class DenseLinkAccumulator
     }
 
     /**
-     * Like drain, but in ascending link-id order: the canonical fold
-     * order of the delta-evaluated group state, which must not depend on
-     * merge history (see DESIGN.md "Delta group evaluation"). Walks the
-     * touched bitmap word by word.
+     * Like drain, but in ascending link-id order: the order a gathered
+     * group is priced in, which must not depend on merge history (see
+     * DESIGN.md "Flat fragment caches"). Walks the touched bitmap word
+     * by word.
      */
     template <typename Fn>
     void

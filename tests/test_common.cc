@@ -11,7 +11,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <utility>
@@ -386,12 +385,10 @@ TEST(NumaTopology, DetectionNeverReportsZeroNodes)
 
 TEST(ThreadPoolNuma, WorkerArenasAreNodeLocalAndUsable)
 {
-    // Off-pool threads (this one) have no worker arena.
-    EXPECT_EQ(ThreadPool::workerArena(), nullptr);
-
-    ThreadPool::Options opts;
-    opts.threads = 3;
-    ThreadPool pool(opts);
+    // Workers no longer own arenas; the name is kept for the placement
+    // checks that remain: every worker has a node, and only multi-node
+    // hosts pin.
+    ThreadPool pool(3);
     EXPECT_EQ(pool.threadCount(), 3u);
     ASSERT_GE(pool.numaNodeCount(), 1u);
     EXPECT_LE(pool.pinnedWorkers(), pool.threadCount());
@@ -402,26 +399,10 @@ TEST(ThreadPoolNuma, WorkerArenasAreNodeLocalAndUsable)
     for (std::size_t w = 0; w < pool.threadCount(); ++w)
         EXPECT_LT(pool.workerNode(w), pool.numaNodeCount());
 
-    // Every task sees a usable arena; distinct workers see distinct ones.
-    std::mutex mu;
-    std::set<common::BumpArena *> arenas;
-    std::atomic<int> failures{0};
-    pool.parallelFor(64, [&](std::size_t i) {
-        common::BumpArena *arena = ThreadPool::workerArena();
-        if (arena == nullptr) {
-            ++failures;
-            return;
-        }
-        auto span = arena->allocSpan<double>(16);
-        span[0] = static_cast<double>(i);
-        if (span.size() != 16)
-            ++failures;
-        std::lock_guard lock(mu);
-        arenas.insert(arena);
-    });
-    EXPECT_EQ(failures.load(), 0);
-    EXPECT_GE(arenas.size(), 1u);
-    EXPECT_LE(arenas.size(), pool.threadCount());
+    // Tasks run to completion on the placed workers.
+    std::atomic<int> ran{0};
+    pool.parallelFor(64, [&](std::size_t) { ++ran; });
+    EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(ThreadPoolNuma, SizeTCompatConstructorStillWorks)

@@ -322,6 +322,56 @@ TEST_F(DaemonTest, OrphanJournalOfAnInvalidSpecDoesNotStopTheDaemon)
     EXPECT_EQ(r->status, 200);
 }
 
+TEST_F(DaemonTest, StoreFromABuildWithDeltaEvalKeepsServing)
+{
+    // What a build that still read mapping.delta_eval leaves in a store:
+    // a finished result, and the spec sidecar and rung journal of a run
+    // it never finished. Neither spec parses any more.
+    fs::copy_file(fs::path(GEMINI_SOURCE_DIR) /
+                      "tests/wire/legacy/c0d4dd0d51c69106.result.json",
+                  fs::path(dir_) / "c0d4dd0d51c69106.result.json");
+    json::Value old = tinyDseSpec("delta-eval").toJson();
+    for (auto &[key, section] : old.asObject())
+        if (key == "mapping")
+            section.set("delta_eval", false);
+    const std::uint64_t orphan = 0x0123456789abcdefull;
+    {
+        ResultStore store(dir_);
+        std::ofstream(fs::path(dir_) /
+                      (json::hex64(orphan) + ".spec.json"))
+            << old.dump(2) << "\n";
+        std::ofstream(store.journalPath(orphan)) << "";
+        ASSERT_EQ(store.orphanJournals(),
+                  (std::vector<std::uint64_t>{orphan}));
+    }
+
+    Stack stack(dir_);
+    ::testing::internal::CaptureStderr();
+    const int recovered = stack.scheduler->recoverInterrupted();
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(recovered, 0);
+    EXPECT_TRUE(stack.scheduler->list().empty());
+    EXPECT_NE(warnings.find(json::hex64(orphan)), std::string::npos)
+        << warnings;
+    EXPECT_NE(warnings.find("spec.mapping.delta_eval: unknown key"),
+              std::string::npos)
+        << warnings;
+
+    // `gemini store ls` lists the old result.
+    const std::vector<StoreEntry> entries = stack.store->list();
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].hash, 0xc0d4dd0d51c69106ull);
+    EXPECT_FALSE(entries[0].hasJournal);
+
+    // The daemon keeps serving: a fresh job runs to completion.
+    int status = 0;
+    json::Value info = stack.submit(quickSpec("after-old-store"), "alice",
+                                    &status);
+    ASSERT_EQ(status, 202) << info.dump();
+    json::Value done = stack.waitTerminal(info.find("id")->asString());
+    EXPECT_EQ(done.find("state")->asString(), "done") << done.dump();
+}
+
 TEST_F(DaemonTest, ResubmissionIsAnsweredInstantly)
 {
     Stack stack(dir_);

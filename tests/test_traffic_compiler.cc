@@ -14,7 +14,8 @@
  * large grid, uneven splits, batch-split partitions and
  * interleaved/pinned DRAM selectors must give bit-equal per-link bytes,
  * link order (link ids decoded through linkAt), DRAM bytes and GLB
- * overflow.
+ * overflow. The DenseLinkAccumulator every link merge goes through is
+ * checked here too: its drain orders and its overflow guard.
  */
 
 #include <gtest/gtest.h>
@@ -526,3 +527,112 @@ TEST(TrafficCompilerDiff, LargeGrid)
     diffAgainstReference(dnn::zoo::tinyTransformer(24, 32, 4, 1), arch, 128,
                          12, 0x1A46Fu);
 }
+
+namespace {
+
+TEST(DenseLinkAccumulatorDrain, MatchesOrderedMapReference)
+{
+    // Random add sequences with repeated ids; each round ends in a
+    // first-touch drain, an ascending drain or a reset that discards a
+    // partial merge, all on one accumulator. Sums accumulate in add
+    // order on both sides, so emission order and bytes are bit-equal.
+    Rng rng(0xD7A1Dull);
+    mapping::DenseLinkAccumulator acc;
+    for (const std::size_t links :
+         {1u, 2u, 63u, 64u, 65u, 127u, 129u, 700u, 1024u, 2011u}) {
+        acc.reset(links);
+        for (int round = 0; round < 24; ++round) {
+            std::map<noc::LinkId, double> sums;
+            std::vector<noc::LinkId> first_touch;
+            const std::int64_t adds = rng.nextRange(
+                0, 3 * static_cast<std::int64_t>(links));
+            for (std::int64_t a = 0; a < adds; ++a) {
+                // Few distinct ids per round in some rounds, so repeats
+                // and sparse bitmap words both occur.
+                const std::int64_t span =
+                    round % 2 ? static_cast<std::int64_t>(links)
+                              : std::min<std::int64_t>(
+                                    static_cast<std::int64_t>(links), 5);
+                const auto id = static_cast<noc::LinkId>(
+                    (rng.nextInt(span) * 37) %
+                    static_cast<std::int64_t>(links));
+                const double bytes = 0.5 + rng.nextDouble() * 1.0e6;
+                if (sums.find(id) == sums.end())
+                    first_touch.push_back(id);
+                sums[id] += bytes;
+                acc.add(id, bytes);
+            }
+            ASSERT_EQ(acc.touchedCount(), sums.size());
+            std::vector<std::pair<noc::LinkId, double>> got;
+            const auto collect = [&](noc::LinkId id, double bytes) {
+                got.emplace_back(id, bytes);
+            };
+            switch (round % 3) {
+            case 0: {
+                acc.drainSlots(collect);
+                ASSERT_EQ(got.size(), sums.size()) << links;
+                std::size_t e = 0;
+                for (const auto &[id, bytes] : sums) {
+                    ASSERT_EQ(got[e].first, id) << links << " #" << e;
+                    ASSERT_EQ(got[e].second, bytes) << links << " #" << e;
+                    ++e;
+                }
+                break;
+            }
+            case 1:
+                acc.drain(collect);
+                ASSERT_EQ(got.size(), first_touch.size()) << links;
+                for (std::size_t e = 0; e < got.size(); ++e) {
+                    ASSERT_EQ(got[e].first, first_touch[e])
+                        << links << " #" << e;
+                    ASSERT_EQ(got[e].second, sums.at(first_touch[e]))
+                        << links << " #" << e;
+                }
+                break;
+            default:
+                acc.reset(links); // discard the partial merge
+                break;
+            }
+            // Whatever ended the round, the scratch is empty again.
+            got.clear();
+            ASSERT_EQ(acc.touchedCount(), 0u);
+            acc.drainSlots(collect);
+            acc.drain(collect);
+            ASSERT_TRUE(got.empty()) << links;
+        }
+    }
+}
+
+TEST(DenseLinkAccumulatorGuard, RejectsLinkCountsBeyondTheIdSpace)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    mapping::DenseLinkAccumulator acc;
+    EXPECT_DEATH(
+        acc.reset(mapping::DenseLinkAccumulator::kMaxLinks + 1),
+        "dense-table limit");
+}
+
+TEST(DenseLinkAccumulatorGuard, TableIsSizedByLinkCount)
+{
+    // Every 32-bit link id must be addressable, and the table of the
+    // largest preset grid is its link count, not nodeCount^2.
+    static_assert(mapping::DenseLinkAccumulator::kMaxLinks ==
+                      std::size_t{1} << 32,
+                  "link ids are 32-bit");
+    const noc::InterconnectModel noc(arch::largeGridArch());
+    const std::size_t n = static_cast<std::size_t>(noc.nodeCount());
+    ASSERT_LT(noc.linkCount(), n * n / 16);
+    mapping::DenseLinkAccumulator acc;
+    acc.reset(noc.linkCount());
+    const auto last = static_cast<noc::LinkId>(noc.linkCount() - 1);
+    acc.add(last, 123.0);
+    bool seen = false;
+    acc.drain([&](noc::LinkId id, double bytes) {
+        seen = true;
+        EXPECT_EQ(id, last);
+        EXPECT_EQ(bytes, 123.0);
+    });
+    EXPECT_TRUE(seen);
+}
+
+} // namespace

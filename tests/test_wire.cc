@@ -400,9 +400,9 @@ TEST(Wire, PinnedResultJsonReloadsByteIdentically)
 
 TEST_F(WireTest, StoreRecordIsPinnedAndReloadsByteIdentically)
 {
-    const char *record = "c0d4dd0d51c69106.result.json";
+    const char *record = "c081e8e3ceefdbd7.result.json";
     const ExperimentSpec spec = specFile("tiny_dse.json");
-    ASSERT_EQ(hashText(spec.canonicalHash()), "0xc0d4dd0d51c69106");
+    ASSERT_EQ(hashText(spec.canonicalHash()), "0xc081e8e3ceefdbd7");
 
     // The pinned record is served, and re-put byte-identically.
     fs::create_directories(dir_ / "old");
@@ -663,7 +663,11 @@ TEST(Wire, SpecReaderErrorsArePinned)
              "spec.schedule.enabled: expected true or false"},
             {"mapping unknown", R"({"mapping":{"batchs":2}})",
              "spec.mapping.batchs: unknown key (valid keys: batch, run_sa, "
-             "sa, sa_threads, analyzer_cache_entries, delta_eval, "
+             "sa, sa_threads, analyzer_cache_entries, max_group_layers, "
+             "analytic_seed, batch_units)"},
+            {"mapping delta_eval", R"({"mapping":{"delta_eval":false}})",
+             "spec.mapping.delta_eval: unknown key (valid keys: batch, "
+             "run_sa, sa, sa_threads, analyzer_cache_entries, "
              "max_group_layers, analytic_seed, batch_units)"},
             {"mapping type", R"({"mapping":{"batch_units":2}})",
              "spec.mapping.batch_units: expected an array of integers"},
