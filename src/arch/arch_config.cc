@@ -43,20 +43,30 @@ ArchConfig::validate() const
         err << "YCut " << yCut << " does not divide yCores " << yCores;
         return err.str();
     }
-    if (nocBwGBps <= 0 || dramBwGBps <= 0)
-        return "bandwidths must be positive";
-    if (chipletCount() > 1 && d2dBwGBps <= 0)
-        return "D2D bandwidth must be positive on multi-chiplet designs";
     if (dramCount < 1)
         return "need at least one DRAM";
     if (dramCount > kMaxDramCount) {
         err << "dram_count " << dramCount << " exceeds " << kMaxDramCount;
         return err.str();
     }
-    if (macsPerCore <= 0 || glbKiB <= 0)
-        return "core resources must be positive";
-    if (freqGHz <= 0)
-        return "frequency must be positive";
+    // Each value lies in (0, cap] (NaN fails both tests); a monolithic
+    // design has no D2D link, so its D2D bandwidth may also be 0.
+    const auto outside = [&err](const char *field, auto value, auto cap,
+                                bool zero_ok = false) {
+        if ((value > 0 || (zero_ok && value == 0)) && value <= cap)
+            return false;
+        err << field << " " << value << " must be within "
+            << (zero_ok ? "[0, " : "(0, ") << cap << "]";
+        return true;
+    };
+    if (outside("noc_gbps", nocBwGBps, kMaxBandwidthGBps) ||
+        outside("d2d_gbps", d2dBwGBps, kMaxBandwidthGBps,
+                chipletCount() == 1) ||
+        outside("dram_gbps", dramBwGBps, kMaxBandwidthGBps) ||
+        outside("macs_per_core", macsPerCore, kMaxMacsPerCore) ||
+        outside("glb_kib", glbKiB, kMaxGlbKiB) ||
+        outside("freq_ghz", freqGHz, kMaxFreqGHz))
+        return err.str();
     return {};
 }
 

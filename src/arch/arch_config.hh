@@ -67,6 +67,15 @@ inline constexpr int kMaxCoreCount = 1 << 16;
 inline constexpr int kMaxDramCount = 1 << 10;
 
 /**
+ * Caps on the per-core resources, frequency and bandwidths: far above every
+ * preset and DSE axis, low enough that every rate derived from them is finite.
+ */
+inline constexpr int kMaxMacsPerCore = 1 << 20;
+inline constexpr int kMaxGlbKiB = 1 << 24;
+inline constexpr double kMaxFreqGHz = 100.0;
+inline constexpr double kMaxBandwidthGBps = 1e6;
+
+/**
  * Architecture parameters (Sec. III "Configurable Parameters").
  *
  * A configuration is usually written as the paper's tuple
@@ -164,12 +173,12 @@ struct ArchConfig
     }
 
     /**
-     * Validate parameter consistency (cuts divide the core grid, positive
-     * bandwidths, core and DRAM counts within kMaxCoreCount and
-     * kMaxDramCount...). Returns an error message or empty when valid — the
-     * DSE uses this to discard invalid candidates exactly as the paper
-     * does ("XCut and YCut must be a factor of the number of cores on
-     * edge; otherwise, the candidate is deemed invalid").
+     * Validate parameter consistency (cuts divide the core grid; counts,
+     * resources, frequency and bandwidths positive and within the kMax*
+     * caps). Returns an error message or empty when valid — the DSE uses
+     * this to discard invalid candidates exactly as the paper does ("XCut
+     * and YCut must be a factor of the number of cores on edge; otherwise,
+     * the candidate is deemed invalid").
      */
     std::string validate() const;
 

@@ -341,10 +341,11 @@ Analyzer::gatherGroup(const LayerGroupMapping &group, std::int64_t batch,
     // in ascending link-id order, the order pricing folds them in. No
     // TrafficMap is materialized.
     for (const LayerFlows *flows : fs.flows)
-        merge_.addMany(flows->links.data(), flows->links.size());
+        for (const auto &[id, bytes] : flows->links)
+            merge_.add(id, bytes);
     out.linkIds.clear();
     out.linkBytes.clear();
-    merge_.drainSlots([&](noc::LinkId id, double bytes) {
+    merge_.drain([&](noc::LinkId id, double bytes) {
         out.linkIds.push_back(id);
         out.linkBytes.push_back(bytes);
     });

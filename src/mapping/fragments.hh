@@ -16,7 +16,6 @@
 #ifndef GEMINI_MAPPING_FRAGMENTS_HH
 #define GEMINI_MAPPING_FRAGMENTS_HH
 
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -91,12 +90,13 @@ struct LayerTiles
  * activations, weight loads, managed ofmap stores) plus its GLB pressure.
  * The group analysis is the sum of its layers' fragments. Link loads are
  * stored as a flat list with one (link id, bytes) entry per link, in
- * first-touch order (deterministic): assembly walks it linearly, so a
- * cached fragment reproduces the uncached result bit for bit. The list
- * lives in the bump arena the compiler was handed, like LayerTiles's
- * regions: link lists average 58 entries on the dse_screen workload and
- * about 517 on map_sa_gpt2 (256 cores), so an arena a cache wipe rewinds
- * holds them without a heap buffer each.
+ * ascending link-id order: assembly walks it linearly, and each link's
+ * total sums across fragments in layer order whatever the order within a
+ * list, so a cached fragment reproduces the uncached result bit for bit.
+ * The list lives in the bump arena the compiler was handed, like
+ * LayerTiles's regions: link lists average 58 entries on the dse_screen
+ * workload and about 517 on map_sa_gpt2 (256 cores), so an arena a cache
+ * wipe rewinds holds them without a heap buffer each.
  */
 struct LayerFlows
 {
@@ -116,12 +116,12 @@ struct LayerFlows
  * Dense per-link accumulator scratch, one double per link id (the
  * interconnect's linkCount(): about a thousand links, a few KiB, even on
  * the 264-node grid). Link loads merge by array index instead of sorting
- * or hashing. Dirtied ids are recorded twice: in first-touch order for
- * drain(), and in a bitmap that drainSlots() walks in ascending id order
- * — the canonical fold order — without a sort. Per-link contributions
- * sum in add order, exactly as a map accumulation would. All
- * contributions are strictly positive, so a zero entry always means
- * "untouched".
+ * or hashing: add() is one `+=`, so per-link contributions sum in add
+ * order, exactly as a map accumulation would. All contributions are
+ * strictly positive, so a zero entry always means "untouched", and
+ * drain() finds the dirtied ids by one ascending scan of the table: the
+ * canonical order, which does not depend on add order. The table is empty
+ * between merges: every merge ends in a drain, also one that unwinds.
  */
 class DenseLinkAccumulator
 {
@@ -129,9 +129,8 @@ class DenseLinkAccumulator
     /**
      * Size for an interconnect's link count (idempotent). The guard
      * rejects counts beyond the 32-bit link-id space rather than
-     * silently wrapping. The table is demand-zero storage: the drain
-     * discipline restores every dirtied entry to 0.0, so a matching-size
-     * reset with no pending touches is free.
+     * silently wrapping. The table is demand-zero storage, and every
+     * merge drains it back to 0.0, so a matching-size reset is free.
      */
     void
     reset(std::size_t link_count)
@@ -139,88 +138,39 @@ class DenseLinkAccumulator
         GEMINI_ASSERT(link_count <= kMaxLinks,
                       "DenseLinkAccumulator: link count ", link_count,
                       " exceeds the dense-table limit ", kMaxLinks);
-        if (link_count != bytes_.size()) {
+        if (link_count != bytes_.size())
             bytes_.resizeZero(link_count);
-            touchedBits_.assign((link_count + 63) / 64, 0);
-        } else {
-            for (noc::LinkId id : touched_) {
-                bytes_[id] = 0.0;
-                touchedBits_[id >> 6] = 0;
-            }
-        }
-        touched_.clear();
     }
 
-    void
-    add(noc::LinkId id, double bytes)
-    {
-        if (bytes_[id] == 0.0) {
-            touched_.push_back(id);
-            touchedBits_[id >> 6] |= std::uint64_t{1} << (id & 63);
-        }
-        bytes_[id] += bytes;
-    }
-
-    /** add() every entry of a fragment's link list, in list order. */
-    void
-    addMany(const std::pair<noc::LinkId, double> *links, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            add(links[i].first, links[i].second);
-    }
-
-    std::size_t touchedCount() const { return touched_.size(); }
+    void add(noc::LinkId id, double bytes) { bytes_[id] += bytes; }
 
     /**
-     * Emit every dirtied (id, bytes) in first-touch order and zero the
-     * scratch back out (ready for the next merge).
+     * Emit every dirtied (id, bytes) in ascending link-id order — the
+     * order a fragment is stored and a gathered group is priced in (see
+     * DESIGN.md "Flat fragment caches") — and zero the table back out.
+     * Returns the number emitted.
      */
     template <typename Fn>
-    void
+    std::size_t
     drain(Fn &&fn)
     {
-        for (noc::LinkId id : touched_) {
+        std::size_t n = 0;
+        for (std::size_t id = 0; id < bytes_.size(); ++id) {
             const double bytes = bytes_[id];
+            if (bytes == 0.0)
+                continue;
             bytes_[id] = 0.0;
-            touchedBits_[id >> 6] = 0; // every bit of the word is drained
-            fn(id, bytes);
+            fn(static_cast<noc::LinkId>(id), bytes);
+            ++n;
         }
-        touched_.clear();
-    }
-
-    /**
-     * Like drain, but in ascending link-id order: the order a gathered
-     * group is priced in, which must not depend on merge history (see
-     * DESIGN.md "Flat fragment caches"). Walks the touched bitmap word
-     * by word.
-     */
-    template <typename Fn>
-    void
-    drainSlots(Fn &&fn)
-    {
-        if (touched_.empty())
-            return;
-        for (std::size_t w = 0; w < touchedBits_.size(); ++w) {
-            for (std::uint64_t bits = touchedBits_[w]; bits != 0;
-                 bits &= bits - 1) {
-                const auto id = static_cast<noc::LinkId>(
-                    w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-                const double bytes = bytes_[id];
-                bytes_[id] = 0.0;
-                fn(id, bytes);
-            }
-            touchedBits_[w] = 0;
-        }
-        touched_.clear();
+        return n;
     }
 
     /** Largest supported link count (the 32-bit link-id space). */
     static constexpr std::size_t kMaxLinks = std::size_t{1} << 32;
 
   private:
-    common::ZeroVec<double> bytes_;          ///< one entry per link id
-    std::vector<noc::LinkId> touched_;       ///< first-touch order
-    std::vector<std::uint64_t> touchedBits_; ///< one bit per link id
+    common::ZeroVec<double> bytes_; ///< one entry per link id
 };
 
 } // namespace gemini::mapping

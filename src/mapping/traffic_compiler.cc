@@ -1,6 +1,7 @@
 #include "src/mapping/traffic_compiler.hh"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <tuple>
 
@@ -11,15 +12,30 @@ namespace gemini::mapping {
 
 namespace {
 
-/** Key for grouping identical data requests into one multicast. */
-using RegionKey =
-    std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t,
-               std::int64_t, std::int64_t, std::int64_t, std::int64_t>;
+/**
+ * Key for grouping identical data requests into one multicast: (c0, c1,
+ * h0, h1, w0, w1, b0, b1), ordered lexicographically.
+ */
+struct RegionKey
+{
+    std::array<std::int64_t, 8> v;
+
+    bool operator==(const RegionKey &) const = default;
+
+    bool
+    operator<(const RegionKey &o) const
+    {
+        for (std::size_t i = 0; i < v.size(); ++i)
+            if (v[i] != o.v[i])
+                return v[i] < o.v[i];
+        return false;
+    }
+};
 
 RegionKey
 keyOf(const dnn::Region &r, std::int64_t b0, std::int64_t b1)
 {
-    return {r.c0, r.c1, r.h0, r.h1, r.w0, r.w1, b0, b1};
+    return {{r.c0, r.c1, r.h0, r.h1, r.w0, r.w1, b0, b1}};
 }
 
 /**
@@ -99,10 +115,12 @@ forEachPiece(const PieceBox &box, const Partition &part, const Fn &fn)
 
 /**
  * Sort requests by key and emit once per distinct key, in ascending key
- * order (the order the std::map-based original used), each multicast's
- * destinations in ascending node order. Singleton groups — the common
- * case, since partition pieces mostly request distinct regions — take
- * emit_one, which skips the destination-vector machinery entirely.
+ * order (the order the std::map-based original used): that order sets
+ * which flow adds to a shared link first. A multicast's destinations stay
+ * in request order, since its tree adds the same bytes exactly once to
+ * each link of the route union whatever the order. Singleton groups — the
+ * common case, since partition pieces mostly request distinct regions —
+ * take emit_one, which skips the destination-vector machinery entirely.
  */
 template <typename EmitOneFn, typename EmitManyFn>
 void
@@ -120,9 +138,7 @@ emitGrouped(std::vector<FlowRequest> &requests,
         return a.key < b.key;
     };
     // Most request lists already arrive in key order (pieces enumerate
-    // the partition grid in ascending region order), but equal keys need
-    // not list their destinations in node order: the nodes of each
-    // multicast are sorted on their own instead.
+    // the partition grid in ascending region order).
     if (!std::is_sorted(requests.begin(), requests.end(), by_key))
         std::sort(requests.begin(), requests.end(), by_key);
     std::size_t i = 0;
@@ -136,7 +152,6 @@ emitGrouped(std::vector<FlowRequest> &requests,
             dsts_scratch.clear();
             for (std::size_t k = i; k < j; ++k)
                 dsts_scratch.push_back(requests[k].node);
-            std::sort(dsts_scratch.begin(), dsts_scratch.end());
             emit_many(requests[i].bytes, dsts_scratch);
         }
         i = j;
@@ -215,10 +230,18 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
     flows.glbOverflow = 0.0;
 
     // Every route hop adds straight into the dense per-link scratch, in
-    // emission order: per-link sums and first-touch link order are those
-    // of the emitted hop sequence. reset() only clears slots a compile
-    // that threw midway left behind.
-    merge_.reset(noc_.linkCount());
+    // emission order: per-link sums are those of the emitted hop sequence.
+    // The scratch is empty between compiles; one that unwinds midway
+    // drains it on the way out.
+    struct DrainOnUnwind
+    {
+        DenseLinkAccumulator *merge;
+        ~DrainOnUnwind()
+        {
+            if (merge != nullptr)
+                merge->drain([](noc::LinkId, double) {});
+        }
+    } guard{&merge_};
     arena_.reset();
     auto unicast = [&](noc::NodeId src, noc::NodeId dst, double bytes) {
         noc_.unicastLinks(src, dst, bytes,
@@ -442,7 +465,7 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
                                     layer.r * layer.s) +
                 4.0 * klen; // 32-bit bias/scale per output channel
             weight_bytes_of[i] = wbytes;
-            requests.push_back({RegionKey{p.region.c0, 0, 0, 0, 0, 0, 0, 0},
+            requests.push_back({RegionKey{{p.region.c0, 0, 0, 0, 0, 0, 0, 0}},
                                 wbytes, noc_.coreNode(ms.coreGroup[i])});
         }
 
@@ -498,15 +521,16 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
         flows.glbOverflow = std::max(flows.glbOverflow, ratio);
     }
 
-    // Emit the merged links in first-touch order (deterministic).
-    const std::span<std::pair<noc::LinkId, double>> links =
-        payload.allocSpan<std::pair<noc::LinkId, double>>(
-            merge_.touchedCount());
-    std::size_t n = 0;
-    merge_.drain([&](noc::LinkId id, double bytes) {
-        std::construct_at(&links[n++], id, bytes);
+    // Drain the merged links in ascending link-id order into scratch;
+    // the drain's count sizes the payload copy.
+    using Link = std::pair<noc::LinkId, double>;
+    Link *const drained = arena_.allocSpan<Link>(noc_.linkCount()).data();
+    Link *next = drained;
+    const std::size_t n = merge_.drain([&](noc::LinkId id, double bytes) {
+        std::construct_at(next++, id, bytes);
     });
-    flows.links = links;
+    guard.merge = nullptr;
+    flows.links = payload.copySpan(std::span<const Link>(drained, n));
 }
 
 } // namespace gemini::mapping

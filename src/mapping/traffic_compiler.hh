@@ -6,8 +6,8 @@
  * multicast, cross-group/external DRAM reads), weight loads (multicast per
  * k-slice, amortized when resident), managed ofmap stores, per-DRAM byte
  * counts and GLB pressure — routed through the interconnect seam straight
- * into a dense per-link accumulator and drained as a deterministic flat
- * link list.
+ * into a dense per-link accumulator and drained as a flat link list in
+ * ascending link-id order.
  */
 
 #ifndef GEMINI_MAPPING_TRAFFIC_COMPILER_HH
@@ -72,7 +72,10 @@ class TrafficCompiler
     const arch::ArchConfig &arch_;
     const noc::InterconnectModel &noc_;
 
-    /** Dense per-link scratch every route hop adds into, in place. */
+    /**
+     * Dense per-link scratch every route hop adds into, in place; empty
+     * between compiles.
+     */
     mutable DenseLinkAccumulator merge_;
 
     /**

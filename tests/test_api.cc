@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -309,6 +310,35 @@ TEST(SpecValidate, AnalyzerCacheEntriesAboveTheCapAreRejected)
                   s.mapping.analyzerCacheEntries = 0;
               }),
               "");
+}
+
+TEST(SpecValidate, InlineArchConfigAboveTheCapsIsRejected)
+{
+    // freq_ghz 1e300 with macs_per_core and glb_kib at 2e9 parses; each
+    // is rejected in turn, naming its path, until every value sits at
+    // its cap.
+    std::string error;
+    std::optional<ExperimentSpec> spec = ExperimentSpec::fromJsonText(
+        R"({"mode": "map", "models": [{"zoo": "tiny_conv"}],
+            "arch": {"config": {"x_cores": 4, "y_cores": 4,
+                                "freq_ghz": 1e300, "macs_per_core": 2e9,
+                                "glb_kib": 2e9}}})",
+        &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    arch::ArchConfig &cfg = *spec->arch.config;
+    EXPECT_EQ(spec->validate(), "arch.config: macs_per_core 2000000000 "
+                                "must be within (0, 1048576]");
+    cfg.macsPerCore = arch::kMaxMacsPerCore;
+    EXPECT_EQ(spec->validate(),
+              "arch.config: glb_kib 2000000000 must be within (0, 16777216]");
+    cfg.glbKiB = arch::kMaxGlbKiB;
+    EXPECT_EQ(spec->validate(),
+              "arch.config: freq_ghz 1e+300 must be within (0, 100]");
+    cfg.freqGHz = arch::kMaxFreqGHz;
+    EXPECT_EQ(spec->validate(), "");
+    cfg.dramBwGBps = 2 * arch::kMaxBandwidthGBps;
+    EXPECT_EQ(spec->validate(),
+              "arch.config: dram_gbps 2e+06 must be within (0, 1e+06]");
 }
 
 TEST(SpecValidate, CostTiersMustBePresentAndAscend)

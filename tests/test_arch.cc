@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "src/arch/arch_config.hh"
 #include "src/arch/presets.hh"
 
@@ -126,6 +130,63 @@ TEST(ArchConfig, ValidateRejectsGridsAndDramCountsAboveTheCaps)
     // Every preset sits inside both caps.
     for (const std::string &name : presets::names())
         EXPECT_TRUE(presets::byName(name)->validate().empty()) << name;
+}
+
+TEST(ArchConfig, ValidateCapsResourcesFrequencyAndBandwidths)
+{
+    // Each cap itself is accepted; the next value up, infinity and NaN
+    // are rejected with the wire field's name.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const struct
+    {
+        const char *field;
+        double ArchConfig::*member;
+    } rates[] = {{"noc_gbps", &ArchConfig::nocBwGBps},
+                 {"d2d_gbps", &ArchConfig::d2dBwGBps},
+                 {"dram_gbps", &ArchConfig::dramBwGBps},
+                 {"freq_ghz", &ArchConfig::freqGHz}};
+    for (const auto &[field, member] : rates) {
+        const double cap = std::string(field) == "freq_ghz"
+                               ? kMaxFreqGHz
+                               : kMaxBandwidthGBps;
+        ArchConfig a;
+        a.*member = cap;
+        EXPECT_TRUE(a.validate().empty()) << field << ": " << a.validate();
+        for (const double bad : {std::nextafter(cap, inf), 1e300, inf, nan}) {
+            a.*member = bad;
+            EXPECT_EQ(a.validate().rfind(std::string(field) + " ", 0), 0u)
+                << field << " " << bad << ": " << a.validate();
+        }
+    }
+    ArchConfig a;
+    a.freqGHz = 1e300;
+    EXPECT_EQ(a.validate(), "freq_ghz 1e+300 must be within (0, 100]");
+
+    a = ArchConfig{};
+    a.macsPerCore = kMaxMacsPerCore;
+    a.glbKiB = kMaxGlbKiB;
+    EXPECT_TRUE(a.validate().empty()) << a.validate();
+    a.macsPerCore = kMaxMacsPerCore + 1;
+    EXPECT_EQ(a.validate(),
+              "macs_per_core 1048577 must be within (0, 1048576]");
+    a.macsPerCore = 2000000000;
+    EXPECT_EQ(a.validate(),
+              "macs_per_core 2000000000 must be within (0, 1048576]");
+    a.macsPerCore = kMaxMacsPerCore;
+    a.glbKiB = kMaxGlbKiB + 1;
+    EXPECT_EQ(a.validate(), "glb_kib 16777217 must be within (0, 16777216]");
+
+    // A monolithic design has no D2D link: 0 is fine there, not on a
+    // multi-chiplet design.
+    a = ArchConfig{};
+    a.d2dBwGBps = 0;
+    EXPECT_TRUE(a.validate().empty()) << a.validate();
+    a.d2dBwGBps = -1;
+    EXPECT_EQ(a.validate(), "d2d_gbps -1 must be within [0, 1e+06]");
+    a.d2dBwGBps = 0;
+    a.xCut = 2;
+    EXPECT_EQ(a.validate(), "d2d_gbps 0 must be within (0, 1e+06]");
 }
 
 TEST(ArchConfig, ToStringMatchesPaperTuple)

@@ -6,16 +6,17 @@
  * group through an ordered map, and every flow walks its routes hop by
  * hop (forEachHop), dedupes its multicast union with its own set, loops
  * over the DRAM stacks of an interleaved access itself and adds into a
- * TrafficMap while recording the first-touch link order: none of the
- * compiler's emission helpers (multicastLinks, the interleaved spans)
- * takes part.
+ * TrafficMap: none of the compiler's emission helpers (multicastLinks,
+ * the interleaved spans) takes part.
  * Random schemes over conv-style and transformer graphs, every topology
- * backend, a monolithic hierarchy, three DRAM stacks and the 256-core
- * large grid, uneven splits, batch-split partitions and
- * interleaved/pinned DRAM selectors must give bit-equal per-link bytes,
- * link order (link ids decoded through linkAt), DRAM bytes and GLB
- * overflow. The DenseLinkAccumulator every link merge goes through is
- * checked here too: its drain orders and its overflow guard.
+ * backend, a monolithic hierarchy, three DRAM stacks, the 256-core large
+ * grid and a sparse 32x32 mesh, uneven splits, batch-split partitions and
+ * interleaved/pinned DRAM selectors must give bit-equal per-link bytes in
+ * ascending link-key order (link ids decoded through linkAt), the same
+ * link count, DRAM bytes and GLB overflow; a compile that throws midway
+ * must not leak into the next. The DenseLinkAccumulator every link merge
+ * goes through is checked here too: its ascending drain and its overflow
+ * guard.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <tuple>
 #include <unordered_set>
 #include <vector>
@@ -73,8 +75,6 @@ convGraph()
 struct RefFlows
 {
     noc::TrafficMap map;
-    std::vector<LinkKey> order; ///< first-touch link order
-    std::unordered_set<LinkKey> seen;
     std::vector<double> dramBytes;
     double glbOverflow = 0.0;
 };
@@ -230,27 +230,22 @@ class Reference
     }
 
     /**
-     * One multicast tree, destinations in ascending node order: walks
-     * every destination's route hop by hop and charges each link of the
-     * union once, in first-touch order. A single destination is the
+     * One multicast tree: walks every destination's route hop by hop and
+     * charges each link of the union once. A single destination is the
      * unicast route.
      */
     void
-    multicast(RefFlows &out, NodeId src, std::vector<NodeId> dsts,
+    multicast(RefFlows &out, NodeId src, const std::vector<NodeId> &dsts,
               double bytes)
     {
-        if (bytes <= 0.0 || dsts.empty())
+        if (bytes <= 0.0)
             return;
-        std::sort(dsts.begin(), dsts.end());
         std::unordered_set<LinkKey> tree;
         for (NodeId dst : dsts) {
             noc_.forEachHop(src, dst, [&](NodeId a, NodeId b) {
                 const LinkKey key = noc::makeLink(a, b);
-                if (!tree.insert(key).second)
-                    return;
-                out.map.addLink(key, bytes);
-                if (out.seen.insert(key).second)
-                    out.order.push_back(key);
+                if (tree.insert(key).second)
+                    out.map.addLink(key, bytes);
             });
         }
     }
@@ -356,10 +351,14 @@ tilesOf(const dnn::Layer &layer, const MappingScheme &ms,
     return out;
 }
 
-/** Compile `trials` random groups on `arch` and diff every layer. */
+/**
+ * Compile `trials` random groups on `arch` and diff every layer; the
+ * longest link list compiled goes to `longest` when given.
+ */
 void
 diffAgainstReference(const dnn::Graph &graph, const arch::ArchConfig &arch,
-                     std::int64_t max_pieces, int trials, std::uint64_t seed)
+                     std::int64_t max_pieces, int trials, std::uint64_t seed,
+                     std::size_t *longest = nullptr)
 {
     const noc::InterconnectModel noc(arch);
     const mapping::TrafficCompiler compiler(graph, arch, noc);
@@ -400,14 +399,20 @@ diffAgainstReference(const dnn::Graph &graph, const arch::ArchConfig &arch,
             const std::string where = arch.name + " trial " +
                                       std::to_string(trial) + " layer " +
                                       graph.layer(group.layers[li]).name;
-            ASSERT_EQ(got.links.size(), want.order.size()) << where;
-            for (std::size_t e = 0; e < want.order.size(); ++e) {
-                ASSERT_EQ(noc.linkAt(got.links[e].first), want.order[e])
+            // Ascending link id is ascending link key.
+            const std::map<LinkKey, double> sorted(
+                want.map.links().begin(), want.map.links().end());
+            ASSERT_EQ(got.links.size(), sorted.size()) << where;
+            std::size_t e = 0;
+            for (const auto &[key, bytes] : sorted) {
+                ASSERT_EQ(noc.linkAt(got.links[e].first), key)
                     << where << " link #" << e;
-                ASSERT_EQ(got.links[e].second, want.map.links().at(
-                                                   want.order[e]))
+                ASSERT_EQ(got.links[e].second, bytes)
                     << where << " link #" << e;
+                ++e;
             }
+            if (longest != nullptr)
+                *longest = std::max(*longest, got.links.size());
             ASSERT_EQ(got.dramBytes.size(), want.dramBytes.size()) << where;
             for (std::size_t d = 0; d < want.dramBytes.size(); ++d)
                 ASSERT_EQ(got.dramBytes[d], want.dramBytes[d])
@@ -528,14 +533,90 @@ TEST(TrafficCompilerDiff, LargeGrid)
                          12, 0x1A46Fu);
 }
 
+TEST(TrafficCompilerDiff, SparseLargeGrid)
+{
+    // A small graph on a 32x32 mesh: every compile touches a small
+    // fraction of the links, so the ascending drain skips long runs of
+    // untouched ids.
+    arch::ArchConfig arch = smallArch(arch::Topology::Mesh);
+    arch.name = "sparse1024";
+    arch.xCores = arch.yCores = 32;
+    arch.xCut = arch.yCut = 2;
+    std::size_t longest = 0;
+    diffAgainstReference(convGraph(), arch, 8, 12, 0x5A45u, &longest);
+    diffAgainstReference(dnn::zoo::tinyTransformer(24, 32, 4, 1), arch, 8,
+                         12, 0x5A46u, &longest);
+    EXPECT_GT(longest, 0u);
+    EXPECT_LT(longest, noc::InterconnectModel(arch).linkCount() / 4);
+}
+
+TEST(TrafficCompilerThrow, NextCompileMatchesAFreshCompiler)
+{
+    // The eltwise e3 alone in its group: all three of its inputs come
+    // from other groups, so the first input's DRAM reads have added route
+    // hops when the second input's lookup throws.
+    const dnn::Graph graph = convGraph();
+    const arch::ArchConfig arch = smallArch(arch::Topology::Mesh);
+    const noc::InterconnectModel noc(arch);
+    LayerGroupMapping group;
+    for (LayerId id = 0; static_cast<std::size_t>(id) < graph.size(); ++id)
+        if (graph.layer(id).name == "e3")
+            group.layers.push_back(id);
+    ASSERT_EQ(group.layers.size(), 1u);
+    MappingScheme ms;
+    ms.part.h = 2;
+    ms.part.k = 2;
+    ms.coreGroup = {0, 7, 20, 35};
+    ms.fd.ifmap = ms.fd.weight = 1;
+    ms.fd.ofmap = kDramInterleaved;
+    group.schemes.push_back(ms);
+    common::BumpArena payload;
+    const LayerTiles tiles = tilesOf(graph.layer(group.layers[0]),
+                                     group.schemes[0], group.batchUnit,
+                                     payload);
+    const std::vector<const LayerTiles *> tile_ptrs{&tiles};
+    int lookups = 0;
+    const mapping::OfmapDramLookup throwing = [&](LayerId) -> DramSel {
+        if (++lookups == 2)
+            throw std::runtime_error("lookup failed");
+        return 1;
+    };
+    const mapping::OfmapDramLookup pinned = [](LayerId) -> DramSel {
+        return 1;
+    };
+
+    const mapping::TrafficCompiler compiler(graph, arch, noc);
+    mapping::LayerFlows got;
+    EXPECT_THROW(compiler.compile(group, 0, tile_ptrs, 2, throwing, got,
+                                  payload),
+                 std::runtime_error);
+    ASSERT_EQ(lookups, 2);
+    compiler.compile(group, 0, tile_ptrs, 2, pinned, got, payload);
+
+    const mapping::TrafficCompiler fresh(graph, arch, noc);
+    mapping::LayerFlows want;
+    fresh.compile(group, 0, tile_ptrs, 2, pinned, want, payload);
+    ASSERT_FALSE(want.links.empty());
+    ASSERT_EQ(got.links.size(), want.links.size());
+    for (std::size_t e = 0; e < want.links.size(); ++e) {
+        ASSERT_EQ(got.links[e].first, want.links[e].first) << "#" << e;
+        ASSERT_EQ(got.links[e].second, want.links[e].second) << "#" << e;
+    }
+    ASSERT_EQ(got.dramBytes.size(), want.dramBytes.size());
+    for (std::size_t d = 0; d < want.dramBytes.size(); ++d)
+        EXPECT_EQ(got.dramBytes[d], want.dramBytes[d]) << "DRAM " << d;
+    EXPECT_EQ(got.glbOverflow, want.glbOverflow);
+}
+
 namespace {
 
 TEST(DenseLinkAccumulatorDrain, MatchesOrderedMapReference)
 {
-    // Random add sequences with repeated ids; each round ends in a
-    // first-touch drain, an ascending drain or a reset that discards a
-    // partial merge, all on one accumulator. Sums accumulate in add
-    // order on both sides, so emission order and bytes are bit-equal.
+    // Random add sequences with repeated ids, each round ending in the
+    // ascending drain, all on one accumulator; some rounds add nothing,
+    // and a matching-size reset between rounds changes nothing. Sums
+    // accumulate in add order on both sides, so ids, bytes and the count
+    // are bit-equal to an ordered-map accumulation.
     Rng rng(0xD7A1Dull);
     mapping::DenseLinkAccumulator acc;
     for (const std::size_t links :
@@ -543,12 +624,11 @@ TEST(DenseLinkAccumulatorDrain, MatchesOrderedMapReference)
         acc.reset(links);
         for (int round = 0; round < 24; ++round) {
             std::map<noc::LinkId, double> sums;
-            std::vector<noc::LinkId> first_touch;
             const std::int64_t adds = rng.nextRange(
                 0, 3 * static_cast<std::int64_t>(links));
             for (std::int64_t a = 0; a < adds; ++a) {
                 // Few distinct ids per round in some rounds, so repeats
-                // and sparse bitmap words both occur.
+                // and long untouched runs both occur.
                 const std::int64_t span =
                     round % 2 ? static_cast<std::int64_t>(links)
                               : std::min<std::int64_t>(
@@ -557,47 +637,26 @@ TEST(DenseLinkAccumulatorDrain, MatchesOrderedMapReference)
                     (rng.nextInt(span) * 37) %
                     static_cast<std::int64_t>(links));
                 const double bytes = 0.5 + rng.nextDouble() * 1.0e6;
-                if (sums.find(id) == sums.end())
-                    first_touch.push_back(id);
                 sums[id] += bytes;
                 acc.add(id, bytes);
             }
-            ASSERT_EQ(acc.touchedCount(), sums.size());
+            if (round % 3 == 2)
+                acc.reset(links);
             std::vector<std::pair<noc::LinkId, double>> got;
             const auto collect = [&](noc::LinkId id, double bytes) {
                 got.emplace_back(id, bytes);
             };
-            switch (round % 3) {
-            case 0: {
-                acc.drainSlots(collect);
-                ASSERT_EQ(got.size(), sums.size()) << links;
-                std::size_t e = 0;
-                for (const auto &[id, bytes] : sums) {
-                    ASSERT_EQ(got[e].first, id) << links << " #" << e;
-                    ASSERT_EQ(got[e].second, bytes) << links << " #" << e;
-                    ++e;
-                }
-                break;
+            ASSERT_EQ(acc.drain(collect), sums.size()) << links;
+            ASSERT_EQ(got.size(), sums.size()) << links;
+            std::size_t e = 0;
+            for (const auto &[id, bytes] : sums) {
+                ASSERT_EQ(got[e].first, id) << links << " #" << e;
+                ASSERT_EQ(got[e].second, bytes) << links << " #" << e;
+                ++e;
             }
-            case 1:
-                acc.drain(collect);
-                ASSERT_EQ(got.size(), first_touch.size()) << links;
-                for (std::size_t e = 0; e < got.size(); ++e) {
-                    ASSERT_EQ(got[e].first, first_touch[e])
-                        << links << " #" << e;
-                    ASSERT_EQ(got[e].second, sums.at(first_touch[e]))
-                        << links << " #" << e;
-                }
-                break;
-            default:
-                acc.reset(links); // discard the partial merge
-                break;
-            }
-            // Whatever ended the round, the scratch is empty again.
+            // The drain left the table empty.
             got.clear();
-            ASSERT_EQ(acc.touchedCount(), 0u);
-            acc.drainSlots(collect);
-            acc.drain(collect);
+            ASSERT_EQ(acc.drain(collect), 0u) << links;
             ASSERT_TRUE(got.empty()) << links;
         }
     }
