@@ -120,10 +120,9 @@ BENCHMARK(BM_SaIteration);
  * Multi-group SA throughput on one small multi-group workload, measured
  * two ways:
  *
- *  - Baseline: the restructured engine with every mechanism switched off
- *    (no caches, no incremental accumulator, no basin hopping).
- *  - Optimized: incremental cost accumulator + fragment caches + 4
- *    deterministic chains at the same total iteration budget.
+ *  - Baseline: no fragment caches, one chain, no basin hopping.
+ *  - Optimized: fragment caches + basin hopping + 4 deterministic
+ *    chains at the same total iteration budget.
  *
  * items_per_second == SA iterations/sec in both. The SA gate holds
  * Optimized / Baseline, a ratio of two rows from the same run.
@@ -165,7 +164,7 @@ struct SaCacheStats
 
 double
 runSaChains(const SaWorkload &w, int chains, int iters_per_chain,
-            bool incremental, std::size_t cache_entries,
+            std::size_t cache_entries,
             SaCacheStats *cache_stats = nullptr)
 {
     // Serial chains share one warm explorer + analyzer cache, exactly as
@@ -182,10 +181,9 @@ runSaChains(const SaWorkload &w, int chains, int iters_per_chain,
         mapping::LpMapping m = w.init;
         mapping::SaOptions so;
         so.iterations = iters_per_chain;
-        so.incrementalCost = incremental;
         // The baseline keeps the plain Metropolis schedule; the
         // optimized config adds basin hopping.
-        if (!incremental && cache_entries == 0)
+        if (cache_entries == 0)
             so.reheatInterval = 0;
         so.seed = mapping::SaEngine::chainSeed(kSaSeed, c);
         mapping::SaStats st;
@@ -217,8 +215,7 @@ BM_SaThroughputBaseline(benchmark::State &state)
     const SaWorkload &w = saWorkload();
     double best = 0.0;
     for (auto _ : state)
-        best = runSaChains(w, 1, kSaBudget, /*incremental=*/false,
-                           /*cache_entries=*/0);
+        best = runSaChains(w, 1, kSaBudget, /*cache_entries=*/0);
     state.SetItemsProcessed(state.iterations() * kSaBudget);
     state.counters["best_cost"] = best;
     state.counters["groups"] =
@@ -234,7 +231,6 @@ BM_SaThroughputOptimized(benchmark::State &state)
     SaCacheStats cs;
     for (auto _ : state)
         best = runSaChains(w, kSaChains, kSaBudget / kSaChains,
-                           /*incremental=*/true,
                            /*cache_entries=*/1 << 15, &cs);
     state.SetItemsProcessed(state.iterations() * kSaBudget);
     state.counters["best_cost"] = best;

@@ -56,7 +56,9 @@ import sys
 
 
 # (numerator, denominator) rows of BENCH_sa_throughput.json: the
-# optimized engine over the one with every mechanism off. The large-group
+# optimized engine (fragment caches, basin hopping, four chains) over the
+# Baseline row (no fragment caches, one chain, no basin hopping). Both
+# price moves with the one incremental cost accumulator. The large-group
 # rows have no partner; the gate holds their best_cost.
 SA_PAIRS = (("BM_SaThroughputOptimized", "BM_SaThroughputBaseline"),)
 

@@ -63,7 +63,12 @@ describe(Io &io, dse::DseSchedule &x)
     io.field("keep_fraction", x.keepFraction);
     io.field("base_iters", x.baseIters);
     io.field("lower_bound_prune", x.lowerBoundPrune);
-    io.field("analytic_bound", x.analyticBound);
+    // Kept on the wire until the next schema bump; only true is accepted.
+    bool analytic_bound = true;
+    io.field("analytic_bound", analytic_bound);
+    io.check(analytic_bound, "analytic_bound",
+             "false is no longer supported (the whole-model roofline "
+             "bound was removed)");
     io.field("min_keep", x.minKeep);
     io.field("polish_chains", x.polishChains);
 }
@@ -77,7 +82,11 @@ describe(Io &io, mapping::SaOptions &x)
     io.field("t_end", x.tEnd);
     io.field("seed", x.seed);
     io.field("chains", x.chains);
-    io.field("incremental_cost", x.incrementalCost);
+    // Kept on the wire until the next schema bump; only true is accepted.
+    bool incremental_cost = true;
+    io.field("incremental_cost", incremental_cost);
+    io.check(incremental_cost, "incremental_cost",
+             "false is no longer supported (the full re-sum was removed)");
     io.field("reheat_interval", x.reheatInterval);
     io.field("operator_mask", x.operatorMask);
     io.field("plateau_window", x.plateauWindow);

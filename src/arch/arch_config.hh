@@ -52,12 +52,14 @@ inline constexpr std::pair<Topology, const char *> kTopologyNames[] = {
 const char *topologyName(Topology t);
 
 /**
- * Largest core grid validate() accepts: far above every preset (the
- * largest is 256 cores) and above the biggest grid the DSE enumerates
- * (dse::kMaxExactCores plus its 15% search window), and small enough that
- * coreCount() and every core id stay well inside `int`.
+ * Largest core grid validate() accepts: above every preset (the largest
+ * is 256 cores) and the biggest grid the DSE enumerates
+ * (dse::kMaxExactCores plus its 15% search window). The interconnect
+ * model keeps a route for every node pair, so memory grows with the
+ * square of the core count: a 32x32 grid maps tiny_conv in 141 MiB,
+ * while the squarest 2048-core grid (64x32) already needs 1061 MiB.
  */
-inline constexpr int kMaxCoreCount = 1 << 16;
+inline constexpr int kMaxCoreCount = 1 << 10;
 
 /**
  * Largest DRAM-stack count validate() accepts (presets use at most 8).

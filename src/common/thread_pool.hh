@@ -2,14 +2,10 @@
  * @file
  * Fixed-size worker pool used by the DSE driver: architecture candidates are
  * independent, so exploration is a simple parallel-for over the candidate
- * list (the paper runs its DSE on 80-100 threads).
- *
- * The pool is NUMA-topology-aware: node boundaries are read from sysfs
- * (/sys/devices/system/node/node<N>/cpulist), workers are assigned to
- * nodes round-robin and, on multi-node hosts, pinned to their node's CPU
- * set, so a candidate's scratch first-touches on the socket that reads
- * it. Single-node hosts (and non-Linux builds) skip pinning entirely; the
- * topology accessors still work.
+ * list (the paper runs its DSE on 80-100 threads). Workers are not
+ * pinned: each inherits the CPU affinity of the thread that built the
+ * pool, so `taskset` and cgroup cpusets confine them as they do the
+ * caller.
  */
 
 #ifndef GEMINI_COMMON_THREAD_POOL_HH
@@ -21,42 +17,10 @@
 #include <functional>
 #include <mutex>
 #include <queue>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace gemini {
-
-/**
- * Parse a Linux cpulist string ("0-3,8,10-11") into sorted CPU ids.
- * Whitespace and a trailing newline are tolerated; malformed ranges are
- * skipped rather than thrown — sysfs is trusted but not depended on.
- */
-std::vector<int> parseCpuList(std::string_view text);
-
-/** CPU ids per NUMA node, in node-id order. */
-struct NumaTopology
-{
-    std::vector<std::vector<int>> nodeCpus;
-
-    std::size_t nodeCount() const { return nodeCpus.size(); }
-
-    std::size_t
-    cpuCount() const
-    {
-        std::size_t n = 0;
-        for (const auto &node : nodeCpus)
-            n += node.size();
-        return n;
-    }
-};
-
-/**
- * Read the host's NUMA topology from sysfs. Hosts without the sysfs
- * node directory (non-Linux, containers with masked sysfs) report one
- * synthetic node holding every CPU — callers never see zero nodes.
- */
-NumaTopology detectNumaTopology();
 
 /**
  * A small task-queue thread pool. Tasks are void() callables; waitIdle()
@@ -72,12 +36,7 @@ NumaTopology detectNumaTopology();
 class ThreadPool
 {
   public:
-    /**
-     * Start `threads` workers (0 means hardware_concurrency). On a
-     * multi-node host each worker is pinned to its NUMA node's CPU set;
-     * on one node the scheduler already keeps memory local and pinning
-     * would just fight it.
-     */
+    /** Start `threads` workers (0 means hardware_concurrency). */
     explicit ThreadPool(std::size_t threads = 0);
 
     /** Joins all workers; pending tasks are completed first. */
@@ -108,25 +67,10 @@ class ThreadPool
      */
     std::exception_ptr takeTaskError();
 
-    /** NUMA nodes the pool detected at construction (>= 1). */
-    std::size_t numaNodeCount() const { return topology_.nodeCount(); }
-
-    /** Workers successfully pinned to their node's CPU set. */
-    std::size_t pinnedWorkers() const { return pinned_; }
-
-    /** NUMA node worker `w` is assigned to (round-robin). */
-    std::size_t
-    workerNode(std::size_t w) const
-    {
-        return w % topology_.nodeCount();
-    }
-
   private:
     void workerLoop();
 
     std::vector<std::thread> workers_;
-    NumaTopology topology_;
-    std::size_t pinned_ = 0;
     std::queue<std::function<void()>> tasks_;
     std::mutex mutex_;
     std::condition_variable taskReady_;

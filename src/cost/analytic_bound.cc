@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/logging.hh"
 #include "src/noc/interconnect.hh"
 
 namespace gemini::cost {
@@ -152,15 +153,6 @@ boundOneModel(const arch::ArchConfig &cfg, const arch::TechParams &tech,
     mb.computeSeconds = compute_floor;
     mb.energyJoules =
         b * (total_macs * tech.macJ + total_vec * tech.vecOpJ);
-    if (maxGroupLayers <= 0) {
-        // Aggregate-roofline fallback (the pre-analytical bound): peak
-        // MACs vs. compulsory bytes over the full DRAM bandwidth.
-        mb.boundBytes = compulsory;
-        mb.delaySeconds = std::max(compute_floor, compulsory / dram_bps);
-        mb.energyJoules += compulsory * tech.dramJPerByte;
-        return mb;
-    }
-
     // Any achievable grouping is a contiguous topological segmentation
     // with segments of at most L layers (the partitioner's DP cap, also
     // bounded by the core count since per-layer core groups are disjoint
@@ -290,11 +282,11 @@ analyticLowerBound(const arch::ArchConfig &cfg,
                    const std::vector<const dnn::Graph *> &models,
                    std::int64_t batch, int maxGroupLayers)
 {
+    GEMINI_ASSERT(maxGroupLayers >= 1, "maxGroupLayers must be >= 1");
     AnalyticBoundResult r;
     if (models.empty())
         return r;
-    const double cut_bps = maxGroupLayers > 0 ? dramIngressCutBps(cfg)
-                                              : 0.0;
+    const double cut_bps = dramIngressCutBps(cfg);
     const double dram_bps = cfg.dramBwGBps * 1e9;
     double log_delay = 0.0, log_energy = 0.0;
     double log_compute = 0.0, log_dram = 0.0, log_noc = 0.0;

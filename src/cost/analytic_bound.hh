@@ -2,16 +2,16 @@
  * @file
  * Closed-form analytical lower bound on the achievable delay/energy of any
  * mapping of a model onto one architecture candidate (the screen-rung
- * prune oracle). Replaces the single whole-model peak-MACs/DRAM roofline
- * with a per-layer model folded over every feasible contiguous layer-group
- * segmentation by dynamic programming: per segment the bound takes the max
- * of a compute roofline (every MAC/vector-op must execute on the disjoint
- * core groups), a DRAM roofline over the segment's *compulsory* DRAM bytes
- * (weights once, cross-segment and external activations at their exact
- * touched-element floor, forced ofmap stores), and a NoC ingress roofline
- * (every DRAM byte crosses a DRAM-adjacent link of the candidate's
- * topology). See DESIGN.md "Analytical bounds and seeding" for the
- * per-term soundness obligations.
+ * prune oracle): a per-layer model folded over every feasible contiguous
+ * layer-group segmentation by dynamic programming. Per segment the bound
+ * takes the max of a compute roofline (every MAC/vector-op must execute
+ * on the disjoint core groups), a DRAM roofline over the segment's
+ * *compulsory* DRAM bytes (weights once, cross-segment and external
+ * activations at their exact touched-element floor, forced ofmap
+ * stores), and a NoC ingress roofline (every DRAM byte crosses a
+ * DRAM-adjacent link of the candidate's topology). See DESIGN.md
+ * "Analytical bounds and seeding" for the per-term soundness
+ * obligations.
  */
 
 #ifndef GEMINI_COST_ANALYTIC_BOUND_HH
@@ -52,10 +52,10 @@ struct AnalyticBoundResult
 /**
  * Compute the analytical delay/energy lower bound of `models` on `cfg`.
  *
- * @param maxGroupLayers  the mapping engine's DP segment-length cap; any
- *        achievable grouping is a contiguous segmentation with segments of
- *        at most min(maxGroupLayers, coreCount) layers, which the bound's
- *        DP minimizes over.
+ * @param maxGroupLayers  the mapping engine's DP segment-length cap
+ *        (>= 1, asserted); any achievable grouping is a contiguous
+ *        segmentation with segments of at most min(maxGroupLayers,
+ *        coreCount) layers, which the bound's DP minimizes over.
  *
  * Guaranteed <= the delay/energy of every mapping the engine can emit on
  * any of the four topology backends (tests/test_analytic.cc property

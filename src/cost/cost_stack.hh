@@ -121,17 +121,16 @@ class CostStack
      * dynamic programming (provably <= every achievable evaluation on
      * all topology backends; see analytic_bound.hh and DESIGN.md
      * "Analytical bounds and seeding"). `maxGroupLayers` is the mapping
-     * engine's segment-length cap; <= 0 falls back to the pre-analytical
-     * whole-model roofline. `components`, when non-null, receives the
-     * explanatory decomposition recorded per DseRecord. The result is
-     * scaled by kBoundSlack (FP fold-order headroom). Returns 0 (trivial
-     * bound) for negative exponents, where the bound is not monotone.
+     * engine's segment-length cap (>= 1). `components`, when non-null,
+     * receives the explanatory decomposition recorded per DseRecord. The
+     * result is scaled by kBoundSlack (FP fold-order headroom). Returns 0
+     * (trivial bound) for negative exponents, where the bound is not
+     * monotone.
      */
     double dseObjectiveLowerBound(
         const std::vector<const dnn::Graph *> &models, std::int64_t batch,
         double mc_total, double alpha, double beta, double gamma,
-        int maxGroupLayers = 12,
-        BoundComponents *components = nullptr) const;
+        int maxGroupLayers, BoundComponents *components = nullptr) const;
 
   private:
     eval::EnergyModel energy_;

@@ -51,7 +51,7 @@ struct DseAxes
  * window, and a grid small enough to search.
  */
 inline constexpr double kMinExactCores = 0.85;
-inline constexpr double kMaxExactCores = 16384.0;
+inline constexpr double kMaxExactCores = 880.0;
 static_assert(kMaxExactCores * 1.15 + 1.0 < arch::kMaxCoreCount,
               "every grid chooseCoreGrid can pick must pass "
               "ArchConfig::validate");

@@ -109,11 +109,10 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 
 /**
  * Fill a record's monetary cost, its objective lower bound and the
- * bound's explanatory components. schedule.analyticBound selects the
- * per-layer segmentation-DP bound (maxGroupLayers caps the DP, mirroring
- * the partitioner) or the legacy whole-model roofline (maxGroupLayers <= 0
- * fallback inside the stack). Pure arithmetic: always computed locally,
- * even in worker mode.
+ * bound's explanatory components. The bound is the per-layer
+ * segmentation-DP bound, its DP capped by maxGroupLayers as the
+ * partitioner is. Pure arithmetic: always computed locally, even in
+ * worker mode.
  */
 void
 priceRecord(DseRecord &rec, const DseOptions &options)
@@ -122,13 +121,10 @@ priceRecord(DseRecord &rec, const DseOptions &options)
                                 options.costParams);
     rec.mc = stack.mcBreakdown();
     cost::BoundComponents comps;
-    const int max_group_layers = options.schedule.analyticBound
-                                     ? options.mapping.maxGroupLayers
-                                     : 0;
     rec.objectiveLowerBound = stack.dseObjectiveLowerBound(
         options.models, options.mapping.batch, rec.mc.total(),
-        options.alpha, options.beta, options.gamma, max_group_layers,
-        &comps);
+        options.alpha, options.beta, options.gamma,
+        options.mapping.maxGroupLayers, &comps);
     rec.boundComputeSeconds = comps.computeSeconds;
     rec.boundDramSeconds = comps.dramSeconds;
     rec.boundNocSeconds = comps.nocSeconds;

@@ -103,13 +103,12 @@ struct DseSchedule
     std::size_t minKeep = 4;
 
     /**
-     * Use the per-layer segmentation-DP analytical bound (GLB-forced
-     * refetch + NoC ingress cut + per-layer rooflines) as the screen
-     * prune oracle. false reverts to the pre-analytical whole-model
-     * peak-MACs/compulsory-DRAM roofline — strictly weaker but cheaper;
-     * both are sound, so this only changes how hard the screen prunes.
+     * The screen's prune oracle is always the per-layer segmentation-DP
+     * analytical bound. Not settable: the spec refuses
+     * `schedule.analytic_bound: false`, and the constant stays only
+     * because benchmark/probe.cc still reads it.
      */
-    bool analyticBound = true;
+    static constexpr bool analyticBound = true;
 
     /**
      * Annealing chains of the polish rung (the effective count is the

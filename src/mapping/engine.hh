@@ -68,10 +68,10 @@ struct MappingOptions
 
     /**
      * Does nothing: every group evaluates through the one full merge.
-     * Only benchmark/probe.cc reads it; it stays until the probe no
-     * longer does.
+     * Not settable; only benchmark/probe.cc reads it, and it stays until
+     * the probe no longer does.
      */
-    bool deltaEval = true;
+    static constexpr bool deltaEval = true;
 
     /** DP partitioner knobs. */
     int maxGroupLayers = 12;

@@ -37,31 +37,6 @@ SaEngine::evaluateAll(const LpMapping &mapping) const
     return out;
 }
 
-namespace {
-
-// The objective lives in the cost stack (one pricing authority for SA and
-// DSE); these aliases keep the hot loop below readable.
-inline void
-contributionOf(const eval::EvalBreakdown &g, double &energy, double &delay)
-{
-    cost::CostStack::saContribution(g, energy, delay);
-}
-
-inline double
-scalarCost(double energy, double delay, double beta, double gamma)
-{
-    return cost::CostStack::saScalar(energy, delay, beta, gamma);
-}
-
-} // namespace
-
-double
-SaEngine::cost(const std::vector<eval::EvalBreakdown> &groups, double beta,
-               double gamma)
-{
-    return cost::CostStack::saCost(groups, beta, gamma);
-}
-
 std::uint64_t
 SaEngine::chainSeed(std::uint64_t seed, int chain)
 {
@@ -90,15 +65,21 @@ SaEngine::optimize(LpMapping &mapping, const SaOptions &options,
     // re-cost in O(touched) instead of O(groups).
     std::vector<double> contrib_e(n_groups), contrib_d(n_groups);
     double sum_e = 0.0, sum_d = 0.0;
-    for (std::size_t g = 0; g < n_groups; ++g) {
-        contributionOf(evals[g], contrib_e[g], contrib_d[g]);
-        sum_e += contrib_e[g];
-        sum_d += contrib_d[g];
-    }
-    double current_cost =
-        options.incrementalCost
-            ? scalarCost(sum_e, sum_d, options.beta, options.gamma)
-            : cost(evals, options.beta, options.gamma);
+    // Rebuilds the accumulator from every group: at the start and after
+    // a basin hop only.
+    const auto rebuild_sums = [&] {
+        sum_e = 0.0;
+        sum_d = 0.0;
+        for (std::size_t g = 0; g < n_groups; ++g) {
+            cost::CostStack::saContribution(evals[g], contrib_e[g],
+                                            contrib_d[g]);
+            sum_e += contrib_e[g];
+            sum_d += contrib_d[g];
+        }
+        return cost::CostStack::saScalar(sum_e, sum_d, options.beta,
+                                         options.gamma);
+    };
+    double current_cost = rebuild_sums();
 
     SaStats local;
     local.initialCost = current_cost;
@@ -196,17 +177,7 @@ SaEngine::optimize(LpMapping &mapping, const SaOptions &options,
                 dirty[t] = 0;
             }
             dirty_groups.clear();
-            sum_e = 0.0;
-            sum_d = 0.0;
-            for (std::size_t g2 = 0; g2 < n_groups; ++g2) {
-                contributionOf(evals[g2], contrib_e[g2], contrib_d[g2]);
-                sum_e += contrib_e[g2];
-                sum_d += contrib_d[g2];
-            }
-            current_cost =
-                options.incrementalCost
-                    ? scalarCost(sum_e, sum_d, options.beta, options.gamma)
-                    : cost(evals, options.beta, options.gamma);
+            current_cost = rebuild_sums();
             since_best = 0;
         }
         const double progress =
@@ -247,25 +218,19 @@ SaEngine::optimize(LpMapping &mapping, const SaOptions &options,
             evals[t] = analyzeOne(mapping, t);
         }
 
-        double new_cost;
         double new_sum_e = sum_e, new_sum_d = sum_d;
-        if (options.incrementalCost) {
-            new_contrib_e.clear();
-            new_contrib_d.clear();
-            for (std::size_t t : touched) {
-                double e, d;
-                contributionOf(evals[t], e, d);
-                new_contrib_e.push_back(e);
-                new_contrib_d.push_back(d);
-                new_sum_e += e - contrib_e[t];
-                new_sum_d += d - contrib_d[t];
-            }
-            new_cost =
-                scalarCost(new_sum_e, new_sum_d, options.beta,
-                           options.gamma);
-        } else {
-            new_cost = cost(evals, options.beta, options.gamma);
+        new_contrib_e.clear();
+        new_contrib_d.clear();
+        for (std::size_t t : touched) {
+            double e, d;
+            cost::CostStack::saContribution(evals[t], e, d);
+            new_contrib_e.push_back(e);
+            new_contrib_d.push_back(d);
+            new_sum_e += e - contrib_e[t];
+            new_sum_d += d - contrib_d[t];
         }
+        const double new_cost = cost::CostStack::saScalar(
+            new_sum_e, new_sum_d, options.beta, options.gamma);
         const double delta = (new_cost - current_cost) /
                              std::max(current_cost, 1e-300);
         bool accept = delta < 0.0;
@@ -277,13 +242,11 @@ SaEngine::optimize(LpMapping &mapping, const SaOptions &options,
             if (delta < 0.0)
                 ++local.improved;
             current_cost = new_cost;
-            if (options.incrementalCost) {
-                sum_e = new_sum_e;
-                sum_d = new_sum_d;
-                for (std::size_t i = 0; i < touched.size(); ++i) {
-                    contrib_e[touched[i]] = new_contrib_e[i];
-                    contrib_d[touched[i]] = new_contrib_d[i];
-                }
+            sum_e = new_sum_e;
+            sum_d = new_sum_d;
+            for (std::size_t i = 0; i < touched.size(); ++i) {
+                contrib_e[touched[i]] = new_contrib_e[i];
+                contrib_d[touched[i]] = new_contrib_d[i];
             }
             for (std::size_t t : touched) {
                 if (!dirty[t]) {

@@ -46,15 +46,6 @@ struct SaOptions
     int chains = 1;
 
     /**
-     * Maintain the whole-DNN cost as per-group contributions updated only
-     * for the touched groups — O(touched) per iteration instead of
-     * O(groups). false recomputes the full sum on each proposal; it is a
-     * spec field (`sa.incremental_cost`), and bench_micro's
-     * BM_SaThroughputBaseline runs with it off.
-     */
-    bool incrementalCost = true;
-
-    /**
      * Basin hopping: after this many iterations without a new best, the
      * walk restarts from the best state found so far (the fragment caches
      * make re-walking a known neighbourhood nearly free). -1 picks
@@ -130,15 +121,6 @@ class SaEngine
     std::vector<eval::EvalBreakdown> optimize(LpMapping &mapping,
                                               const SaOptions &options,
                                               SaStats *stats = nullptr);
-
-    /**
-     * GLB-overflow-penalized scalar cost of aggregated breakdowns:
-     * (E * p)^beta * (D * p)^gamma with p = (1 + overflow)^2.
-     * Thin wrapper over cost::CostStack::saCost (the objective lives in
-     * the cost stack so SA and DSE price identically).
-     */
-    static double cost(const std::vector<eval::EvalBreakdown> &groups,
-                       double beta, double gamma);
 
     /**
      * Deterministic seed of chain `chain` derived from the base seed:

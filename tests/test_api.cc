@@ -249,7 +249,21 @@ TEST(SpecValidate, TopsTargetBelowOneCoreIsRejected)
     EXPECT_EQ(
         problemsWith([](ExperimentSpec &s) { s.axes.topsTarget = 0.001; }),
         "axes.tops_target: 0.001 TOPS needs 0.001953125 cores of 256 MACs "
-        "(must be within [0.85, 16384])");
+        "(must be within [0.85, 880])");
+}
+
+TEST(SpecValidate, TopsTargetAtTheCoreCapIsAcceptedAndAboveIsRejected)
+{
+    // 450.5 TOPS needs 879.88 cores of 256 MACs, just inside the cap:
+    // every grid its search window can pick still passes
+    // ArchConfig::validate (at most arch::kMaxCoreCount cores).
+    EXPECT_EQ(
+        problemsWith([](ExperimentSpec &s) { s.axes.topsTarget = 450.5; }),
+        "");
+    EXPECT_EQ(
+        problemsWith([](ExperimentSpec &s) { s.axes.topsTarget = 451.0; }),
+        "axes.tops_target: 451 TOPS needs 880.859375 cores of 256 MACs "
+        "(must be within [0.85, 880])");
 }
 
 TEST(SpecValidate, CutsThatDivideNoGridAreRejected)

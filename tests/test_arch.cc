@@ -114,12 +114,18 @@ TEST(ArchConfig, ValidateRejectsGridsAndDramCountsAboveTheCaps)
     ArchConfig a;
     a.xCores = a.yCores = 46341;
     a.xCut = a.yCut = 1;
-    EXPECT_EQ(a.validate(), "core grid 46341x46341 exceeds 65536 cores");
+    EXPECT_EQ(a.validate(), "core grid 46341x46341 exceeds 1024 cores");
     a.xCores = kMaxCoreCount;
     a.yCores = 1;
     EXPECT_TRUE(a.validate().empty()) << a.validate();
     a.yCores = 2;
     EXPECT_FALSE(a.validate().empty());
+
+    // The square grid at the cap passes; one more column does not.
+    a.xCores = a.yCores = 32;
+    EXPECT_TRUE(a.validate().empty()) << a.validate();
+    a.xCores = 33;
+    EXPECT_EQ(a.validate(), "core grid 33x32 exceeds 1024 cores");
 
     a = ArchConfig{};
     a.dramCount = kMaxDramCount;

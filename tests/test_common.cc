@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for the common utilities: math helpers, RNG determinism and
- * distribution sanity, CSV writer, the thread pool (cpulist parsing,
- * NUMA topology detection and worker arenas included), the thread CPU
- * clock, the bump arena and the SmallVec small-buffer container.
+ * distribution sanity, CSV writer, the thread pool (its workers inherit
+ * the caller's CPU affinity), the thread CPU clock, the bump arena and
+ * the SmallVec small-buffer container.
  */
 
 #include <gtest/gtest.h>
@@ -11,10 +11,17 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <latch>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "src/common/arena.hh"
 #include "src/common/cpu_clock.hh"
@@ -361,51 +368,7 @@ TEST(ThreadPool, ReportsThreadCount)
     EXPECT_EQ(pool.threadCount(), 5u);
 }
 
-TEST(ParseCpuList, CoversRangesSinglesAndJunk)
-{
-    using V = std::vector<int>;
-    EXPECT_EQ(parseCpuList("0-3,8,10-11"), (V{0, 1, 2, 3, 8, 10, 11}));
-    EXPECT_EQ(parseCpuList("4\n"), (V{4}));
-    EXPECT_EQ(parseCpuList(""), V{});
-    EXPECT_EQ(parseCpuList("garbage"), V{});
-    EXPECT_EQ(parseCpuList("3,1,2"), (V{1, 2, 3}));   // sorted
-    EXPECT_EQ(parseCpuList("1,1,1-2"), (V{1, 2}));    // deduplicated
-    EXPECT_EQ(parseCpuList("5-3"), V{});              // empty range skipped
-    EXPECT_EQ(parseCpuList(" 0-1 , 7 \n"), (V{0, 1, 7}));
-}
-
-TEST(NumaTopology, DetectionNeverReportsZeroNodes)
-{
-    const NumaTopology topo = detectNumaTopology();
-    ASSERT_GE(topo.nodeCount(), 1u);
-    EXPECT_GE(topo.cpuCount(), 1u);
-    for (const auto &node : topo.nodeCpus)
-        EXPECT_FALSE(node.empty());
-}
-
-TEST(ThreadPoolNuma, WorkerArenasAreNodeLocalAndUsable)
-{
-    // Workers no longer own arenas; the name is kept for the placement
-    // checks that remain: every worker has a node, and only multi-node
-    // hosts pin.
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.threadCount(), 3u);
-    ASSERT_GE(pool.numaNodeCount(), 1u);
-    EXPECT_LE(pool.pinnedWorkers(), pool.threadCount());
-    if (pool.numaNodeCount() == 1) {
-        // Single-node hosts must skip pinning entirely.
-        EXPECT_EQ(pool.pinnedWorkers(), 0u);
-    }
-    for (std::size_t w = 0; w < pool.threadCount(); ++w)
-        EXPECT_LT(pool.workerNode(w), pool.numaNodeCount());
-
-    // Tasks run to completion on the placed workers.
-    std::atomic<int> ran{0};
-    pool.parallelFor(64, [&](std::size_t) { ++ran; });
-    EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPoolNuma, SizeTCompatConstructorStillWorks)
+TEST(ThreadPool, SizeTCompatConstructorStillWorks)
 {
     ThreadPool pool(2);
     EXPECT_EQ(pool.threadCount(), 2u);
@@ -415,6 +378,56 @@ TEST(ThreadPoolNuma, SizeTCompatConstructorStillWorks)
     });
     EXPECT_EQ(sum.load(), 45);
 }
+
+#if defined(__linux__)
+TEST(ThreadPool, WorkersInheritCallerAffinity)
+{
+    // The pool pins nothing: a worker runs where the thread that built
+    // the pool was allowed to run. Confine this thread to one CPU of its
+    // current mask while the pool starts, then give the mask back.
+    cpu_set_t original;
+    ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof original,
+                                     &original),
+              0);
+    int cpu = 0;
+    while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &original))
+        ++cpu;
+    ASSERT_LT(cpu, CPU_SETSIZE);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof one, &one), 0);
+    ThreadPool pool(3);
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof original,
+                                     &original),
+              0);
+
+    // Each task holds its worker until all three have started, so every
+    // worker reports its mask exactly once.
+    std::latch started(3);
+    std::mutex mu;
+    std::set<std::thread::id> workers;
+    std::vector<cpu_set_t> masks;
+    for (int t = 0; t < 3; ++t) {
+        pool.submit([&] {
+            started.arrive_and_wait();
+            cpu_set_t mask;
+            CPU_ZERO(&mask);
+            pthread_getaffinity_np(pthread_self(), sizeof mask, &mask);
+            std::lock_guard lock(mu);
+            workers.insert(std::this_thread::get_id());
+            masks.push_back(mask);
+        });
+    }
+    pool.waitIdle();
+    EXPECT_EQ(workers.size(), 3u);
+    ASSERT_EQ(masks.size(), 3u);
+    for (const cpu_set_t &mask : masks) {
+        EXPECT_EQ(CPU_COUNT(&mask), 1);
+        EXPECT_TRUE(CPU_ISSET(cpu, &mask));
+    }
+}
+#endif
 
 // ------------------------------------------------------ thread cpu clock --
 

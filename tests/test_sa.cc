@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/arch/presets.hh"
+#include "src/cost/cost_stack.hh"
 #include "src/dnn/zoo.hh"
 #include "src/mapping/engine.hh"
 
@@ -33,8 +34,8 @@ TEST(SaCost, PenalizesOverflow)
     ok.intraTileEnergy = 1.0;
     eval::EvalBreakdown bad = ok;
     bad.glbOverflow = 1.0; // 2x penalty on E and D
-    EXPECT_DOUBLE_EQ(SaEngine::cost({ok}, 1.0, 1.0), 1.0);
-    EXPECT_DOUBLE_EQ(SaEngine::cost({bad}, 1.0, 1.0), 16.0);
+    EXPECT_DOUBLE_EQ(cost::CostStack::saCost({ok}, 1.0, 1.0), 1.0);
+    EXPECT_DOUBLE_EQ(cost::CostStack::saCost({bad}, 1.0, 1.0), 16.0);
 }
 
 TEST(SaCost, ExponentsWeightObjective)
@@ -42,9 +43,9 @@ TEST(SaCost, ExponentsWeightObjective)
     eval::EvalBreakdown b;
     b.delay = 2.0;
     b.intraTileEnergy = 3.0;
-    EXPECT_DOUBLE_EQ(SaEngine::cost({b}, 1.0, 0.0), 3.0);
-    EXPECT_DOUBLE_EQ(SaEngine::cost({b}, 0.0, 1.0), 2.0);
-    EXPECT_DOUBLE_EQ(SaEngine::cost({b}, 1.0, 2.0), 12.0);
+    EXPECT_DOUBLE_EQ(cost::CostStack::saCost({b}, 1.0, 0.0), 3.0);
+    EXPECT_DOUBLE_EQ(cost::CostStack::saCost({b}, 0.0, 1.0), 2.0);
+    EXPECT_DOUBLE_EQ(cost::CostStack::saCost({b}, 1.0, 2.0), 12.0);
 }
 
 TEST(SaCost, SumsAcrossGroups)
@@ -54,7 +55,7 @@ TEST(SaCost, SumsAcrossGroups)
     a.intraTileEnergy = 2.0;
     b.delay = 3.0;
     b.dramEnergy = 4.0;
-    EXPECT_DOUBLE_EQ(SaEngine::cost({a, b}, 1.0, 1.0), 6.0 * 4.0);
+    EXPECT_DOUBLE_EQ(cost::CostStack::saCost({a, b}, 1.0, 1.0), 6.0 * 4.0);
 }
 
 TEST(SaEngineRun, ImprovesOverStripeBaseline)
@@ -183,27 +184,6 @@ TEST(SaEngineRun, StatsAreConsistent)
     EXPECT_LE(r.saStats.finalCost, r.saStats.initialCost * 1.0001);
 }
 
-TEST(SaEngineRun, IncrementalCostMatchesLegacyResum)
-{
-    // The incremental accumulator only changes how the objective is
-    // summed; the legacy full re-sum path must still satisfy the
-    // from-scratch consistency guarantee.
-    const dnn::Graph g = dnn::zoo::tinyConvChain(5);
-    arch::ArchConfig a = arch::tinyArch();
-    a.xCores = 3;
-    a.yCores = 2;
-    MappingOptions opts = fastOptions(500);
-    opts.maxGroupLayers = 3;
-    opts.sa.incrementalCost = false;
-    MappingEngine engine(g, a, opts);
-    const MappingResult r = engine.run();
-    const MappingResult check = engine.evaluateMapping(r.mapping);
-    EXPECT_NEAR(check.total.delay, r.total.delay,
-                1e-12 * std::abs(r.total.delay));
-    EXPECT_NEAR(check.total.totalEnergy(), r.total.totalEnergy(),
-                1e-9 * r.total.totalEnergy());
-}
-
 TEST(SaEngineRun, ChainSeedsAreDistinctAndAnchored)
 {
     // Chain 0 must reuse the base seed verbatim (single-chain
@@ -323,11 +303,11 @@ TEST(RunFrom, ResumesStrictlyNoWorseThanInput)
     // The SA walk's best always includes the initial state, so resuming
     // can never end worse than the warm-start mapping.
     EXPECT_LE(resumed.saStats.finalCost, resumed.saStats.initialCost);
-    const double start_cost = SaEngine::cost(
+    const double start_cost = cost::CostStack::saCost(
         engine.evaluateMapping(start.mapping).groups, opts.beta, opts.gamma);
     EXPECT_NEAR(resumed.saStats.initialCost, start_cost,
                 1e-9 * start_cost);
-    const double final_cost = SaEngine::cost(
+    const double final_cost = cost::CostStack::saCost(
         engine.evaluateMapping(resumed.mapping).groups, opts.beta,
         opts.gamma);
     EXPECT_LE(final_cost, start_cost * (1.0 + 1e-9));
@@ -364,7 +344,8 @@ TEST(RunFrom, RetunedBudgetKeepsImproving)
 
     // Doubling rung budgets on one persistent engine: each rung must end
     // no worse than it started.
-    double prev_cost = SaEngine::cost(state.groups, opts.beta, opts.gamma);
+    double prev_cost =
+        cost::CostStack::saCost(state.groups, opts.beta, opts.gamma);
     for (int iters : {50, 100, 200}) {
         MappingOptions &mo = engine.mutableOptions();
         mo.runSa = true;

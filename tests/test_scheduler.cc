@@ -10,15 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/api/scheduler.hh"
 #include "src/api/service.hh"
 #include "src/api/store.hh"
 #include "src/common/fault_injection.hh"
+#include "src/common/json.hh"
 
 namespace gemini::api {
 namespace {
@@ -423,6 +426,43 @@ TEST_F(JobSchedulerTest, RecoverInterruptedResumesFromJournals)
     // Nothing left to recover once the result is stored.
     EXPECT_TRUE(store->orphanJournals().empty());
     EXPECT_EQ(scheduler.recoverInterrupted(), 0);
+}
+
+TEST_F(JobSchedulerTest, RecoverySkipsSidecarsThatSetARemovedKnobToFalse)
+{
+    // Spec sidecars that set schedule.analytic_bound or
+    // mapping.sa.incremental_cost to false, left by a build that still
+    // ran those paths: recovery warns, re-admits neither and keeps going.
+    const std::pair<std::string, std::string> knobs[] = {
+        {"analytic_bound", "spec.schedule.analytic_bound"},
+        {"incremental_cost", "spec.mapping.sa.incremental_cost"}};
+    auto store = std::make_shared<ResultStore>(dir_);
+    std::uint64_t orphan = 0x0123456789abcdefull;
+    for (const auto &[key, path] : knobs) {
+        std::string text = tinyDseSpec("removed-knob").toJson().dump();
+        const std::string on = "\"" + key + "\":true";
+        const std::size_t at = text.find(on);
+        ASSERT_NE(at, std::string::npos) << on;
+        text.replace(at, on.size(), "\"" + key + "\":false");
+        ++orphan;
+        std::ofstream(fs::path(dir_) /
+                      (common::json::hex64(orphan) + ".spec.json"))
+            << text << "\n";
+        std::ofstream(store->journalPath(orphan)) << "";
+    }
+    ASSERT_EQ(store->orphanJournals().size(), 2u);
+
+    ExplorationService service(2, store);
+    JobScheduler scheduler(service);
+    ::testing::internal::CaptureStderr();
+    const int recovered = scheduler.recoverInterrupted();
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(recovered, 0);
+    EXPECT_TRUE(scheduler.list().empty());
+    for (const auto &[key, path] : knobs)
+        EXPECT_NE(warnings.find(path + ": false is no longer supported"),
+                  std::string::npos)
+            << warnings;
 }
 
 TEST_F(JobSchedulerTest, StopDrainsOrCancels)

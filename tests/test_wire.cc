@@ -661,6 +661,10 @@ TEST(Wire, SpecReaderErrorsArePinned)
              "min_keep, polish_chains)"},
             {"schedule type", R"({"schedule":{"enabled":1}})",
              "spec.schedule.enabled: expected true or false"},
+            {"schedule analytic_bound",
+             R"({"schedule":{"analytic_bound":false}})",
+             "spec.schedule.analytic_bound: false is no longer supported "
+             "(the whole-model roofline bound was removed)"},
             {"mapping unknown", R"({"mapping":{"batchs":2}})",
              "spec.mapping.batchs: unknown key (valid keys: batch, run_sa, "
              "sa, sa_threads, analyzer_cache_entries, max_group_layers, "
@@ -677,6 +681,10 @@ TEST(Wire, SpecReaderErrorsArePinned)
              "reheat_interval, operator_mask, plateau_window)"},
             {"sa type", R"({"mapping":{"sa":{"seed":-1}}})",
              "spec.mapping.sa.seed: integer out of range for this field"},
+            {"sa incremental_cost",
+             R"({"mapping":{"sa":{"incremental_cost":false}}})",
+             "spec.mapping.sa.incremental_cost: false is no longer supported "
+             "(the full re-sum was removed)"},
             {"tech unknown", R"({"tech":{"mac_pj":1}})",
              "spec.tech.mac_pj: unknown key (valid keys: mac_j, vec_op_j, "
              "glb_j_per_byte, buf_j_per_byte, noc_hop_j_per_byte, "
