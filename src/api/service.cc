@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -444,6 +445,9 @@ ExplorationService::runJobBody(const std::shared_ptr<JobHandle::Shared> &job,
         result.mapArch = *resolved.archConfig;
         result.mapArchMc =
             cost::McEvaluator(s.costParams).evaluate(result.mapArch);
+        // One interconnect model for every model's engine, built after
+        // the first progress event as each engine's own used to be.
+        std::optional<noc::InterconnectModel> noc;
         for (std::size_t i = 0; i < resolved.models.size(); ++i) {
             const dnn::Graph &model = resolved.models[i];
             if (progress) {
@@ -457,7 +461,9 @@ ExplorationService::runJobBody(const std::shared_ptr<JobHandle::Shared> &job,
             }
             mapping::MappingOptions mo = s.mapping;
             mo.stop = stop;
-            mapping::MappingEngine engine(model, *resolved.archConfig, mo);
+            if (!noc)
+                noc.emplace(result.mapArch);
+            mapping::MappingEngine engine(model, *noc, mo);
             result.mappings.push_back(engine.run());
             if (progress) {
                 const mapping::MappingResult &mr = result.mappings.back();

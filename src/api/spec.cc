@@ -13,6 +13,7 @@
 #include "src/dnn/parser.hh"
 #include "src/dnn/zoo.hh"
 #include "src/dse/candidates.hh"
+#include "src/noc/interconnect.hh"
 
 namespace gemini::api {
 
@@ -470,10 +471,22 @@ ExperimentSpec::validate() const
                 complain("arch.preset: unknown preset \"" + arch.preset +
                          "\" (valid: " + valid + ")");
             }
+        } else if (const std::string err = arch.config->validate();
+                   !err.empty()) {
+            complain("arch.config: " + err);
         } else {
-            const std::string err = arch.config->validate();
-            if (!err.empty())
-                complain("arch.config: " + err);
+            const arch::ArchConfig &cfg = *arch.config;
+            const std::size_t bytes =
+                noc::InterconnectModel::predictTableBytes(cfg);
+            if (bytes > noc::kMaxRouteTableBytes)
+                complain("arch.config: x_cores " +
+                         std::to_string(cfg.xCores) + " by y_cores " +
+                         std::to_string(cfg.yCores) + " with dram_count " +
+                         std::to_string(cfg.dramCount) + " needs " +
+                         std::to_string(bytes) +
+                         " bytes of route tables, above the " +
+                         std::to_string(noc::kMaxRouteTableBytes) +
+                         "-byte cap");
         }
     } else {
         validateAxes(axes, complain);

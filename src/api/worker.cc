@@ -162,8 +162,9 @@ evalCandidate(const ExperimentSpec &spec, const ResolvedExperiment &resolved,
         resp.message = "eval: warm_starts count does not match models";
         return resp;
     }
+    const noc::InterconnectModel noc(rq.arch);
     for (std::size_t m = 0; m < resolved.models.size(); ++m) {
-        mapping::MappingEngine engine(resolved.models[m], rq.arch, mo);
+        mapping::MappingEngine engine(resolved.models[m], noc, mo);
         mapping::MappingResult res =
             warm ? engine.runFrom(rq.warmStarts[m]) : engine.run();
         resp.mappings.push_back(std::move(res.mapping));

@@ -54,19 +54,19 @@ const char *topologyName(Topology t);
 /**
  * Largest core grid validate() accepts: above every preset (the largest
  * is 256 cores) and the biggest grid the DSE enumerates
- * (dse::kMaxExactCores plus its 15% search window). The interconnect
- * model keeps a route for every node pair, so memory grows with the
- * square of the core count: a 32x32 grid maps tiny_conv in 141 MiB,
- * while the squarest 2048-core grid (64x32) already needs 1061 MiB.
+ * (dse::kMaxExactCores plus its 15% search window). It bounds the
+ * interconnect model's route refs (one per node pair, 8.5 MiB at 1024
+ * cores and 8 DRAMs); noc::kMaxRouteTableBytes bounds its whole tables.
  */
 inline constexpr int kMaxCoreCount = 1 << 10;
 
 /**
- * Largest DRAM-stack count validate() accepts (presets use at most 8).
- * DRAM selectors are 16-bit (DramSel), and every core keeps a route to
- * every stack.
+ * Largest DRAM-stack count validate() accepts: the smallest power of two
+ * covering every preset (at most 8), the DSE (always 2) and every paper
+ * bench row. The interconnect model stores each core's route to and
+ * from every stack once more, as a DRAM-interleaved run.
  */
-inline constexpr int kMaxDramCount = 1 << 10;
+inline constexpr int kMaxDramCount = 1 << 3;
 
 /**
  * Caps on the per-core resources, frequency and bandwidths: far above every

@@ -6,7 +6,19 @@
 #ifndef GEMINI_COMMON_TYPES_HH
 #define GEMINI_COMMON_TYPES_HH
 
+#include <cfloat>
 #include <cstdint>
+
+// The floating-point contract behind bit-exact results (DESIGN.md
+// "Floating-point contract"): IEEE double arithmetic evaluated in its own
+// precision, no fast-math, and no a*b+c contraction into a fused
+// multiply-add (CMakeLists.txt passes -ffp-contract=off).
+#ifdef __FAST_MATH__
+#error "gemini's results are bit-exact only without -ffast-math"
+#endif
+static_assert(FLT_EVAL_METHOD == 0,
+              "gemini needs each floating-point type evaluated in its own "
+              "precision (FLT_EVAL_METHOD == 0)");
 
 namespace gemini {
 

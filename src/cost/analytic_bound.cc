@@ -64,9 +64,9 @@ struct LayerProfile
  * least total-DRAM-bytes / this sum.
  */
 double
-dramIngressCutBps(const arch::ArchConfig &cfg)
+dramIngressCutBps(const noc::InterconnectModel &noc)
 {
-    const noc::InterconnectModel noc(cfg);
+    const arch::ArchConfig &cfg = noc.config();
     std::vector<noc::LinkId> links;
     links.reserve(static_cast<std::size_t>(cfg.dramCount) * 2);
     for (int d = 0; d < cfg.dramCount; ++d) {
@@ -277,7 +277,7 @@ touchedInputVolume(const dnn::Graph &graph, LayerId layer,
 }
 
 AnalyticBoundResult
-analyticLowerBound(const arch::ArchConfig &cfg,
+analyticLowerBound(const noc::InterconnectModel &noc,
                    const arch::TechParams &tech,
                    const std::vector<const dnn::Graph *> &models,
                    std::int64_t batch, int maxGroupLayers)
@@ -286,7 +286,8 @@ analyticLowerBound(const arch::ArchConfig &cfg,
     AnalyticBoundResult r;
     if (models.empty())
         return r;
-    const double cut_bps = dramIngressCutBps(cfg);
+    const arch::ArchConfig &cfg = noc.config();
+    const double cut_bps = dramIngressCutBps(noc);
     const double dram_bps = cfg.dramBwGBps * 1e9;
     double log_delay = 0.0, log_energy = 0.0;
     double log_compute = 0.0, log_dram = 0.0, log_noc = 0.0;

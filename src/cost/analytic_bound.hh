@@ -23,6 +23,7 @@
 #include "src/arch/arch_config.hh"
 #include "src/arch/tech_params.hh"
 #include "src/dnn/graph.hh"
+#include "src/noc/interconnect.hh"
 
 namespace gemini::cost {
 
@@ -50,7 +51,9 @@ struct AnalyticBoundResult
 };
 
 /**
- * Compute the analytical delay/energy lower bound of `models` on `cfg`.
+ * Compute the analytical delay/energy lower bound of `models` on the
+ * architecture of `noc` (noc.config()), whose routes give the DRAM link
+ * cut.
  *
  * @param maxGroupLayers  the mapping engine's DP segment-length cap
  *        (>= 1, asserted); any achievable grouping is a contiguous
@@ -59,11 +62,11 @@ struct AnalyticBoundResult
  *
  * Guaranteed <= the delay/energy of every mapping the engine can emit on
  * any of the four topology backends (tests/test_analytic.cc property
- * test). Pure function of (cfg, tech, models, batch, maxGroupLayers);
+ * test). Pure function of (noc, tech, models, batch, maxGroupLayers);
  * workload geometry only — no search.
  */
 AnalyticBoundResult
-analyticLowerBound(const arch::ArchConfig &cfg,
+analyticLowerBound(const noc::InterconnectModel &noc,
                    const arch::TechParams &tech,
                    const std::vector<const dnn::Graph *> &models,
                    std::int64_t batch, int maxGroupLayers);

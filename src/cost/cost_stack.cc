@@ -54,14 +54,17 @@ CostStack::dseObjective(double mc_total, double energy_geo,
 
 double
 CostStack::dseObjectiveLowerBound(
+    const noc::InterconnectModel &noc,
     const std::vector<const dnn::Graph *> &models, std::int64_t batch,
     double mc_total, double alpha, double beta, double gamma,
     int maxGroupLayers, BoundComponents *components) const
 {
     if (alpha < 0.0 || beta < 0.0 || gamma < 0.0)
         return 0.0; // bound only monotone for non-negative exponents
+    GEMINI_ASSERT(noc.config() == config(),
+                  "the bound's interconnect models another architecture");
     const AnalyticBoundResult lb = analyticLowerBound(
-        config(), energy_.tech(), models, batch, maxGroupLayers);
+        noc, energy_.tech(), models, batch, maxGroupLayers);
     if (components != nullptr)
         *components = lb.components;
     return kBoundSlack * dseObjective(mc_total, lb.energyGeoJoules,

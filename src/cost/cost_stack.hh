@@ -115,7 +115,8 @@ class CostStack
 
     /**
      * Workload-independent DSE objective lower bound of the bound
-     * architecture. MC is exact; the delay/energy floors come from
+     * architecture, whose interconnect model is `noc`. MC is exact; the
+     * delay/energy floors come from
      * cost::analyticLowerBound — a per-layer compute/DRAM/NoC model
      * folded over every feasible contiguous layer-group segmentation by
      * dynamic programming (provably <= every achievable evaluation on
@@ -128,9 +129,22 @@ class CostStack
      * monotone.
      */
     double dseObjectiveLowerBound(
+        const noc::InterconnectModel &noc,
         const std::vector<const dnn::Graph *> &models, std::int64_t batch,
         double mc_total, double alpha, double beta, double gamma,
         int maxGroupLayers, BoundComponents *components = nullptr) const;
+
+    /** The same bound over a model it builds of the bound architecture. */
+    double
+    dseObjectiveLowerBound(const std::vector<const dnn::Graph *> &models,
+                           std::int64_t batch, double mc_total, double alpha,
+                           double beta, double gamma, int maxGroupLayers,
+                           BoundComponents *components = nullptr) const
+    {
+        return dseObjectiveLowerBound(noc::InterconnectModel(config()),
+                                      models, batch, mc_total, alpha, beta,
+                                      gamma, maxGroupLayers, components);
+    }
 
   private:
     eval::EnergyModel energy_;

@@ -109,20 +109,21 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 
 /**
  * Fill a record's monetary cost, its objective lower bound and the
- * bound's explanatory components. The bound is the per-layer
- * segmentation-DP bound, its DP capped by maxGroupLayers as the
- * partitioner is. Pure arithmetic: always computed locally, even in
- * worker mode.
+ * bound's explanatory components (`noc` is the model of rec.arch). The
+ * bound is the per-layer segmentation-DP bound, its DP capped by
+ * maxGroupLayers as the partitioner is. Pure arithmetic: always computed
+ * locally, even in worker mode.
  */
 void
-priceRecord(DseRecord &rec, const DseOptions &options)
+priceRecord(DseRecord &rec, const noc::InterconnectModel &noc,
+            const DseOptions &options)
 {
     const cost::CostStack stack(rec.arch, options.mapping.tech,
                                 options.costParams);
     rec.mc = stack.mcBreakdown();
     cost::BoundComponents comps;
     rec.objectiveLowerBound = stack.dseObjectiveLowerBound(
-        options.models, options.mapping.batch, rec.mc.total(),
+        noc, options.models, options.mapping.batch, rec.mc.total(),
         options.alpha, options.beta, options.gamma,
         options.mapping.maxGroupLayers, &comps);
     rec.boundComputeSeconds = comps.computeSeconds;
@@ -200,10 +201,11 @@ class ExplorerPool
 /**
  * Evaluate every model of `options` with `mo`'s SA budget for each record
  * of `cohort` (fragment-identical candidates, see fragmentIdentical, or
- * just one), filling each record's perModel and returning each member's
- * per-model mappings. Per model, the cohort shares one explorer and runs
- * as one MappingEngine::runCohort, whose engines live one at a time,
- * which keeps memory flat in the candidate and cohort counts.
+ * just one), whose interconnect models are `nocs`, filling each record's
+ * perModel and returning each member's per-model mappings. Per model, the
+ * cohort shares one explorer and runs as one MappingEngine::runCohort,
+ * whose engines live one at a time and read the members' models, which
+ * keeps memory flat in the candidate count.
  * Without `warm` every member starts cold from the partitioner; with it
  * (a cohort of one), model m resumes from (*warm)[m]. With `explorers`
  * the explorer is seeded from the pool, and a cold evaluation also
@@ -211,17 +213,18 @@ class ExplorerPool
  */
 std::vector<std::vector<mapping::LpMapping>>
 evaluateModels(const std::vector<DseRecord *> &cohort,
+               const std::vector<const noc::InterconnectModel *> &nocs,
                const DseOptions &options, const mapping::MappingOptions &mo,
                ExplorerPool *explorers,
                const std::vector<mapping::LpMapping> *warm)
 {
     GEMINI_ASSERT(!warm || cohort.size() == 1,
                   "warm starts run one candidate per task");
+    GEMINI_ASSERT(nocs.size() == cohort.size(),
+                  "one interconnect model per cohort member");
     const arch::ArchConfig &lead = cohort.front()->arch;
-    std::vector<arch::ArchConfig> archs;
     std::vector<std::vector<mapping::LpMapping>> mappings(cohort.size());
     for (std::size_t k = 0; k < cohort.size(); ++k) {
-        archs.push_back(cohort[k]->arch);
         mappings[k].reserve(options.models.size());
         cohort[k]->perModel.clear();
         cohort[k]->perModel.reserve(options.models.size());
@@ -233,12 +236,12 @@ evaluateModels(const std::vector<DseRecord *> &cohort,
             explorers ? explorers->seed(explorer, lead) : 0;
         std::vector<mapping::MappingResult> results;
         if (warm) {
-            mapping::MappingEngine engine(*options.models[m], lead, mo,
-                                          explorer);
+            mapping::MappingEngine engine(*options.models[m],
+                                          *nocs.front(), mo, &explorer);
             results.push_back(engine.runFrom((*warm)[m]));
         } else {
             results = mapping::MappingEngine::runCohort(
-                *options.models[m], archs, mo, explorer);
+                *options.models[m], nocs, mo, explorer);
         }
         if (explorers && !warm)
             explorers->collect(explorer, lead, seeded);
@@ -703,9 +706,19 @@ class MultiFidelityScheduler
             finishTask(r, members, task_seconds());
             return;
         }
+        // One interconnect model per candidate for the whole task: its
+        // bound, the cohort's identity check and every engine read it. It
+        // dies with the task, so no model outlives its rung.
+        std::vector<noc::InterconnectModel> nocs;
+        std::vector<const noc::InterconnectModel *> noc_ptrs;
+        if (cold || !remote_) {
+            nocs.reserve(recs.size());
+            for (const DseRecord *rec : recs)
+                noc_ptrs.push_back(&nocs.emplace_back(rec->arch));
+        }
         if (cold)
-            for (DseRecord *rec : recs)
-                priceRecord(*rec, opts_);
+            for (std::size_t k = 0; k < recs.size(); ++k)
+                priceRecord(*recs[k], nocs[k], opts_);
 
         std::vector<std::vector<mapping::LpMapping>> mappings;
         if (remote_) {
@@ -738,7 +751,7 @@ class MultiFidelityScheduler
             mo.sa.chains = rung.chains;
             mo.sa.seed = rung.seed;
             mappings = evaluateModels(
-                recs, opts_, mo, pooled ? &explorers_ : nullptr,
+                recs, noc_ptrs, opts_, mo, pooled ? &explorers_ : nullptr,
                 cold ? nullptr : &warmStarts_[members.front()]);
         }
         for (std::size_t k = 0; k < members.size(); ++k) {
@@ -975,8 +988,10 @@ evaluateCandidate(const arch::ArchConfig &cfg, const DseOptions &options)
     GEMINI_ASSERT(!options.models.empty(), "DSE needs at least one model");
     DseRecord rec;
     rec.arch = cfg;
-    priceRecord(rec, options);
-    evaluateModels({&rec}, options, options.mapping, nullptr, nullptr);
+    const noc::InterconnectModel noc(cfg);
+    priceRecord(rec, noc, options);
+    evaluateModels({&rec}, {&noc}, options, options.mapping, nullptr,
+                   nullptr);
     finishRecord(rec, options);
     return rec;
 }

@@ -17,7 +17,7 @@ constexpr std::size_t kTileKeyWords = 8;
 constexpr std::size_t kFlowKeyWords = 24;
 constexpr std::size_t kTilePayloadBytes = 4 * sizeof(WorkRegion);
 constexpr std::size_t kFlowPayloadBytes =
-    24 * sizeof(std::pair<noc::LinkId, double>);
+    24 * (sizeof(noc::LinkId) + sizeof(double));
 
 /**
  * Price a gathered group with one architecture's link kinds (`kind_of`
@@ -177,11 +177,12 @@ Analyzer::analyzeGroup(const LayerGroupMapping &group, std::int64_t batch,
 
     std::size_t total_links = 0;
     for (const LayerFlows *flows : fragScratch_.flows)
-        total_links += flows->links.size();
+        total_links += flows->linkIds.size();
     out.traffic.reserve(total_links);
     for (const LayerFlows *flows : fragScratch_.flows) {
-        for (const auto &[id, bytes] : flows->links)
-            out.traffic.addLink(noc_.linkAt(id), bytes);
+        for (std::size_t k = 0; k < flows->linkIds.size(); ++k)
+            out.traffic.addLink(noc_.linkAt(flows->linkIds[k]),
+                                flows->linkBytes[k]);
         for (int d = 0; d < arch_.dramCount; ++d)
             out.dramBytesPerUnit[d] += flows->dramBytes[d];
         out.glbOverflow = std::max(out.glbOverflow, flows->glbOverflow);
@@ -341,8 +342,8 @@ Analyzer::gatherGroup(const LayerGroupMapping &group, std::int64_t batch,
     // in ascending link-id order, the order pricing folds them in. No
     // TrafficMap is materialized.
     for (const LayerFlows *flows : fs.flows)
-        for (const auto &[id, bytes] : flows->links)
-            merge_.add(id, bytes);
+        for (std::size_t k = 0; k < flows->linkIds.size(); ++k)
+            merge_.add(flows->linkIds[k], flows->linkBytes[k]);
     out.linkIds.clear();
     out.linkBytes.clear();
     merge_.drain([&](noc::LinkId id, double bytes) {

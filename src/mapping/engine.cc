@@ -11,7 +11,7 @@ namespace gemini::mapping {
 MappingEngine::MappingEngine(const dnn::Graph &graph,
                              const arch::ArchConfig &arch,
                              MappingOptions options)
-    : MappingEngine(graph, arch, std::move(options), nullptr)
+    : MappingEngine(graph, arch, nullptr, std::move(options), nullptr)
 {
 }
 
@@ -19,27 +19,39 @@ MappingEngine::MappingEngine(const dnn::Graph &graph,
                              const arch::ArchConfig &arch,
                              MappingOptions options,
                              intracore::Explorer &explorer)
-    : MappingEngine(graph, arch, std::move(options), &explorer)
+    : MappingEngine(graph, arch, nullptr, std::move(options), &explorer)
 {
-    GEMINI_ASSERT(explorer.macsPerCore() == arch.macsPerCore &&
-                      explorer.glbBytes() == arch.glbBytes(),
-                  "shared explorer describes another core");
+}
+
+MappingEngine::MappingEngine(const dnn::Graph &graph,
+                             const noc::InterconnectModel &noc,
+                             MappingOptions options,
+                             intracore::Explorer *explorer)
+    : MappingEngine(graph, noc.config(), &noc, std::move(options), explorer)
+{
 }
 
 MappingEngine::MappingEngine(const dnn::Graph &graph,
                              const arch::ArchConfig &arch,
+                             const noc::InterconnectModel *noc,
                              MappingOptions options,
-                             intracore::Explorer *shared)
-    : graph_(graph), arch_(arch), options_(std::move(options)), noc_(arch),
-      ownedExplorer_(shared ? nullptr
-                            : std::make_unique<intracore::Explorer>(
-                                  arch.macsPerCore, arch.glbBytes(),
-                                  arch.freqGHz, options_.tech)),
-      explorer_(shared ? *shared : *ownedExplorer_),
+                             intracore::Explorer *explorer)
+    : graph_(graph), arch_(arch), options_(std::move(options)),
+      ownedNoc_(noc ? nullptr
+                    : std::make_unique<const noc::InterconnectModel>(arch)),
+      noc_(noc ? *noc : *ownedNoc_),
+      ownedExplorer_(explorer ? nullptr
+                              : std::make_unique<intracore::Explorer>(
+                                    arch.macsPerCore, arch.glbBytes(),
+                                    arch.freqGHz, options_.tech)),
+      explorer_(explorer ? *explorer : *ownedExplorer_),
       costs_(arch, options_.tech),
       analyzer_(graph, arch, noc_, explorer_),
       sa_(graph, arch, analyzer_, costs_)
 {
+    GEMINI_ASSERT(explorer_.macsPerCore() == arch.macsPerCore &&
+                      explorer_.glbBytes() == arch.glbBytes(),
+                  "shared explorer describes another core");
     const std::string err = arch.validate();
     GEMINI_ASSERT(err.empty(), "invalid architecture: ", err);
     GEMINI_ASSERT(graph.finalized(), "graph must be finalized");
@@ -71,23 +83,23 @@ MappingEngine::run()
 }
 
 std::vector<MappingResult>
-MappingEngine::runCohort(const dnn::Graph &graph,
-                         const std::vector<arch::ArchConfig> &cohort,
-                         const MappingOptions &options,
-                         intracore::Explorer &explorer)
+MappingEngine::runCohort(
+    const dnn::Graph &graph,
+    const std::vector<const noc::InterconnectModel *> &cohort,
+    const MappingOptions &options, intracore::Explorer &explorer)
 {
     GEMINI_ASSERT(!cohort.empty(), "a mapping cohort needs a member");
-    auto lead =
-        std::make_unique<MappingEngine>(graph, cohort.front(), options,
-                                        explorer);
+    auto lead = std::make_unique<MappingEngine>(graph, *cohort.front(),
+                                                options, &explorer);
     std::vector<GroupPricer> pricers;
     pricers.reserve(cohort.size());
     pricers.emplace_back(lead->noc_, lead->costs_);
     for (std::size_t k = 1; k < cohort.size(); ++k) {
-        const noc::InterconnectModel noc(cohort[k]);
-        GEMINI_ASSERT(fragmentIdentical(lead->noc_, noc),
+        GEMINI_ASSERT(fragmentIdentical(lead->noc_, *cohort[k]),
                       "cohort architectures must be fragment-identical");
-        pricers.emplace_back(noc, cost::CostStack(cohort[k], options.tech));
+        pricers.emplace_back(*cohort[k],
+                             cost::CostStack(cohort[k]->config(),
+                                             options.tech));
     }
     std::vector<SegmentTable> tables =
         buildSegmentTables(graph, lead->arch_, lead->analyzer_, pricers,
@@ -99,7 +111,7 @@ MappingEngine::runCohort(const dnn::Graph &graph,
     results.push_back(lead->runFromTable(std::move(tables.front())));
     lead.reset();
     for (std::size_t k = 1; k < cohort.size(); ++k) {
-        MappingEngine engine(graph, cohort[k], options, explorer);
+        MappingEngine engine(graph, *cohort[k], options, &explorer);
         results.push_back(engine.runFromTable(std::move(tables[k])));
     }
     return results;

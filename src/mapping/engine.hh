@@ -139,22 +139,33 @@ class MappingEngine
     MappingEngine(const dnn::Graph &graph, const arch::ArchConfig &arch,
                   MappingOptions options, intracore::Explorer &explorer);
 
+    /**
+     * An engine on the architecture of the caller's interconnect `noc`
+     * (noc.config()), which it reads instead of building its own; `noc`
+     * must outlive the engine. With `explorer`, as above. This is how
+     * the engines of one DSE task share one model per candidate.
+     */
+    MappingEngine(const dnn::Graph &graph,
+                  const noc::InterconnectModel &noc, MappingOptions options,
+                  intracore::Explorer *explorer = nullptr);
+
     /** Partition, build the initial LMS, optionally run SA, evaluate. */
     MappingResult run();
 
     /**
      * run() for every architecture of a cohort of fragment-identical ones
-     * (see fragmentIdentical), mapping `graph` with `options` and tile
-     * searches through `explorer`. The segment tables are built together
-     * (see buildSegmentTables), through the first architecture's engine;
-     * then each architecture's own engine runs the DP, seeds, optimizes
-     * and evaluates, built and destroyed in turn, so one engine is alive
-     * at a time. Result k is bit-identical to the run() of an engine on
-     * cohort[k].
+     * (see fragmentIdentical), given as their interconnect models,
+     * mapping `graph` with `options` and tile searches through
+     * `explorer`. The segment tables are built together (see
+     * buildSegmentTables), through the first architecture's engine; then
+     * each architecture's own engine runs the DP, seeds, optimizes and
+     * evaluates, built and destroyed in turn, so one engine is alive at a
+     * time. Result k is bit-identical to the run() of an engine on
+     * cohort[k]->config().
      */
     static std::vector<MappingResult>
     runCohort(const dnn::Graph &graph,
-              const std::vector<arch::ArchConfig> &cohort,
+              const std::vector<const noc::InterconnectModel *> &cohort,
               const MappingOptions &options, intracore::Explorer &explorer);
 
     /**
@@ -194,9 +205,13 @@ class MappingEngine
     MappingOptions &mutableOptions() { return options_; }
 
   private:
-    /** Shares `shared` when set, else owns an explorer of its own. */
+    /**
+     * Reads `noc` when set, else builds and owns a model of `arch`;
+     * shares `explorer` when set, else owns an explorer of its own.
+     */
     MappingEngine(const dnn::Graph &graph, const arch::ArchConfig &arch,
-                  MappingOptions options, intracore::Explorer *shared);
+                  const noc::InterconnectModel *noc, MappingOptions options,
+                  intracore::Explorer *explorer);
 
     /** The partitioner's knobs, taken from options_. */
     PartitionOptions partitionOptions() const;
@@ -225,7 +240,9 @@ class MappingEngine
     const dnn::Graph &graph_;
     arch::ArchConfig arch_;
     MappingOptions options_;
-    noc::InterconnectModel noc_;
+    /** Null when the engine reads a caller's model. */
+    std::unique_ptr<const noc::InterconnectModel> ownedNoc_;
+    const noc::InterconnectModel &noc_;
     std::unique_ptr<intracore::Explorer> ownedExplorer_; ///< null if shared
     intracore::Explorer &explorer_;
     cost::CostStack costs_;

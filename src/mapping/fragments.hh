@@ -89,26 +89,30 @@ struct LayerTiles
  * Traffic-compiler product of one layer: every flow charged to it (inbound
  * activations, weight loads, managed ofmap stores) plus its GLB pressure.
  * The group analysis is the sum of its layers' fragments. Link loads are
- * stored as a flat list with one (link id, bytes) entry per link, in
- * ascending link-id order: assembly walks it linearly, and each link's
- * total sums across fragments in layer order whatever the order within a
- * list, so a cached fragment reproduces the uncached result bit for bit.
- * The list lives in the bump arena the compiler was handed, like
- * LayerTiles's regions: link lists average 58 entries on the dse_screen
- * workload and about 517 on map_sa_gpt2 (256 cores), so an arena a cache
- * wipe rewinds holds them without a heap buffer each.
+ * stored as two parallel lists, link ids and bytes, one entry per link in
+ * ascending link-id order (12 bytes a link, where an (id, bytes) pair
+ * would pad to 16): assembly walks them linearly, and each link's total
+ * sums across fragments in layer order whatever the order within a list,
+ * so a cached fragment reproduces the uncached result bit for bit. The
+ * lists live in the bump arena the compiler was handed, like LayerTiles's
+ * regions: link lists average 58 entries on the dse_screen workload and
+ * about 517 on map_sa_gpt2 (256 cores), so an arena a cache wipe rewinds
+ * holds them without a heap buffer each.
  */
 struct LayerFlows
 {
-    std::span<const std::pair<noc::LinkId, double>> links;
+    std::span<const noc::LinkId> linkIds;
+    std::span<const double> linkBytes;     ///< bytes per unit, per linkIds
     common::SmallVec<double, 8> dramBytes; ///< per-stack bytes per unit
     double glbOverflow = 0.0;              ///< worst piece pressure ratio
 
-    /** Copy the link list into `payload` (see common::FlatWordCache). */
+    /** Copy the link lists into `payload` (see common::FlatWordCache). */
     void
     relocate(common::BumpArena &payload)
     {
-        links = payload.copySpan(links);
+        // Bytes first: the 4-byte ids then never pad an 8-byte slot.
+        linkBytes = payload.copySpan(linkBytes);
+        linkIds = payload.copySpan(linkIds);
     }
 };
 

@@ -278,9 +278,10 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
             flows.dramBytes[sel - 1] += bytes;
         }
     };
-    // An interleaved single-endpoint access walks the one arena span that
-    // concatenates its per-DRAM routes in DRAM order: the hop sequence of
-    // a per-DRAM loop of unicasts, without a route lookup per DRAM.
+    // An interleaved single-endpoint access walks the one run-arena span
+    // that concatenates its per-DRAM routes in DRAM order: the hop
+    // sequence of a per-DRAM loop of unicasts, without a route lookup per
+    // DRAM.
     auto interleaved = [&](std::span<const noc::LinkId> hops, double bytes) {
         const double share = bytes / arch_.dramCount;
         for (noc::LinkId id : hops)
@@ -522,15 +523,21 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
     }
 
     // Drain the merged links in ascending link-id order into scratch;
-    // the drain's count sizes the payload copy.
-    using Link = std::pair<noc::LinkId, double>;
-    Link *const drained = arena_.allocSpan<Link>(noc_.linkCount()).data();
-    Link *next = drained;
-    const std::size_t n = merge_.drain([&](noc::LinkId id, double bytes) {
-        std::construct_at(next++, id, bytes);
+    // the drain's count sizes the payload copies.
+    const std::span<noc::LinkId> ids =
+        arena_.allocSpan<noc::LinkId>(noc_.linkCount());
+    const std::span<double> link_bytes =
+        arena_.allocSpan<double>(noc_.linkCount());
+    const std::size_t n = merge_.drain([&, k = std::size_t{0}](
+                                           noc::LinkId id,
+                                           double bytes) mutable {
+        ids[k] = id;
+        link_bytes[k++] = bytes;
     });
     guard.merge = nullptr;
-    flows.links = payload.copySpan(std::span<const Link>(drained, n));
+    flows.linkIds = ids.first(n);
+    flows.linkBytes = link_bytes.first(n);
+    flows.relocate(payload);
 }
 
 } // namespace gemini::mapping

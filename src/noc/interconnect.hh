@@ -13,7 +13,9 @@
 #define GEMINI_NOC_INTERCONNECT_HH
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -31,6 +33,15 @@ namespace gemini::noc {
  * InterconnectModel::linkCount).
  */
 using LinkId = std::uint32_t;
+
+/**
+ * Largest InterconnectModel::predictTableBytes a spec's inline grid may
+ * need. Every DSE candidate stays below it: their grids are near-square
+ * with 2 DRAMs, and the largest such tables (a 32x32 NoP hierarchy of
+ * 1x2-core chiplets) hold 43.5 MiB. Thin grids with many DRAMs reach it
+ * first: a 276x2 mesh with 8 DRAMs needs 63.5 MiB, 277x2 64.1 MiB.
+ */
+inline constexpr std::size_t kMaxRouteTableBytes = std::size_t{64} << 20;
 
 /** Classification of a directed link for bandwidth/energy purposes. */
 enum class LinkKind
@@ -154,28 +165,23 @@ class InterconnectModel
     /**
      * The routes dramNode(0) -> core, ..., dramNode(D-1) -> core
      * concatenated in DRAM order (D = dramCount): the hop sequence of one
-     * DRAM-interleaved read. The route arena lays these routes out
-     * back to back, so this is one span of it, not a copy.
+     * DRAM-interleaved read, stored once per core in the run arena.
      */
     std::span<const LinkId>
     routesFromAllDrams(CoreId core) const
     {
-        const NodeId dram0 = cfg_.coreCount();
-        return arenaRun(routeRef(dram0, core),
-                        routeRef(dram0 + cfg_.dramCount - 1, core));
+        return dramRun(2 * static_cast<std::size_t>(core));
     }
 
     /**
      * The routes core -> dramNode(0), ..., core -> dramNode(D-1)
      * concatenated in DRAM order: the hop sequence of one
-     * DRAM-interleaved write, likewise one span of the route arena.
+     * DRAM-interleaved write, likewise one span of the run arena.
      */
     std::span<const LinkId>
     routesToAllDrams(CoreId core) const
     {
-        const NodeId dram0 = cfg_.coreCount();
-        return arenaRun(routeRef(core, dram0),
-                        routeRef(core, dram0 + cfg_.dramCount - 1));
+        return dramRun(2 * static_cast<std::size_t>(core) + 1);
     }
 
     /**
@@ -236,12 +242,26 @@ class InterconnectModel
     double d2dBandwidthBps() const { return d2dBps_; }
 
     /**
-     * Whether `other` has byte-identical route and link-id tables: every
-     * route replays the same link ids and every id names the same link.
-     * Link kinds and bandwidths may still differ (a mesh cut moves only
-     * the kinds).
+     * Whether `other` routes alike: every route replays the same link-id
+     * sequence and every id names the same link, however the arenas lay
+     * them out. Link kinds and bandwidths may still differ (a mesh cut
+     * moves only the kinds).
      */
     bool sameRoutes(const InterconnectModel &other) const;
+
+    /**
+     * Bytes held by the route, run and link tables: the n^2 route refs,
+     * the shared-prefix arena, the DRAM-interleaved run arena and the
+     * per-link keys and kinds (n = nodeCount()).
+     */
+    std::size_t tableBytes() const;
+
+    /**
+     * tableBytes() of a model of `cfg`, counted by one walk of every
+     * route without building any table (O(n) scratch plus a bitmap of
+     * n^2 bits). `cfg` must pass ArchConfig::validate.
+     */
+    static std::size_t predictTableBytes(const arch::ArchConfig &cfg);
 
     /** Aggregate per-kind bytes and the bottleneck link time. */
     TrafficStats summarize(const TrafficMap &map) const;
@@ -250,11 +270,19 @@ class InterconnectModel
     std::string nodeLabel(NodeId n) const;
 
   private:
-    /** One route's span in the route arenas. */
+    /** One route's span in the shared-prefix arena. */
     struct RouteRef
     {
         std::uint32_t offset = 0;
         std::uint32_t length = 0;
+    };
+
+    /** Sizes of the arenas and link tables, from the counting walk. */
+    struct TableCounts
+    {
+        std::size_t sharedHops = 0; ///< routeIds_ entries
+        std::size_t runHops = 0;    ///< runIds_ entries
+        std::size_t links = 0;      ///< distinct links some route uses
     };
 
     /** Per-thread dense stamp table behind multicastLinks' route union. */
@@ -282,15 +310,15 @@ class InterconnectModel
     /** The calling thread's stamp table (one per thread, not per model). */
     static RouteUnionStamps &routeUnionStamps();
 
-    /** The arena from `first`'s span through `last`'s, which follows it. */
+    /** Run `run` of the run arena (core c: 2c reads, 2c + 1 writes). */
     std::span<const LinkId>
-    arenaRun(const RouteRef &first, const RouteRef &last) const
+    dramRun(std::size_t run) const
     {
-        return {routeIds_.data() + first.offset,
-                last.offset + last.length - first.offset};
+        return {runIds_.data() + runStart_[run],
+                runStart_[run + 1] - runStart_[run]};
     }
 
-    /** Span of the route src -> dst in the route arena. */
+    /** Span of the route src -> dst in the shared-prefix arena. */
     const RouteRef &
     routeRef(NodeId src, NodeId dst) const
     {
@@ -303,39 +331,64 @@ class InterconnectModel
     }
 
     /**
-     * Fill routes_ and the route arena (in the order described at
-     * routes_) by walking every pair via `backend`; routeIds_ holds flat
-     * slots (from * nodeCount() + to) until numberLinks rewrites them.
-     * Marks every slot a route uses in `used`.
+     * Walk every route of `cfg` via `backend` once, source by source,
+     * marking each link in `used` (one bit per from * n + to slot). A
+     * route is stored whole only if it ends at a leaf: a node inside no
+     * other route from the same source. Every other route must be the
+     * prefix of the first leaf route (in destination order) that passes
+     * its destination; this is checked hop by hop against the walk.
+     * Hands `on_source(src, len, leaf, stamp)` the hop count of every
+     * route from src (len[dst]) and its leaves (leaf[dst] == stamp).
+     */
+    template <typename Backend, typename OnSource>
+    static TableCounts countTables(const arch::ArchConfig &cfg,
+                                   const Backend &backend,
+                                   std::vector<std::uint64_t> &used,
+                                   OnSource &&on_source);
+
+    /**
+     * Size every table once from countTables, walk each source's leaf
+     * routes again to store them in the shared-prefix arena, point every
+     * other route at the prefix countTables checked it against, then
+     * copy the DRAM-interleaved runs into the run arena.
      */
     template <typename Backend>
-    void buildRoutes(const Backend &backend, std::vector<std::uint64_t> &used);
+    void buildRoutes(const Backend &backend);
 
     /**
      * Give every used slot its link id, the slot's rank among used slots
-     * (one ascending bitmap scan, no sort), and rewrite routeIds_ from
-     * slots to ids in one pass.
+     * (one ascending bitmap scan, no sort), and return the slot -> id
+     * table (written only at used slots).
      */
-    void numberLinks(const std::vector<std::uint64_t> &used);
+    std::unique_ptr<LinkId[]>
+    numberLinks(const std::vector<std::uint64_t> &used, std::size_t links);
 
     arch::ArchConfig cfg_;
     double nocBps_ = 0.0;
     double d2dBps_ = 0.0;
 
     /**
-     * Dense route table: every (src, dst) pair's hop sequence as link
-     * ids, flattened into one arena. Traffic accumulation replays the id
-     * spans instead of re-deriving routes hop by hop (the single hottest
-     * loop of the SA mapper). DRAM-to-DRAM pairs, which have no
-     * meaningful route, hold an empty span. routes_ is indexed
-     * src * nodeCount() + dst; the arena holds the core-sourced routes
-     * in that order (so core -> DRAM 0..D-1 sit back to back) and then
-     * the DRAM-sourced ones destination-major (DRAM 0..D-1 -> core back
-     * to back), which is what makes routesFromAllDrams and
-     * routesToAllDrams single spans.
+     * Route table, indexed src * nodeCount() + dst: each route's span in
+     * the shared-prefix arena routeIds_. From each source, only the
+     * routes to leaves (nodes inside no other route from that source:
+     * on a mesh, the top and bottom rows and the DRAMs) are stored;
+     * every other route is the prefix of a stored one that passes its
+     * destination, so route(s, d) is still one contiguous span of link
+     * ids in hop order. DRAM-to-DRAM pairs, which have no meaningful
+     * route, hold an empty span. On a 32x32 mesh this stores about 13x
+     * fewer hops than one span per pair.
      */
     std::vector<RouteRef> routes_;
     std::vector<LinkId> routeIds_;
+
+    /**
+     * Run arena: for each core c, the routes DRAM 0..D-1 -> c back to
+     * back (run 2c), then c -> DRAM 0..D-1 (run 2c + 1), so
+     * routesFromAllDrams and routesToAllDrams are single spans. Run r is
+     * runIds_[runStart_[r], runStart_[r + 1]).
+     */
+    std::vector<LinkId> runIds_;
+    std::vector<std::uint32_t> runStart_;
 
     /**
      * Per-link-id tables. Only links some route uses get an id — a few

@@ -73,11 +73,13 @@ stepMesh(int from, int to)
 inline int
 stepRing(int from, int to, int extent)
 {
-    const int fwd = (to - from + extent) % extent;
-    const int bwd = (from - to + extent) % extent;
+    // The modular distances of two coordinates in [0, extent), without
+    // a division per hop.
+    const int fwd = to >= from ? to - from : to - from + extent;
+    const int bwd = from >= to ? from - to : from - to + extent;
     if (fwd <= bwd)
-        return (from + 1) % extent;
-    return (from - 1 + extent) % extent;
+        return from + 1 == extent ? 0 : from + 1;
+    return from == 0 ? extent - 1 : from - 1;
 }
 
 /**

@@ -75,7 +75,7 @@ TEST(AnalyticBound, SoundOnEveryTopologyAndModel)
             const mapping::MappingResult res = engine.run();
 
             const cost::AnalyticBoundResult lb = cost::analyticLowerBound(
-                a, o.tech, {&g}, o.batch, o.maxGroupLayers);
+                engine.noc(), o.tech, {&g}, o.batch, o.maxGroupLayers);
             EXPECT_GT(lb.delayGeoSeconds, 0.0);
             EXPECT_GT(lb.energyGeoJoules, 0.0);
             EXPECT_LE(lb.delayGeoSeconds,

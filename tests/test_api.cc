@@ -355,6 +355,27 @@ TEST(SpecValidate, InlineArchConfigAboveTheCapsIsRejected)
               "arch.config: dram_gbps 2e+06 must be within (0, 1e+06]");
 }
 
+TEST(SpecValidate, InlineGridAtTheRouteTableCapIsAcceptedAndAboveIsRejected)
+{
+    // A 276x2 mesh with 8 DRAMs needs 66,559,640 bytes of route tables,
+    // just under the 64 MiB cap; one more column needs 67,246,950.
+    std::string error;
+    std::optional<ExperimentSpec> spec = ExperimentSpec::fromJsonText(
+        R"({"mode": "map", "models": [{"zoo": "tiny_conv"}],
+            "arch": {"config": {"x_cores": 276, "y_cores": 2,
+                                "dram_count": 8}}})",
+        &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    EXPECT_EQ(spec->validate(), "");
+    EXPECT_EQ(noc::InterconnectModel::predictTableBytes(*spec->arch.config),
+              66559640u);
+    spec->arch.config->xCores = 277;
+    EXPECT_EQ(spec->validate(),
+              "arch.config: x_cores 277 by y_cores 2 with dram_count 8 "
+              "needs 67246950 bytes of route tables, above the 67108864-"
+              "byte cap");
+}
+
 TEST(SpecValidate, CostTiersMustBePresentAndAscend)
 {
     EXPECT_EQ(problemsWith([](ExperimentSpec &s) {

@@ -360,10 +360,15 @@ TEST(CohortRun, EveryMemberMatchesItsSoloRunBitForBit)
                 mo.runSa = sa;
                 mo.sa.iterations = 60;
                 const std::vector<arch::ArchConfig> cohort = cohortOf(a);
+                std::vector<noc::InterconnectModel> nocs;
+                nocs.reserve(cohort.size());
+                std::vector<const noc::InterconnectModel *> members;
+                for (const arch::ArchConfig &c : cohort)
+                    members.push_back(&nocs.emplace_back(c));
                 intracore::Explorer ex(a.macsPerCore, a.glbBytes(),
                                        a.freqGHz, mo.tech);
                 const std::vector<MappingResult> together =
-                    MappingEngine::runCohort(g, cohort, mo, ex);
+                    MappingEngine::runCohort(g, members, mo, ex);
                 ASSERT_EQ(together.size(), cohort.size());
                 for (std::size_t k = 0; k < cohort.size(); ++k) {
                     const MappingResult solo =

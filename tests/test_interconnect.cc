@@ -312,26 +312,49 @@ TEST(InterconnectSeam, LinkIdsNumberRouteLinksInKeyOrder)
  * Every route is prefix-closed: for every node v a route s -> d passes
  * through, route(s, v) is exactly that route's prefix up to v. This is
  * what lets multicastLinks stamp and emit only a destination's new route
- * suffix; a backend that breaks it must fail here. (It also makes every
- * route a simple path that never returns to its source.)
+ * suffix, and what lets the model store one span per leaf; a backend
+ * that breaks it must fail here. The property is checked on fresh
+ * backend walks, and every stored route must replay its walk: stored
+ * routes share prefixes, so they agree with each other by construction.
+ * (It also makes every route a simple path that never returns to its
+ * source.)
  */
 void
 expectRoutesPrefixClosed(const InterconnectModel &icn)
 {
+    const auto backend = noc::topo::makeBackend(icn.config());
+    const auto n = static_cast<std::size_t>(icn.nodeCount());
+    std::vector<std::vector<noc::LinkKey>> walks(n);
     for (NodeId s = 0; s < icn.nodeCount(); ++s) {
         for (NodeId d = 0; d < icn.nodeCount(); ++d) {
+            std::vector<noc::LinkKey> &walk = walks[d];
+            walk.clear();
             if (icn.isDramNode(s) && icn.isDramNode(d))
                 continue;
-            const auto span = icn.route(s, d);
-            for (std::size_t h = 0; h < span.size(); ++h) {
-                const NodeId v = noc::linkTo(icn.linkAt(span[h]));
+            std::visit(
+                [&](const auto &b) {
+                    b.walkHops(icn.config(), s, d, [&](NodeId a, NodeId z) {
+                        walk.push_back(noc::makeLink(a, z));
+                    });
+                },
+                backend);
+            std::vector<noc::LinkKey> stored;
+            for (noc::LinkId id : icn.route(s, d))
+                stored.push_back(icn.linkAt(id));
+            ASSERT_EQ(stored, walk) << icn.config().name << " " << s
+                                    << "->" << d << " replays another route";
+        }
+        for (NodeId d = 0; d < icn.nodeCount(); ++d) {
+            const std::vector<noc::LinkKey> &walk = walks[d];
+            for (std::size_t h = 0; h < walk.size(); ++h) {
+                const NodeId v = noc::linkTo(walk[h]);
                 ASSERT_FALSE(icn.isDramNode(s) && icn.isDramNode(v))
                     << icn.config().name << " " << s << "->" << d
                     << " passes DRAM node " << v;
-                const auto prefix = icn.route(s, v);
+                const std::vector<noc::LinkKey> &prefix = walks[v];
                 ASSERT_TRUE(prefix.size() == h + 1 &&
                             std::equal(prefix.begin(), prefix.end(),
-                                       span.begin()))
+                                       walk.begin()))
                     << icn.config().name << " " << s << "->" << d
                     << " is not prefix-closed at hop " << h << " (node "
                     << v << ")";
@@ -369,10 +392,43 @@ TEST(InterconnectSeam, RoutesArePrefixClosed)
                                std::to_string(cut.y) + "/dram" +
                                std::to_string(drams);
                     ASSERT_EQ(cfg.validate(), "") << cfg.name;
-                    expectRoutesPrefixClosed(InterconnectModel(cfg));
+                    const InterconnectModel icn(cfg);
+                    expectRoutesPrefixClosed(icn);
+                    EXPECT_EQ(icn.tableBytes(),
+                              InterconnectModel::predictTableBytes(cfg))
+                        << cfg.name;
                 }
             }
         }
+    }
+}
+
+TEST(InterconnectMemory, TableBytesStayUnderTheSharedPrefixCounts)
+{
+    // Each bound sums the route refs (n^2 x 8 bytes; n = cores + 2
+    // DRAMs), the shared-prefix arena as counted on the one-span-per-pair
+    // tables it replaced, the DRAM runs and the link tables. 32x32 mesh:
+    // 8.03 MiB refs + 6.6 MiB arena (the old arena held 85.5 MiB) + 0.27
+    // MiB runs. Concentrated ring: 8.03 + 6.8 (was 154 MiB) + 0.27.
+    // 256x1 mesh: 0.51 + 0.26 (was 21.8 MiB) + 0.51.
+    struct Case
+    {
+        int x, y;
+        arch::Topology topology;
+        double mib;
+    };
+    const Case cases[] = {{32, 32, arch::Topology::Mesh, 15.0},
+                          {32, 32, arch::Topology::ConcentratedRing, 15.2},
+                          {256, 1, arch::Topology::Mesh, 1.3}};
+    for (const Case &c : cases) {
+        arch::ArchConfig cfg = grid4x4(c.topology);
+        cfg.xCores = c.x;
+        cfg.yCores = c.y;
+        const InterconnectModel icn(cfg);
+        SCOPED_TRACE(std::to_string(c.x) + "x" + std::to_string(c.y) + " " +
+                     arch::topologyName(c.topology));
+        EXPECT_EQ(icn.tableBytes(), InterconnectModel::predictTableBytes(cfg));
+        EXPECT_LE(static_cast<double>(icn.tableBytes()), c.mib * 1048576.0);
     }
 }
 
@@ -572,8 +628,9 @@ TEST(CostStack, LowerBoundIsBelowAchievedObjectiveOnEveryTopology)
         const eval::EvalBreakdown total = eng.run().total;
         const double achieved = cost::CostStack::dseObjective(
             mc_total, total.totalEnergy(), total.delay, 1.0, 1.0, 1.0);
-        const double bound = stack.dseObjectiveLowerBound(
-            {&g}, mo.batch, mc_total, 1.0, 1.0, 1.0, mo.maxGroupLayers);
+        const double bound =
+            stack.dseObjectiveLowerBound(eng.noc(), {&g}, mo.batch, mc_total,
+                                         1.0, 1.0, 1.0, mo.maxGroupLayers);
         EXPECT_GT(bound, 0.0);
         EXPECT_LE(bound, achieved);
     }
