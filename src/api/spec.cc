@@ -5,6 +5,7 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <mutex>
 #include <sstream>
 
 #include "src/api/json_reader.hh"
@@ -424,6 +425,40 @@ validateCost(const cost::CostParams &c, const Complain &complain)
     }
 }
 
+/**
+ * noc::InterconnectModel::predictTableBytes(cfg), remembered for the last
+ * few configs. The prediction walks every route (0.67 s for a 1024x1
+ * mesh on one x86-64 core), and a spec is validated more than once:
+ * `gemini run` validates on load and again in resolveExperiment, and a
+ * daemon validates on submit, again when the job resolves, and on every
+ * resubmission. Keyed by ArchConfig::operator==, which compares every
+ * field but the name, so no field that shapes the routes can be missed.
+ */
+std::size_t
+predictedRouteTableBytes(const arch::ArchConfig &cfg)
+{
+    constexpr std::size_t kRemembered = 8;
+    static std::mutex mu;
+    static std::vector<std::pair<arch::ArchConfig, std::size_t>> memo;
+    static std::size_t next = 0; // the slot the next new config replaces
+    {
+        std::lock_guard lock(mu);
+        for (const auto &[seen, bytes] : memo)
+            if (seen == cfg)
+                return bytes;
+    }
+    // Walk outside the lock: other submissions need not wait for it.
+    const std::size_t bytes = noc::InterconnectModel::predictTableBytes(cfg);
+    std::lock_guard lock(mu);
+    if (memo.size() < kRemembered) {
+        memo.emplace_back(cfg, bytes);
+    } else {
+        memo[next] = {cfg, bytes};
+        next = (next + 1) % kRemembered;
+    }
+    return bytes;
+}
+
 } // namespace
 
 std::string
@@ -476,8 +511,7 @@ ExperimentSpec::validate() const
             complain("arch.config: " + err);
         } else {
             const arch::ArchConfig &cfg = *arch.config;
-            const std::size_t bytes =
-                noc::InterconnectModel::predictTableBytes(cfg);
+            const std::size_t bytes = predictedRouteTableBytes(cfg);
             if (bytes > noc::kMaxRouteTableBytes)
                 complain("arch.config: x_cores " +
                          std::to_string(cfg.xCores) + " by y_cores " +

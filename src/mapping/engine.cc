@@ -16,14 +16,6 @@ MappingEngine::MappingEngine(const dnn::Graph &graph,
 }
 
 MappingEngine::MappingEngine(const dnn::Graph &graph,
-                             const arch::ArchConfig &arch,
-                             MappingOptions options,
-                             intracore::Explorer &explorer)
-    : MappingEngine(graph, arch, nullptr, std::move(options), &explorer)
-{
-}
-
-MappingEngine::MappingEngine(const dnn::Graph &graph,
                              const noc::InterconnectModel &noc,
                              MappingOptions options,
                              intracore::Explorer *explorer)

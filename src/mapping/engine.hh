@@ -132,18 +132,13 @@ class MappingEngine
                   MappingOptions options = {});
 
     /**
-     * An engine whose tile searches go through `explorer`, which must
-     * describe this architecture's core (MACs, GLB, frequency and tech)
-     * and outlive the engine. Engines of one cohort share one explorer.
-     */
-    MappingEngine(const dnn::Graph &graph, const arch::ArchConfig &arch,
-                  MappingOptions options, intracore::Explorer &explorer);
-
-    /**
      * An engine on the architecture of the caller's interconnect `noc`
      * (noc.config()), which it reads instead of building its own; `noc`
-     * must outlive the engine. With `explorer`, as above. This is how
-     * the engines of one DSE task share one model per candidate.
+     * must outlive the engine. This is how the engines of one DSE task
+     * share one model per candidate. With `explorer`, tile searches go
+     * through it instead of an engine-owned one; it must describe this
+     * architecture's core (MACs, GLB, frequency and tech) and outlive the
+     * engine. Engines of one cohort share one explorer.
      */
     MappingEngine(const dnn::Graph &graph,
                   const noc::InterconnectModel &noc, MappingOptions options,

@@ -90,10 +90,11 @@ struct LayerTiles
  * activations, weight loads, managed ofmap stores) plus its GLB pressure.
  * The group analysis is the sum of its layers' fragments. Link loads are
  * stored as two parallel lists, link ids and bytes, one entry per link in
- * ascending link-id order (12 bytes a link, where an (id, bytes) pair
- * would pad to 16): assembly walks them linearly, and each link's total
- * sums across fragments in layer order whatever the order within a list,
- * so a cached fragment reproduces the uncached result bit for bit. The
+ * ascending link-id order (12 bytes a link plus at most 4 bytes of
+ * padding a fragment, where an (id, bytes) pair would pad to 16):
+ * assembly walks them linearly, and each link's total sums across
+ * fragments in layer order whatever the order within a list, so a cached
+ * fragment reproduces the uncached result bit for bit. The
  * lists live in the bump arena the compiler was handed, like LayerTiles's
  * regions: link lists average 58 entries on the dse_screen workload and
  * about 517 on map_sa_gpt2 (256 cores), so an arena a cache wipe rewinds
@@ -110,7 +111,9 @@ struct LayerFlows
     void
     relocate(common::BumpArena &payload)
     {
-        // Bytes first: the 4-byte ids then never pad an 8-byte slot.
+        // Bytes first, so no padding falls between this fragment's two
+        // lists; an odd-length id list still costs 4 bytes of padding
+        // before the next fragment's 8-byte-aligned bytes list.
         linkBytes = payload.copySpan(linkBytes);
         linkIds = payload.copySpan(linkIds);
     }

@@ -374,6 +374,12 @@ TEST(SpecValidate, InlineGridAtTheRouteTableCapIsAcceptedAndAboveIsRejected)
               "arch.config: x_cores 277 by y_cores 2 with dram_count 8 "
               "needs 67246950 bytes of route tables, above the 67108864-"
               "byte cap");
+    // Validation remembers each config's prediction: going back and forth
+    // between the two grids keeps each one's verdict.
+    spec->arch.config->xCores = 276;
+    EXPECT_EQ(spec->validate(), "");
+    spec->arch.config->xCores = 277;
+    EXPECT_NE(spec->validate(), "");
 }
 
 TEST(SpecValidate, CostTiersMustBePresentAndAscend)
