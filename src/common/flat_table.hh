@@ -16,9 +16,9 @@
  *    inserts (fragment gathering holds pointers to several cached
  *    fragments while inserting more). reserve() sets aside raw blocks
  *    for the live bound; a value is constructed on first use.
- *  - A value's variable-length contents (a fragment's link list or tile
- *    regions) go in the table's payload arena, a bump arena the owner
- *    fills through payload(). Memory then follows the bytes live in the
+ *  - A value's variable-length contents (a flow fragment's link lists)
+ *    go in the table's payload arena, a bump arena the owner fills
+ *    through payload(). Memory then follows the bytes live in the
  *    table, not the largest value each slot ever held.
  *  - clear() is a generational wipe: the generation counter bumps and
  *    every slot goes stale at once — zero slot-array traffic, no value

@@ -136,7 +136,7 @@ ChunkRange chunkOf(std::int64_t total, std::int64_t parts, std::int64_t idx);
  * A chunkOf split of `total` into `parts` (total >= parts > 0), inverted:
  * which chunk holds a position, and which chunks meet a position range.
  * Building one asserts the split and precomputes it, so each lookup costs
- * one division.
+ * one division and a chunk's length none.
  */
 struct ChunkGrid
 {
@@ -148,6 +148,13 @@ struct ChunkGrid
     {
         return pos < longSpan ? pos / (base + 1)
                               : extra + (pos - longSpan) / base;
+    }
+
+    /** Length of chunk `idx` (0 <= idx < parts). */
+    std::int64_t
+    lengthOf(std::int64_t idx) const
+    {
+        return idx < extra ? base + 1 : base;
     }
 
     /**

@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "src/common/cpu_clock.hh"
@@ -627,15 +628,33 @@ class MultiFidelityScheduler
                 tasks.push_back({i});
             return tasks;
         }
-        std::vector<noc::InterconnectModel> identities; // one per cohort
+        // Routes depend only on these fields: one model per distinct
+        // tuple serves every member with it (96 members share 48 models on
+        // the dse_screen workload).
+        const auto routing_of = [](const arch::ArchConfig &a) {
+            return std::tuple(a.topology, a.xCores, a.yCores, a.xCut,
+                              a.yCut, a.dramCount);
+        };
+        std::map<decltype(routing_of(candidates_.front())),
+                 noc::InterconnectModel>
+            models;
+        struct Lead
+        {
+            const arch::ArchConfig *cfg;
+            const noc::InterconnectModel *noc;
+        };
+        std::vector<Lead> leads; // one per cohort
         for (std::size_t i : members) {
-            noc::InterconnectModel noc(candidates_[i]);
+            const arch::ArchConfig &cfg = candidates_[i];
+            const noc::InterconnectModel &noc =
+                models.try_emplace(routing_of(cfg), cfg).first->second;
             std::size_t c = 0;
-            while (c < identities.size() &&
-                   !mapping::fragmentIdentical(identities[c], noc))
+            while (c < leads.size() &&
+                   !mapping::fragmentIdentical(*leads[c].cfg, *leads[c].noc,
+                                               cfg, noc))
                 ++c;
-            if (c == identities.size()) {
-                identities.push_back(std::move(noc));
+            if (c == leads.size()) {
+                leads.push_back({&cfg, &noc});
                 tasks.emplace_back();
             }
             tasks[c].push_back(i);

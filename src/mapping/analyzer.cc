@@ -9,13 +9,15 @@ namespace gemini::mapping {
 namespace {
 
 /**
- * Pre-size hints per entry for the two cache tables: key words, and
- * payload bytes (four tile regions; 24 links, about the median flow
- * fragment on the paper72 DSE workloads).
+ * Pre-size hints per entry for the two cache tables: key words, and the
+ * flow table's payload bytes (24 links, about the median flow fragment on
+ * the paper72 DSE workloads). Tile fragments are two costs with no
+ * payload: piece regions are derived per compile from the partition grid
+ * (workRegionsOf), not cached, which took the tile payload on map_sa_gpt2
+ * from 17.1 MB (a 64-byte region per piece) to none.
  */
 constexpr std::size_t kTileKeyWords = 8;
 constexpr std::size_t kFlowKeyWords = 24;
-constexpr std::size_t kTilePayloadBytes = 4 * sizeof(WorkRegion);
 constexpr std::size_t kFlowPayloadBytes =
     24 * (sizeof(noc::LinkId) + sizeof(double));
 
@@ -73,15 +75,20 @@ priceGathered(const GatheredGroup &g, KindOf &&kind_of, double noc_bps,
 } // namespace
 
 bool
-fragmentIdentical(const noc::InterconnectModel &a,
-                  const noc::InterconnectModel &b)
+fragmentIdentical(const arch::ArchConfig &x, const noc::InterconnectModel &a,
+                  const arch::ArchConfig &y, const noc::InterconnectModel &b)
 {
-    const arch::ArchConfig &x = a.config();
-    const arch::ArchConfig &y = b.config();
     return x.macsPerCore == y.macsPerCore && x.glbKiB == y.glbKiB &&
            x.freqGHz == y.freqGHz && x.dramCount == y.dramCount &&
            x.xCores == y.xCores && x.yCores == y.yCores &&
            a.sameRoutes(b);
+}
+
+bool
+fragmentIdentical(const noc::InterconnectModel &a,
+                  const noc::InterconnectModel &b)
+{
+    return fragmentIdentical(a.config(), a, b.config(), b);
 }
 
 GroupPricer::GroupPricer(const noc::InterconnectModel &noc,
@@ -116,7 +123,7 @@ void
 Analyzer::setCacheCapacity(std::size_t entries)
 {
     cacheCapacity_ = entries;
-    tileCache_.reserve(entries, kTileKeyWords, kTilePayloadBytes);
+    tileCache_.reserve(entries, kTileKeyWords);
     flowCache_.reserve(entries, kFlowKeyWords, kFlowPayloadBytes);
 
     // Hoisted probe buffer: sized once so key construction never
@@ -169,10 +176,10 @@ Analyzer::analyzeGroup(const LayerGroupMapping &group, std::int64_t batch,
     gatherFragments(group, batch, ofmap_dram_of, fragScratch_);
     out.numUnits = fragScratch_.numUnits;
 
-    for (const LayerTiles *tiles : fragScratch_.tiles) {
-        out.coreEnergyPerUnit += tiles->energyPerUnit;
+    for (const LayerTiles &tiles : fragScratch_.tiles) {
+        out.coreEnergyPerUnit += tiles.energyPerUnit;
         out.maxStageSeconds =
-            std::max(out.maxStageSeconds, tiles->stageSeconds);
+            std::max(out.maxStageSeconds, tiles.stageSeconds);
     }
 
     std::size_t total_links = 0;
@@ -193,7 +200,7 @@ Analyzer::analyzeGroup(const LayerGroupMapping &group, std::int64_t batch,
     return out;
 }
 
-const LayerTiles &
+LayerTiles
 Analyzer::cachedTiles(const LayerGroupMapping &group, std::size_t li) const
 {
     FragmentKey &key = fragProbe_;
@@ -207,15 +214,13 @@ Analyzer::cachedTiles(const LayerGroupMapping &group, std::size_t li) const
         return *hit;
     }
     ++tileMisses_;
-    tiling_.compute(graph_.layer(group.layers[li]), group.schemes[li],
-                    group.batchUnit, tileCache_.spare(),
-                    tileCache_.payload());
+    tileCache_.spare() = tiling_.compute(graph_.layer(group.layers[li]),
+                                         group.schemes[li], group.batchUnit);
     return tileCache_.commitAt(slot, key.words);
 }
 
 const LayerFlows &
 Analyzer::cachedFlows(const LayerGroupMapping &group, std::size_t li,
-                      const std::vector<const LayerTiles *> &tiles,
                       std::int64_t batch, std::int64_t num_units,
                       const OfmapDramLookup &ofmap_dram_of) const
 {
@@ -230,7 +235,7 @@ Analyzer::cachedFlows(const LayerGroupMapping &group, std::size_t li,
         return *hit;
     }
     ++flowMisses_;
-    trafficCompiler_.compile(group, li, tiles, num_units, ofmap_dram_of,
+    trafficCompiler_.compile(group, li, num_units, ofmap_dram_of,
                              flowCache_.spare(), flowCache_.payload());
     return flowCache_.commitAt(slot, key.words);
 }
@@ -247,46 +252,36 @@ Analyzer::gatherFragments(const LayerGroupMapping &group,
 
     const std::size_t n_layers = group.layers.size();
     const bool cached = cacheCapacity_ > 0;
-    out.tiles.assign(n_layers, nullptr);
+    out.tiles.resize(n_layers);
     out.flows.assign(n_layers, nullptr);
 
-    // References into the fragment caches stay valid while this call
-    // inserts (pooled value storage never moves), but an eviction
-    // mid-call would orphan them — make room up front for every insert.
-    // Uncached fragments fill the local stores in place, sized up front
-    // so the pointers taken below stay valid.
+    // References into the flow cache stay valid while this call inserts
+    // (pooled value storage never moves), but an eviction mid-call would
+    // orphan them — make room up front for every insert. Uncached flows
+    // fill the local store in place, sized up front so the pointers taken
+    // below stay valid.
     if (cached) {
         tileCache_.makeRoom(n_layers);
         flowCache_.makeRoom(n_layers);
     } else {
         out.localPayload.reset();
-        if (out.localTiles.size() < n_layers) {
-            out.localTiles.resize(n_layers);
+        if (out.localFlows.size() < n_layers)
             out.localFlows.resize(n_layers);
-        }
     }
 
-    // ---- Tiling stage (per-layer tile cache) ----------------------------
+    // Tiling and traffic compilation each read only the group's encoding,
+    // so each layer's two fragments resolve independently.
     for (std::size_t li = 0; li < n_layers; ++li) {
         if (cached) {
-            out.tiles[li] = &cachedTiles(group, li);
+            out.tiles[li] = cachedTiles(group, li);
+            out.flows[li] = &cachedFlows(group, li, batch, out.numUnits,
+                                         ofmap_dram_of);
         } else {
-            tiling_.compute(graph_.layer(group.layers[li]),
-                            group.schemes[li], group.batchUnit,
-                            out.localTiles[li], out.localPayload);
-            out.tiles[li] = &out.localTiles[li];
-        }
-    }
-
-    // ---- Traffic compilation (per-layer flow cache) ---------------------
-    for (std::size_t li = 0; li < n_layers; ++li) {
-        if (cached) {
-            out.flows[li] = &cachedFlows(group, li, out.tiles, batch,
-                                         out.numUnits, ofmap_dram_of);
-        } else {
-            trafficCompiler_.compile(group, li, out.tiles, out.numUnits,
-                                     ofmap_dram_of, out.localFlows[li],
-                                     out.localPayload);
+            out.tiles[li] =
+                tiling_.compute(graph_.layer(group.layers[li]),
+                                group.schemes[li], group.batchUnit);
+            trafficCompiler_.compile(group, li, out.numUnits, ofmap_dram_of,
+                                     out.localFlows[li], out.localPayload);
             out.flows[li] = &out.localFlows[li];
         }
     }
@@ -322,9 +317,9 @@ Analyzer::gatherGroup(const LayerGroupMapping &group, std::int64_t batch,
 
     out.coreEnergy = 0.0;
     out.maxStage = 0.0;
-    for (const LayerTiles *tiles : fs.tiles) {
-        out.coreEnergy += tiles->energyPerUnit;
-        out.maxStage = std::max(out.maxStage, tiles->stageSeconds);
+    for (const LayerTiles &tiles : fs.tiles) {
+        out.coreEnergy += tiles.energyPerUnit;
+        out.maxStage = std::max(out.maxStage, tiles.stageSeconds);
     }
 
     out.dramPerUnit.assign(static_cast<std::size_t>(arch_.dramCount), 0.0);

@@ -91,6 +91,17 @@ bool fragmentIdentical(const noc::InterconnectModel &a,
                        const noc::InterconnectModel &b);
 
 /**
+ * The same test for architecture `x` routed by `a` and `y` routed by
+ * `b`, where each model may be built from any config that shares its
+ * architecture's routing fields (topology, core grid, cuts and DRAM
+ * count): one model then serves every architecture with those fields.
+ */
+bool fragmentIdentical(const arch::ArchConfig &x,
+                       const noc::InterconnectModel &a,
+                       const arch::ArchConfig &y,
+                       const noc::InterconnectModel &b);
+
+/**
  * What pricing a gathered group reads of one architecture: its link kinds
  * and bandwidths, and its cost stack. Copied out of the interconnect, so
  * a cohort member is priced without keeping its route tables alive.
@@ -166,9 +177,9 @@ class Analyzer
      * Bound each fragment cache to `entries` results (0 disables all
      * caching). Two exact-keyed per-layer caches feed every evaluation:
      *
-     *  - the tile cache memoizes partitioned workload regions and their
-     *    intra-core cost, keyed by (layer, Part, batch unit) — core
-     *    placement does not change tile shapes;
+     *  - the tile cache memoizes a layer's intra-core cost (two
+     *    doubles), keyed by (layer, Part, batch unit) — core placement
+     *    does not change tile shapes;
      *  - the flow cache memoizes one layer's complete traffic fragment
      *    (inbound activations, weight loads, ofmap stores, DRAM bytes,
      *    GLB pressure), keyed by the layer's scheme plus the schemes of
@@ -241,17 +252,17 @@ class Analyzer
 
   private:
     /**
-     * Resolved per-layer fragments of one group (pointers into the caches
-     * or into the local_* stores when caching is off). Valid until the
-     * next gatherFragments call on this analyzer.
+     * Resolved per-layer fragments of one group: tile costs by value,
+     * flows as pointers into the flow cache or into localFlows when
+     * caching is off. Valid until the next gatherFragments call on this
+     * analyzer.
      */
     struct FragmentSet
     {
-        std::vector<const LayerTiles *> tiles;
+        std::vector<LayerTiles> tiles;
         std::vector<const LayerFlows *> flows;
-        std::vector<LayerTiles> localTiles; ///< refilled in place
         std::vector<LayerFlows> localFlows; ///< refilled in place
-        common::BumpArena localPayload;     ///< their contents
+        common::BumpArena localPayload;     ///< their link lists
         std::int64_t numUnits = 1;
     };
 
@@ -260,14 +271,13 @@ class Analyzer
                          FragmentSet &out) const;
 
     /** Cache-backed tile fragment of one layer (caching must be on). */
-    const LayerTiles &cachedTiles(const LayerGroupMapping &group,
-                                  std::size_t li) const;
+    LayerTiles cachedTiles(const LayerGroupMapping &group,
+                           std::size_t li) const;
 
     /** Cache-backed flow fragment of one layer (caching must be on). */
     const LayerFlows &cachedFlows(const LayerGroupMapping &group,
-                                  std::size_t li,
-                                  const std::vector<const LayerTiles *> &ts,
-                                  std::int64_t batch, std::int64_t num_units,
+                                  std::size_t li, std::int64_t batch,
+                                  std::int64_t num_units,
                                   const OfmapDramLookup &ofmap_dram_of)
         const;
 

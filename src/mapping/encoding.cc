@@ -54,6 +54,43 @@ workRegionOf(const dnn::Layer &layer, const Partition &part,
     return wr;
 }
 
+void
+workRegionsOf(const dnn::Layer &layer, const Partition &part,
+              std::int64_t batch_unit, std::span<WorkRegion> out)
+{
+    const ChunkGrid gh(layer.h, part.h);
+    const ChunkGrid gw(layer.w, part.w);
+    const ChunkGrid gb(batch_unit, part.b);
+    const ChunkGrid gk(layer.k, part.k);
+    GEMINI_ASSERT(static_cast<std::int64_t>(out.size()) == part.count(),
+                  "region span holds ", out.size(), " pieces, partition ",
+                  part.count());
+    // Nested in nid order (k fastest, h slowest); each loop carries its
+    // chunk's lower bound forward from the previous chunk's upper one.
+    WorkRegion wr;
+    std::size_t nid = 0;
+    for (std::int64_t h = 0; h < part.h; ++h) {
+        wr.region.h1 = wr.region.h0 + gh.lengthOf(h);
+        wr.region.w0 = 0;
+        for (std::int64_t w = 0; w < part.w; ++w) {
+            wr.region.w1 = wr.region.w0 + gw.lengthOf(w);
+            wr.b0 = 0;
+            for (std::int64_t b = 0; b < part.b; ++b) {
+                wr.b1 = wr.b0 + gb.lengthOf(b);
+                wr.region.c0 = 0;
+                for (std::int64_t k = 0; k < part.k; ++k) {
+                    wr.region.c1 = wr.region.c0 + gk.lengthOf(k);
+                    out[nid++] = wr;
+                    wr.region.c0 = wr.region.c1;
+                }
+                wr.b0 = wr.b1;
+            }
+            wr.region.w0 = wr.region.w1;
+        }
+        wr.region.h0 = wr.region.h1;
+    }
+}
+
 int
 LayerGroupMapping::indexOf(LayerId layer) const
 {

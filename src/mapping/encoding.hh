@@ -18,6 +18,7 @@
 #define GEMINI_MAPPING_ENCODING_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -100,6 +101,14 @@ struct WorkRegion
  */
 WorkRegion workRegionOf(const dnn::Layer &layer, const Partition &part,
                         std::int64_t batch_unit, const WorkIndex &idx);
+
+/**
+ * workRegionOf for every piece of `part`, in nid order, into `out` (one
+ * entry per piece). Each dimension's split is checked once; the walk then
+ * steps chunk bounds forward, with no division per piece.
+ */
+void workRegionsOf(const dnn::Layer &layer, const Partition &part,
+                   std::int64_t batch_unit, std::span<WorkRegion> out);
 
 /** The LMS of one layer group. */
 struct LayerGroupMapping

@@ -11,6 +11,7 @@
  *   2. per-group intra-core tiling  src/mapping/tiling.{hh,cc}
  *   3. traffic compilation          src/mapping/traffic_compiler.{hh,cc}
  *   4. cost accumulation            src/mapping/analyzer.cc + cost::CostStack
+ * Stages 2 and 3 read only the encoding, not each other's output.
  */
 
 #ifndef GEMINI_MAPPING_FRAGMENTS_HH
@@ -66,23 +67,15 @@ struct FragmentKeyHash
 };
 
 /**
- * Tiling-stage product of one layer: piece regions and intra-core cost.
- * The regions live in the bump arena the stage was handed (a fragment
- * cache generation's payload arena, or the analyzer's uncached scratch),
- * and stay valid until that arena is reset.
+ * Tiling-stage product of one layer: its intra-core cost, and nothing
+ * else. Piece regions are a pure function of (layer, Partition, batch
+ * unit), so the traffic compiler derives the ones it reads per compile
+ * (workRegionsOf) instead of caching 64 bytes a piece here.
  */
 struct LayerTiles
 {
-    std::span<const WorkRegion> regions; ///< per-piece ofmap slices
-    double stageSeconds = 0.0;           ///< slowest piece compute time
-    double energyPerUnit = 0.0;          ///< summed intra-core energy
-
-    /** Copy the regions into `payload` (see common::FlatWordCache). */
-    void
-    relocate(common::BumpArena &payload)
-    {
-        regions = payload.copySpan(regions);
-    }
+    double stageSeconds = 0.0;  ///< slowest piece compute time
+    double energyPerUnit = 0.0; ///< summed intra-core energy
 };
 
 /**
@@ -95,10 +88,11 @@ struct LayerTiles
  * assembly walks them linearly, and each link's total sums across
  * fragments in layer order whatever the order within a list, so a cached
  * fragment reproduces the uncached result bit for bit. The
- * lists live in the bump arena the compiler was handed, like LayerTiles's
- * regions: link lists average 58 entries on the dse_screen workload and
- * about 517 on map_sa_gpt2 (256 cores), so an arena a cache wipe rewinds
- * holds them without a heap buffer each.
+ * lists live in the bump arena the compiler was handed (a fragment cache
+ * generation's payload arena, or the analyzer's uncached scratch): link
+ * lists average 58 entries on the dse_screen workload and about 517 on
+ * map_sa_gpt2 (256 cores), so an arena a cache wipe rewinds holds them
+ * without a heap buffer each.
  */
 struct LayerFlows
 {

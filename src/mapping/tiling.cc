@@ -12,16 +12,11 @@ TilingStage::appendKey(FragmentKey &key, LayerId layer,
                                        ms.part.b, ms.part.k, batch_unit});
 }
 
-void
+LayerTiles
 TilingStage::compute(const dnn::Layer &layer, const MappingScheme &ms,
-                     std::int64_t batch_unit, LayerTiles &out,
-                     common::BumpArena &payload) const
+                     std::int64_t batch_unit) const
 {
-    const std::span<WorkRegion> regions =
-        payload.allocSpan<WorkRegion>(ms.coreGroup.size());
-    out.regions = regions;
-    out.stageSeconds = 0.0;
-    out.energyPerUnit = 0.0;
+    LayerTiles out;
     for (std::size_t i = 0; i < ms.coreGroup.size(); ++i) {
         const WorkRegion wr =
             workRegionOf(layer, ms.part, batch_unit,
@@ -56,8 +51,8 @@ TilingStage::compute(const dnn::Layer &layer, const MappingScheme &ms,
         out.energyPerUnit += cost.energyJ;
         out.stageSeconds =
             std::max(out.stageSeconds, explorer_.seconds(cost.cycles));
-        regions[i] = wr;
     }
+    return out;
 }
 
 } // namespace gemini::mapping

@@ -3,7 +3,7 @@
  * Stage 2 of the mapping-evaluation pipeline: per-group intra-core tiling.
  * Splits one layer's ofmap cube along its Partition into per-core work
  * regions and prices each piece through the intra-core exploration engine
- * (compute seconds + intra-tile energy).
+ * (compute seconds + intra-tile energy). Only the costs leave the stage.
  */
 
 #ifndef GEMINI_MAPPING_TILING_HH
@@ -31,14 +31,12 @@ class TilingStage
     }
 
     /**
-     * Tile `layer` under scheme `ms` for one pipeline batch unit into
-     * `out`, overwriting every field; the regions are allocated from
-     * `payload`. Core placement does not change tile shapes, so results
-     * are cacheable under (layer, Part, batch unit) alone.
+     * Price `layer` under scheme `ms` for one pipeline batch unit. Core
+     * placement does not change tile shapes, so results are cacheable
+     * under (layer, Part, batch unit) alone.
      */
-    void compute(const dnn::Layer &layer, const MappingScheme &ms,
-                 std::int64_t batch_unit, LayerTiles &out,
-                 common::BumpArena &payload) const;
+    LayerTiles compute(const dnn::Layer &layer, const MappingScheme &ms,
+                       std::int64_t batch_unit) const;
 
     /**
      * Append this stage's exact memoization key for one layer — every

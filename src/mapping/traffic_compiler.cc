@@ -221,7 +221,6 @@ TrafficCompiler::allocEvents() const
 
 void
 TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
-                         const std::vector<const LayerTiles *> &tiles,
                          std::int64_t num_units,
                          const OfmapDramLookup &ofmap_dram_of,
                          LayerFlows &flows, common::BumpArena &payload) const
@@ -243,6 +242,17 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
         }
     } guard{&merge_};
     arena_.reset();
+    // The pieces of one scheme, in nid order: the i-th runs on the
+    // scheme's i-th core.
+    auto regions_of = [&](const dnn::Layer &of, const MappingScheme &sch) {
+        GEMINI_ASSERT(static_cast<std::int64_t>(sch.coreGroup.size()) ==
+                          sch.part.count(),
+                      "core group does not match its partition");
+        const std::span<WorkRegion> out =
+            arena_.allocSpan<WorkRegion>(sch.coreGroup.size());
+        workRegionsOf(of, sch.part, group.batchUnit, out);
+        return std::span<const WorkRegion>(out);
+    };
     auto unicast = [&](noc::NodeId src, noc::NodeId dst, double bytes) {
         noc_.unicastLinks(src, dst, bytes,
                           [&](noc::LinkId id) { merge_.add(id, bytes); });
@@ -257,8 +267,8 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
     const LayerId layer_id = group.layers[li];
     const dnn::Layer &layer = graph_.layer(layer_id);
     const MappingScheme &ms = group.schemes[li];
-    const LayerTiles &mine = *tiles[li];
-    const std::size_t n_pieces = mine.regions.size();
+    const std::span<const WorkRegion> mine = regions_of(layer, ms);
+    const std::size_t n_pieces = mine.size();
 
     // ---- Helpers for DRAM-sourced / DRAM-bound flows --------------------
     auto dram_read = [&](DramSel sel, double bytes,
@@ -339,21 +349,18 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
             // (computed once per consumer, read by both CSR passes); the
             // consumers are bucketed per producer piece (CSR, ascending
             // consumer order) instead of testing every pair.
-            const LayerTiles &theirs =
-                *tiles[static_cast<std::size_t>(pi)];
             const MappingScheme &pms =
                 group.schemes[static_cast<std::size_t>(pi)];
             const dnn::Layer &player = graph_.layer(producer);
-            const std::size_t n_theirs = theirs.regions.size();
-            GEMINI_ASSERT(static_cast<std::int64_t>(n_theirs) ==
-                              pms.part.count(),
-                          "producer tiles do not match its partition");
+            const std::span<const WorkRegion> theirs =
+                regions_of(player, pms);
+            const std::size_t n_theirs = theirs.size();
             required_scratch.clear();
             const std::span<PieceBox> boxes =
                 arena_.allocSpan<PieceBox>(n_pieces);
             const PieceGrid grid(player, pms.part, group.batchUnit);
             for (std::size_t i = 0; i < n_pieces; ++i) {
-                const WorkRegion &cp = mine.regions[i];
+                const WorkRegion &cp = mine[i];
                 required_scratch.push_back(
                     layer.requiredInput(j, cp.region));
                 boxes[i] = grid.overlapBox(required_scratch[i], cp.b0,
@@ -377,13 +384,13 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
                 });
             std::uint32_t first = 0;
             for (std::size_t a = 0; a < n_theirs; ++a) {
-                const WorkRegion &pp = theirs.regions[a];
+                const WorkRegion &pp = theirs[a];
                 const CoreId pcore = pms.coreGroup[a];
                 const std::uint32_t last = bucket_end[a];
                 requests.clear();
                 for (std::uint32_t e = first; e < last; ++e) {
                     const std::size_t i = bucket[e];
-                    const WorkRegion &cp = mine.regions[i];
+                    const WorkRegion &cp = mine[i];
                     const std::int64_t b0 = std::max(cp.b0, pp.b0);
                     const std::int64_t b1 = std::min(cp.b1, pp.b1);
                     if (b1 <= b0)
@@ -410,11 +417,10 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
                     });
             }
             // Consumers still buffer the full required region.
-            const dnn::Region pfull = dnn::Region::full(
-                graph_.layer(producer).k, graph_.layer(producer).h,
-                graph_.layer(producer).w);
+            const dnn::Region pfull =
+                dnn::Region::full(player.k, player.h, player.w);
             for (std::size_t i = 0; i < n_pieces; ++i) {
-                const WorkRegion &cp = mine.regions[i];
+                const WorkRegion &cp = mine[i];
                 const dnn::Region ov =
                     required_scratch[i].intersect(pfull);
                 input_bytes[i] += static_cast<double>(
@@ -429,7 +435,7 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
             graph_.producerShape(producer, pc, ph, pw);
             requests.clear();
             for (std::size_t i = 0; i < n_pieces; ++i) {
-                const WorkRegion &cp = mine.regions[i];
+                const WorkRegion &cp = mine[i];
                 dnn::Region rq = layer.requiredInput(j, cp.region);
                 rq = rq.clampTo(pc, ph, pw);
                 if (rq.empty())
@@ -459,7 +465,7 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
             arena_.allocSpan<double>(n_pieces);
         std::fill(weight_bytes_of.begin(), weight_bytes_of.end(), 0.0);
         for (std::size_t i = 0; i < n_pieces; ++i) {
-            const WorkRegion &p = mine.regions[i];
+            const WorkRegion &p = mine[i];
             const std::int64_t klen = p.region.channels();
             const double wbytes =
                 static_cast<double>(klen * (layer.c / layer.groups) *
@@ -475,7 +481,7 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
         // the batch units); otherwise they re-stream every unit.
         bool resident = true;
         for (std::size_t i = 0; i < n_pieces; ++i) {
-            const WorkRegion &p = mine.regions[i];
+            const WorkRegion &p = mine[i];
             const double need =
                 weight_bytes_of[i] +
                 2.0 * (input_bytes[i] +
@@ -499,13 +505,13 @@ TrafficCompiler::compile(const LayerGroupMapping &group, std::size_t li,
     if (ms.fd.ofmap != kDramUnmanaged) {
         for (std::size_t i = 0; i < n_pieces; ++i)
             dram_write(ms.fd.ofmap,
-                       static_cast<double>(mine.regions[i].volume()),
+                       static_cast<double>(mine[i].volume()),
                        ms.coreGroup[i]);
     }
 
     // ---- GLB pressure -----------------------------------------------------
     for (std::size_t i = 0; i < n_pieces; ++i) {
-        const WorkRegion &p = mine.regions[i];
+        const WorkRegion &p = mine[i];
         // Double-buffered input/output tiles; weights checked above.
         double need =
             2.0 * (input_bytes[i] + static_cast<double>(p.volume()));

@@ -1,8 +1,9 @@
 /**
  * @file
  * Stage 3 of the mapping-evaluation pipeline: traffic compilation. Turns
- * one layer's tiled work regions plus its producers' into the layer's
- * complete traffic fragment — inbound activation flows (in-group NoC
+ * one layer's work regions plus its in-group producers' (derived from
+ * their partition grids per compile) into the layer's complete traffic
+ * fragment — inbound activation flows (in-group NoC
  * multicast, cross-group/external DRAM reads), weight loads (multicast per
  * k-slice, amortized when resident), managed ofmap stores, per-DRAM byte
  * counts and GLB pressure — routed through the interconnect seam straight
@@ -14,7 +15,6 @@
 #define GEMINI_MAPPING_TRAFFIC_COMPILER_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "src/arch/arch_config.hh"
 #include "src/common/arena.hh"
@@ -38,13 +38,12 @@ class TrafficCompiler
 
     /**
      * Compile layer `li`'s fragment into `flows`, overwriting every
-     * field; the link list is allocated from `payload`. `tiles` holds the
-     * tiling-stage output of every layer of the group (producer regions
-     * are read through it); `num_units` is batch / batchUnit
-     * (weight-residency amortization).
+     * field; the link list is allocated from `payload`. The layer's and
+     * its in-group producers' piece regions are derived from their
+     * partitions (workRegionsOf) into the compile scratch; `num_units` is
+     * batch / batchUnit (weight-residency amortization).
      */
     void compile(const LayerGroupMapping &group, std::size_t li,
-                 const std::vector<const LayerTiles *> &tiles,
                  std::int64_t num_units,
                  const OfmapDramLookup &ofmap_dram_of, LayerFlows &flows,
                  common::BumpArena &payload) const;
@@ -79,9 +78,10 @@ class TrafficCompiler
     mutable DenseLinkAccumulator merge_;
 
     /**
-     * Per-call scratch: n_pieces-sized arrays and the producer-piece
-     * buckets bump-allocate from the retained arena (reset per compile),
-     * so steady-state compiles allocate nothing (allocEvents() proves it).
+     * Per-call scratch: the derived piece regions, n_pieces-sized arrays
+     * and the producer-piece buckets bump-allocate from the retained
+     * arena (reset per compile), so steady-state compiles allocate
+     * nothing (allocEvents() proves it).
      */
     mutable common::BumpArena arena_{64 * 1024};
 };

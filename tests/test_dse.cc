@@ -11,6 +11,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <tuple>
 
 #include "src/api/results.hh"
 #include "src/arch/presets.hh"
@@ -453,6 +454,44 @@ class CohortScreen : public ::testing::Test
     dnn::Graph second_;
     DseOptions options_;
 };
+
+TEST_F(CohortScreen, LentRoutingModelKeepsEveryVerdict)
+{
+    // The screen builds one interconnect per tuple of routing fields and
+    // lends it to every candidate with that tuple (bandwidths and GLB
+    // may differ): the verdict must equal the one from each candidate's
+    // own model, for every pair.
+    const std::vector<arch::ArchConfig> cands =
+        enumerateCandidates(options_.axes);
+    std::vector<noc::InterconnectModel> own;
+    std::vector<std::size_t> lender(cands.size());
+    const auto routing = [](const arch::ArchConfig &a) {
+        return std::tuple(a.topology, a.xCores, a.yCores, a.xCut, a.yCut,
+                          a.dramCount);
+    };
+    std::size_t lent = 0;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+        own.emplace_back(cands[i]);
+        lender[i] = i;
+        for (std::size_t j = 0; j < i && lender[i] == i; ++j)
+            if (routing(cands[j]) == routing(cands[i]))
+                lender[i] = j;
+        lent += lender[i] != i ? 1 : 0;
+    }
+    EXPECT_GT(lent, 0u);
+    std::size_t identical = 0, distinct = 0;
+    for (std::size_t i = 0; i < cands.size(); ++i)
+        for (std::size_t j = 0; j < cands.size(); ++j) {
+            const bool want = mapping::fragmentIdentical(own[i], own[j]);
+            EXPECT_EQ(mapping::fragmentIdentical(cands[i], own[lender[i]],
+                                                 cands[j], own[lender[j]]),
+                      want)
+                << i << " vs " << j;
+            (want ? identical : distinct) += i != j ? 1 : 0;
+        }
+    EXPECT_GT(identical, 0u);
+    EXPECT_GT(distinct, 0u);
+}
 
 TEST_F(CohortScreen, ResultIsThreadAndPoolInvariant)
 {

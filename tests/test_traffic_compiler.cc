@@ -26,6 +26,7 @@
 #include <map>
 #include <stdexcept>
 #include <tuple>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -41,7 +42,6 @@
 
 using namespace gemini;
 using mapping::LayerGroupMapping;
-using mapping::LayerTiles;
 using mapping::MappingScheme;
 using mapping::WorkRegion;
 using noc::LinkKey;
@@ -90,7 +90,6 @@ class Reference
 
     RefFlows
     compile(const LayerGroupMapping &group, std::size_t li,
-            const std::vector<const LayerTiles *> &tiles,
             std::int64_t num_units,
             const mapping::OfmapDramLookup &ofmap_dram_of)
     {
@@ -98,7 +97,8 @@ class Reference
         out.dramBytes.assign(static_cast<std::size_t>(arch_.dramCount), 0.0);
         const dnn::Layer &layer = graph_.layer(group.layers[li]);
         const MappingScheme &ms = group.schemes[li];
-        const std::span<const WorkRegion> mine = tiles[li]->regions;
+        const std::vector<WorkRegion> mine =
+            regionsOf(layer, ms, group.batchUnit);
         const std::size_t n = mine.size();
         std::vector<double> input_bytes(n, 0.0);
         auto node_of = [&](std::size_t i) {
@@ -112,9 +112,10 @@ class Reference
             const LayerId producer = external ? -1 : layer.inputs[j];
             const int pi = external ? -1 : group.indexOf(producer);
             if (pi >= 0) {
-                const auto ps = static_cast<std::size_t>(pi);
-                const std::span<const WorkRegion> theirs = tiles[ps]->regions;
-                const MappingScheme &pms = group.schemes[ps];
+                const MappingScheme &pms =
+                    group.schemes[static_cast<std::size_t>(pi)];
+                const std::vector<WorkRegion> theirs = regionsOf(
+                    graph_.layer(producer), pms, group.batchUnit);
                 for (std::size_t a = 0; a < theirs.size(); ++a) {
                     const WorkRegion &pp = theirs[a];
                     Requests requests;
@@ -222,6 +223,19 @@ class Reference
                            std::int64_t, std::int64_t>;
     /** Requests grouped by key: (bytes, destination nodes). */
     using Requests = std::map<Key, std::pair<double, std::vector<NodeId>>>;
+
+    /** Piece regions by the definition: workRegionOf at every nid. */
+    static std::vector<WorkRegion>
+    regionsOf(const dnn::Layer &layer, const MappingScheme &ms,
+              std::int64_t batch_unit)
+    {
+        std::vector<WorkRegion> regions;
+        for (std::int64_t nid = 0; nid < ms.part.count(); ++nid)
+            regions.push_back(mapping::workRegionOf(
+                layer, ms.part, batch_unit,
+                mapping::workIndexOf(ms.part, nid)));
+        return regions;
+    }
 
     static Key
     keyOf(const dnn::Region &r, std::int64_t b0, std::int64_t b1)
@@ -336,21 +350,6 @@ randomGroup(const dnn::Graph &graph, const arch::ArchConfig &arch,
     return group;
 }
 
-/** Tiles as the tiling stage lays them out (regions only). */
-LayerTiles
-tilesOf(const dnn::Layer &layer, const MappingScheme &ms,
-        std::int64_t batch_unit, common::BumpArena &payload)
-{
-    const auto regions = payload.allocSpan<WorkRegion>(
-        static_cast<std::size_t>(ms.part.count()));
-    for (std::int64_t nid = 0; nid < ms.part.count(); ++nid)
-        regions[static_cast<std::size_t>(nid)] = mapping::workRegionOf(
-            layer, ms.part, batch_unit, mapping::workIndexOf(ms.part, nid));
-    LayerTiles out;
-    out.regions = regions;
-    return out;
-}
-
 /**
  * Compile `trials` random groups on `arch` and diff every layer; the
  * longest link list compiled goes to `longest` when given.
@@ -369,14 +368,6 @@ diffAgainstReference(const dnn::Graph &graph, const arch::ArchConfig &arch,
         const LayerGroupMapping group =
             randomGroup(graph, arch, max_pieces, rng);
         common::BumpArena payload;
-        std::vector<LayerTiles> tiles;
-        for (std::size_t li = 0; li < group.layers.size(); ++li)
-            tiles.push_back(tilesOf(graph.layer(group.layers[li]),
-                                    group.schemes[li], group.batchUnit,
-                                    payload));
-        std::vector<const LayerTiles *> tile_ptrs;
-        for (const LayerTiles &t : tiles)
-            tile_ptrs.push_back(&t);
         std::map<LayerId, DramSel> outside;
         const mapping::OfmapDramLookup lookup = [&](LayerId producer) {
             auto [it, fresh] = outside.try_emplace(producer, 0);
@@ -392,10 +383,9 @@ diffAgainstReference(const dnn::Graph &graph, const arch::ArchConfig &arch,
         for (std::size_t li = 0; li < group.layers.size(); ++li) {
             for (LayerId in : graph.layer(group.layers[li]).inputs)
                 in_group_inputs += group.indexOf(in) >= 0 ? 1 : 0;
-            compiler.compile(group, li, tile_ptrs, num_units, lookup, got,
-                             payload);
+            compiler.compile(group, li, num_units, lookup, got, payload);
             const RefFlows want =
-                reference.compile(group, li, tile_ptrs, num_units, lookup);
+                reference.compile(group, li, num_units, lookup);
             const std::string where = arch.name + " trial " +
                                       std::to_string(trial) + " layer " +
                                       graph.layer(group.layers[li]).name;
@@ -482,6 +472,95 @@ TEST(ChunkIndexOf, InvertsChunkOf)
             }
         }
     }
+}
+
+static_assert(std::is_trivially_copyable_v<mapping::LayerTiles> &&
+                  sizeof(mapping::LayerTiles) == 2 * sizeof(double),
+              "a tile fragment is its two costs; piece regions are "
+              "derived per compile, not cached");
+
+TEST(WorkRegionsOf, EqualsWorkRegionOfAtEveryNid)
+{
+    // The compiler's division-free region derivation, against
+    // workRegionOf at every nid of every partition of a small cube: even
+    // and uneven (total % parts != 0) splits in every dimension, batch
+    // splits included, down to one-element chunks.
+    dnn::Layer layer;
+    layer.k = 7;
+    layer.h = 5;
+    layer.w = 6;
+    const std::int64_t batch_unit = 5;
+    std::int64_t uneven_b = 0, pieces = 0;
+    std::vector<WorkRegion> got;
+    for (std::int64_t h = 1; h <= layer.h; ++h)
+        for (std::int64_t w = 1; w <= layer.w; ++w)
+            for (std::int64_t b = 1; b <= batch_unit; ++b)
+                for (std::int64_t k = 1; k <= layer.k; ++k) {
+                    const mapping::Partition part{
+                        .h = h, .w = w, .b = b, .k = k};
+                    got.assign(static_cast<std::size_t>(part.count()),
+                               WorkRegion{});
+                    mapping::workRegionsOf(layer, part, batch_unit, got);
+                    uneven_b += b > 1 && batch_unit % b != 0 ? 1 : 0;
+                    for (std::int64_t nid = 0; nid < part.count(); ++nid) {
+                        const WorkRegion want = mapping::workRegionOf(
+                            layer, part, batch_unit,
+                            mapping::workIndexOf(part, nid));
+                        const WorkRegion &g =
+                            got[static_cast<std::size_t>(nid)];
+                        ASSERT_EQ(std::tie(g.region.c0, g.region.c1,
+                                           g.region.h0, g.region.h1,
+                                           g.region.w0, g.region.w1, g.b0,
+                                           g.b1),
+                                  std::tie(want.region.c0, want.region.c1,
+                                           want.region.h0, want.region.h1,
+                                           want.region.w0, want.region.w1,
+                                           want.b0, want.b1))
+                            << "part " << h << "x" << w << "x" << b << "x"
+                            << k << " nid " << nid;
+                        ++pieces;
+                    }
+                }
+    EXPECT_GT(uneven_b, 0);
+    EXPECT_GT(pieces, 100000);
+}
+
+TEST(WorkRegionsOfDeath, RefusesMorePartsThanElements)
+{
+    // A dimension split into more parts than it has elements is refused,
+    // by the derivation and so by every compile that derives regions.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    dnn::Layer layer;
+    layer.k = 4;
+    layer.h = 3;
+    layer.w = 2;
+    const std::int64_t batch_unit = 2;
+    const mapping::Partition parts[] = {{.h = 4}, {.w = 3}, {.b = 3},
+                                        {.k = 5}};
+    for (const mapping::Partition &part : parts) {
+        std::vector<WorkRegion> out(static_cast<std::size_t>(part.count()));
+        EXPECT_DEATH(mapping::workRegionsOf(layer, part, batch_unit, out),
+                     "bad chunk grid");
+    }
+
+    const dnn::Graph graph = convGraph();
+    const arch::ArchConfig arch = smallArch(arch::Topology::Mesh);
+    const noc::InterconnectModel noc(arch);
+    const mapping::TrafficCompiler compiler(graph, arch, noc);
+    LayerGroupMapping group;
+    group.layers.push_back(0);
+    MappingScheme ms;
+    ms.part.h = graph.layer(0).h + 1;
+    for (CoreId c = 0; c < ms.part.h; ++c)
+        ms.coreGroup.push_back(c);
+    ms.fd.ifmap = ms.fd.weight = 1;
+    group.schemes.push_back(ms);
+    common::BumpArena payload;
+    mapping::LayerFlows flows;
+    EXPECT_DEATH(compiler.compile(
+                     group, 0, 1, [](LayerId) -> DramSel { return 1; },
+                     flows, payload),
+                 "bad chunk grid");
 }
 
 TEST(TrafficCompilerDiff, ConvGraphEveryTopology)
@@ -572,10 +651,6 @@ TEST(TrafficCompilerThrow, NextCompileMatchesAFreshCompiler)
     ms.fd.ofmap = kDramInterleaved;
     group.schemes.push_back(ms);
     common::BumpArena payload;
-    const LayerTiles tiles = tilesOf(graph.layer(group.layers[0]),
-                                     group.schemes[0], group.batchUnit,
-                                     payload);
-    const std::vector<const LayerTiles *> tile_ptrs{&tiles};
     int lookups = 0;
     const mapping::OfmapDramLookup throwing = [&](LayerId) -> DramSel {
         if (++lookups == 2)
@@ -588,15 +663,14 @@ TEST(TrafficCompilerThrow, NextCompileMatchesAFreshCompiler)
 
     const mapping::TrafficCompiler compiler(graph, arch, noc);
     mapping::LayerFlows got;
-    EXPECT_THROW(compiler.compile(group, 0, tile_ptrs, 2, throwing, got,
-                                  payload),
+    EXPECT_THROW(compiler.compile(group, 0, 2, throwing, got, payload),
                  std::runtime_error);
     ASSERT_EQ(lookups, 2);
-    compiler.compile(group, 0, tile_ptrs, 2, pinned, got, payload);
+    compiler.compile(group, 0, 2, pinned, got, payload);
 
     const mapping::TrafficCompiler fresh(graph, arch, noc);
     mapping::LayerFlows want;
-    fresh.compile(group, 0, tile_ptrs, 2, pinned, want, payload);
+    fresh.compile(group, 0, 2, pinned, want, payload);
     ASSERT_FALSE(want.linkIds.empty());
     ASSERT_EQ(got.linkIds.size(), want.linkIds.size());
     ASSERT_EQ(got.linkBytes.size(), want.linkBytes.size());
