@@ -11,7 +11,6 @@
 
 #include "src/arch/presets.hh"
 #include "src/dnn/zoo.hh"
-#include "src/mapping/codegen.hh"
 #include "src/mapping/engine.hh"
 
 using namespace gemini;
@@ -67,13 +66,5 @@ main()
         std::printf("group %zu:%s\n\n", g,
                     mapping::toString(model, r.mapping.groups[g]).c_str());
 
-    // Lower the first layer group to per-core instruction streams (the
-    // framework's "Instruction Gen." output).
-    const mapping::GroupProgram program = mapping::generateProgram(
-        model, arch, r.mapping.groups.front(),
-        [&r](LayerId layer) { return r.mapping.ofmapDramOf(layer); });
-    std::printf("instruction streams of group 0 (steady-state, one batch "
-                "unit):\n%s",
-                program.toString(model, arch).c_str());
     return 0;
 }

@@ -1,10 +1,8 @@
 #include "src/api/results.hh"
 
-#include <utility>
+#include <string>
 
 namespace gemini::api {
-
-using common::json::Value;
 
 // ---- field lists ----------------------------------------------------------
 
@@ -204,85 +202,5 @@ GEMINI_WIRE_INSTANTIATE(mapping::MappingResult)
 GEMINI_WIRE_INSTANTIATE(dse::DseStats)
 GEMINI_WIRE_INSTANTIATE(dse::DseResult)
 #undef GEMINI_WIRE_INSTANTIATE
-
-// ---- public round trips ---------------------------------------------------
-
-Value
-archConfigToJson(const arch::ArchConfig &cfg)
-{
-    return writeJson(cfg);
-}
-
-bool
-archConfigFromJson(const Value &v, const std::string &path,
-                   arch::ArchConfig &out, std::string *error)
-{
-    return readJson(v, path, out, error);
-}
-
-Value
-evalBreakdownToJson(const eval::EvalBreakdown &b)
-{
-    return writeJson(b);
-}
-
-bool
-evalBreakdownFromJson(const Value &v, const std::string &path,
-                      eval::EvalBreakdown &out, std::string *error)
-{
-    return readJson(v, path, out, error);
-}
-
-Value
-costBreakdownToJson(const cost::CostBreakdown &b)
-{
-    return writeJson(b);
-}
-
-bool
-costBreakdownFromJson(const Value &v, const std::string &path,
-                      cost::CostBreakdown &out, std::string *error)
-{
-    return readJson(v, path, out, error);
-}
-
-Value
-lpMappingToJson(const mapping::LpMapping &m)
-{
-    return writeJson(m);
-}
-
-bool
-lpMappingFromJson(const Value &v, const std::string &path,
-                  mapping::LpMapping &out, std::string *error)
-{
-    return readJson(v, path, out, error);
-}
-
-Value
-mappingResultToJson(const mapping::MappingResult &r)
-{
-    return writeJson(r);
-}
-
-bool
-mappingResultFromJson(const Value &v, const std::string &path,
-                      mapping::MappingResult &out, std::string *error)
-{
-    return readJson(v, path, out, error);
-}
-
-Value
-dseResultToJson(const dse::DseResult &r)
-{
-    return writeJson(r);
-}
-
-bool
-dseResultFromJson(const Value &v, const std::string &path,
-                  dse::DseResult &out, std::string *error)
-{
-    return readJson(v, path, out, error);
-}
 
 } // namespace gemini::api

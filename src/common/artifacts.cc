@@ -25,8 +25,9 @@ artifactDir(int argc, char **argv, const std::string &fallback)
             break;
         }
     }
+    // assign(), not `= "."`: gcc 12 reports a false -Wrestrict there.
     if (dir.empty())
-        dir = ".";
+        dir.assign(1, '.');
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     GEMINI_ASSERT(!ec, "cannot create artifact dir ", dir, ": ",

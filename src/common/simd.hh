@@ -4,7 +4,7 @@
  * scalar implementation, so the active variant is always "scalar".
  *
  * The only caller is benchmark/probe.cc, which records the variant in
- * its run metadata. ROADMAP item 2 (the probe rework) deletes this
+ * its run metadata. ROADMAP item 3 (the probe rework) deletes this
  * header together with that field.
  */
 

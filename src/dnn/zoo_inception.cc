@@ -110,8 +110,10 @@ inceptionResnetV1()
     x = b.conv("stem.c5", x, 192, 3, 1, 0);
     x = b.conv("stem.c6", x, 256, 3, 2, 0);
 
+    // Block names are built from a std::string, not a literal: gcc 12
+    // reports a false -Wrestrict inside `"a" + std::to_string(i)`.
     for (int i = 0; i < 5; ++i)
-        x = iresA(b, "a" + std::to_string(i), x);
+        x = iresA(b, std::string(1, 'a') + std::to_string(i), x);
 
     // Reduction-A to a 17x17 grid, 896 channels.
     LayerId r1 = b.conv("redA.b1", x, 384, 3, 2, 0);
@@ -122,7 +124,7 @@ inceptionResnetV1()
     x = b.concat("redA.cat", {r1, r2, r3});
 
     for (int i = 0; i < 10; ++i)
-        x = iresB(b, "b" + std::to_string(i), x);
+        x = iresB(b, std::string(1, 'b') + std::to_string(i), x);
 
     // Reduction-B to an 8x8 grid, 1792 channels.
     LayerId s1 = b.conv("redB.b1a", x, 256, 1, 1, 0);
@@ -136,7 +138,7 @@ inceptionResnetV1()
     x = b.concat("redB.cat", {s1, s2, s3, s4});
 
     for (int i = 0; i < 5; ++i)
-        x = iresC(b, "c" + std::to_string(i), x);
+        x = iresC(b, std::string(1, 'c') + std::to_string(i), x);
 
     x = b.globalPool("avgpool", x);
     b.fc("fc", x, 1000);

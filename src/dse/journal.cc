@@ -74,7 +74,7 @@ appendPayload(std::string &out, const JournalRecord &rec,
         for (std::size_t m = 0; m < per_model.size(); ++m) {
             if (m)
                 out += ',';
-            out += api::lpMappingToJson(per_model[m]).canonical();
+            out += api::writeJson(per_model[m]).canonical();
         }
         out += ']';
     }

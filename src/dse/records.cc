@@ -55,18 +55,6 @@ rungStatsTable(const DseStats &stats)
 }
 
 bool
-writeRecordsCsv(const DseResult &result, const std::string &path)
-{
-    return recordsTable(result).writeFile(path);
-}
-
-bool
-writeRungStatsCsv(const DseStats &stats, const std::string &path)
-{
-    return rungStatsTable(stats).writeFile(path);
-}
-
-bool
 DseResult::writeCsv(const std::string &path,
                     const std::string &rung_stats_path) const
 {

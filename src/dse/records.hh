@@ -12,8 +12,6 @@
 #ifndef GEMINI_DSE_RECORDS_HH
 #define GEMINI_DSE_RECORDS_HH
 
-#include <string>
-
 #include "src/common/csv.hh"
 #include "src/dse/dse.hh"
 
@@ -29,18 +27,6 @@ CsvTable recordsTable(const DseResult &result);
 
 /** Build the per-rung scheduler-statistics table. */
 CsvTable rungStatsTable(const DseStats &stats);
-
-/**
- * Write result.csv-style output.
- * @return false on I/O failure.
- */
-bool writeRecordsCsv(const DseResult &result, const std::string &path);
-
-/**
- * Write the per-rung statistics table.
- * @return false on I/O failure.
- */
-bool writeRungStatsCsv(const DseStats &stats, const std::string &path);
 
 } // namespace gemini::dse
 

@@ -442,9 +442,7 @@ TEST(Results, ArchConfigRoundTripsAllTopologies)
         arch::ArchConfig cfg = arch::largeGridArch(t);
         arch::ArchConfig back;
         std::string error;
-        ASSERT_TRUE(
-            archConfigFromJson(archConfigToJson(cfg), "arch", back, &error))
-            << error;
+        ASSERT_TRUE(readJson(writeJson(cfg), "arch", back, &error)) << error;
         EXPECT_TRUE(back == cfg);
         EXPECT_EQ(back.name, cfg.name);
     }
@@ -461,10 +459,10 @@ TEST(Results, LpMappingRoundTripReEvaluatesBitIdentically)
     mapping::MappingEngine engine(model, arch, options);
     const mapping::MappingResult original = engine.run();
 
-    const common::json::Value wire = lpMappingToJson(original.mapping);
+    const common::json::Value wire = writeJson(original.mapping);
     mapping::LpMapping back;
     std::string error;
-    ASSERT_TRUE(lpMappingFromJson(wire, "mapping", back, &error)) << error;
+    ASSERT_TRUE(readJson(wire, "mapping", back, &error)) << error;
 
     // The parsed mapping is structurally valid for this graph/arch and
     // re-evaluates to the exact same breakdown, bit for bit.
@@ -490,11 +488,11 @@ TEST(Results, MappingResultAndDseResultRoundTripViaCanonicalJson)
     mapping::MappingEngine engine(model, arch::tinyArch(), mo);
     const mapping::MappingResult mr = engine.run();
 
-    const common::json::Value mwire = mappingResultToJson(mr);
+    const common::json::Value mwire = writeJson(mr);
     mapping::MappingResult mback;
     std::string error;
-    ASSERT_TRUE(mappingResultFromJson(mwire, "r", mback, &error)) << error;
-    EXPECT_EQ(mappingResultToJson(mback).canonical(), mwire.canonical());
+    ASSERT_TRUE(readJson(mwire, "r", mback, &error)) << error;
+    EXPECT_EQ(writeJson(mback).canonical(), mwire.canonical());
     EXPECT_EQ(mback.total.delay, mr.total.delay);
     EXPECT_EQ(mback.saStats.accepted, mr.saStats.accepted);
 
@@ -509,10 +507,10 @@ TEST(Results, MappingResultAndDseResultRoundTripViaCanonicalJson)
     options.threads = 2;
     const dse::DseResult dr = dse::runDse(options);
 
-    const common::json::Value dwire = dseResultToJson(dr);
+    const common::json::Value dwire = writeJson(dr);
     dse::DseResult dback;
-    ASSERT_TRUE(dseResultFromJson(dwire, "r", dback, &error)) << error;
-    EXPECT_EQ(dseResultToJson(dback).canonical(), dwire.canonical());
+    ASSERT_TRUE(readJson(dwire, "r", dback, &error)) << error;
+    EXPECT_EQ(writeJson(dback).canonical(), dwire.canonical());
     ASSERT_EQ(dback.records.size(), dr.records.size());
     EXPECT_EQ(dback.bestIndex, dr.bestIndex);
     for (std::size_t i = 0; i < dr.records.size(); ++i) {
@@ -634,7 +632,7 @@ TEST(Service, AnalyzerCacheEntriesNeverChangeAMapResult)
         ASSERT_FALSE(result.failed()) << result.error;
         ASSERT_EQ(result.mappings.size(), 1u);
         const mapping::MappingResult &m = result.mappings[0];
-        const std::string text = lpMappingToJson(m.mapping).canonical();
+        const std::string text = writeJson(m.mapping).canonical();
         if (entries == 0) {
             reference_mapping = text;
             reference_cost = m.saStats.finalCost;

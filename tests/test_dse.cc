@@ -199,7 +199,7 @@ TEST_F(DseRunTest, RecordsCsvExport)
     EXPECT_NE(text.find("objective"), std::string::npos);
     EXPECT_NE(text.find("best"), std::string::npos);
     const std::string path = "/tmp/gemini_dse_records_test.csv";
-    EXPECT_TRUE(writeRecordsCsv(r, path));
+    EXPECT_TRUE(r.writeCsv(path));
 }
 
 // --------------------------------------------------------- scheduler ---
@@ -264,7 +264,7 @@ TEST_F(SchedulerTest, BitIdenticalAcrossThreadCountsAndAnExternalPool)
             rec.evalSeconds = 0.0;
         for (DseRungStats &rs : r.stats.rungs)
             rs.cpuSeconds = 0.0;
-        return api::dseResultToJson(r).dump();
+        return api::writeJson(r).dump();
     };
 
     options_.threads = 1;
@@ -522,7 +522,7 @@ TEST_F(CohortScreen, ResultIsThreadAndPoolInvariant)
             rec.evalSeconds = 0.0;
         for (DseRungStats &rs : r.stats.rungs)
             rs.cpuSeconds = 0.0;
-        return api::dseResultToJson(r).dump();
+        return api::writeJson(r).dump();
     };
     // One thread runs whole cohorts; four split the largest ones.
     options_.threads = 1;

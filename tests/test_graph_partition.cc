@@ -374,8 +374,8 @@ TEST(CohortRun, EveryMemberMatchesItsSoloRunBitForBit)
                     const MappingResult solo =
                         MappingEngine(g, cohort[k], mo).run();
                     const MappingResult &got = together[k];
-                    EXPECT_EQ(api::lpMappingToJson(got.mapping).dump(),
-                              api::lpMappingToJson(solo.mapping).dump())
+                    EXPECT_EQ(api::writeJson(got.mapping).dump(),
+                              api::writeJson(solo.mapping).dump())
                         << "member " << k;
                     ASSERT_EQ(got.groups.size(), solo.groups.size());
                     for (std::size_t i = 0; i < got.groups.size(); ++i)

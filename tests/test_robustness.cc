@@ -666,7 +666,7 @@ mappingsText(const std::vector<mapping::LpMapping> &ms)
 {
     std::string out;
     for (const mapping::LpMapping &m : ms)
-        out += api::lpMappingToJson(m).canonical() + "\n";
+        out += api::writeJson(m).canonical() + "\n";
     return out;
 }
 
@@ -1595,7 +1595,7 @@ class FlatRunTest : public CrashResumeTest
             rec.evalSeconds = 0.0;
         for (dse::DseRungStats &rs : r.stats.rungs)
             rs.cpuSeconds = 0.0;
-        return api::dseResultToJson(r).dump();
+        return api::writeJson(r).dump();
     }
 };
 

@@ -337,9 +337,9 @@ TEST(Wire, SpecDumpCanonicalTextAndHashArePinned)
 
 TEST(Wire, ResultWritersArePinned)
 {
-    expectGolden("dse_result.json", dseResultToJson(fixedDseResult()).dump());
+    expectGolden("dse_result.json", writeJson(fixedDseResult()).dump());
     expectGolden("mapping_result.json",
-                 mappingResultToJson(fixedMappingResult()).dump());
+                 writeJson(fixedMappingResult()).dump());
 }
 
 TEST(Wire, WorkerFramesArePinnedAndRoundTrip)
@@ -474,13 +474,13 @@ expectErrors(const std::vector<ErrorCase> &cases, const Read &read)
     }
 }
 
-template <class T, class FromJson>
+template <class T>
 auto
-viaFromJson(FromJson fromJson)
+viaReadJson()
 {
-    return [fromJson](const Value &v, std::string &error) {
+    return [](const Value &v, std::string &error) {
         T out;
-        return fromJson(v, "x", out, &error);
+        return readJson(v, "x", out, &error);
     };
 }
 
@@ -498,7 +498,7 @@ TEST(Wire, ResultReaderErrorsArePinned)
              "x.topology: unknown topology \"ring\" (valid: mesh, "
              "folded-torus, concentrated-ring, hierarchical-nop)"},
         },
-        viaFromJson<arch::ArchConfig>(archConfigFromJson));
+        viaReadJson<arch::ArchConfig>());
     expectErrors(
         {
             {"eval unknown", R"({"delay":1})",
@@ -508,7 +508,7 @@ TEST(Wire, ResultReaderErrorsArePinned)
             {"eval type", R"({"noc_j":true})",
              "x.noc_j: expected a number"},
         },
-        viaFromJson<eval::EvalBreakdown>(evalBreakdownFromJson));
+        viaReadJson<eval::EvalBreakdown>());
     expectErrors(
         {
             {"mc unknown", R"({"dram":1,"totl":3})",
@@ -518,7 +518,7 @@ TEST(Wire, ResultReaderErrorsArePinned)
             {"mc type", R"({"total":"3"})",
              "x.total: expected a number"},
         },
-        viaFromJson<cost::CostBreakdown>(costBreakdownFromJson));
+        viaReadJson<cost::CostBreakdown>());
     expectErrors(
         {
             {"lp unknown", R"({"groups":[],"batches":1})",
@@ -555,7 +555,7 @@ TEST(Wire, ResultReaderErrorsArePinned)
              "x.groups[0].schemes[0].flow.psum: unknown key (valid keys: "
              "ifmap, weight, ofmap)"},
         },
-        viaFromJson<mapping::LpMapping>(lpMappingFromJson));
+        viaReadJson<mapping::LpMapping>());
     expectErrors(
         {
             {"mapping result unknown",
@@ -575,7 +575,7 @@ TEST(Wire, ResultReaderErrorsArePinned)
              R"({"mapping":{"groups":[]},"sa_stats":{"chains":"2"}})",
              "x.sa_stats.chains: expected an integer"},
         },
-        viaFromJson<mapping::MappingResult>(mappingResultFromJson));
+        viaReadJson<mapping::MappingResult>());
     expectErrors(
         {
             {"dse unknown", R"({"records":[],"best":0})",
@@ -611,7 +611,7 @@ TEST(Wire, ResultReaderErrorsArePinned)
              R"({"records":[],"stats":{"rungs":[{"entered":"1"}]}})",
              "x.stats.rungs[0].entered: expected an integer"},
         },
-        viaFromJson<dse::DseResult>(dseResultFromJson));
+        viaReadJson<dse::DseResult>());
 }
 
 TEST(Wire, SpecReaderErrorsArePinned)
